@@ -1,8 +1,8 @@
 """Scattering a charged packet off a flux line on the lattice.
 
 The line enters the dynamics only through link phases e^{i q Phi} on a cut.
-When q Phi is a multiple of 2 pi those phases are exactly 1 and the string
-drops out of the arithmetic; otherwise it scatters. A two-slit pair
+When q Phi is a multiple of 2 pi those phases equal 1 to rounding and the
+string drops out of the arithmetic; otherwise it scatters. A two-slit pair
 straddling the line turns the same phase into a fringe displacement of
 (q Phi / 2 pi) mod 1 periods.
 

@@ -514,7 +514,11 @@ def main(argv=None):
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 
-    run = Run(args.command, resolved, args.out)
+    try:
+        run = Run(args.command, resolved, args.out)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot use --out: {exc}\n")
+        return EXIT_USAGE
     try:
         code = COMMANDS[args.command](run)
     except DomainError as exc:

@@ -81,6 +81,8 @@ def transition_function(q, g, phi):
 def winding_residual(q, g):
     """Distance of 2*q*g from the nearest integer, with that integer."""
     n_real = 2.0 * q * g
+    if not np.isfinite(n_real):
+        raise DomainError(f"2*q*g = {n_real} is not finite")
     n_nearest = int(np.rint(n_real))
     return abs(n_real - n_nearest), n_nearest
 

@@ -15,10 +15,15 @@ consequences:
     of a fringe period (fringe_shift vs two_path_fringe_shift).
 
 Time stepping is a Strang split of Cayley (Crank-Nicolson) half-steps,
-x(dt/2) y(dt) x(dt/2). Each factor is the Cayley transform of a Hermitian
-tridiagonal, hence exactly unitary; the split is second order in dt. Open
-boundaries are faked by a cosine-ramp absorbing sponge, disabled for norm
-accounting.
+x(dt/2) y(dt) x(dt/2). Each axis has one free factor 1 + A, A = i tau H/2
+with H the Hermitian hopping tridiagonal, prefactored once; a step applies
+(1 + A)^-1 (1 - A) = 2 (1 + A)^-1 - 1, which is exactly unitary, and the
+split is second order in dt. The flux line's cut is a pure gauge shift on
+the open y chains it crosses: the phased-link y step equals U^dag Y U, with
+Y the free step and U = e^{i q Phi} on the rows past the cut in the cut's
+columns, so the string costs two diagonal multiplies and no second factor.
+Open boundaries are faked by a cosine-ramp absorbing sponge, disabled for
+norm accounting.
 """
 
 import json
@@ -61,8 +66,9 @@ class WaveGrid:
             raise DomainError("psi must be a 2-D array")
         if psi.shape[0] < MIN_GRID or psi.shape[1] < MIN_GRID:
             raise DomainError(f"grid must be at least {MIN_GRID} x {MIN_GRID}")
-        if self.h <= 0 or self.m <= 0 or self.dt <= 0:
-            raise DomainError("h, m, dt must be > 0")
+        if not all(np.isfinite(v) and v > 0
+                   for v in (self.h, self.m, self.dt)):
+            raise DomainError("h, m, dt must be finite and > 0")
         self.psi = np.array(psi, dtype=np.complex128, order="C")
 
     @property
@@ -164,30 +170,23 @@ class _Tridiag:
             raise RuntimeError(f"tridiagonal solve failed (info={info})")
         return x
 
+    def cayley(self, b):
+        """For this matrix 1 + A: (1 + A)^-1 (1 - A) b = 2 (1 + A)^-1 b - b.
 
-class _CayleyFactor:
-    """One-dimensional Cayley step (1 + i tau H/2)^-1 (1 - i tau H/2) for
-    H = hopping Hamiltonian with per-link phases `link_phase` (length n-1)."""
+        b is (n, nrhs) and stays intact; Fortran order spares gttrs a
+        reordering copy.
+        """
+        x = self.solve(b)
+        x *= 2.0
+        x -= b
+        return x
 
-    def __init__(self, n, tau, m, h, link_phase=None):
-        alpha = tau / (4.0 * m * h * h)
-        up = np.full(n - 1, -1.0 + 0.0j)
-        if link_phase is not None:
-            up = up * link_phase
-        lo = np.conj(up)
-        self.plus = _Tridiag(1j * alpha * lo,
-                             np.full(n, 1.0 + 2j * alpha),
-                             1j * alpha * up)
-        self.md = np.full(n, 1.0 - 2j * alpha)
-        self.mu = -1j * alpha * up
-        self.ml = -1j * alpha * lo
 
-    def apply(self, block):
-        """block: (n, nrhs); returns the stepped block."""
-        rhs = self.md[:, None] * block
-        rhs[:-1] += self.mu[:, None] * block[1:]
-        rhs[1:] += self.ml[:, None] * block[:-1]
-        return self.plus.solve(rhs)
+def _free_factor(n, tau, m, h):
+    """1 + i tau H/2 for the free hopping Hamiltonian of an open n-chain."""
+    alpha = tau / (4.0 * m * h * h)
+    off = np.full(n - 1, -1j * alpha)
+    return _Tridiag(off, np.full(n, 1.0 + 2j * alpha), off)
 
 
 def _check_stability(grid):
@@ -224,7 +223,8 @@ def _validate_line_margin(grid, line, sponge_width):
 
 
 def _sponge_mask(grid, fraction, strength):
-    """Cosine-ramp absorber: per-step amplitude factor, 1 in the interior."""
+    """Cosine-ramp absorber: per-step amplitude factor, 1 in the interior,
+    Fortran-ordered like psi after a step."""
 
     def ramp(n):
         w = max(int(round(fraction * n)), 2)
@@ -235,7 +235,7 @@ def _sponge_mask(grid, fraction, strength):
         prof[n - w:] = damp
         return prof
 
-    return ramp(grid.nx)[:, None] * ramp(grid.ny)[None, :]
+    return np.asfortranarray(ramp(grid.nx)[:, None] * ramp(grid.ny)[None, :])
 
 
 def _propagate(grid, line, steps, sponge, sponge_fraction, sponge_strength):
@@ -244,39 +244,30 @@ def _propagate(grid, line, steps, sponge, sponge_fraction, sponge_strength):
     _check_stability(grid)
 
     sponge_width = sponge_fraction * grid.h * grid.nx if sponge else 0.0
+    # gauge shift U: psi[gauge] *= phase; a free run shifts an empty region
+    gauge, phase = (slice(0), slice(0)), 1.0
     if line is not None:
         _validate_line_margin(grid, line, sponge_width)
         split, j0 = _snap_cut(grid, line)
-        theta = line.charge * line.flux
+        cols = slice(split, None) if line.cut == "+x" else slice(None, split)
+        gauge = (cols, slice(j0 + 1, None))
+        phase = np.exp(1j * line.charge * line.flux)
 
-    half_x = _CayleyFactor(grid.nx, grid.dt / 2.0, grid.m, grid.h)
-    full_y_free = _CayleyFactor(grid.ny, grid.dt, grid.m, grid.h)
-    if line is not None:
-        phases = np.ones(grid.ny - 1, dtype=np.complex128)
-        phases[j0] = np.exp(1j * theta)
-        full_y_cut = _CayleyFactor(grid.ny, grid.dt, grid.m, grid.h,
-                                   link_phase=phases)
-
+    half_x = _free_factor(grid.nx, grid.dt / 2.0, grid.m, grid.h)
+    full_y = _free_factor(grid.ny, grid.dt, grid.m, grid.h)
     mask = _sponge_mask(grid, sponge_fraction, sponge_strength) if sponge else None
 
-    psi = grid.psi
+    # psi[ix, iy] is Fortran-ordered for the x solves and C-ordered (so
+    # psi.T is Fortran-ordered) for the y solve
+    psi = np.asfortranarray(grid.psi)
     for _ in range(steps):
-        psi = half_x.apply(psi)
-        psi_t = np.ascontiguousarray(psi.T)          # (ny, nx): y leading
-        if line is None:
-            psi_t = full_y_free.apply(psi_t)
-        elif line.cut == "+x":
-            left = full_y_free.apply(psi_t[:, :split])
-            right = full_y_cut.apply(psi_t[:, split:])
-            psi_t = np.hstack((left, right))
-        else:
-            left = full_y_cut.apply(psi_t[:, :split])
-            right = full_y_free.apply(psi_t[:, split:])
-            psi_t = np.hstack((left, right))
-        psi = np.ascontiguousarray(psi_t.T)
-        psi = half_x.apply(psi)
+        psi = np.ascontiguousarray(half_x.cayley(psi))
+        psi[gauge] *= phase
+        psi = full_y.cayley(psi.T).T
+        psi[gauge] *= np.conj(phase)
+        psi = half_x.cayley(np.asfortranarray(psi))
         if mask is not None:
-            psi = psi * mask
+            psi *= mask
     grid.psi = np.ascontiguousarray(psi)
     return grid
 
@@ -294,7 +285,10 @@ def propagate_with_flux(grid, line, steps, sponge=True,
                         sponge_strength=DEFAULT_SPONGE_STRENGTH):
     """Evolve the grid minimally coupled to the flux line's cut phases.
 
-    With q*flux = 0 the phased links are exactly 1 and the evolution
+    The y step runs the free factor between the gauge shift U, which
+    multiplies the rows past the cut in the cut's columns by e^{i q flux},
+    and its inverse U^dag; that equals the Cayley step of the chain with the
+    phased link. With q*flux = 0, U is exactly 1 and the evolution
     reproduces propagate_free bit for bit.
     """
     if line is None:
@@ -459,9 +453,9 @@ def run_invisibility(q, flux, config=None, cut="+x"):
     """
     cfg = config or InterferenceConfig()
     src, flux_pos, probe_x = cfg.geometry()
-    steps = cfg.resolved_steps()
-
+    # the grid rejects a non-finite h, m or dt before the step count uses it
     grid0 = make_wave_grid(cfg.nx, cfg.ny, cfg.h, cfg.m, cfg.dt)
+    steps = cfg.resolved_steps()
     gaussian_packet(grid0, src, cfg.packet_width, (cfg.k, 0.0))
 
     free = grid0.copy()
@@ -491,9 +485,9 @@ def run_fringe(q, flux, config=None, cut="+x"):
     displacement against the two-path prediction."""
     cfg = config or InterferenceConfig()
     src, flux_pos, probe_x = cfg.geometry()
-    steps = cfg.resolved_steps()
-
+    # the grid rejects a non-finite h, m or dt before the step count uses it
     grid0 = make_wave_grid(cfg.nx, cfg.ny, cfg.h, cfg.m, cfg.dt)
+    steps = cfg.resolved_steps()
     two_gaussian_packet(grid0, src, cfg.slit_separation, cfg.packet_width,
                         (cfg.k, 0.0))
 

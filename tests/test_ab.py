@@ -114,6 +114,38 @@ def test_cut_direction_matters_only_when_unquantized(packet128):
         assert np.abs(vis_p.intensity() - vis_m.intensity()).max() > 1e-4
 
 
+@pytest.mark.parametrize("cut", ["+x", "-x"])
+def test_flux_step_matches_dense_phased_link_reference(cut):
+    # the same Strang step built densely, with the phased link written into
+    # the y Hamiltonian instead of applied as a gauge shift around the free
+    # factor; a conjugated phase flips the sign of theta and fails this
+    n, dt, steps, theta = 64, 0.4, 12, np.pi / 2.0
+    grid = gaussian_packet(make_wave_grid(n, n, dt=dt), (24.0, 32.0), 8.0,
+                           (0.9, 0.0))
+    line = FluxLine(position=(30.5, 33.5), flux=theta, charge=1.0, cut=cut)
+    split, j0 = 31, 33          # puncture at the plaquette (30..31, 33..34)
+
+    def cayley(tau, link=1.0):
+        hop = np.diag(np.full(n - 1, -1.0 + 0j), 1)
+        hop[j0, j0 + 1] *= link
+        ham = (hop + hop.conj().T + 2.0 * np.eye(n)) / 2.0     # m = h = 1
+        a = 0.5j * tau * ham
+        return np.linalg.solve(np.eye(n) + a, np.eye(n) - a)
+
+    half_x, free_y = cayley(dt / 2.0), cayley(dt)
+    cut_y = cayley(dt, np.exp(1j * theta))
+    cut_cols = np.arange(n) >= split if cut == "+x" else np.arange(n) < split
+    psi = grid.psi.copy()
+    for _ in range(steps):
+        psi = half_x @ psi
+        psi[~cut_cols] = psi[~cut_cols] @ free_y.T
+        psi[cut_cols] = psi[cut_cols] @ cut_y.T
+        psi = half_x @ psi
+
+    propagate_with_flux(grid, line, steps, sponge=False)
+    assert np.abs(grid.psi - psi).max() < 1e-12
+
+
 def test_flux_periodicity(packet128):
     lo = _flux_run(packet128, np.pi / 2.0, steps=100)
     hi = _flux_run(packet128, np.pi / 2.0 + 2.0 * np.pi, steps=100)
@@ -229,6 +261,8 @@ def test_grid_validation():
         make_wave_grid(128, 128, h=0.0)
     with pytest.raises(DomainError):
         make_wave_grid(128, 128, dt=-0.1)
+    with pytest.raises(DomainError):
+        make_wave_grid(128, 128, dt=float("nan"))
     with pytest.raises(DomainError):
         WaveGrid(psi=np.zeros(128, dtype=complex), h=1.0, m=1.0, dt=0.4)
 

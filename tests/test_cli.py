@@ -74,6 +74,25 @@ def test_usage_errors(tmp_path):
     assert man["status"] == "error" and "r_min" in man["error"]
 
 
+@pytest.mark.parametrize("argv, out_is_file", [
+    (["check", "--q", "nan"], False),
+    (["check", "--g", "inf"], False),
+    (["check", "--q", "1e200", "--g", "1e200"], False),
+    (["holonomy", "--g", "nan"], False),
+    (["absim", "--mode", "invisibility", "--nx", "64", "--ny", "64",
+      "--snapshots", "0", "--dt", "nan"], False),
+    (["check"], True),
+])
+def test_bad_inputs_are_usage_errors(tmp_path, argv, out_is_file):
+    # non-finite values and an unusable --out never share the verdict code 1
+    out = tmp_path / "out"
+    if out_is_file:
+        out.write_text("")
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    if not out_is_file:
+        assert _manifest(out, argv[0])["status"] == "error"
+
+
 def test_convergence_exit_code(tmp_path):
     # quadrature budget far too small for the requested tolerance
     code = main(["angmom", "--mu-list", "1", "--d-list", "1",
