@@ -12,26 +12,29 @@ repeats both experiments on the full 512^2 grid.
 
 import numpy as np
 
-from polelab.interference import (InterferenceConfig, run_fringe,
-                                  run_invisibility, two_path_fringe_shift)
+from polelab.interference import (InterferenceConfig, measure_fringe,
+                                  measure_invisibility, run_experiment)
 
 small = InterferenceConfig(nx=128, ny=128)
+labels = ("q Phi = 2 pi (quantized)", "q Phi = pi   (half quantum)")
+lines = [small.flux_line(flux, 1.0) for flux in (2.0 * np.pi, np.pi)]
 
 print("single packet aimed at the flux line (128^2 lattice)")
-for flux, label in ((2.0 * np.pi, "q Phi = 2 pi (quantized)"),
-                    (np.pi, "q Phi = pi   (half quantum)")):
-    out = run_invisibility(1.0, flux, small)
-    print(f"  {label}: far-field deviation from free = {out['metric']:.3e}")
+free, grids = run_experiment(small, "single", lines)
+for label, grid in zip(labels, grids):
+    print(f"  {label}: far-field deviation from free = "
+          f"{measure_invisibility(small, grid, free):.3e}")
 
 # fringes need a few oscillation periods under the envelope, so a larger
 # transverse box and wider slit gap
 mid = InterferenceConfig(nx=256, ny=256, slit_separation=60.0)
+lines = [mid.flux_line(flux, 1.0) for flux in (np.pi, 2.0 * np.pi)]
 
 print("\ntwo-slit pair around the line (256^2 lattice)")
 print(f"{'q Phi':>10} {'predicted':>10} {'measured':>10} {'circ err':>10}")
-for flux in (np.pi, 2.0 * np.pi):
-    out = run_fringe(1.0, flux, mid)
-    print(f"{flux:10.4f} {two_path_fringe_shift(1.0, flux):10.4f} "
-          f"{out['shift_measured']:10.4f} {out['circular_error']:10.4f}")
+free, grids = run_experiment(mid, "two_slit", lines)
+for line, grid in zip(lines, grids):
+    predicted, measured, err = measure_fringe(mid, line, grid, free)
+    print(f"{line.flux:10.4f} {predicted:10.4f} {measured:10.4f} {err:10.4f}")
 print("(displacements are fractions of one period; 0.9999 and 0 are the "
       "same point on the circle, hence the circular error column)")

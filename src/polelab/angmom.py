@@ -88,7 +88,7 @@ class QuadratureSpec:
             raise DomainError("need r_max > 4*d")
         if self.levels < 2 or self.gl_order < 4:
             raise DomainError("need levels >= 2 and gl_order >= 4")
-        if self.target_tol <= 0:
+        if not self.target_tol > 0:
             raise DomainError("target_tol must be > 0")
         return eps, r_max
 

@@ -14,6 +14,7 @@ violated.
 """
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -27,6 +28,7 @@ import numpy as np
 from . import __version__
 from .errors import (AccuracyError, ConvergenceError, DomainError,
                      StabilityError)
+from .interference import InterferenceConfig
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
@@ -86,15 +88,8 @@ SCHEMAS = {
         "flux": ("f", 2.0 * math.pi),
         "fringe_fluxes": ("lf", [0.5 * math.pi, math.pi, 1.5 * math.pi]),
         "mode": ("s", "both"),
-        "nx": ("i", 512),
-        "ny": ("i", 512),
-        "h": ("f", 1.0),
-        "m": ("f", 1.0),
-        "dt": ("f", 0.4),
-        "k": ("f", 0.9),
-        "packet_width": ("f", 10.0),
-        "slit_separation": ("f", 100.0),
-        "steps": ("i", 0),
+        **{f.name: ({int: "i", float: "f"}[f.type], f.default)
+           for f in dataclasses.fields(InterferenceConfig)},
         "cut": ("s", "+x"),
         "snapshots": ("b", True),
         "tol": ("f", 1e-2),
@@ -356,51 +351,57 @@ def cmd_angmom(run):
 
 
 def cmd_absim(run):
-    from .interference import (InterferenceConfig, intensity_slice,
-                               run_fringe, run_invisibility, save_snapshot)
+    from .interference import (intensity_slice, measure_fringe,
+                               measure_invisibility, run_experiment,
+                               save_snapshot)
 
     cfg = run.config
     if cfg["mode"] not in ("invisibility", "fringe", "both"):
         raise DomainError("mode must be invisibility, fringe, or both")
-    sim_cfg = InterferenceConfig(
-        nx=cfg["nx"], ny=cfg["ny"], h=cfg["h"], m=cfg["m"], dt=cfg["dt"],
-        k=cfg["k"], packet_width=cfg["packet_width"],
-        slit_separation=cfg["slit_separation"], steps=cfg["steps"])
+    invisibility = cfg["mode"] in ("invisibility", "both")
+    fringe = cfg["mode"] in ("fringe", "both")
+    if fringe and not cfg["fringe_fluxes"]:
+        raise DomainError("fringe_fluxes must be nonempty")
+    sim_cfg = InterferenceConfig(**{
+        f.name: cfg[f.name] for f in dataclasses.fields(InterferenceConfig)})
+    # every line is built, and so checked, before the first propagation
+    inv_line = sim_cfg.flux_line(cfg["flux"], cfg["q"], cfg["cut"]) \
+        if invisibility else None
+    fringe_lines = [sim_cfg.flux_line(flux, cfg["q"], cfg["cut"])
+                    for flux in cfg["fringe_fluxes"]] if fringe else []
     payload = {}
 
-    if cfg["mode"] in ("invisibility", "both"):
+    if invisibility:
         with run.stage("invisibility"):
-            inv = run_invisibility(cfg["q"], cfg["flux"], sim_cfg,
-                                   cut=cfg["cut"])
+            free, (flux_grid,) = run_experiment(sim_cfg, "single", [inv_line])
+            metric = measure_invisibility(sim_cfg, flux_grid, free)
         payload["invisibility"] = {
             "flux": cfg["flux"],
-            "q_flux_over_2pi": inv["q_flux_over_2pi"],
-            "metric": inv["metric"],
-            "steps": inv["steps"],
+            "q_flux_over_2pi": (cfg["q"] * cfg["flux"]) / (2.0 * math.pi),
+            "metric": metric,
+            "steps": sim_cfg.resolved_steps(),
         }
-        run.diagnostics["invisibility_metric"] = inv["metric"]
+        run.diagnostics["invisibility_metric"] = metric
         with run.stage("write"):
-            y, i_free = intensity_slice(inv["free"], inv["probe_x"])
-            _, i_flux = intensity_slice(inv["with_flux"], inv["probe_x"])
+            _, _, probe_x = sim_cfg.geometry()
+            y, i_free = intensity_slice(free, probe_x)
+            _, i_flux = intensity_slice(flux_grid, probe_x)
             write_csv(run.path("absim_slice.csv"),
                       ["y", "intensity_free", "intensity_with_flux"],
                       list(zip(y, i_free, i_flux)), run.sha)
             if cfg["snapshots"]:
-                save_snapshot(inv["free"], run.path("absim_free.f64"))
-                save_snapshot(inv["with_flux"], run.path("absim_flux.f64"))
+                save_snapshot(free, run.path("absim_free.f64"))
+                save_snapshot(flux_grid, run.path("absim_flux.f64"))
 
-    if cfg["mode"] in ("fringe", "both"):
-        table = []
-        for flux in cfg["fringe_fluxes"]:
-            with run.stage("fringe"):
-                fr = run_fringe(cfg["q"], flux, sim_cfg, cut=cfg["cut"])
-            table.append((flux, fr["shift_predicted"], fr["shift_measured"],
-                          fr["circular_error"]))
+    if fringe:
+        with run.stage("fringe"):
+            free, grids = run_experiment(sim_cfg, "two_slit", fringe_lines)
+            table = [(line.flux, *measure_fringe(sim_cfg, line, grid, free))
+                     for line, grid in zip(fringe_lines, grids)]
         payload["fringe_table"] = [
             {"flux": f, "shift_predicted": p, "shift_measured": s,
              "circular_error": e} for f, p, s, e in table]
-        run.diagnostics["fringe_worst_error"] = max(e for *_, e in table) \
-            if table else None
+        run.diagnostics["fringe_worst_error"] = max(e for *_, e in table)
         with run.stage("write"):
             write_csv(run.path("absim_fringe.csv"),
                       ["flux", "shift_predicted", "shift_measured",

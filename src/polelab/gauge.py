@@ -89,7 +89,7 @@ def winding_residual(q, g):
 
 def check_quantization(q, g, tol=DEFAULT_TOL):
     """Report whether 2*q*g is an integer to within tol."""
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tol must be > 0")
     residual, n_nearest = winding_residual(q, g)
     return QuantizationReport(
@@ -108,7 +108,7 @@ def string_invisibility(q, g, tol=DEFAULT_TOL):
     condition check_quantization tests arithmetically. tol is in winding
     units (fraction of a full turn), identical to check_quantization's.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tol must be > 0")
     holonomy = np.exp(1j * q * 4.0 * np.pi * g)
     residual = abs(np.angle(holonomy)) / (2.0 * np.pi)

@@ -24,6 +24,12 @@ Y the free step and U = e^{i q Phi} on the rows past the cut in the cut's
 columns, so the string costs two diagonal multiplies and no second factor.
 Open boundaries are faked by a cosine-ramp absorbing sponge, disabled for
 norm accounting.
+
+Both experiments go through one driver, run_experiment: it checks every
+flux line, then propagates the packet free once and once per line, so the
+free reference is shared by all lines. measure_invisibility and
+measure_fringe read the two consequences off fixed windows of the
+canonical geometry (module constants, like the sponge's width and rate).
 """
 
 import json
@@ -37,8 +43,17 @@ from scipy.linalg import get_lapack_funcs
 from .errors import DomainError, StabilityError
 
 MIN_GRID = 64
-DEFAULT_SPONGE_FRACTION = 0.10
-DEFAULT_SPONGE_STRENGTH = 0.5
+SPONGE_FRACTION = 0.10          # absorber width per side, fraction of the grid
+SPONGE_STRENGTH = 0.5           # absorption rate at the wall, per unit time
+# canonical geometry along x, as fractions of the grid width
+SOURCE_X_FRACTION = 0.22
+FLUX_X_FRACTION = 0.50
+PROBE_X_FRACTION = 0.78
+# measurement windows: the far field starts this fraction of the grid width
+# past the flux line; the fringe window's half-width is this fraction of the
+# slit gap
+INVISIBILITY_GAP_FRACTION = 0.08
+FRINGE_WINDOW_FRACTION = 0.36
 
 
 def two_path_fringe_shift(q, flux):
@@ -213,24 +228,32 @@ def _snap_cut(grid, line):
     return i0 + 1, j0
 
 
-def _validate_line_margin(grid, line, sponge_width):
-    margin = sponge_width + 2.0 * grid.h
+def _gauge_shift(grid, line, sponge):
+    """Check that the line sits on the grid, clear of the sponge, and return
+    its gauge shift U as (index of the rows past the cut in the cut's
+    columns, e^{i q flux})."""
+    margin = (SPONGE_FRACTION * grid.h * grid.nx if sponge else 0.0) \
+        + 2.0 * grid.h
     x0, y0 = line.position
     lx, ly = grid.h * (grid.nx - 1), grid.h * (grid.ny - 1)
     if not (margin < x0 < lx - margin and margin < y0 < ly - margin):
         raise DomainError("flux line must sit inside the grid, clear of the "
                           "boundary sponge")
+    split, j0 = _snap_cut(grid, line)
+    cols = slice(split, None) if line.cut == "+x" else slice(None, split)
+    return (cols, slice(j0 + 1, None)), np.exp(1j * line.charge * line.flux)
 
 
-def _sponge_mask(grid, fraction, strength):
+def _sponge_mask(grid):
     """Cosine-ramp absorber: per-step amplitude factor, 1 in the interior,
     Fortran-ordered like psi after a step."""
 
     def ramp(n):
-        w = max(int(round(fraction * n)), 2)
+        w = max(int(round(SPONGE_FRACTION * n)), 2)
         prof = np.ones(n)
         s = np.arange(w) / w           # 0 at the inner edge, 1 at the wall
-        damp = np.exp(-grid.dt * strength * 0.5 * (1.0 - np.cos(np.pi * s)))
+        damp = np.exp(-grid.dt * SPONGE_STRENGTH * 0.5
+                      * (1.0 - np.cos(np.pi * s)))
         prof[:w] = damp[::-1]
         prof[n - w:] = damp
         return prof
@@ -238,24 +261,19 @@ def _sponge_mask(grid, fraction, strength):
     return np.asfortranarray(ramp(grid.nx)[:, None] * ramp(grid.ny)[None, :])
 
 
-def _propagate(grid, line, steps, sponge, sponge_fraction, sponge_strength):
+def _propagate(grid, line, steps, sponge):
     if not isinstance(steps, (int, np.integer)) or steps < 0:
         raise DomainError("steps must be a nonnegative integer")
     _check_stability(grid)
 
-    sponge_width = sponge_fraction * grid.h * grid.nx if sponge else 0.0
     # gauge shift U: psi[gauge] *= phase; a free run shifts an empty region
     gauge, phase = (slice(0), slice(0)), 1.0
     if line is not None:
-        _validate_line_margin(grid, line, sponge_width)
-        split, j0 = _snap_cut(grid, line)
-        cols = slice(split, None) if line.cut == "+x" else slice(None, split)
-        gauge = (cols, slice(j0 + 1, None))
-        phase = np.exp(1j * line.charge * line.flux)
+        gauge, phase = _gauge_shift(grid, line, sponge)
 
     half_x = _free_factor(grid.nx, grid.dt / 2.0, grid.m, grid.h)
     full_y = _free_factor(grid.ny, grid.dt, grid.m, grid.h)
-    mask = _sponge_mask(grid, sponge_fraction, sponge_strength) if sponge else None
+    mask = _sponge_mask(grid) if sponge else None
 
     # psi[ix, iy] is Fortran-ordered for the x solves and C-ordered (so
     # psi.T is Fortran-ordered) for the y solve
@@ -272,17 +290,12 @@ def _propagate(grid, line, steps, sponge, sponge_fraction, sponge_strength):
     return grid
 
 
-def propagate_free(grid, steps, sponge=True,
-                   sponge_fraction=DEFAULT_SPONGE_FRACTION,
-                   sponge_strength=DEFAULT_SPONGE_STRENGTH):
+def propagate_free(grid, steps, sponge=True):
     """Evolve the grid with no flux line. Mutates and returns grid."""
-    return _propagate(grid, None, steps, sponge, sponge_fraction,
-                      sponge_strength)
+    return _propagate(grid, None, steps, sponge)
 
 
-def propagate_with_flux(grid, line, steps, sponge=True,
-                        sponge_fraction=DEFAULT_SPONGE_FRACTION,
-                        sponge_strength=DEFAULT_SPONGE_STRENGTH):
+def propagate_with_flux(grid, line, steps, sponge=True):
     """Evolve the grid minimally coupled to the flux line's cut phases.
 
     The y step runs the free factor between the gauge shift U, which
@@ -293,8 +306,7 @@ def propagate_with_flux(grid, line, steps, sponge=True,
     """
     if line is None:
         raise DomainError("flux line required; use propagate_free otherwise")
-    return _propagate(grid, line, steps, sponge, sponge_fraction,
-                      sponge_strength)
+    return _propagate(grid, line, steps, sponge)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +422,9 @@ def load_snapshot(bin_path, meta_path=None):
 
 @dataclass(frozen=True)
 class InterferenceConfig:
-    """Geometry of the canonical runs; lengths in units of h."""
+    """Size, packet and step count of the canonical runs; lengths in units
+    of h. The source, flux line and probe sit at fixed fractions of the grid
+    width (SOURCE_X_FRACTION, FLUX_X_FRACTION, PROBE_X_FRACTION)."""
 
     nx: int = 512
     ny: int = 512
@@ -420,100 +434,79 @@ class InterferenceConfig:
     k: float = 0.9                  # carrier momentum along +x
     packet_width: float = 10.0
     slit_separation: float = 100.0
-    source_x_fraction: float = 0.22
-    flux_x_fraction: float = 0.50
-    probe_x_fraction: float = 0.78
-    fringe_window: float = 0.0      # 0: auto, a fixed fraction of the slit gap
-    sponge_fraction: float = DEFAULT_SPONGE_FRACTION
-    sponge_strength: float = DEFAULT_SPONGE_STRENGTH
     steps: int = 0                  # 0: derive from the group velocity
 
     def geometry(self):
         lx = self.h * self.nx
         ly = self.h * self.ny
-        src = (self.source_x_fraction * lx, 0.5 * ly)
-        flux_pos = (self.flux_x_fraction * lx, 0.5 * ly)
-        probe_x = self.probe_x_fraction * lx
+        src = (SOURCE_X_FRACTION * lx, 0.5 * ly)
+        flux_pos = (FLUX_X_FRACTION * lx, 0.5 * ly)
+        probe_x = PROBE_X_FRACTION * lx
         return src, flux_pos, probe_x
 
     def resolved_steps(self):
         if self.steps:
             return int(self.steps)
         v_g = math.sin(self.k * self.h) / (self.m * self.h)
+        advance = v_g * self.dt
+        if not (math.isfinite(advance) and advance > 0):
+            raise DomainError(f"group velocity * dt = {advance}; it must be "
+                              "finite and > 0 to derive the step count")
         src, _, probe_x = self.geometry()
-        travel = probe_x - src[0]
-        return int(math.ceil(travel / (v_g * self.dt)))
+        return int(math.ceil((probe_x - src[0]) / advance))
+
+    def flux_line(self, flux, charge, cut="+x"):
+        """A flux line at the canonical puncture, mid-grid."""
+        return FluxLine(position=self.geometry()[1], flux=flux, charge=charge,
+                        cut=cut)
 
 
-def run_invisibility(q, flux, config=None, cut="+x"):
-    """Propagate one packet head-on at the flux line, with and without it.
+def run_experiment(config, packet, lines):
+    """Propagate one packet free and once along each flux line.
 
-    Returns a dict with the far-field metric, the free-run norm drift, and
-    the run geometry.
+    packet is "single", one Gaussian aimed head-on at the lines, or
+    "two_slit", a coherent pair straddling them. The grid, the step count,
+    every line and the packet are checked before the first step. All runs
+    start from the same packet; returns (free grid, [grid per line]) in line
+    order.
     """
-    cfg = config or InterferenceConfig()
-    src, flux_pos, probe_x = cfg.geometry()
     # the grid rejects a non-finite h, m or dt before the step count uses it
-    grid0 = make_wave_grid(cfg.nx, cfg.ny, cfg.h, cfg.m, cfg.dt)
-    steps = cfg.resolved_steps()
-    gaussian_packet(grid0, src, cfg.packet_width, (cfg.k, 0.0))
-
-    free = grid0.copy()
-    propagate_free(free, steps, sponge_fraction=cfg.sponge_fraction,
-                   sponge_strength=cfg.sponge_strength)
-    flux_grid = grid0.copy()
-    line = FluxLine(position=flux_pos, flux=flux, charge=q, cut=cut)
-    propagate_with_flux(flux_grid, line, steps,
-                        sponge_fraction=cfg.sponge_fraction,
-                        sponge_strength=cfg.sponge_strength)
-
-    x_min = flux_pos[0] + 0.08 * cfg.h * cfg.nx
-    metric = invisibility_metric(flux_grid, free, x_min=x_min)
-    return {
-        "metric": metric,
-        "q_flux_over_2pi": (q * flux) / (2.0 * np.pi),
-        "steps": steps,
-        "probe_x": probe_x,
-        "free": free,
-        "with_flux": flux_grid,
-        "line": line,
-    }
+    grid0 = make_wave_grid(config.nx, config.ny, config.h, config.m,
+                           config.dt)
+    steps = config.resolved_steps()
+    for line in lines:
+        _gauge_shift(grid0, line, sponge=True)
+    src, _, _ = config.geometry()
+    if packet == "single":
+        gaussian_packet(grid0, src, config.packet_width, (config.k, 0.0))
+    elif packet == "two_slit":
+        two_gaussian_packet(grid0, src, config.slit_separation,
+                            config.packet_width, (config.k, 0.0))
+    else:
+        raise DomainError("packet must be 'single' or 'two_slit'")
+    free = propagate_free(grid0.copy(), steps)
+    return free, [propagate_with_flux(grid0.copy(), line, steps)
+                  for line in lines]
 
 
-def run_fringe(q, flux, config=None, cut="+x"):
-    """Two-slit pair straddling the flux line; compares the measured fringe
-    displacement against the two-path prediction."""
-    cfg = config or InterferenceConfig()
-    src, flux_pos, probe_x = cfg.geometry()
-    # the grid rejects a non-finite h, m or dt before the step count uses it
-    grid0 = make_wave_grid(cfg.nx, cfg.ny, cfg.h, cfg.m, cfg.dt)
-    steps = cfg.resolved_steps()
-    two_gaussian_packet(grid0, src, cfg.slit_separation, cfg.packet_width,
-                        (cfg.k, 0.0))
+def measure_invisibility(config, grid_with_flux, grid_free):
+    """invisibility_metric over the far field: x beyond the flux line by
+    INVISIBILITY_GAP_FRACTION of the grid width."""
+    _, flux_pos, _ = config.geometry()
+    x_min = flux_pos[0] + INVISIBILITY_GAP_FRACTION * config.h * config.nx
+    return invisibility_metric(grid_with_flux, grid_free, x_min=x_min)
 
-    free = grid0.copy()
-    propagate_free(free, steps, sponge_fraction=cfg.sponge_fraction,
-                   sponge_strength=cfg.sponge_strength)
-    flux_grid = grid0.copy()
-    line = FluxLine(position=flux_pos, flux=flux, charge=q, cut=cut)
-    propagate_with_flux(flux_grid, line, steps,
-                        sponge_fraction=cfg.sponge_fraction,
-                        sponge_strength=cfg.sponge_strength)
 
+def measure_fringe(config, line, grid_with_flux, grid_free):
+    """Fringe displacement of a two-slit run on the probe column against the
+    two-path prediction for the line: (predicted, measured, circular error),
+    all fractions of a period."""
+    _, _, probe_x = config.geometry()
     # the two-path loop encloses the puncture only for screen points within
     # about half the slit gap of the axis; keep the window inside that zone
-    window = cfg.fringe_window or 0.36 * cfg.slit_separation
-    measured = fringe_shift(flux_grid, free, probe_x, 0.5 * cfg.h * cfg.ny,
-                            window)
-    predicted = two_path_fringe_shift(q, flux)
+    measured = fringe_shift(grid_with_flux, grid_free, probe_x,
+                            0.5 * config.h * config.ny,
+                            FRINGE_WINDOW_FRACTION * config.slit_separation)
+    predicted = two_path_fringe_shift(line.charge, line.flux)
     err = abs(measured - predicted)
-    return {
-        "shift_measured": measured,
-        "shift_predicted": predicted,
-        "circular_error": min(err, 1.0 - err),
-        "steps": steps,
-        "probe_x": probe_x,
-        "free": free,
-        "with_flux": flux_grid,
-        "line": line,
-    }
+    return predicted, measured, min(err, 1.0 - err)

@@ -274,6 +274,8 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
         raise DomainError("vortex solve requires q != 0")
     if grid < 512:
         raise DomainError("grid must have at least 512 points")
+    if not tol > 0:
+        raise DomainError("tol must be > 0")
 
     m_v = model.photon_mass
     m_h = model.higgs_mass

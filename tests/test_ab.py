@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from polelab import interference
 from polelab.errors import DomainError, StabilityError
 from polelab.interference import (
     FluxLine,
@@ -25,10 +26,11 @@ from polelab.interference import (
     invisibility_metric,
     load_snapshot,
     make_wave_grid,
+    measure_fringe,
+    measure_invisibility,
     propagate_free,
     propagate_with_flux,
-    run_fringe,
-    run_invisibility,
+    run_experiment,
     save_snapshot,
     two_gaussian_packet,
     two_path_fringe_shift,
@@ -45,11 +47,9 @@ def packet128():
 
 
 def _flux_run(packet, flux, cut="+x", steps=None):
-    _, flux_pos, _ = CFG128.geometry()
     g = packet.copy()
-    line = FluxLine(position=flux_pos, flux=flux, charge=1.0, cut=cut)
-    propagate_with_flux(g, line, CFG128.resolved_steps() if steps is None
-                        else steps)
+    propagate_with_flux(g, CFG128.flux_line(flux, 1.0, cut),
+                        CFG128.resolved_steps() if steps is None else steps)
     return g
 
 
@@ -157,21 +157,62 @@ def test_flux_periodicity(packet128):
 # ---------------------------------------------------------------------------
 
 def test_invisibility_dichotomy():
-    quant = run_invisibility(1.0, 2.0 * np.pi, CFG128)
-    vis = run_invisibility(1.0, np.pi, CFG128)
-    assert quant["metric"] < 1e-8
-    assert vis["metric"] > 0.1
-    assert quant["q_flux_over_2pi"] == 1.0 and vis["q_flux_over_2pi"] == 0.5
-    assert quant["steps"] == CFG128.resolved_steps()
-    assert isinstance(quant["free"], WaveGrid)
-    assert isinstance(quant["line"], FluxLine)
+    lines = [CFG128.flux_line(2.0 * np.pi, 1.0),
+             CFG128.flux_line(np.pi, 1.0)]
+    free, (quant, vis) = run_experiment(CFG128, "single", lines)
+    assert measure_invisibility(CFG128, quant, free) < 1e-8
+    assert measure_invisibility(CFG128, vis, free) > 0.1
+    assert isinstance(free, WaveGrid)
 
 
 def test_fringe_law_mid_grid():
     cfg = InterferenceConfig(nx=256, ny=256, slit_separation=60.0)
-    out = run_fringe(1.0, np.pi, cfg)
-    assert out["shift_predicted"] == 0.5
-    assert out["circular_error"] < 0.02
+    line = cfg.flux_line(np.pi, 1.0)
+    free, (grid,) = run_experiment(cfg, "two_slit", [line])
+    predicted, _, err = measure_fringe(cfg, line, grid, free)
+    assert predicted == 0.5
+    assert err < 0.02
+
+
+def test_experiment_matches_separate_runs():
+    # the shared free run and every line run are the plain propagations of
+    # the same packet, bit for bit
+    cfg = InterferenceConfig(nx=128, ny=128, steps=40)
+    lines = [cfg.flux_line(2.0 * np.pi, 1.0, "-x"),
+             cfg.flux_line(np.pi / 2.0, -1.0)]
+    for packet in ("single", "two_slit"):
+        free, grids = run_experiment(cfg, packet, lines)
+        src, _, _ = cfg.geometry()
+        grid0 = make_wave_grid(128, 128)
+        if packet == "single":
+            gaussian_packet(grid0, src, cfg.packet_width, (cfg.k, 0.0))
+        else:
+            two_gaussian_packet(grid0, src, cfg.slit_separation,
+                                cfg.packet_width, (cfg.k, 0.0))
+        assert np.array_equal(free.psi, propagate_free(grid0.copy(), 40).psi)
+        assert len(grids) == len(lines)
+        for line, grid in zip(lines, grids):
+            alone = propagate_with_flux(grid0.copy(), line, 40)
+            assert np.array_equal(grid.psi, alone.psi)
+
+
+@pytest.mark.parametrize("packet, bad", [
+    ("single", FluxLine(position=(5.0, 64.0), flux=1.0, charge=1.0)),
+    ("single", FluxLine(position=(64.0, 500.0), flux=1.0, charge=1.0)),
+    ("wide", None),
+])
+def test_experiment_checks_everything_before_propagating(monkeypatch,
+                                                         packet, bad):
+    # a line in the sponge, a line off the grid, or an unknown packet fails
+    # before the first propagation, even after a good line
+    calls = []
+    for name in ("propagate_free", "propagate_with_flux"):
+        monkeypatch.setattr(interference, name,
+                            lambda *args, **kw: calls.append(args))
+    lines = [CFG128.flux_line(2.0 * np.pi, 1.0)] + ([bad] if bad else [])
+    with pytest.raises(DomainError):
+        run_experiment(CFG128, packet, lines)
+    assert calls == []
 
 
 def test_config_step_resolution():
@@ -181,6 +222,10 @@ def test_config_step_resolution():
     assert src == (0.22 * 512.0, 256.0)
     assert flux_pos == (256.0, 256.0)
     assert probe_x == 0.78 * 512.0
+    # a packet that does not move toward the probe has no step count
+    for k in (0.0, -0.9, float("nan")):
+        with pytest.raises(DomainError):
+            InterferenceConfig(k=k).resolved_steps()
 
 
 # ---------------------------------------------------------------------------

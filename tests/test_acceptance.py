@@ -20,11 +20,8 @@ from polelab.fields import (PhysicalConfig, TubeSpec, local_charge,
 from polelab.gauge import (cap_flux, check_quantization, circle_loop,
                            loop_holonomy, patch_mismatch, string_invisibility,
                            transition_function)
-from polelab.interference import (FluxLine, InterferenceConfig, fringe_shift,
-                                  gaussian_packet, invisibility_metric,
-                                  make_wave_grid, propagate_free,
-                                  propagate_with_flux, two_gaussian_packet,
-                                  two_path_fringe_shift)
+from polelab.interference import (InterferenceConfig, measure_fringe,
+                                  measure_invisibility, run_experiment)
 from polelab.vortex import HiggsModel, confinement_energy, solve_vortex, \
     vortex_flux
 
@@ -42,45 +39,21 @@ def _verdict(num, title, passed, detail):
 @pytest.fixture(scope="module")
 def single_packet_runs():
     cfg = InterferenceConfig()
-    src, flux_pos, _ = cfg.geometry()
-    steps = cfg.resolved_steps()
-    grid0 = make_wave_grid(cfg.nx, cfg.ny, cfg.h, cfg.m, cfg.dt)
-    gaussian_packet(grid0, src, cfg.packet_width, (cfg.k, 0.0))
-
-    free = grid0.copy()
-    propagate_free(free, steps)
-    runs = {}
-    for key, flux, cut in (("quantized_px", 2.0 * np.pi, "+x"),
-                           ("quantized_mx", 2.0 * np.pi, "-x"),
-                           ("half_quantum", np.pi, "+x")):
-        g = grid0.copy()
-        propagate_with_flux(g, FluxLine(position=flux_pos, flux=flux,
-                                        charge=1.0, cut=cut), steps)
-        runs[key] = g
-    x_min = flux_pos[0] + 0.08 * cfg.h * cfg.nx
-    return free, runs, x_min
+    # quantized with either cut, then half a quantum
+    lines = [cfg.flux_line(2.0 * np.pi, 1.0, "+x"),
+             cfg.flux_line(2.0 * np.pi, 1.0, "-x"),
+             cfg.flux_line(np.pi, 1.0, "+x")]
+    free, grids = run_experiment(cfg, "single", lines)
+    return cfg, free, grids
 
 
 @pytest.fixture(scope="module")
 def two_slit_runs():
     cfg = InterferenceConfig()
-    src, flux_pos, probe_x = cfg.geometry()
-    steps = cfg.resolved_steps()
-    grid0 = make_wave_grid(cfg.nx, cfg.ny, cfg.h, cfg.m, cfg.dt)
-    two_gaussian_packet(grid0, src, cfg.slit_separation, cfg.packet_width,
-                        (cfg.k, 0.0))
-
-    free = grid0.copy()
-    propagate_free(free, steps)
-    flux_runs = {}
-    for flux in (0.5 * np.pi, np.pi, 1.5 * np.pi):
-        g = grid0.copy()
-        propagate_with_flux(g, FluxLine(position=flux_pos, flux=flux,
-                                        charge=1.0), steps)
-        flux_runs[flux] = g
-    window = 0.36 * cfg.slit_separation
-    y_center = 0.5 * cfg.h * cfg.ny
-    return free, flux_runs, probe_x, y_center, window
+    lines = [cfg.flux_line(flux, 1.0)
+             for flux in (0.5 * np.pi, np.pi, 1.5 * np.pi)]
+    free, grids = run_experiment(cfg, "two_slit", lines)
+    return cfg, free, lines, grids
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +153,12 @@ def test_criterion_5_patch_consistency():
 
 
 def test_criterion_6_string_invisibility_by_simulation(single_packet_runs):
-    free, runs, x_min = single_packet_runs
-    quantized = invisibility_metric(runs["quantized_px"], free, x_min=x_min)
-    visible = invisibility_metric(runs["half_quantum"], free, x_min=x_min)
-    cut_dev = np.abs(runs["quantized_px"].intensity()
-                     - runs["quantized_mx"].intensity()).max()
+    cfg, free, (quantized_px, quantized_mx, half_quantum) = \
+        single_packet_runs
+    quantized = measure_invisibility(cfg, quantized_px, free)
+    visible = measure_invisibility(cfg, half_quantum, free)
+    cut_dev = np.abs(quantized_px.intensity()
+                     - quantized_mx.intensity()).max()
     passed = quantized < 1e-2 and visible > 0.1 and cut_dev < 1e-10
     _verdict(6, "quantized string invisible on the lattice", passed,
              f"metric {quantized:.2e} at 2pi vs {visible:.3f} at pi, "
@@ -192,16 +166,13 @@ def test_criterion_6_string_invisibility_by_simulation(single_packet_runs):
 
 
 def test_criterion_7_fringe_shift_law(two_slit_runs):
-    free, flux_runs, probe_x, y_center, window = two_slit_runs
+    cfg, free, lines, grids = two_slit_runs
     details = []
     worst = 0.0
-    for flux, grid in flux_runs.items():
-        measured = fringe_shift(grid, free, probe_x, y_center, window)
-        predicted = two_path_fringe_shift(1.0, flux)
-        err = abs(measured - predicted)
-        err = min(err, 1.0 - err)
+    for line, grid in zip(lines, grids):
+        predicted, measured, err = measure_fringe(cfg, line, grid, free)
         worst = max(worst, err)
-        details.append(f"{flux / np.pi:.1f}pi: {measured:.4f} vs "
+        details.append(f"{line.flux / np.pi:.1f}pi: {measured:.4f} vs "
                        f"{predicted:.4f}")
     _verdict(7, "fringe displacement follows (q flux / 2pi) mod 1",
              worst < 0.05, f"worst error {worst:.4f}; " + "; ".join(details))

@@ -82,6 +82,13 @@ def test_usage_errors(tmp_path):
     (["absim", "--mode", "invisibility", "--nx", "64", "--ny", "64",
       "--snapshots", "0", "--dt", "nan"], False),
     (["check"], True),
+    (["absim", "--mode", "invisibility", "--nx", "64", "--ny", "64",
+      "--snapshots", "0", "--k", "0"], False),
+    (["absim", "--mode", "invisibility", "--nx", "64", "--ny", "64",
+      "--snapshots", "0", "--k", "nan"], False),
+    (["check", "--tol", "nan"], False),
+    (["holonomy", "--tol", "nan"], False),
+    (["vortex", "--tol", "nan"], False),
 ])
 def test_bad_inputs_are_usage_errors(tmp_path, argv, out_is_file):
     # non-finite values and an unusable --out never share the verdict code 1
