@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .fields import PhysicalConfig, as_vec3, monopole_field, yukawa_electric_field
-from .gauge import _gl_nodes
+from .gauge import _gl_nodes, _neville_at_zero
 
 
 @dataclass(frozen=True)
@@ -211,15 +211,7 @@ def field_angular_momentum(pair, quad=None):
     vals = np.array([_j_at_eps(pair, e, r_max, quad.gl_order) for e in eps_list])
 
     # Richardson in eps^2 toward eps = 0
-    x = np.array(eps_list) ** 2
-    tab = list(vals)
-    corners = [tab[-1]]
-    for m in range(1, quad.levels):
-        for i in range(quad.levels - m):
-            tab[i] = (tab[i + 1] * x[i] - tab[i] * x[i + m]) / (x[i] - x[i + m])
-        corners.append(tab[0])
-    extrapolated = corners[-1]
-    err_extrap = abs(corners[-1] - corners[-2])
+    extrapolated, err_extrap = _neville_at_zero(np.array(eps_list) ** 2, vals)
 
     # quadrature error: repeat the finest-eps evaluation at half the GL order
     coarse = _j_at_eps(pair, eps_list[-1], r_max, max(4, quad.gl_order // 2))

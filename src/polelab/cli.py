@@ -2,21 +2,24 @@
 
 Subcommands: check, fields, holonomy, angmom, absim, vortex, confine.
 Each reads flag values, optionally overridden by a JSON --config file,
-resolves them against a per-command schema (unknown keys are rejected), and
-writes results into --out. Every data file carries the sha256 of the
-resolved configuration in a provenance header, so identical configurations
-produce byte-identical files; wall-clock information goes only into the
-run manifest, which is written for every run, success or failure.
+resolves them against a per-command schema of key -> default, whose
+defaults come from the library wherever it sets them (unknown keys are
+rejected), and writes results into --out. Every data file carries the
+sha256 of the resolved configuration in a provenance header, so identical
+configurations produce byte-identical files, and holds only finite numbers.
+Wall-clock data goes only into the run manifest, written for every run.
 
-Exit codes: 0 success, 1 quantization condition not satisfied (check),
-2 usage or configuration error, 3 convergence failure, 4 stability bound
-violated.
+Exit codes: 0 success, 1 quantization condition not satisfied (check);
+EXIT_CODES maps each error class to 2 usage or configuration error,
+3 convergence failure or 4 stability bound violated.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import datetime
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -26,15 +29,30 @@ import time
 import numpy as np
 
 from . import __version__
+from .angmom import QuadratureSpec, angular_momentum_sweep
 from .errors import (AccuracyError, ConvergenceError, DomainError,
                      StabilityError)
-from .interference import InterferenceConfig
+from .fields import (PhysicalConfig, local_charge, monopole_field,
+                     yukawa_electric_field)
+from .gauge import DEFAULT_TOL, cap_flux, check_quantization
+from .interference import (InterferenceConfig, intensity_slice,
+                           measure_fringe, measure_invisibility,
+                           run_experiment, save_snapshot)
+from .vortex import (HiggsModel, confinement_energy, energy_density_profile,
+                     magnetic_profile, solve_vortex, vortex_flux)
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
 EXIT_USAGE = 2
 EXIT_CONVERGENCE = 3
 EXIT_STABILITY = 4
+
+EXIT_CODES = {
+    DomainError: EXIT_USAGE,
+    ConvergenceError: EXIT_CONVERGENCE,
+    AccuracyError: EXIT_CONVERGENCE,
+    StabilityError: EXIT_STABILITY,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -48,128 +66,102 @@ def _float_list(text):
         raise argparse.ArgumentTypeError(f"bad list {text!r}: {exc}")
 
 
-# schema entry: (type tag, default); type tags: f float, i int, s str,
-# lf list-of-float, b bool, n nullable float
+_CAP_FLUX = inspect.signature(cap_flux).parameters
+_SOLVE_VORTEX = inspect.signature(solve_vortex).parameters
+_VORTEX_KEYS = ("r_max", "grid", "tol", "max_iter")
+
+_PAIR = {"q": 1.0, "g": 0.5}
+
+# key -> default. The default's type is the key's type: bool, int, float,
+# str, a list of floats, or None for an optional float.
 SCHEMAS = {
-    "check": {
-        "q": ("f", 1.0),
-        "g": ("f", 0.5),
-        "tol": ("f", 1e-9),
-    },
+    "check": {**_PAIR, "tol": DEFAULT_TOL},
     "fields": {
-        "q": ("f", 1.0),
-        "g": ("f", 0.5),
-        "mu": ("f", 1.0),
-        "r_min": ("f", 0.1),
-        "r_max": ("f", 10.0),
-        "samples": ("i", 64),
-        "tol": ("f", 1e-9),
+        **_PAIR,
+        "mu": 1.0,
+        "r_min": 0.1,
+        "r_max": 10.0,
+        "samples": 64,
+        "tol": 1e-9,        # never read; kept for the default config hash
     },
     "holonomy": {
-        "q": ("f", 1.0),
-        "g": ("f", 0.5),
-        "radius": ("f", 2.0),
-        "theta": ("f", 2.2),
-        "base_segments": ("i", 64),
-        "levels": ("i", 3),
-        "tol": ("f", 1e-9),
+        **_PAIR,
+        "radius": 2.0,
+        "theta": 2.2,
+        "base_segments": _CAP_FLUX["n0"].default,
+        "levels": _CAP_FLUX["levels"].default,
+        "tol": DEFAULT_TOL,
     },
     "angmom": {
-        "q": ("f", 1.0),
-        "g": ("f", 0.5),
-        "mu_list": ("lf", [0.0, 1.0]),
-        "d_list": ("lf", [0.5, 1.0, 2.0, 4.0]),
-        "tol": ("f", 1e-5),
-        "gl_order": ("i", 24),
-        "levels": ("i", 3),
+        **_PAIR,
+        "mu_list": [0.0, 1.0],
+        "d_list": [0.5, 1.0, 2.0, 4.0],
+        "tol": QuadratureSpec.target_tol,
+        "gl_order": QuadratureSpec.gl_order,
+        "levels": QuadratureSpec.levels,
     },
     "absim": {
-        "q": ("f", 1.0),
-        "flux": ("f", 2.0 * math.pi),
-        "fringe_fluxes": ("lf", [0.5 * math.pi, math.pi, 1.5 * math.pi]),
-        "mode": ("s", "both"),
-        **{f.name: ({int: "i", float: "f"}[f.type], f.default)
-           for f in dataclasses.fields(InterferenceConfig)},
-        "cut": ("s", "+x"),
-        "snapshots": ("b", True),
-        "tol": ("f", 1e-2),
+        "q": 1.0,
+        "flux": 2.0 * math.pi,
+        "fringe_fluxes": [0.5 * math.pi, math.pi, 1.5 * math.pi],
+        "mode": "both",
+        **dataclasses.asdict(InterferenceConfig()),
+        "cut": "+x",
+        "snapshots": True,
+        "tol": 1e-2,        # never read; kept for the default config hash
     },
     "vortex": {
-        "q": ("f", 1.0),
-        "v": ("f", 1.0),
-        "lam": ("f", 2.0),
-        "n": ("i", 1),
-        "r_max": ("n", None),
-        "grid": ("i", 1024),
-        "tol": ("f", 1e-10),
-        "max_iter": ("i", 200),
-    },
-    "confine": {
-        "q": ("f", 1.0),
-        "v": ("f", 1.0),
-        "lam": ("f", 2.0),
-        "n": ("i", 1),
-        "lengths": ("lf", [0.0, 1.0, 2.0, 4.0, 8.0]),
-        "r_max": ("n", None),
-        "grid": ("i", 1024),
-        "tol": ("f", 1e-10),
-        "max_iter": ("i", 200),
+        "q": 1.0,
+        "v": 1.0,
+        "lam": 2.0,
+        "n": 1,
+        **{key: _SOLVE_VORTEX[key].default for key in _VORTEX_KEYS},
     },
 }
-
-_ARG_TYPE = {"f": float, "i": int, "s": str, "lf": _float_list, "n": float}
+SCHEMAS["confine"] = {**SCHEMAS["vortex"],
+                      "lengths": [0.0, 1.0, 2.0, 4.0, 8.0]}
 
 
 def _coerce(cmd, key, value):
-    tag = SCHEMAS[cmd][key][0]
+    default = SCHEMAS[cmd][key]
     try:
-        if tag == "f":
-            out = float(value)
-        elif tag == "n":
-            out = None if value is None else float(value)
-        elif tag == "i":
+        if isinstance(default, bool):
+            if not isinstance(value, (bool, int)):
+                raise ValueError("expected a boolean")
+            return bool(value)
+        if isinstance(default, int):
             out = int(value)
             if isinstance(value, float) and value != out:
                 raise ValueError("not an integer")
-        elif tag == "s":
-            out = str(value)
-        elif tag == "b":
-            if not isinstance(value, (bool, int)):
-                raise ValueError("expected a boolean")
-            out = bool(value)
-        elif tag == "lf":
-            out = [float(x) for x in value]
-        else:  # pragma: no cover
-            raise ValueError(f"bad schema tag {tag}")
-    except (TypeError, ValueError) as exc:
+            return out
+        if isinstance(default, list):
+            return [float(x) for x in value]
+        if default is None:
+            return None if value is None else float(value)
+        return type(default)(value)     # float or str
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"config key {key!r}: {exc}")
-    return out
 
 
 def resolve_config(cmd, args):
     """defaults < command-line flags < --config file; returns a plain dict."""
     schema = SCHEMAS[cmd]
-    resolved = {key: default for key, (_, default) in schema.items()}
-    for key in schema:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            resolved[key] = _coerce(cmd, key, flag_val)
+    supplied = {key: getattr(args, key) for key in schema
+                if getattr(args, key) is not None}
     if args.config is not None:
         try:
             with open(args.config) as fh:
                 loaded = json.load(fh)
-        except OSError as exc:
+        except (OSError, json.JSONDecodeError) as exc:
             raise DomainError(f"cannot read config: {exc}")
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"config is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
             raise DomainError("config must be a JSON object")
         unknown = sorted(set(loaded) - set(schema))
         if unknown:
             raise DomainError(f"unknown config keys for {cmd}: {unknown}")
-        for key, value in loaded.items():
-            resolved[key] = _coerce(cmd, key, value)
-    return resolved
+        supplied.update(loaded)
+    return {**schema, **{key: _coerce(cmd, key, value)
+                         for key, value in supplied.items()}}
 
 
 def config_hash(resolved):
@@ -183,8 +175,7 @@ def config_hash(resolved):
 
 def _atomic_write(path, payload):
     tmp = path + ".tmp"
-    mode = "wb" if isinstance(payload, bytes) else "w"
-    with open(tmp, mode) as fh:
+    with open(tmp, "w") as fh:
         fh.write(payload)
     os.replace(tmp, path)
 
@@ -194,20 +185,25 @@ def _fmt(x):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    return repr(float(x))
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"result {x} is not finite")
+    return repr(x)
 
 
 def write_csv(path, header_cols, rows, sha):
     lines = [f"# config_sha256={sha}", ",".join(header_cols)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    lines += [",".join(_fmt(x) for x in row) for row in rows]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_json(path, payload, sha):
-    body = {"config_sha256": sha}
-    body.update(payload)
-    _atomic_write(path, json.dumps(body, sort_keys=True, indent=1) + "\n")
+    body = {"config_sha256": sha, **payload}
+    try:
+        text = json.dumps(body, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"{os.path.basename(path)}: {exc}")
+    _atomic_write(path, text + "\n")
 
 
 class Run:
@@ -220,24 +216,22 @@ class Run:
         self.out_dir = out_dir
         self.stages = {}
         self.diagnostics = {}
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise DomainError(f"cannot use --out: {exc}")
 
     def path(self, name):
         return os.path.join(self.out_dir, name)
 
+    @contextlib.contextmanager
     def stage(self, name):
-        run = self
-
-        class _Timer:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, *exc):
-                run.stages[name] = run.stages.get(name, 0.0) \
-                    + time.perf_counter() - self.t0
-                return False
-
-        return _Timer()
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.stages[name] = self.stages.get(name, 0.0) \
+                + time.perf_counter() - t0
 
     def write_manifest(self, status, error=None):
         manifest = {
@@ -261,8 +255,6 @@ class Run:
 # ---------------------------------------------------------------------------
 
 def cmd_check(run):
-    from .gauge import check_quantization
-
     cfg = run.config
     with run.stage("solve"):
         report = check_quantization(cfg["q"], cfg["g"], tol=cfg["tol"])
@@ -274,19 +266,17 @@ def cmd_check(run):
 
 
 def cmd_fields(run):
-    from .fields import (PhysicalConfig, local_charge, monopole_field,
-                         yukawa_electric_field)
-
     cfg = run.config
     if cfg["r_min"] <= 0 or cfg["r_max"] <= cfg["r_min"]:
         raise DomainError("need 0 < r_min < r_max")
     if cfg["samples"] < 2:
         raise DomainError("samples must be >= 2")
+    if cfg["g"] == 0:
+        raise DomainError("g must be nonzero: b_over_coulomb divides by it")
     with run.stage("solve"):
         phys = PhysicalConfig(q=cfg["q"], g=cfg["g"], mu=cfg["mu"])
         r = np.geomspace(cfg["r_min"], cfg["r_max"], cfg["samples"])
-        pts = np.zeros((len(r), 3))
-        pts[:, 2] = r
+        pts = np.outer(r, (0.0, 0.0, 1.0))
         e_mag = np.linalg.norm(yukawa_electric_field(phys, pts), axis=1)
         b_mag = np.linalg.norm(monopole_field(phys, pts), axis=1)
         q_loc = local_charge(phys, r)
@@ -300,8 +290,6 @@ def cmd_fields(run):
 
 
 def cmd_holonomy(run):
-    from .gauge import cap_flux, check_quantization
-
     cfg = run.config
     if not 0 < cfg["theta"] < math.pi:
         raise DomainError("theta must lie strictly between 0 and pi")
@@ -327,8 +315,6 @@ def cmd_holonomy(run):
 
 
 def cmd_angmom(run):
-    from .angmom import QuadratureSpec, angular_momentum_sweep
-
     cfg = run.config
     if not cfg["mu_list"] or not cfg["d_list"]:
         raise DomainError("mu_list and d_list must be nonempty")
@@ -351,10 +337,6 @@ def cmd_angmom(run):
 
 
 def cmd_absim(run):
-    from .interference import (intensity_slice, measure_fringe,
-                               measure_invisibility, run_experiment,
-                               save_snapshot)
-
     cfg = run.config
     if cfg["mode"] not in ("invisibility", "fringe", "both"):
         raise DomainError("mode must be invisibility, fringe, or both")
@@ -413,32 +395,25 @@ def cmd_absim(run):
 
 
 def _solve_vortex_for(run):
-    from .vortex import HiggsModel, solve_vortex
-
     cfg = run.config
     if cfg["n"] < 1:
         raise DomainError("winding number n must be >= 1")
     model = HiggsModel(q=cfg["q"], v=cfg["v"], lam=cfg["lam"])
     with run.stage("solve"):
-        profile, tension = solve_vortex(model, cfg["n"], r_max=cfg["r_max"],
-                                        grid=cfg["grid"], tol=cfg["tol"],
-                                        max_iter=cfg["max_iter"])
+        profile, tension = solve_vortex(
+            model, cfg["n"], **{key: cfg[key] for key in _VORTEX_KEYS})
     run.diagnostics["residual"] = tension.residual
     return model, profile, tension
 
 
 def cmd_vortex(run):
-    from .vortex import (energy_density_profile, magnetic_profile,
-                         vortex_flux)
-
     model, profile, tension = _solve_vortex_for(run)
     with run.stage("write"):
         b_z = magnetic_profile(model, profile)
         dens = energy_density_profile(model, profile)
         write_csv(run.path("vortex_profile.csv"),
                   ["rho", "f", "a", "B_z", "energy_density"],
-                  list(zip(profile.rho_grid, profile.f, profile.a, b_z,
-                           dens)),
+                  zip(profile.rho_grid, profile.f, profile.a, b_z, dens),
                   run.sha)
         payload = tension.to_dict()
         payload["flux"] = vortex_flux(model, profile)
@@ -450,13 +425,9 @@ def cmd_vortex(run):
 
 
 def cmd_confine(run):
-    from .vortex import confinement_energy
-
     cfg = run.config
-    if not cfg["lengths"]:
-        raise DomainError("lengths must be nonempty")
-    if any(length < 0 for length in cfg["lengths"]):
-        raise DomainError("lengths must be >= 0")
+    if not cfg["lengths"] or min(cfg["lengths"]) < 0:
+        raise DomainError("lengths must be nonempty and >= 0")
     model, profile, tension = _solve_vortex_for(run)
     with run.stage("write"):
         rows = [(length, confinement_energy(tension, length))
@@ -494,46 +465,33 @@ def build_parser():
         p.add_argument("--config", default=None,
                        help="JSON file; entries override flags")
         p.add_argument("--out", default=".", help="output directory")
-        for key, (tag, default) in schema.items():
-            if tag == "b":
-                p.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                               default=None, type=int, choices=(0, 1),
-                               help=f"default {int(default)}")
+        for key, default in schema.items():
+            flag = f"--{key.replace('_', '-')}"
+            if isinstance(default, bool):
+                p.add_argument(flag, dest=key, default=None, type=int,
+                               choices=(0, 1), help=f"default {int(default)}")
             else:
-                p.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                               default=None, type=_ARG_TYPE[tag],
+                arg_type = _float_list if isinstance(default, list) \
+                    else float if default is None else type(default)
+                p.add_argument(flag, dest=key, default=None, type=arg_type,
                                help=f"default {default}")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        resolved = resolve_config(args.command, args)
+        run = Run(args.command, resolve_config(args.command, args), args.out)
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-
-    try:
-        run = Run(args.command, resolved, args.out)
-    except OSError as exc:
-        sys.stderr.write(f"error: cannot use --out: {exc}\n")
         return EXIT_USAGE
     try:
         code = COMMANDS[args.command](run)
-    except DomainError as exc:
+    except tuple(EXIT_CODES) as exc:
         run.write_manifest("error", str(exc))
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except (ConvergenceError, AccuracyError) as exc:
-        run.write_manifest("error", str(exc))
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONVERGENCE
-    except StabilityError as exc:
-        run.write_manifest("error", str(exc))
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_STABILITY
+        return next(EXIT_CODES[cls] for cls in type(exc).__mro__
+                    if cls in EXIT_CODES)
     run.write_manifest("ok")
     return code
 

@@ -206,15 +206,3 @@ def proca_tube_potential(g, mu, r):
     out[..., 0] = -arr[..., 1] * amp
     out[..., 1] = arr[..., 0] * amp
     return out
-
-
-def proca_dispersion(k, mu):
-    """Photon dispersion omega = sqrt(k^2 + mu^2)."""
-    k = np.asarray(k, dtype=float)
-    mu_arr = np.asarray(mu, dtype=float)
-    if np.any(k < 0) or np.any(mu_arr < 0):
-        raise DomainError("dispersion requires k >= 0 and mu >= 0")
-    if not (np.all(np.isfinite(k)) and np.all(np.isfinite(mu_arr))):
-        raise DomainError("dispersion arguments must be finite")
-    out = np.hypot(k, mu_arr)
-    return float(out) if out.ndim == 0 else out

@@ -12,7 +12,6 @@ so they agree as booleans for every input, not just generic ones.
 import json
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable
 
 import numpy as np
 
@@ -23,33 +22,6 @@ from .fields import as_vec3, wu_yang_potential
 OVERLAP_BAND = (np.pi / 2 - 0.3, np.pi / 2 + 0.3)
 
 DEFAULT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class GaugePatch:
-    """A vector-potential prescription together with its regular polar band."""
-
-    potential: Callable
-    theta_min: float
-    theta_max: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta_min < self.theta_max <= np.pi:
-            raise DomainError("patch domain must satisfy 0 <= theta_min < theta_max <= pi")
-
-    def contains(self, r):
-        arr = as_vec3(r)
-        rho = np.hypot(arr[..., 0], arr[..., 1])
-        theta = np.arctan2(rho, arr[..., 2])
-        return np.all((theta >= self.theta_min) & (theta <= self.theta_max))
-
-
-def north_patch(g):
-    return GaugePatch(partial(wu_yang_potential, "north", g), 0.0, OVERLAP_BAND[1])
-
-
-def south_patch(g):
-    return GaugePatch(partial(wu_yang_potential, "south", g), OVERLAP_BAND[0], np.pi)
 
 
 @dataclass(frozen=True)
@@ -192,6 +164,22 @@ def _gl_nodes(order):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+def _neville_at_zero(x, vals):
+    """Neville table through the points (x[i], vals[i]), evaluated at x = 0.
+
+    Returns (value, error): the last corner of the table and its distance
+    from the previous one. Needs at least two points.
+    """
+    tab = list(vals)
+    levels = len(tab)
+    prev, cur = None, tab[-1]
+    for m in range(1, levels):
+        for i in range(levels - m):
+            tab[i] = (tab[i + 1] * x[i] - tab[i] * x[i + m]) / (x[i] - x[i + m])
+        prev, cur = cur, tab[0]
+    return cur, abs(cur - prev)
+
+
 def line_integral(potential, loop, order=12, tol=1e-13, max_doublings=8):
     """Integral of A . dl around the polyline.
 
@@ -252,16 +240,7 @@ def refined_circle_flux(potential, rho, z=0.0, center=(0.0, 0.0),
     for n in ns:
         flux, _ = line_integral(potential, circle_loop(rho, z=z, n=int(n), center=center))
         vals.append(flux)
-    # Neville table in x = 1/n^2, evaluated at x = 0
-    x = 1.0 / ns.astype(float) ** 2
-    tab = list(vals)
-    corners = [tab[-1]]
-    for m in range(1, levels):
-        for i in range(levels - m):
-            tab[i] = (tab[i + 1] * x[i] - tab[i] * x[i + m]) / (x[i] - x[i + m])
-        corners.append(tab[0])
-    err = abs(corners[-1] - corners[-2])
-    return corners[-1], err
+    return _neville_at_zero(1.0 / ns.astype(float) ** 2, vals)
 
 
 def cap_flux(g, theta, r=1.0, patch="north", n0=64, levels=3):

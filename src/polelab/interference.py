@@ -146,7 +146,11 @@ def gaussian_packet(grid, center, width, momentum):
     kx, ky = momentum
     env = np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * width**2))
     grid.psi = (env * np.exp(1j * (kx * x + ky * y))).astype(np.complex128)
-    grid.psi /= grid.norm()
+    norm = grid.norm()
+    if not norm > 0:
+        raise DomainError(f"packet norm {norm} on the grid; the packet must "
+                          "overlap the grid")
+    grid.psi /= norm
     return grid
 
 

@@ -67,11 +67,6 @@ class HiggsModel:
         return self.lam / (2.0 * self.q**2)
 
 
-def photon_mass_of(model):
-    """Photon mass generated by the condensate: sqrt(2)*q*v (0 if q = 0)."""
-    return model.photon_mass
-
-
 @dataclass(frozen=True)
 class VortexProfile:
     """Radial profiles of a winding-n tube on rho_grid (rho_grid[0] = 0)."""

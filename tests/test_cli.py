@@ -9,10 +9,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from polelab.cli import EXIT_CONVERGENCE, EXIT_OK, EXIT_STABILITY, \
-    EXIT_UNSATISFIED, EXIT_USAGE, main
+    EXIT_UNSATISFIED, EXIT_USAGE, SCHEMAS, build_parser, config_hash, main, \
+    resolve_config, write_csv, write_json
+from polelab.errors import DomainError
 
 
 def _read(path):
@@ -66,6 +69,12 @@ def test_usage_errors(tmp_path):
     assert main(["check", "--config", str(broken),
                  "--out", str(tmp_path)]) == EXIT_USAGE
 
+    # an integer key given as Infinity
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"samples": Infinity}')
+    assert main(["fields", "--config", str(huge),
+                 "--out", str(tmp_path)]) == EXIT_USAGE
+
     # domain error inside a command still writes a failure manifest
     out = tmp_path / "fieldsrun"
     assert main(["fields", "--r-min", "5", "--r-max", "1",
@@ -89,6 +98,12 @@ def test_usage_errors(tmp_path):
     (["check", "--tol", "nan"], False),
     (["holonomy", "--tol", "nan"], False),
     (["vortex", "--tol", "nan"], False),
+    (["fields", "--g", "0"], False),
+    # mu r overflows inside the field formulas; the warnings are expected
+    pytest.param(["fields", "--mu", "1e308"], False,
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    (["absim", "--mode", "fringe", "--nx", "64", "--ny", "64", "--steps",
+      "2", "--slit-separation", "1e6", "--snapshots", "0"], False),
 ])
 def test_bad_inputs_are_usage_errors(tmp_path, argv, out_is_file):
     # non-finite values and an unusable --out never share the verdict code 1
@@ -98,6 +113,8 @@ def test_bad_inputs_are_usage_errors(tmp_path, argv, out_is_file):
     assert main(argv + ["--out", str(out)]) == EXIT_USAGE
     if not out_is_file:
         assert _manifest(out, argv[0])["status"] == "error"
+        # a failed run leaves only its manifest: no data file, so no NaN
+        assert [p.name for p in out.iterdir()] == [f"{argv[0]}_manifest.json"]
 
 
 def test_convergence_exit_code(tmp_path):
@@ -142,6 +159,40 @@ def test_module_entry_point(tmp_path):
 # ---------------------------------------------------------------------------
 # config precedence and provenance
 # ---------------------------------------------------------------------------
+
+DEFAULT_CONFIG_SHA256 = {
+    "check":
+        "a74e1a90411060173b7f13367801f19c7f2c4575cf70ed2c6107f5f4310b1611",
+    "fields":
+        "a0b780294c2f7964edf70fd6208d9b3bc6c91567336a2e9cae7616ec5bb48411",
+    "holonomy":
+        "b84c158e091df80a6d051cfd3b877834de79fe021ecca0a858a7eaafe94ae2bf",
+    "angmom":
+        "f28d02d2341b354c076250638beafdc2140f71c027064db798ef1bc1f56f26ea",
+    "absim":
+        "492f6c06d5f225c0b8b370b021a93055329bbfd3ec9ad6658e39f278c5e5882c",
+    "vortex":
+        "56b01193e78c59276f585b8002c16eb14951522768a8f5fb99f1a229a0d8920d",
+    "confine":
+        "f48ecc7ef27a1372b33f207cf66bb83a87e6de58e1c6e5ac1d349cc2d397c094",
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(SCHEMAS))
+def test_default_config_hash_is_stable(cmd):
+    # the provenance hash of every command's default run is pinned: moving
+    # a default into the library, or dropping a key, must not change it
+    args = build_parser().parse_args([cmd])
+    assert config_hash(resolve_config(cmd, args)) == DEFAULT_CONFIG_SHA256[cmd]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf])
+def test_writers_reject_non_finite(tmp_path, bad):
+    with pytest.raises(DomainError):
+        write_csv(str(tmp_path / "t.csv"), ["x"], [(1.0,), (bad,)], "0")
+    with pytest.raises(DomainError):
+        write_json(str(tmp_path / "t.json"), {"x": [1.0, bad]}, "0")
+    assert list(tmp_path.iterdir()) == []
 
 def test_config_file_overrides_flags(tmp_path):
     cfg = tmp_path / "cfg.json"

@@ -21,7 +21,6 @@ from polelab.fields import (
     TubeSpec,
     local_charge,
     monopole_field,
-    proca_dispersion,
     proca_tube_potential,
     proca_tube_profile,
     tube_potential,
@@ -301,23 +300,8 @@ def test_proca_potential_reproduces_profile_flux():
 
 
 # ---------------------------------------------------------------------------
-# dispersion
+# configuration
 # ---------------------------------------------------------------------------
-
-def test_dispersion_values():
-    assert proca_dispersion(0.0, 2.0) == 2.0
-    assert proca_dispersion(3.0, 4.0) == 5.0
-    assert proca_dispersion(1.0, 0.0) == 1.0
-    ks = np.linspace(0.0, 4.0, 9)
-    assert_allclose(proca_dispersion(ks, 2.0), np.hypot(ks, 2.0), rtol=1e-15)
-
-
-def test_dispersion_domain():
-    with pytest.raises(DomainError):
-        proca_dispersion(-1.0, 1.0)
-    with pytest.raises(DomainError):
-        proca_dispersion(1.0, -1.0)
-
 
 def test_config_validation():
     with pytest.raises(DomainError):

@@ -24,12 +24,10 @@ from polelab.gauge import (
     higgs_covariant_residual,
     line_integral,
     loop_holonomy,
-    north_patch,
     patch_mismatch,
     polar_circle,
     rectangle_loop,
     refined_circle_flux,
-    south_patch,
     string_invisibility,
     transition_function,
     winding_residual,
@@ -165,13 +163,6 @@ def test_patch_mismatch_curl_free():
                        - (patch_mismatch(g, p + h * ek)[j]
                           - patch_mismatch(g, p - h * ek)[j])) / (2 * h)
         assert np.max(np.abs(curl)) < 1e-6
-
-
-def test_patch_factories_cover_complementary_caps():
-    n = north_patch(1.0)
-    s = south_patch(1.0)
-    assert n.theta_min == 0.0 and n.theta_max > np.pi / 2
-    assert s.theta_max == np.pi and s.theta_min < np.pi / 2
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from polelab.vortex import (
     confinement_energy,
     energy_density_profile,
     magnetic_profile,
-    photon_mass_of,
     solve_vortex,
     vector_potential_fn,
     vortex_energy,
@@ -243,10 +242,10 @@ def test_confinement_linear_growth(critical_solution):
 # ---------------------------------------------------------------------------
 
 def test_photon_mass_values():
-    assert_allclose(photon_mass_of(HiggsModel(q=1.0, v=1.0, lam=2.0)),
+    assert_allclose(HiggsModel(q=1.0, v=1.0, lam=2.0).photon_mass,
                     math.sqrt(2.0), rtol=1e-15)
-    assert photon_mass_of(HiggsModel(q=0.0, v=1.0, lam=2.0)) == 0.0
-    assert_allclose(photon_mass_of(HiggsModel(q=2.0, v=0.5, lam=2.0)),
+    assert HiggsModel(q=0.0, v=1.0, lam=2.0).photon_mass == 0.0
+    assert_allclose(HiggsModel(q=2.0, v=0.5, lam=2.0).photon_mass,
                     math.sqrt(2.0), rtol=1e-15)
     m = HiggsModel(q=1.0, v=3.0, lam=2.25)
     assert_allclose(m.higgs_mass, 4.5, rtol=1e-15)
