@@ -11,7 +11,8 @@ Wall-clock data goes only into the run manifest, written for every run.
 
 Exit codes: 0 success, 1 quantization condition not satisfied (check);
 EXIT_CODES maps each error class to 2 usage or configuration error,
-3 convergence failure or 4 stability bound violated.
+3 convergence failure or 4 stability bound violated; any other exception
+is 5, a crash, with manifest status "crash".
 """
 
 import argparse
@@ -25,6 +26,7 @@ import math
 import os
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -46,6 +48,7 @@ EXIT_UNSATISFIED = 1
 EXIT_USAGE = 2
 EXIT_CONVERGENCE = 3
 EXIT_STABILITY = 4
+EXIT_CRASH = 5
 
 EXIT_CODES = {
     DomainError: EXIT_USAGE,
@@ -82,7 +85,6 @@ SCHEMAS = {
         "r_min": 0.1,
         "r_max": 10.0,
         "samples": 64,
-        "tol": 1e-9,        # never read; kept for the default config hash
     },
     "holonomy": {
         **_PAIR,
@@ -108,7 +110,6 @@ SCHEMAS = {
         **dataclasses.asdict(InterferenceConfig()),
         "cut": "+x",
         "snapshots": True,
-        "tol": 1e-2,        # never read; kept for the default config hash
     },
     "vortex": {
         "q": 1.0,
@@ -492,6 +493,12 @@ def main(argv=None):
         sys.stderr.write(f"error: {exc}\n")
         return next(EXIT_CODES[cls] for cls in type(exc).__mro__
                     if cls in EXIT_CODES)
+    except Exception as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        run.diagnostics["traceback"] = traceback.format_exc()
+        run.write_manifest("crash", error)
+        sys.stderr.write(f"error: {error}\n")
+        return EXIT_CRASH
     run.write_manifest("ok")
     return code
 

@@ -81,6 +81,22 @@ def _radii(arr):
     return r
 
 
+def _screening_argument(mu, r):
+    """x = mu*r clamped at 800, with no overflow warning. exp(-x) is exactly
+    0 past x ~ 745.1, so every weight (1 + x) exp(-x) below the clamp is
+    unchanged bit for bit, and above it the weight is 0, not inf * 0."""
+    with np.errstate(over="ignore"):
+        return np.minimum(mu * r, 800.0)
+
+
+def _azimuthal(arr, amp):
+    """The azimuthal vector (-y*amp, x*amp, 0) at the points arr."""
+    out = np.zeros_like(arr)
+    out[..., 0] = -arr[..., 1] * amp
+    out[..., 1] = arr[..., 0] * amp
+    return out
+
+
 def yukawa_electric_field(cfg, r):
     """Screened electric field q*(1 + mu*r)*exp(-mu*r)/r^2 in the radial direction.
 
@@ -90,7 +106,8 @@ def yukawa_electric_field(cfg, r):
     """
     arr = as_vec3(r)
     rmag = _radii(arr)
-    amp = cfg.q * (1.0 + cfg.mu * rmag) * np.exp(-cfg.mu * rmag) / rmag**3
+    x = _screening_argument(cfg.mu, rmag)
+    amp = cfg.q * (1.0 + x) * np.exp(-x) / rmag**3
     return amp[..., None] * arr
 
 
@@ -103,7 +120,8 @@ def local_charge(cfg, R):
     R = np.asarray(R, dtype=float)
     if np.any(R <= 0) or not np.all(np.isfinite(R)):
         raise DomainError("Gauss sphere radius must be finite and > 0")
-    out = cfg.q * (1.0 + cfg.mu * R) * np.exp(-cfg.mu * R)
+    x = _screening_argument(cfg.mu, R)
+    out = cfg.q * (1.0 + x) * np.exp(-x)
     return float(out) if out.ndim == 0 else out
 
 
@@ -148,10 +166,7 @@ def wu_yang_potential(patch, g, r):
         if np.any(theta < AXIS_TOL):
             raise SingularPointError("south patch evaluated on its excluded (+z) axis")
         amp = -g / (rmag * (rmag - z))
-    out = np.zeros_like(arr)
-    out[..., 0] = -arr[..., 1] * amp
-    out[..., 1] = arr[..., 0] * amp
-    return out
+    return _azimuthal(arr, amp)
 
 
 def tube_potential(spec, r):
@@ -163,10 +178,7 @@ def tube_potential(spec, r):
     inside = rho2 <= spec.R**2
     amp = np.where(inside, 2.0 * spec.g / spec.R**2,
                    2.0 * spec.g / np.where(rho2 > 0, rho2, 1.0))
-    out = np.zeros_like(arr)
-    out[..., 0] = -arr[..., 1] * amp
-    out[..., 1] = arr[..., 0] * amp
-    return out
+    return _azimuthal(arr, amp)
 
 
 def proca_tube_profile(g, mu, rho):
@@ -202,7 +214,4 @@ def proca_tube_potential(g, mu, r):
     amp = np.where(rho > 0,
                    2.0 * g * (1.0 - mu * safe * k1(mu * safe)) / safe**2,
                    0.0)
-    out = np.zeros_like(arr)
-    out[..., 0] = -arr[..., 1] * amp
-    out[..., 1] = arr[..., 0] * amp
-    return out
+    return _azimuthal(arr, amp)

@@ -10,7 +10,7 @@ so they agree as booleans for every input, not just generic ones.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -32,12 +32,7 @@ class QuantizationReport:
     satisfied: bool
 
     def to_dict(self):
-        return {
-            "n_real": self.n_real,
-            "n_nearest": self.n_nearest,
-            "residual": self.residual,
-            "satisfied": self.satisfied,
-        }
+        return asdict(self)
 
     def to_json(self):
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -110,10 +105,9 @@ def patch_mismatch(g, point):
 @dataclass(frozen=True)
 class LoopPath:
     """Closed polyline. vertices has shape (N, 3) with first row equal to the
-    last; orientation -1 traverses it backwards."""
+    last."""
 
     vertices: np.ndarray
-    orientation: int = 1
 
     def __post_init__(self):
         arr = as_vec3(self.vertices)
@@ -121,15 +115,10 @@ class LoopPath:
             raise DomainError("a closed loop needs at least 3 distinct vertices plus closure")
         if not np.allclose(arr[0], arr[-1], rtol=0.0, atol=1e-12):
             raise DomainError("loop is not closed: first vertex must equal the last")
-        if self.orientation not in (-1, 1):
-            raise DomainError("orientation must be +1 or -1")
         object.__setattr__(self, "vertices", arr)
 
-    def reversed(self):
-        return LoopPath(self.vertices, -self.orientation)
 
-
-def circle_loop(rho, z=0.0, n=64, center=(0.0, 0.0)):
+def circle_loop(rho, z=0.0, n=64):
     """n-vertex closed polygon inscribed in the circle of cylindrical radius
     rho at height z."""
     if rho <= 0 or n < 3:
@@ -137,8 +126,8 @@ def circle_loop(rho, z=0.0, n=64, center=(0.0, 0.0)):
     ang = 2.0 * np.pi * np.arange(n + 1) / n
     ang[-1] = 0.0  # exact closure
     verts = np.empty((n + 1, 3))
-    verts[:, 0] = center[0] + rho * np.cos(ang)
-    verts[:, 1] = center[1] + rho * np.sin(ang)
+    verts[:, 0] = rho * np.cos(ang)
+    verts[:, 1] = rho * np.sin(ang)
     verts[:, 2] = z
     return LoopPath(verts)
 
@@ -180,18 +169,18 @@ def _neville_at_zero(x, vals):
     return cur, abs(cur - prev)
 
 
-def line_integral(potential, loop, order=12, tol=1e-13, max_doublings=8):
+def line_integral(potential, loop):
     """Integral of A . dl around the polyline.
 
-    Composite Gauss-Legendre panels per segment, doubling the panel count
-    until successive values agree to tol (relative to max(1, |value|)).
-    Returns (value, error_estimate). The potential must accept points of
-    shape (..., 3).
+    Composite 12-point Gauss-Legendre panels per segment, doubling the panel
+    count, at most 8 times, until successive values agree to 1e-13 relative
+    to max(1, |value|). Returns (value, error_estimate). The potential must
+    accept points of shape (..., 3).
     """
     verts = loop.vertices
     starts, ends = verts[:-1], verts[1:]
     seg = ends - starts  # (S, 3)
-    nodes, weights = _gl_nodes(order)
+    nodes, weights = _gl_nodes(12)
 
     def value(panels):
         # panel offsets p/panels + node/panels, all segments at once
@@ -202,30 +191,26 @@ def line_integral(potential, loop, order=12, tol=1e-13, max_doublings=8):
         return float(np.sum(integrand * weights[None, None, :]) / panels)
 
     prev = value(1)
-    err = np.inf
-    panels = 1
-    for _ in range(max_doublings):
-        panels *= 2
-        cur = value(panels)
+    for doubling in range(1, 9):
+        cur = value(2**doubling)
         err = abs(cur - prev)
         prev = cur
-        if err <= tol * max(1.0, abs(cur)):
+        if err <= 1e-13 * max(1.0, abs(cur)):
             break
-    return loop.orientation * prev, err
+    return prev, err
 
 
-def loop_holonomy(potential, loop, q, **quad_kw):
+def loop_holonomy(potential, loop, q):
     """(e^{i*q*closed-loop integral}, integral) for a charge q.
 
     The complex factor is the phase a charge picks up around the loop; the
     real number is the enclosed flux as seen through A.
     """
-    flux, _ = line_integral(potential, loop, **quad_kw)
+    flux, _ = line_integral(potential, loop)
     return np.exp(1j * q * flux), flux
 
 
-def refined_circle_flux(potential, rho, z=0.0, center=(0.0, 0.0),
-                        n0=64, levels=3):
+def refined_circle_flux(potential, rho, z=0.0, n0=64, levels=3):
     """Flux through the smooth circle, extrapolated from inscribed polygons.
 
     A fixed N-gon's line integral differs from the smooth circle's by
@@ -238,15 +223,15 @@ def refined_circle_flux(potential, rho, z=0.0, center=(0.0, 0.0),
     ns = n0 * 2 ** np.arange(levels)
     vals = []
     for n in ns:
-        flux, _ = line_integral(potential, circle_loop(rho, z=z, n=int(n), center=center))
+        flux, _ = line_integral(potential, circle_loop(rho, z=z, n=int(n)))
         vals.append(flux)
     return _neville_at_zero(1.0 / ns.astype(float) ** 2, vals)
 
 
-def cap_flux(g, theta, r=1.0, patch="north", n0=64, levels=3):
+def cap_flux(g, theta, r=1.0, n0=64, levels=3):
     """Flux of a pole g through the spherical cap of opening angle theta,
-    measured as the extrapolated circle holonomy of the given patch."""
-    pot = partial(wu_yang_potential, patch, g)
+    measured as the extrapolated circle holonomy of the north patch."""
+    pot = partial(wu_yang_potential, "north", g)
     return refined_circle_flux(pot, r * np.sin(theta), z=r * np.cos(theta),
                                n0=n0, levels=levels)
 

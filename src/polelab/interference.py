@@ -54,6 +54,7 @@ PROBE_X_FRACTION = 0.78
 # slit gap
 INVISIBILITY_GAP_FRACTION = 0.08
 FRINGE_WINDOW_FRACTION = 0.36
+EDGE_EXCLUDE_FRACTION = 0.12    # sponge fringe left out of invisibility_metric
 
 
 def two_path_fringe_shift(q, flux):
@@ -183,19 +184,15 @@ class _Tridiag:
         self._args = (dl, d, du, du2, ipiv)
         self._gttrs = gttrs
 
-    def solve(self, b):
-        x, info = self._gttrs(*self._args, b)
-        if info != 0:
-            raise RuntimeError(f"tridiagonal solve failed (info={info})")
-        return x
-
     def cayley(self, b):
         """For this matrix 1 + A: (1 + A)^-1 (1 - A) b = 2 (1 + A)^-1 b - b.
 
         b is (n, nrhs) and stays intact; Fortran order spares gttrs a
         reordering copy.
         """
-        x = self.solve(b)
+        x, info = self._gttrs(*self._args, b)
+        if info != 0:
+            raise RuntimeError(f"tridiagonal solve failed (info={info})")
         x *= 2.0
         x -= b
         return x
@@ -317,19 +314,16 @@ def propagate_with_flux(grid, line, steps, sponge=True):
 # measurement
 # ---------------------------------------------------------------------------
 
-def invisibility_metric(grid_with_flux, grid_free, x_min=None,
-                        exclude_fraction=0.12):
+def invisibility_metric(grid_with_flux, grid_free, x_min):
     """Relative L2 distance between the two |psi|^2 fields on the far side
     of the flux line (x >= x_min), excluding the sponge fringe."""
     a, b = grid_with_flux, grid_free
     if a.psi.shape != b.psi.shape:
         raise DomainError("grids must have identical shapes")
     nx, ny = a.nx, a.ny
-    if x_min is None:
-        x_min = 0.5 * a.h * nx
     i_lo = max(int(math.ceil(x_min / a.h)), 0)
-    i_hi = nx - max(int(round(exclude_fraction * nx)), 1)
-    j_lo = max(int(round(exclude_fraction * ny)), 1)
+    i_hi = nx - max(int(round(EDGE_EXCLUDE_FRACTION * nx)), 1)
+    j_lo = max(int(round(EDGE_EXCLUDE_FRACTION * ny)), 1)
     j_hi = ny - j_lo
     if i_lo >= i_hi or j_lo >= j_hi:
         raise DomainError("comparison window is empty")
@@ -381,11 +375,10 @@ def fringe_shift(grid_with_flux, grid_free, x_probe, y_center, window):
 # snapshots
 # ---------------------------------------------------------------------------
 
-def save_snapshot(grid, bin_path, meta_path=None):
+def save_snapshot(grid, bin_path):
     """Write |psi|^2 as flat row-major float64 plus a JSON sidecar giving
-    shape and spacing. Returns (bin_path, meta_path)."""
-    if meta_path is None:
-        meta_path = bin_path + ".json"
+    shape and spacing, meta_path = bin_path + ".json". Returns both paths."""
+    meta_path = bin_path + ".json"
     intensity = np.ascontiguousarray(grid.intensity(), dtype=np.float64)
     with open(bin_path, "wb") as fh:
         fh.write(intensity.tobytes(order="C"))
@@ -403,11 +396,9 @@ def save_snapshot(grid, bin_path, meta_path=None):
     return bin_path, meta_path
 
 
-def load_snapshot(bin_path, meta_path=None):
+def load_snapshot(bin_path):
     """Inverse of save_snapshot: returns (intensity array, metadata dict)."""
-    if meta_path is None:
-        meta_path = bin_path + ".json"
-    with open(meta_path) as fh:
+    with open(bin_path + ".json") as fh:
         meta = json.load(fh)
     if meta.get("dtype") != "float64" or meta.get("order") != "C":
         raise DomainError("unsupported snapshot encoding")

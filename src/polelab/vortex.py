@@ -25,14 +25,14 @@ pseudo-timestep grows each sweep, turning smoothly into damped Newton; the
 grid is sinh-stretched to cluster points near the axis.
 """
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import AccuracyError, ConvergenceError, DomainError
+from .fields import _azimuthal
 
 
 @dataclass(frozen=True)
@@ -103,15 +103,7 @@ class TensionResult:
     residual: float
 
     def to_dict(self):
-        return {
-            "T": self.T,
-            "bogomolny_ratio": self.bogomolny_ratio,
-            "converged": self.converged,
-            "residual": self.residual,
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +179,11 @@ def vector_potential_fn(model, profile):
 
     def potential(r):
         arr = np.asarray(r, dtype=float)
-        x, y = arr[..., 0], arr[..., 1]
-        rho = np.hypot(x, y)
+        rho = np.hypot(arr[..., 0], arr[..., 1])
         a = np.interp(rho, rho_g, a_g, right=1.0)
         safe = np.where(rho > 0, rho, 1.0)
         amp = np.where(rho > 0, n * a / (q * safe**2), 0.0)
-        out = np.zeros_like(arr)
-        out[..., 0] = -y * amp
-        out[..., 1] = x * amp
-        return out
+        return _azimuthal(arr, amp)
 
     return potential
 
@@ -210,19 +198,13 @@ def confinement_energy(tension, L):
     L = np.asarray(L, dtype=float)
     if np.any(L < 0):
         raise DomainError("tube length must be >= 0")
-    T = tension.T if isinstance(tension, TensionResult) else float(tension)
-    out = T * L
+    out = tension.T * L
     return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
 # solver
 # ---------------------------------------------------------------------------
-
-def _stretched_grid(x_max, npts, strength=4.0):
-    t = np.linspace(0.0, 1.0, npts + 1)
-    return x_max * np.sinh(strength * t) / math.sinh(strength)
-
 
 def _fd_coeffs(x):
     """Second-order 3-point first- and second-derivative weights on a
@@ -281,7 +263,8 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
         raise DomainError("r_max must cover at least 10 correlation lengths")
 
     beta = model.beta
-    x = _stretched_grid(m_v * r_max, grid)
+    t = np.linspace(0.0, 1.0, grid + 1)
+    x = m_v * r_max * np.sinh(4.0 * t) / math.sinh(4.0)
     d1, d2 = _fd_coeffs(x)
     npts = grid + 1
     xi = x[1:-1]

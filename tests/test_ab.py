@@ -263,9 +263,9 @@ def test_fringe_shift_window_validation():
 
 def test_invisibility_metric_edges(packet128):
     g = packet128.copy()
-    assert invisibility_metric(g, g.copy()) == 0.0
+    assert invisibility_metric(g, g.copy(), x_min=64.0) == 0.0
     with pytest.raises(DomainError):
-        invisibility_metric(g, make_wave_grid(128, 256))
+        invisibility_metric(g, make_wave_grid(128, 256), x_min=64.0)
     with pytest.raises(DomainError):
         invisibility_metric(g, g.copy(), x_min=1e9)
 

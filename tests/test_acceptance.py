@@ -7,6 +7,7 @@ two lattice criteria propagate on the full 512^2 grid and dominate the
 runtime (a couple of minutes); everything else is seconds.
 """
 
+import math
 from functools import partial
 
 import numpy as np
@@ -26,7 +27,16 @@ from polelab.vortex import HiggsModel, confinement_energy, solve_vortex, \
     vortex_flux
 
 
-def _verdict(num, title, passed, detail):
+def _margin(bound, metric):
+    """bound / metric for a gate metric < bound: above 1 passes."""
+    return bound / metric if metric else math.inf
+
+
+def _verdict(num, title, passed, detail, margins=None):
+    """margins: {metric name: margin} for each gated metric."""
+    if margins:
+        detail += "; margin = bound / metric: " + ", ".join(
+            f"{name} {m:.5g}" for name, m in margins.items())
     print(f"criterion {num} [{'PASS' if passed else 'FAIL'}] {title}: "
           f"{detail}")
     assert passed, f"criterion {num} failed: {detail}"
@@ -88,7 +98,9 @@ def test_criterion_2_massless_angular_momentum():
     spread = max(values) - min(values)
     passed = worst < 1e-3 and spread < 1e-3
     _verdict(2, "massless J_z = q g / 2, separation-independent", passed,
-             f"max rel dev {worst:.3e}, spread {spread:.3e}")
+             f"max rel dev {worst:.3e}, spread {spread:.3e}",
+             {"rel dev": _margin(1e-3, worst),
+              "spread": _margin(1e-3, spread)})
 
 
 def test_criterion_3_massive_decline():
@@ -103,7 +115,8 @@ def test_criterion_3_massive_decline():
     passed = declines and abs(j_far) < 0.01
     _verdict(3, "screened J_z declines with separation", passed,
              f"J at d=1..8: {[f'{v:.5f}' for v in values]}, "
-             f"J(mu*d=10) = {j_far:.8f} (J/qg = {j_far / 0.5:.10f})")
+             f"J(mu*d=10) = {j_far:.8f} (J/qg = {j_far / 0.5:.10f})",
+             {"J(mu*d=10)": _margin(0.01, abs(j_far))})
 
 
 def test_criterion_4_flux_conservation_with_mass():
@@ -122,7 +135,8 @@ def test_criterion_4_flux_conservation_with_mass():
         worst = max(worst, rel, rel_uniform)
         details.append(f"(g={g}, mu={mu}): {rel:.2e}/{rel_uniform:.2e}")
     _verdict(4, "screened tube carries the full pole flux", worst < 1e-6,
-             "profile/uniform rel errors " + "; ".join(details))
+             "profile/uniform rel errors " + "; ".join(details),
+             {"rel error": _margin(1e-6, worst)})
 
 
 def test_criterion_5_patch_consistency():
@@ -149,7 +163,9 @@ def test_criterion_5_patch_consistency():
     passed = worst_pt < 1e-10 and worst_cap < 1e-8
     _verdict(5, "patch mismatch is the pure-gauge gradient", passed,
              f"max point dev {worst_pt:.2e}, max cap flux dev "
-             f"{worst_cap:.2e}")
+             f"{worst_cap:.2e}",
+             {"point dev": _margin(1e-10, worst_pt),
+              "cap flux dev": _margin(1e-8, worst_cap)})
 
 
 def test_criterion_6_string_invisibility_by_simulation(single_packet_runs):
@@ -162,7 +178,11 @@ def test_criterion_6_string_invisibility_by_simulation(single_packet_runs):
     passed = quantized < 1e-2 and visible > 0.1 and cut_dev < 1e-10
     _verdict(6, "quantized string invisible on the lattice", passed,
              f"metric {quantized:.2e} at 2pi vs {visible:.3f} at pi, "
-             f"cut dependence {cut_dev:.2e}")
+             f"cut dependence {cut_dev:.2e}",
+             {"metric at 2pi": _margin(1e-2, quantized),
+              # a lower bound, visible > 0.1: its margin is metric / bound
+              "metric at pi": _margin(visible, 0.1),
+              "cut dependence": _margin(1e-10, cut_dev)})
 
 
 def test_criterion_7_fringe_shift_law(two_slit_runs):
@@ -175,7 +195,8 @@ def test_criterion_7_fringe_shift_law(two_slit_runs):
         details.append(f"{line.flux / np.pi:.1f}pi: {measured:.4f} vs "
                        f"{predicted:.4f}")
     _verdict(7, "fringe displacement follows (q flux / 2pi) mod 1",
-             worst < 0.05, f"worst error {worst:.4f}; " + "; ".join(details))
+             worst < 0.05, f"worst error {worst:.4f}; " + "; ".join(details),
+             {"worst error": _margin(0.05, worst)})
 
 
 def test_criterion_8_vortex_suite():
@@ -195,7 +216,9 @@ def test_criterion_8_vortex_suite():
     _verdict(8, "critical vortex: tension, flux, boundary, confinement",
              passed,
              f"tension/2piv^2 off by {ratio_dev:.2e}, flux rel dev "
-             f"{flux_dev:.2e}, f(0)=a(0)=0 {boundary}, linear {linear}")
+             f"{flux_dev:.2e}, f(0)=a(0)=0 {boundary}, linear {linear}",
+             {"tension dev": _margin(0.01, ratio_dev),
+              "flux dev": _margin(1e-6, flux_dev)})
 
 
 def test_criterion_9_screening_dichotomy():
@@ -217,4 +240,7 @@ def test_criterion_9_screening_dichotomy():
     passed = declines and spread < 1e-8 and phase_dev < 1e-8
     _verdict(9, "charge screened, flux holonomy untouched", passed,
              f"local charge at R=20: {q_seen[-1]:.2e}, flux spread across "
-             f"mu {spread:.2e}, holonomy dev {phase_dev:.2e}")
+             f"mu {spread:.2e}, holonomy dev {phase_dev:.2e}",
+             {"local charge": _margin(5e-8, q_seen[-1]),
+              "flux spread": _margin(1e-8, spread),
+              "holonomy dev": _margin(1e-8, phase_dev)})

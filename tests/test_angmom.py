@@ -152,9 +152,6 @@ def test_pair_config_validation():
 def test_quadrature_spec_validation():
     pair = PairConfig(q=1.0, g=0.5, d=1.0, mu=1.0)
     bad = [
-        QuadratureSpec(eps_exclusion=0.3),       # >= d/4
-        QuadratureSpec(eps_exclusion=0.0),
-        QuadratureSpec(r_max=3.0),               # <= 4*d
         QuadratureSpec(levels=1),
         QuadratureSpec(gl_order=2),
         QuadratureSpec(target_tol=0.0),

@@ -6,15 +6,18 @@ it; one subprocess test confirms the module entry point is wired up.
 """
 
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from polelab.cli import EXIT_CONVERGENCE, EXIT_OK, EXIT_STABILITY, \
-    EXIT_UNSATISFIED, EXIT_USAGE, SCHEMAS, build_parser, config_hash, main, \
-    resolve_config, write_csv, write_json
+from polelab.cli import COMMANDS, EXIT_CONVERGENCE, EXIT_CRASH, EXIT_OK, \
+    EXIT_STABILITY, EXIT_UNSATISFIED, EXIT_USAGE, SCHEMAS, build_parser, \
+    config_hash, main, resolve_config, write_csv, write_json
 from polelab.errors import DomainError
 
 
@@ -99,9 +102,6 @@ def test_usage_errors(tmp_path):
     (["holonomy", "--tol", "nan"], False),
     (["vortex", "--tol", "nan"], False),
     (["fields", "--g", "0"], False),
-    # mu r overflows inside the field formulas; the warnings are expected
-    pytest.param(["fields", "--mu", "1e308"], False,
-                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
     (["absim", "--mode", "fringe", "--nx", "64", "--ny", "64", "--steps",
       "2", "--slit-separation", "1e6", "--snapshots", "0"], False),
 ])
@@ -115,6 +115,67 @@ def test_bad_inputs_are_usage_errors(tmp_path, argv, out_is_file):
         assert _manifest(out, argv[0])["status"] == "error"
         # a failed run leaves only its manifest: no data file, so no NaN
         assert [p.name for p in out.iterdir()] == [f"{argv[0]}_manifest.json"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, data, cols", [
+    (["fields", "--mu", "1e308"], "fields.csv", ("e_screened", "q_local")),
+    (["angmom", "--mu-list", "1e308", "--d-list", "1"], "angmom.csv",
+     ("J_z", "err")),
+])
+def test_overflowing_screening_gives_zeros(tmp_path, argv, data, cols):
+    # mu r overflows to inf; the screening weight is 0 there, not inf * 0
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
+    lines = _read(tmp_path / data).decode().strip().split("\n")[1:]
+    header = lines[0].split(",")
+    for row in lines[1:]:
+        values = dict(zip(header, row.split(",")))
+        assert all(float(values[c]) == 0.0 for c in cols)
+
+
+def test_crash_has_its_own_exit_code(tmp_path, monkeypatch, capsys):
+    # an exception no error class maps never shares the verdict code 1
+    def boom(run):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setitem(COMMANDS, "check", boom)
+    assert main(["check", "--out", str(tmp_path)]) == EXIT_CRASH
+    man = _manifest(tmp_path, "check")
+    assert man["status"] == "crash"
+    assert man["error"] == "ZeroDivisionError: boom"
+    assert capsys.readouterr().err == "error: ZeroDivisionError: boom\n"
+
+
+_EXTREME = st.one_of(
+    st.floats(),                      # includes nan and +-inf
+    st.sampled_from([1e308, -1e308, 1.7976931348623157e308, 5e-324, 0.0]))
+_FLAG_VALUES = {
+    "check": {"q": _EXTREME, "g": _EXTREME, "tol": _EXTREME},
+    "fields": {"q": _EXTREME, "g": _EXTREME, "mu": _EXTREME,
+               "r_min": _EXTREME, "r_max": _EXTREME,
+               "samples": st.integers(-2, 16)},
+    "holonomy": {"q": _EXTREME, "g": _EXTREME, "radius": _EXTREME,
+                 "theta": _EXTREME, "tol": _EXTREME,
+                 "base_segments": st.integers(-1, 16),
+                 "levels": st.integers(-1, 3)},
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("cmd", sorted(_FLAG_VALUES))
+def test_any_flag_values_give_a_documented_exit_code(cmd):
+    @settings(max_examples=40, deadline=None)
+    @given(st.fixed_dictionaries({}, optional=_FLAG_VALUES[cmd]))
+    def run(flags):
+        argv = [cmd] + [f"--{key.replace('_', '-')}={value!r}"
+                        for key, value in flags.items()]
+        with tempfile.TemporaryDirectory() as out:
+            code = main(argv + ["--out", out])
+            assert code in (EXIT_OK, EXIT_UNSATISFIED, EXIT_USAGE,
+                            EXIT_CONVERGENCE, EXIT_STABILITY, EXIT_CRASH)
+            assert os.path.exists(os.path.join(out, f"{cmd}_manifest.json"))
+
+    run()
 
 
 def test_convergence_exit_code(tmp_path):
@@ -164,13 +225,13 @@ DEFAULT_CONFIG_SHA256 = {
     "check":
         "a74e1a90411060173b7f13367801f19c7f2c4575cf70ed2c6107f5f4310b1611",
     "fields":
-        "a0b780294c2f7964edf70fd6208d9b3bc6c91567336a2e9cae7616ec5bb48411",
+        "ec373ceeece604d750d1e5f6b5858d3beba747425523e49d5aca8f939192443d",
     "holonomy":
         "b84c158e091df80a6d051cfd3b877834de79fe021ecca0a858a7eaafe94ae2bf",
     "angmom":
         "f28d02d2341b354c076250638beafdc2140f71c027064db798ef1bc1f56f26ea",
     "absim":
-        "492f6c06d5f225c0b8b370b021a93055329bbfd3ec9ad6658e39f278c5e5882c",
+        "2e18c94c817d774c3551a0bb7975eb5c1fe5f2d3d2a8afaca75067c0dd6ff37e",
     "vortex":
         "56b01193e78c59276f585b8002c16eb14951522768a8f5fb99f1a229a0d8920d",
     "confine":
@@ -181,9 +242,19 @@ DEFAULT_CONFIG_SHA256 = {
 @pytest.mark.parametrize("cmd", sorted(SCHEMAS))
 def test_default_config_hash_is_stable(cmd):
     # the provenance hash of every command's default run is pinned: moving
-    # a default into the library, or dropping a key, must not change it
+    # a default into the library must not change it; dropping a key does,
+    # and is re-pinned on purpose
     args = build_parser().parse_args([cmd])
     assert config_hash(resolve_config(cmd, args)) == DEFAULT_CONFIG_SHA256[cmd]
+
+
+@pytest.mark.parametrize("cmd", ["absim", "fields"])
+def test_dropped_tol_key_is_a_usage_error(tmp_path, cmd):
+    # absim and fields never read a tol, so their configs no longer take one
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"tol": 1e-12}')
+    assert main([cmd, "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_USAGE
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf])

@@ -175,8 +175,7 @@ def test_loop_path_validation():
     square = np.array([[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0],
                        [1, 0, 0]], dtype=float)
     loop = LoopPath(vertices=square)
-    rev = loop.reversed()
-    assert rev.orientation == -loop.orientation
+    rev = LoopPath(vertices=square[::-1])
     spec = TubeSpec(g=0.5, R=10.0)
     fwd = line_integral(lambda r: tube_potential(spec, r), loop)[0]
     bwd = line_integral(lambda r: tube_potential(spec, r), rev)[0]
