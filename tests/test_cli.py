@@ -102,6 +102,7 @@ def test_usage_errors(tmp_path):
     (["holonomy", "--tol", "nan"], False),
     (["vortex", "--tol", "nan"], False),
     (["fields", "--g", "0"], False),
+    (["fields", "--mu", "nan"], False),
     (["absim", "--mode", "fringe", "--nx", "64", "--ny", "64", "--steps",
       "2", "--slit-separation", "1e6", "--snapshots", "0"], False),
 ])
