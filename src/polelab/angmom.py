@@ -40,8 +40,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .fields import (PhysicalConfig, _screening_argument, as_vec3,
-                     monopole_field, yukawa_electric_field)
+from .fields import (_SCREENING_CLAMP, PhysicalConfig, _screening_argument,
+                     as_vec3, monopole_field, yukawa_electric_field)
 from .gauge import _gl_nodes, _neville_at_zero
 
 
@@ -122,6 +122,10 @@ def _inner_integral(r_nodes, d, mu, s_floor, order):
     interpolates log10(lo) and log10(b), and log10(2^k x) does not round to
     k log10(2) + log10(x), so its interior edges break that scaling."""
     nodes, weights = _gl_nodes(order)
+    # every s >= s_floor, so once mu >= clamp/s_floor each weight is exactly
+    # 0; capping mu there keeps that 0 where mu*s would overflow to inf
+    # (inf * 0 = nan) and leaves every smaller mu unchanged
+    mu = min(mu, _SCREENING_CLAMP / s_floor)
     out = np.zeros_like(r_nodes)
     for idx, r in enumerate(r_nodes):
         a = abs(r - d)
@@ -134,9 +138,7 @@ def _inner_integral(r_nodes, d, mu, s_floor, order):
         edges[-1] = b
         widths = np.diff(edges)
         s = edges[:-1, None] + widths[:, None] * nodes[None, :]
-        # s <= b: with mu*b <= 800 the clamp is idle, so skip its errstate
-        x = mu * s if mu <= 800.0 / b else _screening_argument(mu, s)
-        f = (s * s - a * a) * (b * b - s * s) * (1.0 + x) * np.exp(-x) / (s * s)
+        f = (s * s - a * a) * (b * b - s * s) * (1.0 + mu * s) * np.exp(-mu * s) / (s * s)
         out[idx] = float(np.sum(f * weights[None, :] * widths[:, None]))
     return out
 

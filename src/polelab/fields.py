@@ -81,12 +81,17 @@ def _radii(arr):
     return r
 
 
+# exp(-x) is exactly 0 past x ~ 745.1, so the screening weight
+# (1 + x) exp(-x) is exactly 0 for every x at or above this clamp
+_SCREENING_CLAMP = 800.0
+
+
 def _screening_argument(mu, r):
-    """x = mu*r clamped at 800, with no overflow warning. exp(-x) is exactly
-    0 past x ~ 745.1, so every weight (1 + x) exp(-x) below the clamp is
-    unchanged bit for bit, and above it the weight is 0, not inf * 0."""
+    """x = mu*r clamped at _SCREENING_CLAMP, with no overflow warning. Every
+    weight (1 + x) exp(-x) below the clamp is unchanged bit for bit, and
+    above it the weight is 0, not inf * 0."""
     with np.errstate(over="ignore"):
-        return np.minimum(mu * r, 800.0)
+        return np.minimum(mu * r, _SCREENING_CLAMP)
 
 
 def _azimuthal(arr, amp):
