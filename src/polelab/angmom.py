@@ -122,9 +122,8 @@ def _inner_integral(r_nodes, d, mu, s_floor, order):
     interpolates log10(lo) and log10(b), and log10(2^k x) does not round to
     k log10(2) + log10(x), so its interior edges break that scaling."""
     nodes, weights = _gl_nodes(order)
-    # every s >= s_floor, so once mu >= clamp/s_floor each weight is exactly
-    # 0; capping mu there keeps that 0 where mu*s would overflow to inf
-    # (inf * 0 = nan) and leaves every smaller mu unchanged
+    # s >= s_floor, so this cap moves only a mu whose weights are all 0; it
+    # keeps mu*s finite (no inf * 0 = nan) and every smaller mu unchanged
     mu = min(mu, _SCREENING_CLAMP / s_floor)
     out = np.zeros_like(r_nodes)
     for idx, r in enumerate(r_nodes):

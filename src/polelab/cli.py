@@ -262,7 +262,7 @@ def cmd_check(run):
     run.diagnostics["residual"] = report.residual
     with run.stage("write"):
         write_json(run.path("check.json"), report.to_dict(), run.sha)
-    sys.stdout.write(report.to_json() + "\n")
+    sys.stdout.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
     return EXIT_OK if report.satisfied else EXIT_UNSATISFIED
 
 

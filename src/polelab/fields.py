@@ -25,6 +25,9 @@ AXIS_TOL = 1e-9
 # Total flux carried by a unit-strength pole.
 FLUX_PER_POLE = 4.0 * np.pi
 
+# mu*r past which exp(-mu*r), and so the screening weight, is exactly 0.
+_SCREENING_CLAMP = 800.0
+
 
 @dataclass(frozen=True)
 class PhysicalConfig:
@@ -81,15 +84,10 @@ def _radii(arr):
     return r
 
 
-# exp(-x) is exactly 0 past x ~ 745.1, so the screening weight
-# (1 + x) exp(-x) is exactly 0 for every x at or above this clamp
-_SCREENING_CLAMP = 800.0
-
-
 def _screening_argument(mu, r):
     """x = mu*r clamped at _SCREENING_CLAMP, with no overflow warning. Every
     weight (1 + x) exp(-x) below the clamp is unchanged bit for bit, and
-    above it the weight is 0, not inf * 0."""
+    above it the weight is 0, not inf * 0 = nan."""
     with np.errstate(over="ignore"):
         return np.minimum(mu * r, _SCREENING_CLAMP)
 

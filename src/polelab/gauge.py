@@ -9,7 +9,6 @@ share one residual definition (distance of 2*q*g from the nearest integer),
 so they agree as booleans for every input, not just generic ones.
 """
 
-import json
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 
@@ -33,9 +32,6 @@ class QuantizationReport:
 
     def to_dict(self):
         return asdict(self)
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def transition_function(q, g, phi):
