@@ -58,8 +58,11 @@ class PairConfig:
         for name in ("q", "g", "d", "mu"):
             if not np.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
-        if self.d <= 0:
-            raise DomainError("separation d must be > 0")
+        # d > 0, and neither the exclusion radius d/64 nor the prefactor's
+        # 8*d^2 underflows to 0
+        if not (self.d / 64.0 > 0 and 8.0 * self.d * self.d > 0):
+            raise DomainError(f"separation d = {self.d} must be > 0, with "
+                              "d/64 and 8*d^2 > 0")
         if self.mu < 0:
             raise DomainError("photon mass mu must be >= 0")
 

@@ -278,8 +278,9 @@ def cmd_fields(run):
         phys = PhysicalConfig(q=cfg["q"], g=cfg["g"], mu=cfg["mu"])
         r = np.geomspace(cfg["r_min"], cfg["r_max"], cfg["samples"])
         pts = np.outer(r, (0.0, 0.0, 1.0))
-        e_mag = np.linalg.norm(yukawa_electric_field(phys, pts), axis=1)
-        b_mag = np.linalg.norm(monopole_field(phys, pts), axis=1)
+        # hypot, unlike norm, does not overflow by squaring a huge field
+        e_mag = np.hypot.reduce(yukawa_electric_field(phys, pts), axis=1)
+        b_mag = np.hypot.reduce(monopole_field(phys, pts), axis=1)
         q_loc = local_charge(phys, r)
         rows = [(ri, ei, qi, bi, bi * ri**2 / cfg["g"])
                 for ri, ei, qi, bi in zip(r, e_mag, q_loc, b_mag)]
@@ -337,6 +338,13 @@ def cmd_angmom(run):
     return EXIT_OK
 
 
+def _absorbed(free, grids):
+    """Norm the sponge absorbed in each propagation of a unit-norm packet:
+    1 - final norm, for the free run and for each line run."""
+    return {"free": 1.0 - free.norm(),
+            "lines": [1.0 - grid.norm() for grid in grids]}
+
+
 def cmd_absim(run):
     cfg = run.config
     if cfg["mode"] not in ("invisibility", "fringe", "both"):
@@ -365,6 +373,8 @@ def cmd_absim(run):
             "steps": sim_cfg.resolved_steps(),
         }
         run.diagnostics["invisibility_metric"] = metric
+        run.diagnostics["invisibility_absorbed"] = _absorbed(free,
+                                                             [flux_grid])
         with run.stage("write"):
             _, _, probe_x = sim_cfg.geometry()
             y, i_free = intensity_slice(free, probe_x)
@@ -385,6 +395,7 @@ def cmd_absim(run):
             {"flux": f, "shift_predicted": p, "shift_measured": s,
              "circular_error": e} for f, p, s, e in table]
         run.diagnostics["fringe_worst_error"] = max(e for *_, e in table)
+        run.diagnostics["fringe_absorbed"] = _absorbed(free, grids)
         with run.stage("write"):
             write_csv(run.path("absim_fringe.csv"),
                       ["flux", "shift_predicted", "shift_measured",

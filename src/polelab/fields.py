@@ -110,8 +110,8 @@ def yukawa_electric_field(cfg, r):
     arr = as_vec3(r)
     rmag = _radii(arr)
     x = _screening_argument(cfg.mu, rmag)
-    amp = cfg.q * (1.0 + x) * np.exp(-x) / rmag**3
-    return amp[..., None] * arr
+    amp = cfg.q * (1.0 + x) * np.exp(-x) / rmag**2
+    return amp[..., None] * (arr / rmag[..., None])
 
 
 def local_charge(cfg, R):
@@ -136,7 +136,7 @@ def monopole_field(cfg, r):
     """
     arr = as_vec3(r)
     rmag = _radii(arr)
-    return (cfg.g / rmag**3)[..., None] * arr
+    return (cfg.g / rmag**2)[..., None] * (arr / rmag[..., None])
 
 
 def wu_yang_potential(patch, g, r):

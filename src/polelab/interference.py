@@ -14,13 +14,24 @@ consequences:
   * a two-slit pattern straddling the string shifts by (q*Phi/2*pi) mod 1
     of a fringe period (fringe_shift vs two_path_fringe_shift).
 
-Time stepping is a Strang split of Cayley (Crank-Nicolson) half-steps,
-x(dt/2) y(dt) x(dt/2). Each axis has one free factor 1 + A, A = i tau H/2
-with H the Hermitian hopping tridiagonal, prefactored once; a step applies
-(1 + A)^-1 (1 - A) = 2 (1 + A)^-1 - 1, which is exactly unitary, and the
-split is second order in dt. The flux line's cut is a pure gauge shift on
-the open y chains it crosses: the phased-link y step equals U^dag Y U, with
-Y the free step and U = e^{i q Phi} on the rows past the cut in the cut's
+Time stepping is a Strang split of Cayley (Crank-Nicolson) factors,
+x(dt/2) y(dt) x(dt/2) per step, with the adjacent x half-steps of
+consecutive steps fused: a run of N steps applies, in time order,
+
+    x(dt/2) [y M x(dt)]^(N-1) y M x(dt/2),
+
+2N + 1 solves instead of 3N, and N = 0 applies nothing. M is the sponge's
+per-step mask, applied after each y step. Each factor is 1 + A,
+A = i tau H/2 with H the Hermitian hopping tridiagonal, prefactored once;
+applying it as (1 + A)^-1 (1 - A) = 2 (1 + A)^-1 - 1, the (1,1) Pade
+approximant of exp(-i tau H), keeps every factor exactly unitary and the
+fused split second order in dt (Strang, SIAM J. Numer. Anal. 5 (1968) 506).
+psi[ix, iy] stays C-ordered throughout: the x factors are pivot-free
+Thomas sweeps over its rows, vectorised over the columns, and the y factor
+is LAPACK gttrs on psi.T, which is Fortran-ordered, so a step makes no
+layout copy. The flux line's cut is a pure gauge shift on the open y
+chains it crosses: the phased-link y step equals U^dag Y U, with Y the
+free step and U = e^{i q Phi} on the rows past the cut in the cut's
 columns, so the string costs two diagonal multiplies and no second factor.
 Open boundaries are faked by a cosine-ramp absorbing sponge, disabled for
 norm accounting.
@@ -39,6 +50,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
+from scipy.linalg.blas import get_blas_funcs
 
 from .errors import DomainError, StabilityError
 
@@ -172,37 +184,76 @@ def two_gaussian_packet(grid, center, separation, width, momentum):
 # propagation engine
 # ---------------------------------------------------------------------------
 
-class _Tridiag:
-    """Prefactored complex tridiagonal solve (LAPACK gttrf/gttrs)."""
-
-    def __init__(self, lower, diag, upper):
-        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"),
-                                        (np.empty(0, dtype=np.complex128),))
-        dl, d, du, du2, ipiv, info = gttrf(lower, diag, upper)
-        if info != 0:
-            raise RuntimeError(f"tridiagonal factorization failed (info={info})")
-        self._args = (dl, d, du, du2, ipiv)
-        self._gttrs = gttrs
-
-    def cayley(self, b):
-        """For this matrix 1 + A: (1 + A)^-1 (1 - A) b = 2 (1 + A)^-1 b - b.
-
-        b is (n, nrhs) and stays intact; Fortran order spares gttrs a
-        reordering copy.
-        """
-        x, info = self._gttrs(*self._args, b)
-        if info != 0:
-            raise RuntimeError(f"tridiagonal solve failed (info={info})")
-        x *= 2.0
-        x -= b
-        return x
-
-
-def _free_factor(n, tau, m, h):
-    """1 + i tau H/2 for the free hopping Hamiltonian of an open n-chain."""
+def _free_chain(tau, m, h):
+    """(c, d): 1 + A = 1 + i tau H/2 for the free hopping Hamiltonian of an
+    open chain has d on the diagonal and c on both off-diagonals."""
     alpha = tau / (4.0 * m * h * h)
-    off = np.full(n - 1, -1j * alpha)
-    return _Tridiag(off, np.full(n, 1.0 + 2j * alpha), off)
+    return -1j * alpha, 1.0 + 2j * alpha
+
+
+class _Tridiag:
+    """Free factor 1 + A of an open n-chain, prefactored by LAPACK gttrf and
+    applied along axis 0 of a Fortran-ordered array by gttrs."""
+
+    def __init__(self, n, tau, m, h):
+        c, d = _free_chain(tau, m, h)
+        gttrf, self._gttrs = get_lapack_funcs(
+            ("gttrf", "gttrs"), (np.empty(0, dtype=np.complex128),))
+        off = np.full(n - 1, c)
+        *self._args, info = gttrf(off, np.full(n, d), off)
+        if info != 0:
+            raise StabilityError(
+                f"tridiagonal factorization failed (info={info})")
+
+    def cayley(self, b, work):
+        """b := (1 + A)^-1 (1 - A) b = 2 (1 + A)^-1 b - b, in place.
+
+        b is (n, nrhs) and Fortran-ordered; work is scratch of its shape and
+        order, solved in place.
+        """
+        np.multiply(b, 2.0, out=work)
+        x, info = self._gttrs(*self._args, work, overwrite_b=1)
+        if info != 0:
+            raise StabilityError(f"tridiagonal solve failed (info={info})")
+        np.subtract(x, b, out=b)
+
+
+class _Thomas:
+    """Free factor 1 + A of an open n-chain as a pivot-free LU (Thomas),
+    applied along axis 0 of a C-ordered array one row at a time.
+
+    1 + A is strictly diagonally dominant (|1 + 2i alpha| > 2 alpha), so LU
+    without pivoting is stable (Golub & Van Loan, Matrix Computations, 4th
+    ed., sec. 4.3). With u_k the pivots, w = 2 U^-1 L^-1 b is swept as
+    w_k = (2/u_k) b_k - (c/u_k) w_{k-1} down the rows and back up as
+    w_k -= (c/u_k) w_{k+1}; each row update is one BLAS axpy over all
+    columns.
+    """
+
+    def __init__(self, n, tau, m, h):
+        c, d = _free_chain(tau, m, h)
+        pivots = [d]
+        for _ in range(n - 1):
+            pivots.append(d - c * c / pivots[-1])
+        self._scale = np.array([2.0 / u for u in pivots])[:, None]
+        self._coef = [-c / u for u in pivots]
+        self._axpy = get_blas_funcs("axpy", (self._scale,))
+
+    def cayley(self, psi, work):
+        """psi := (1 + A)^-1 (1 - A) psi = 2 (1 + A)^-1 psi - psi, in place.
+
+        psi is (n, ncols) and C-ordered; work is C-ordered scratch of its
+        shape, swept in place.
+        """
+        axpy, coef = self._axpy, self._coef
+        np.multiply(psi, self._scale, out=work)
+        rows = list(work)
+        ncols = work.shape[1]
+        for k in range(1, len(rows)):
+            axpy(rows[k - 1], rows[k], ncols, coef[k])
+        for k in range(len(rows) - 2, -1, -1):
+            axpy(rows[k + 1], rows[k], ncols, coef[k])
+        np.subtract(work, psi, out=psi)
 
 
 def _check_stability(grid):
@@ -246,8 +297,7 @@ def _gauge_shift(grid, line, sponge):
 
 
 def _sponge_mask(grid):
-    """Cosine-ramp absorber: per-step amplitude factor, 1 in the interior,
-    Fortran-ordered like psi after a step."""
+    """Cosine-ramp absorber: per-step amplitude factor, 1 in the interior."""
 
     def ramp(n):
         w = max(int(round(SPONGE_FRACTION * n)), 2)
@@ -259,10 +309,15 @@ def _sponge_mask(grid):
         prof[n - w:] = damp
         return prof
 
-    return np.asfortranarray(ramp(grid.nx)[:, None] * ramp(grid.ny)[None, :])
+    return ramp(grid.nx)[:, None] * ramp(grid.ny)[None, :]
 
 
 def _propagate(grid, line, steps, sponge):
+    """Run `steps` fused Strang steps on grid.psi in place (see the module
+    docstring): x(dt/2) [y M x(dt)]^(steps-1) y M x(dt/2), with y gauged by
+    the line's shift U when a line is given and M = 1 without the sponge.
+    Everything is checked before the first factor; zero steps apply
+    nothing."""
     if not isinstance(steps, (int, np.integer)) or steps < 0:
         raise DomainError("steps must be a nonnegative integer")
     _check_stability(grid)
@@ -271,23 +326,27 @@ def _propagate(grid, line, steps, sponge):
     gauge, phase = (slice(0), slice(0)), 1.0
     if line is not None:
         gauge, phase = _gauge_shift(grid, line, sponge)
+    if steps == 0:
+        return grid
 
-    half_x = _free_factor(grid.nx, grid.dt / 2.0, grid.m, grid.h)
-    full_y = _free_factor(grid.ny, grid.dt, grid.m, grid.h)
+    half_x = _Thomas(grid.nx, grid.dt / 2.0, grid.m, grid.h)
+    full_x = _Thomas(grid.nx, grid.dt, grid.m, grid.h)
+    full_y = _Tridiag(grid.ny, grid.dt, grid.m, grid.h)
     mask = _sponge_mask(grid) if sponge else None
 
-    # psi[ix, iy] is Fortran-ordered for the x solves and C-ordered (so
-    # psi.T is Fortran-ordered) for the y solve
-    psi = np.asfortranarray(grid.psi)
-    for _ in range(steps):
-        psi = np.ascontiguousarray(half_x.cayley(psi))
+    # the x sweeps run over the rows of C-ordered psi and the y solve over
+    # psi.T, which is Fortran-ordered; work is the one scratch array
+    psi = np.ascontiguousarray(grid.psi, dtype=np.complex128)
+    work = np.empty_like(psi)
+    half_x.cayley(psi, work)
+    for step in range(1, steps + 1):
         psi[gauge] *= phase
-        psi = full_y.cayley(psi.T).T
+        full_y.cayley(psi.T, work.T)
         psi[gauge] *= np.conj(phase)
-        psi = half_x.cayley(np.asfortranarray(psi))
         if mask is not None:
             psi *= mask
-    grid.psi = np.ascontiguousarray(psi)
+        (full_x if step < steps else half_x).cayley(psi, work)
+    grid.psi = psi
     return grid
 
 
@@ -299,11 +358,12 @@ def propagate_free(grid, steps, sponge=True):
 def propagate_with_flux(grid, line, steps, sponge=True):
     """Evolve the grid minimally coupled to the flux line's cut phases.
 
-    The y step runs the free factor between the gauge shift U, which
-    multiplies the rows past the cut in the cut's columns by e^{i q flux},
-    and its inverse U^dag; that equals the Cayley step of the chain with the
-    phased link. With q*flux = 0, U is exactly 1 and the evolution
-    reproduces propagate_free bit for bit.
+    Each of the fused run's y steps runs the free factor between the gauge
+    shift U, which multiplies the rows past the cut in the cut's columns by
+    e^{i q flux}, and its inverse U^dag; that equals the Cayley step of the
+    chain with the phased link. The x factors and the sponge mask, applied
+    after each y step, are those of propagate_free. With q*flux = 0, U is
+    exactly 1 and the evolution reproduces propagate_free bit for bit.
     """
     if line is None:
         raise DomainError("flux line required; use propagate_free otherwise")

@@ -116,9 +116,10 @@ def test_cut_direction_matters_only_when_unquantized(packet128):
 
 @pytest.mark.parametrize("cut", ["+x", "-x"])
 def test_flux_step_matches_dense_phased_link_reference(cut):
-    # the same Strang step built densely, with the phased link written into
-    # the y Hamiltonian instead of applied as a gauge shift around the free
-    # factor; a conjugated phase flips the sign of theta and fails this
+    # the same fused Strang run built densely,
+    # x(dt/2) [y x(dt)]^(steps-1) y x(dt/2), with the phased link written
+    # into the y Hamiltonian instead of applied as a gauge shift around the
+    # free factor; a conjugated phase flips the sign of theta and fails this
     n, dt, steps, theta = 64, 0.4, 12, np.pi / 2.0
     grid = gaussian_packet(make_wave_grid(n, n, dt=dt), (24.0, 32.0), 8.0,
                            (0.9, 0.0))
@@ -132,18 +133,62 @@ def test_flux_step_matches_dense_phased_link_reference(cut):
         a = 0.5j * tau * ham
         return np.linalg.solve(np.eye(n) + a, np.eye(n) - a)
 
-    half_x, free_y = cayley(dt / 2.0), cayley(dt)
+    half_x, full_x, free_y = cayley(dt / 2.0), cayley(dt), cayley(dt)
     cut_y = cayley(dt, np.exp(1j * theta))
     cut_cols = np.arange(n) >= split if cut == "+x" else np.arange(n) < split
-    psi = grid.psi.copy()
-    for _ in range(steps):
-        psi = half_x @ psi
+    psi = half_x @ grid.psi
+    for step in range(1, steps + 1):
         psi[~cut_cols] = psi[~cut_cols] @ free_y.T
         psi[cut_cols] = psi[cut_cols] @ cut_y.T
-        psi = half_x @ psi
+        psi = (full_x if step < steps else half_x) @ psi
 
     propagate_with_flux(grid, line, steps, sponge=False)
     assert np.abs(grid.psi - psi).max() < 1e-12
+
+
+def test_free_factors_match_dense_cayley():
+    # the x factor sweeps axis 0 of a C-ordered array and the y factor
+    # solves axis 0 of psi.T; a non-square grid makes an axis mix-up fail
+    nx, ny, tau = 64, 70, 0.4
+    rng = np.random.default_rng(7)
+    psi = rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny))
+
+    def dense(n):
+        hop = np.diag(np.full(n - 1, -1.0 + 0j), 1)
+        a = 0.25j * tau * (hop + hop.T + 2.0 * np.eye(n))     # m = h = 1
+        return np.linalg.solve(np.eye(n) + a, np.eye(n) - a)
+
+    x = psi.copy()
+    interference._Thomas(nx, tau, 1.0, 1.0).cayley(x, np.empty_like(x))
+    assert np.abs(x - dense(nx) @ psi).max() <= 1e-14
+    y = psi.copy()
+    interference._Tridiag(ny, tau, 1.0, 1.0).cayley(y.T, np.empty_like(y).T)
+    assert np.abs(y - psi @ dense(ny).T).max() <= 1e-14
+
+
+def test_fused_split_is_second_order():
+    # the fused run x(dt/2) [y M x(dt)]^(N-1) y M x(dt/2) keeps the Strang
+    # order: halving dt cuts the error against a fine run about fourfold
+    line = FluxLine(position=(30.5, 33.5), flux=np.pi / 2.0, charge=1.0)
+
+    def run(dt, t_end=8.0):
+        grid = gaussian_packet(make_wave_grid(64, 64, dt=dt), (24.0, 32.0),
+                               8.0, (0.9, 0.0))
+        return propagate_with_flux(grid, line, int(round(t_end / dt)),
+                                   sponge=False).psi
+
+    ref = run(0.0125)
+    errs = [np.abs(run(dt) - ref).max() for dt in (0.4, 0.2, 0.1)]
+    assert errs[0] / errs[1] > 3.5
+    assert errs[1] / errs[2] > 3.5
+
+
+def test_zero_steps_apply_nothing(packet128):
+    g = packet128.copy()
+    propagate_free(g, 0)
+    assert np.array_equal(g.psi, packet128.psi)
+    propagate_with_flux(g, CFG128.flux_line(np.pi, 1.0), 0)
+    assert np.array_equal(g.psi, packet128.psi)
 
 
 def test_flux_periodicity(packet128):

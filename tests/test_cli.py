@@ -105,6 +105,8 @@ def test_usage_errors(tmp_path):
     (["fields", "--mu", "nan"], False),
     (["absim", "--mode", "fringe", "--nx", "64", "--ny", "64", "--steps",
       "2", "--slit-separation", "1e6", "--snapshots", "0"], False),
+    (["angmom", "--mu-list", "1", "--d-list", "1e-300"], False),
+    (["angmom", "--mu-list", "1", "--d-list", "5e-324"], False),
 ])
 def test_bad_inputs_are_usage_errors(tmp_path, argv, out_is_file):
     # non-finite values and an unusable --out never share the verdict code 1
@@ -132,6 +134,13 @@ def test_overflowing_screening_gives_zeros(tmp_path, argv, data, cols):
     for row in lines[1:]:
         values = dict(zip(header, row.split(",")))
         assert all(float(values[c]) == 0.0 for c in cols)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fields_near_the_source(tmp_path):
+    # fields of order 1e240 are finite and written, not overflowed to inf
+    assert main(["fields", "--r-min", "1e-120", "--r-max", "1e-100",
+                 "--out", str(tmp_path)]) == EXIT_OK
 
 
 def test_crash_has_its_own_exit_code(tmp_path, monkeypatch, capsys):
@@ -344,8 +353,13 @@ def test_absim_invisibility_output(tmp_path):
     assert "fringe_table" not in metrics
     assert (tmp_path / "absim_slice.csv").exists()
     assert not (tmp_path / "absim_free.f64").exists()
-    stages = _manifest(tmp_path, "absim")["stages_seconds"]
-    assert "invisibility" in stages and "write" in stages
+    man = _manifest(tmp_path, "absim")
+    assert "invisibility" in man["stages_seconds"]
+    assert "write" in man["stages_seconds"]
+    # the sponge absorbs a small, positive part of each unit-norm run
+    absorbed = man["diagnostics"]["invisibility_absorbed"]
+    assert len(absorbed["lines"]) == 1
+    assert all(0.0 < a < 0.1 for a in [absorbed["free"], *absorbed["lines"]])
 
 
 def test_absim_snapshots_written(tmp_path):

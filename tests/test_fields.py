@@ -115,6 +115,16 @@ def test_no_source_no_field():
     assert_allclose(yukawa_electric_field(cfg, (1.0, 1.0, 1.0)), 0.0)
 
 
+def test_fields_finite_near_the_source():
+    # |r|^3 underflows to 0 at |r| = 1e-120, but |r|^2 and the field
+    # 1/r^2 = 1e240 do not
+    cfg = PhysicalConfig(q=1.0, g=1.0, mu=1.0)
+    for field in (yukawa_electric_field, monopole_field):
+        b = field(cfg, (0.0, 0.0, 1e-120))
+        assert np.all(np.isfinite(b))
+        assert_allclose(b, [0.0, 0.0, 1e240], rtol=1e-12)
+
+
 def test_field_singular_at_origin():
     cfg = PhysicalConfig(q=1.0, g=0.5)
     with pytest.raises(SingularPointError):
