@@ -26,12 +26,12 @@ A = i tau H/2 with H the Hermitian hopping tridiagonal, prefactored once;
 applying it as (1 + A)^-1 (1 - A) = 2 (1 + A)^-1 - 1, the (1,1) Pade
 approximant of exp(-i tau H), keeps every factor exactly unitary and the
 fused split second order in dt (Strang, SIAM J. Numer. Anal. 5 (1968) 506).
-psi[ix, iy] stays C-ordered throughout: the x factors are pivot-free
-Thomas sweeps over its rows, vectorised over the columns, and the y factor
-is LAPACK gttrs on psi.T, which is Fortran-ordered, so a step makes no
-layout copy. The flux line's cut is a pure gauge shift on the open y
-chains it crosses: the phased-link y step equals U^dag Y U, with Y the
-free step and U = e^{i q Phi} on the rows past the cut in the cut's
+psi[ix, iy] stays C-ordered throughout: every factor is a pivot-free
+Thomas sweep, the x factors over its rows, vectorised over the columns,
+and the y factor over its columns, vectorised over the rows, so a step
+makes no layout copy. The flux line's cut is a pure gauge shift on the
+open y chains it crosses: the phased-link y step equals U^dag Y U, with Y
+the free step and U = e^{i q Phi} on the rows past the cut in the cut's
 columns, so the string costs two diagonal multiplies and no second factor.
 Open boundaries are faked by a cosine-ramp absorbing sponge, disabled for
 norm accounting.
@@ -49,7 +49,6 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 from scipy.linalg.blas import get_blas_funcs
 
 from .errors import DomainError, StabilityError
@@ -184,75 +183,53 @@ def two_gaussian_packet(grid, center, separation, width, momentum):
 # propagation engine
 # ---------------------------------------------------------------------------
 
-def _free_chain(tau, m, h):
-    """(c, d): 1 + A = 1 + i tau H/2 for the free hopping Hamiltonian of an
-    open chain has d on the diagonal and c on both off-diagonals."""
-    alpha = tau / (4.0 * m * h * h)
-    return -1j * alpha, 1.0 + 2j * alpha
-
-
-class _Tridiag:
-    """Free factor 1 + A of an open n-chain, prefactored by LAPACK gttrf and
-    applied along axis 0 of a Fortran-ordered array by gttrs."""
-
-    def __init__(self, n, tau, m, h):
-        c, d = _free_chain(tau, m, h)
-        gttrf, self._gttrs = get_lapack_funcs(
-            ("gttrf", "gttrs"), (np.empty(0, dtype=np.complex128),))
-        off = np.full(n - 1, c)
-        *self._args, info = gttrf(off, np.full(n, d), off)
-        if info != 0:
-            raise StabilityError(
-                f"tridiagonal factorization failed (info={info})")
-
-    def cayley(self, b, work):
-        """b := (1 + A)^-1 (1 - A) b = 2 (1 + A)^-1 b - b, in place.
-
-        b is (n, nrhs) and Fortran-ordered; work is scratch of its shape and
-        order, solved in place.
-        """
-        np.multiply(b, 2.0, out=work)
-        x, info = self._gttrs(*self._args, work, overwrite_b=1)
-        if info != 0:
-            raise StabilityError(f"tridiagonal solve failed (info={info})")
-        np.subtract(x, b, out=b)
-
-
 class _Thomas:
-    """Free factor 1 + A of an open n-chain as a pivot-free LU (Thomas),
-    applied along axis 0 of a C-ordered array one row at a time.
+    """Free factor 1 + A of an open n-chain, A = i tau H/2, as a pivot-free
+    LU (Thomas), applied along one axis of a C-ordered 2-D array.
 
-    1 + A is strictly diagonally dominant (|1 + 2i alpha| > 2 alpha), so LU
-    without pivoting is stable (Golub & Van Loan, Matrix Computations, 4th
-    ed., sec. 4.3). With u_k the pivots, w = 2 U^-1 L^-1 b is swept as
-    w_k = (2/u_k) b_k - (c/u_k) w_{k-1} down the rows and back up as
-    w_k -= (c/u_k) w_{k+1}; each row update is one BLAS axpy over all
-    columns.
+    1 + A has d = 1 + 2i alpha on the diagonal and c = -i alpha on both
+    off-diagonals, alpha = tau/(4 m h^2). It is strictly diagonally
+    dominant (|d| > 2 alpha), so LU without pivoting is stable (Golub & Van
+    Loan, Matrix Computations, 4th ed., sec. 4.3). With u_k the pivots,
+    w = 2 U^-1 L^-1 b is swept as w_k = (2/u_k) b_k - (c/u_k) w_{k-1} down
+    the lines of the axis and back up as w_k -= (c/u_k) w_{k+1}; each line
+    update is one BLAS axpy over the flattened array, contiguous for the
+    rows (axis 0) and strided by the row length for the columns (axis 1).
     """
 
     def __init__(self, n, tau, m, h):
-        c, d = _free_chain(tau, m, h)
+        alpha = tau / (4.0 * m * h * h)
+        c, d = -1j * alpha, 1.0 + 2j * alpha
         pivots = [d]
         for _ in range(n - 1):
             pivots.append(d - c * c / pivots[-1])
-        self._scale = np.array([2.0 / u for u in pivots])[:, None]
+        self._scale = np.array([2.0 / u for u in pivots])
         self._coef = [-c / u for u in pivots]
         self._axpy = get_blas_funcs("axpy", (self._scale,))
 
-    def cayley(self, psi, work):
-        """psi := (1 + A)^-1 (1 - A) psi = 2 (1 + A)^-1 psi - psi, in place.
+    def cayley(self, psi, work, axis):
+        """psi := (1 + A)^-1 (1 - A) psi = 2 (1 + A)^-1 psi - psi along
+        `axis`, in place.
 
-        psi is (n, ncols) and C-ordered; work is C-ordered scratch of its
-        shape, swept in place.
+        psi is C-ordered with n entries along `axis`; work is C-ordered
+        scratch of its shape, swept in place.
         """
         axpy, coef = self._axpy, self._coef
-        np.multiply(psi, self._scale, out=work)
-        rows = list(work)
-        ncols = work.shape[1]
-        for k in range(1, len(rows)):
-            axpy(rows[k - 1], rows[k], ncols, coef[k])
-        for k in range(len(rows) - 2, -1, -1):
-            axpy(rows[k + 1], rows[k], ncols, coef[k])
+        ncols = psi.shape[1]
+        if axis == 0:
+            np.multiply(psi, self._scale[:, None], out=work)
+            stride, inc = ncols, 1          # line k is row k
+        else:
+            np.multiply(psi, self._scale, out=work)
+            stride, inc = 1, ncols          # line k is column k
+        flat = work.reshape(-1)
+        size = psi.size // len(coef)
+        for k in range(1, len(coef)):
+            axpy(flat, flat, size, coef[k], (k - 1) * stride, inc,
+                 k * stride, inc)
+        for k in range(len(coef) - 2, -1, -1):
+            axpy(flat, flat, size, coef[k], (k + 1) * stride, inc,
+                 k * stride, inc)
         np.subtract(work, psi, out=psi)
 
 
@@ -331,21 +308,21 @@ def _propagate(grid, line, steps, sponge):
 
     half_x = _Thomas(grid.nx, grid.dt / 2.0, grid.m, grid.h)
     full_x = _Thomas(grid.nx, grid.dt, grid.m, grid.h)
-    full_y = _Tridiag(grid.ny, grid.dt, grid.m, grid.h)
+    full_y = _Thomas(grid.ny, grid.dt, grid.m, grid.h)
     mask = _sponge_mask(grid) if sponge else None
 
-    # the x sweeps run over the rows of C-ordered psi and the y solve over
-    # psi.T, which is Fortran-ordered; work is the one scratch array
+    # every factor sweeps the C-ordered psi in place; work is the one
+    # scratch array
     psi = np.ascontiguousarray(grid.psi, dtype=np.complex128)
     work = np.empty_like(psi)
-    half_x.cayley(psi, work)
+    half_x.cayley(psi, work, 0)
     for step in range(1, steps + 1):
         psi[gauge] *= phase
-        full_y.cayley(psi.T, work.T)
+        full_y.cayley(psi, work, 1)
         psi[gauge] *= np.conj(phase)
         if mask is not None:
             psi *= mask
-        (full_x if step < steps else half_x).cayley(psi, work)
+        (full_x if step < steps else half_x).cayley(psi, work, 0)
     grid.psi = psi
     return grid
 

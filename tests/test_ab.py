@@ -147,8 +147,8 @@ def test_flux_step_matches_dense_phased_link_reference(cut):
 
 
 def test_free_factors_match_dense_cayley():
-    # the x factor sweeps axis 0 of a C-ordered array and the y factor
-    # solves axis 0 of psi.T; a non-square grid makes an axis mix-up fail
+    # the x factor sweeps the rows of a C-ordered array and the y factor its
+    # columns; a non-square grid makes an axis mix-up fail
     nx, ny, tau = 64, 70, 0.4
     rng = np.random.default_rng(7)
     psi = rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny))
@@ -159,10 +159,10 @@ def test_free_factors_match_dense_cayley():
         return np.linalg.solve(np.eye(n) + a, np.eye(n) - a)
 
     x = psi.copy()
-    interference._Thomas(nx, tau, 1.0, 1.0).cayley(x, np.empty_like(x))
+    interference._Thomas(nx, tau, 1.0, 1.0).cayley(x, np.empty_like(x), 0)
     assert np.abs(x - dense(nx) @ psi).max() <= 1e-14
     y = psi.copy()
-    interference._Tridiag(ny, tau, 1.0, 1.0).cayley(y.T, np.empty_like(y).T)
+    interference._Thomas(ny, tau, 1.0, 1.0).cayley(y, np.empty_like(y), 1)
     assert np.abs(y - psi @ dense(ny).T).max() <= 1e-14
 
 
