@@ -26,15 +26,20 @@ the tail past r_max is added in closed form; for mu > 0 the tail is bounded
 by its exponential envelope and r_max is pushed out until that bound is
 below a tenth of the target tolerance.
 
-Every breakpoint is an exact multiple of d, eps or the inner panel's lower
-limit lo by a scale-free factor (a power of two, a small integer, or
-(b/lo)^(j/m)), and the r_max push depends only on mu*(r_max - d) and exact
-powers of d. So J(2^k d, mu/2^k) is bitwise J(d, mu). np.geomspace(lo, b)
-must not build the inner panels: its log10 rounding breaks that.
+J depends on d and mu only through mu*d, so field_angular_momentum
+evaluates it on the unit pair, J(d, mu) = J(1, mu*d): the d^2 prefactor and
+the d^4-sized products of the integrand then neither underflow nor overflow
+at any separation. The layers below still take d. Every breakpoint is an
+exact multiple of d, eps or the inner panel's lower limit lo by a
+scale-free factor (a power of two, a small integer, or (b/lo)^(j/m)), and
+the r_max push depends only on mu*(r_max - d) and exact powers of d, so
+they scale exactly with d. np.geomspace(lo, b) must not build the inner
+panels: its log10 rounding breaks that.
 """
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -196,6 +201,9 @@ def field_angular_momentum(pair, quad=None):
     relative to |q*g|.
     """
     quad = quad if quad is not None else QuadratureSpec()
+    # J(d, mu) = J(1, mu*d); a mu*d past the largest float screens J to 0
+    # as the largest float does
+    pair = replace(pair, d=1.0, mu=min(pair.mu * pair.d, sys.float_info.max))
     eps0, r_max = quad.resolve(pair)
     scale = abs(pair.q * pair.g)
     if scale == 0.0:

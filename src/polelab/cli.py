@@ -345,6 +345,24 @@ def _absorbed(free, grids):
             "lines": [1.0 - grid.norm() for grid in grids]}
 
 
+def _experiment(run, key, sim_cfg, packet, lines):
+    """run_experiment, recording in the diagnostics under `key` what it
+    did: propagations, steps per propagation, Cayley solves (2N + 1 per
+    propagation of N > 0 fused Strang steps) and the wall ms per step of
+    the whole call."""
+    t0 = time.perf_counter()
+    free, grids = run_experiment(sim_cfg, packet, lines)
+    seconds = time.perf_counter() - t0
+    steps, runs = sim_cfg.resolved_steps(), len(lines) + 1
+    run.diagnostics[key] = {
+        "propagations": runs,
+        "steps": steps,
+        "solves": runs * (2 * steps + 1) if steps else 0,
+        "ms_per_step": 1e3 * seconds / (runs * steps) if steps else 0.0,
+    }
+    return free, grids
+
+
 def cmd_absim(run):
     cfg = run.config
     if cfg["mode"] not in ("invisibility", "fringe", "both"):
@@ -364,7 +382,8 @@ def cmd_absim(run):
 
     if invisibility:
         with run.stage("invisibility"):
-            free, (flux_grid,) = run_experiment(sim_cfg, "single", [inv_line])
+            free, (flux_grid,) = _experiment(
+                run, "invisibility_propagation", sim_cfg, "single", [inv_line])
             metric = measure_invisibility(sim_cfg, flux_grid, free)
         payload["invisibility"] = {
             "flux": cfg["flux"],
@@ -388,7 +407,8 @@ def cmd_absim(run):
 
     if fringe:
         with run.stage("fringe"):
-            free, grids = run_experiment(sim_cfg, "two_slit", fringe_lines)
+            free, grids = _experiment(run, "fringe_propagation", sim_cfg,
+                                      "two_slit", fringe_lines)
             table = [(line.flux, *measure_fringe(sim_cfg, line, grid, free))
                      for line, grid in zip(fringe_lines, grids)]
         payload["fringe_table"] = [

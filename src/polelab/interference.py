@@ -26,15 +26,27 @@ A = i tau H/2 with H the Hermitian hopping tridiagonal, prefactored once;
 applying it as (1 + A)^-1 (1 - A) = 2 (1 + A)^-1 - 1, the (1,1) Pade
 approximant of exp(-i tau H), keeps every factor exactly unitary and the
 fused split second order in dt (Strang, SIAM J. Numer. Anal. 5 (1968) 506).
-psi[ix, iy] stays C-ordered throughout: every factor is a pivot-free
-Thomas sweep, the x factors over its rows, vectorised over the columns,
-and the y factor over its columns, vectorised over the rows, so a step
-makes no layout copy. The flux line's cut is a pure gauge shift on the
-open y chains it crosses: the phased-link y step equals U^dag Y U, with Y
-the free step and U = e^{i q Phi} on the rows past the cut in the cut's
-columns, so the string costs two diagonal multiplies and no second factor.
-Open boundaries are faked by a cosine-ramp absorbing sponge, disabled for
-norm accounting.
+Every factor is a pivot-free Thomas sweep of psi[ix, iy] in place, one
+BLAS axpy per line: the x factors over its rows, vectorised over the
+columns, and the y factor over its columns, vectorised over the rows, so a
+step makes no layout copy. psi is stepped as the leading columns of a
+buffer whose rows are ROW_PAD zero entries (64 bytes) longer: with rows of
+2^k entries every element of a column would sit a multiple of 4 KiB from
+the next, all in one L1 cache set, and the y sweep would evict its own
+lines. The pad stays zero, so the x sweeps and the elementwise arithmetic
+run over the whole contiguous buffer.
+
+The flux line enters only the y factor. On the y chains of the rows its
+cut crosses, the link past the puncture carries e^{i q Phi}; there the
+factor is U^dag (1 + A) U, with U = e^{i q Phi} on the entries past the
+link, so it keeps the free pivots, and its sweep is the free one with the
+two updates across the link scaled by e^{-i q Phi} going down and
+e^{+i q Phi} going up on those rows. The string thus costs no multiply of
+psi and no second factor, and q Phi = 0 leaves every coefficient, and the
+run, that of the free one bit for bit. Open boundaries are faked by a
+cosine-ramp absorbing sponge, disabled for norm accounting; its mask is
+exactly 1 inside a band along the walls, so M multiplies only the band's
+four edge slabs.
 
 Both experiments go through one driver, run_experiment: it checks every
 flux line, then propagates the packet free once and once per line, so the
@@ -54,6 +66,8 @@ from scipy.linalg.blas import get_blas_funcs
 from .errors import DomainError, StabilityError
 
 MIN_GRID = 64
+ROW_PAD = 4     # zero columns after each row of the stepped psi: 64 bytes,
+                # so a row stride is never a multiple of 4 KiB
 SPONGE_FRACTION = 0.10          # absorber width per side, fraction of the grid
 SPONGE_STRENGTH = 0.5           # absorption rate at the wall, per unit time
 # canonical geometry along x, as fractions of the grid width
@@ -183,9 +197,15 @@ def two_gaussian_packet(grid, center, separation, width, momentum):
 # propagation engine
 # ---------------------------------------------------------------------------
 
+def _rows(a, row):
+    """The whole rows of the C-ordered buffer whose leading columns are a:
+    a.shape[0] rows of `row` entries, pad columns included."""
+    return np.lib.stride_tricks.as_strided(a, (a.shape[0], row))
+
+
 class _Thomas:
-    """Free factor 1 + A of an open n-chain, A = i tau H/2, as a pivot-free
-    LU (Thomas), applied along one axis of a C-ordered 2-D array.
+    """Factor 1 + A of an open n-chain, A = i tau H/2, as a pivot-free LU
+    (Thomas), applied along one axis of a row-major 2-D array.
 
     1 + A has d = 1 + 2i alpha on the diagonal and c = -i alpha on both
     off-diagonals, alpha = tau/(4 m h^2). It is strictly diagonally
@@ -194,43 +214,72 @@ class _Thomas:
     w = 2 U^-1 L^-1 b is swept as w_k = (2/u_k) b_k - (c/u_k) w_{k-1} down
     the lines of the axis and back up as w_k -= (c/u_k) w_{k+1}; each line
     update is one BLAS axpy over the flattened array, contiguous for the
-    rows (axis 0) and strided by the row length for the columns (axis 1).
+    rows (axis 0) and strided by the row stride for the columns (axis 1).
+
+    link = (cut, j, phase) puts a Peierls phase on the bond between lines j
+    and j + 1 in the entries `cut` (a slice) of every line. There the
+    factor is U^dag (1 + A) U, U = phase on lines j + 1 on, so its LU has
+    the same pivots: (U^dag (1 + A) U)^-1 = U^dag (1 + A)^-1 U is the free
+    sweep with the update of line j + 1 from line j scaled by conj(phase)
+    on the cut entries and that of line j from line j + 1 by phase. A phase
+    of exactly 1 leaves every coefficient unchanged.
     """
 
-    def __init__(self, n, tau, m, h):
+    def __init__(self, n, tau, m, h, link=None):
         alpha = tau / (4.0 * m * h * h)
         c, d = -1j * alpha, 1.0 + 2j * alpha
         pivots = [d]
         for _ in range(n - 1):
             pivots.append(d - c * c / pivots[-1])
-        self._scale = np.array([2.0 / u for u in pivots])
+        # zeros past the chain, for the pad columns of a row
+        self._scale = np.array([2.0 / u for u in pivots] + [0.0] * ROW_PAD)
         self._coef = [-c / u for u in pivots]
         self._axpy = get_blas_funcs("axpy", (self._scale,))
+        # the sweep as (line, line it is updated from, phase across the
+        # link on the cut entries or None), down the lines and back up
+        self._cut, j, phase = link if link is not None else (None, -1, None)
+        self._updates = (
+            [(k, k - 1, np.conj(phase) if k == j + 1 else None)
+             for k in range(1, n)]
+            + [(k, k + 1, phase if k == j else None)
+               for k in range(n - 2, -1, -1)])
 
     def cayley(self, psi, work, axis):
         """psi := (1 + A)^-1 (1 - A) psi = 2 (1 + A)^-1 psi - psi along
         `axis`, in place.
 
-        psi is C-ordered with n entries along `axis`; work is C-ordered
-        scratch of its shape, swept in place.
+        psi has n entries along `axis`. psi and the scratch work are
+        C-ordered, or the leading columns of C-ordered buffers with the row
+        stride of psi.strides whose remaining pad columns, at most ROW_PAD,
+        are zero. The pads stay zero, so the x sweep and the elementwise
+        arithmetic run over the whole buffer.
         """
         axpy, coef = self._axpy, self._coef
-        ncols = psi.shape[1]
+        rows, row = psi.shape[0], psi.strides[0] // psi.itemsize
+        whole, scratch = _rows(psi, row), _rows(work, row)
         if axis == 0:
-            np.multiply(psi, self._scale[:, None], out=work)
-            stride, inc = ncols, 1          # line k is row k
+            # line k is row k, pad columns and all
+            scale, stride, inc, size = self._scale[:rows, None], row, 1, row
         else:
-            np.multiply(psi, self._scale, out=work)
-            stride, inc = 1, ncols          # line k is column k
-        flat = work.reshape(-1)
-        size = psi.size // len(coef)
-        for k in range(1, len(coef)):
-            axpy(flat, flat, size, coef[k], (k - 1) * stride, inc,
-                 k * stride, inc)
-        for k in range(len(coef) - 2, -1, -1):
-            axpy(flat, flat, size, coef[k], (k + 1) * stride, inc,
-                 k * stride, inc)
-        np.subtract(work, psi, out=psi)
+            # line k is column k
+            scale, stride, inc, size = self._scale[:row], 1, row, rows
+        np.multiply(whole, scale, out=scratch)
+        flat = scratch.reshape(-1)
+        if self._cut is not None:
+            lo, hi, _ = self._cut.indices(size)
+        for dst, src, phase in self._updates:
+            a = coef[dst]
+            if phase is None:
+                axpy(flat, flat, size, a, src * stride, inc, dst * stride,
+                     inc)
+                continue
+            for first, end, w in ((0, lo, a), (lo, hi, a * phase),
+                                  (hi, size, a)):
+                if end > first:
+                    axpy(flat, flat, end - first, w,
+                         src * stride + first * inc, inc,
+                         dst * stride + first * inc, inc)
+        np.subtract(scratch, whole, out=whole)
 
 
 def _check_stability(grid):
@@ -257,10 +306,11 @@ def _snap_cut(grid, line):
     return i0 + 1, j0
 
 
-def _gauge_shift(grid, line, sponge):
+def _cut_link(grid, line, sponge):
     """Check that the line sits on the grid, clear of the sponge, and return
-    its gauge shift U as (index of the rows past the cut in the cut's
-    columns, e^{i q flux})."""
+    its cut as the y factor's link (rows, j0, e^{i q flux}): in the rows of
+    psi the cut crosses (a slice of x indices), the link between columns j0
+    and j0 + 1 carries the phase."""
     margin = (SPONGE_FRACTION * grid.h * grid.nx if sponge else 0.0) \
         + 2.0 * grid.h
     x0, y0 = line.position
@@ -269,15 +319,19 @@ def _gauge_shift(grid, line, sponge):
         raise DomainError("flux line must sit inside the grid, clear of the "
                           "boundary sponge")
     split, j0 = _snap_cut(grid, line)
-    cols = slice(split, None) if line.cut == "+x" else slice(None, split)
-    return (cols, slice(j0 + 1, None)), np.exp(1j * line.charge * line.flux)
+    cut = slice(split, None) if line.cut == "+x" else slice(None, split)
+    return cut, j0, np.exp(1j * line.charge * line.flux)
+
+
+def _sponge_width(n):
+    return max(int(round(SPONGE_FRACTION * n)), 2)
 
 
 def _sponge_mask(grid):
     """Cosine-ramp absorber: per-step amplitude factor, 1 in the interior."""
 
     def ramp(n):
-        w = max(int(round(SPONGE_FRACTION * n)), 2)
+        w = _sponge_width(n)
         prof = np.ones(n)
         s = np.arange(w) / w           # 0 at the inner edge, 1 at the wall
         damp = np.exp(-grid.dt * SPONGE_STRENGTH * 0.5
@@ -289,41 +343,52 @@ def _sponge_mask(grid):
     return ramp(grid.nx)[:, None] * ramp(grid.ny)[None, :]
 
 
+def _sponge_band(grid):
+    """The sponge mask as [(index, slab)] over its four edge slabs. Inside
+    them the mask is exactly 1, so multiplying each psi[index] by its slab
+    gives the values of multiplying psi by the whole mask."""
+    mask = _sponge_mask(grid)
+    wx, wy = _sponge_width(grid.nx), _sponge_width(grid.ny)
+    inner = slice(wx, grid.nx - wx)
+    return [(index, mask[index].copy()) for index in
+            (np.s_[:wx], np.s_[grid.nx - wx:],
+             np.s_[inner, :wy], np.s_[inner, grid.ny - wy:])]
+
+
 def _propagate(grid, line, steps, sponge):
-    """Run `steps` fused Strang steps on grid.psi in place (see the module
-    docstring): x(dt/2) [y M x(dt)]^(steps-1) y M x(dt/2), with y gauged by
-    the line's shift U when a line is given and M = 1 without the sponge.
+    """Run `steps` fused Strang steps on grid.psi (see the module
+    docstring): x(dt/2) [y M x(dt)]^(steps-1) y M x(dt/2), with the line's
+    phased link in y when a line is given and M = 1 without the sponge.
     Everything is checked before the first factor; zero steps apply
     nothing."""
     if not isinstance(steps, (int, np.integer)) or steps < 0:
         raise DomainError("steps must be a nonnegative integer")
     _check_stability(grid)
-
-    # gauge shift U: psi[gauge] *= phase; a free run shifts an empty region
-    gauge, phase = (slice(0), slice(0)), 1.0
-    if line is not None:
-        gauge, phase = _gauge_shift(grid, line, sponge)
+    link = _cut_link(grid, line, sponge) if line is not None else None
     if steps == 0:
         return grid
 
-    half_x = _Thomas(grid.nx, grid.dt / 2.0, grid.m, grid.h)
-    full_x = _Thomas(grid.nx, grid.dt, grid.m, grid.h)
-    full_y = _Thomas(grid.ny, grid.dt, grid.m, grid.h)
-    mask = _sponge_mask(grid) if sponge else None
+    nx, ny = grid.psi.shape
+    half_x = _Thomas(nx, grid.dt / 2.0, grid.m, grid.h)
+    full_x = _Thomas(nx, grid.dt, grid.m, grid.h)
+    full_y = _Thomas(ny, grid.dt, grid.m, grid.h, link)
+    band = _sponge_band(grid) if sponge else []
 
-    # every factor sweeps the C-ordered psi in place; work is the one
-    # scratch array
-    psi = np.ascontiguousarray(grid.psi, dtype=np.complex128)
-    work = np.empty_like(psi)
+    # psi is stepped in place as the leading columns of a zero-padded
+    # buffer, work is the one scratch array; grid.psi's old array goes
+    # before work comes, so two grid-sized arrays are live at a time
+    psi = np.zeros((nx, ny + ROW_PAD), dtype=np.complex128)[:, :ny]
+    psi[...] = grid.psi
+    grid.psi = psi
+    work = np.zeros((nx, ny + ROW_PAD), dtype=np.complex128)[:, :ny]
     half_x.cayley(psi, work, 0)
     for step in range(1, steps + 1):
-        psi[gauge] *= phase
         full_y.cayley(psi, work, 1)
-        psi[gauge] *= np.conj(phase)
-        if mask is not None:
-            psi *= mask
+        for index, slab in band:
+            psi[index] *= slab
         (full_x if step < steps else half_x).cayley(psi, work, 0)
-    grid.psi = psi
+    del work
+    grid.psi = np.ascontiguousarray(psi)
     return grid
 
 
@@ -335,12 +400,12 @@ def propagate_free(grid, steps, sponge=True):
 def propagate_with_flux(grid, line, steps, sponge=True):
     """Evolve the grid minimally coupled to the flux line's cut phases.
 
-    Each of the fused run's y steps runs the free factor between the gauge
-    shift U, which multiplies the rows past the cut in the cut's columns by
-    e^{i q flux}, and its inverse U^dag; that equals the Cayley step of the
-    chain with the phased link. The x factors and the sponge mask, applied
-    after each y step, are those of propagate_free. With q*flux = 0, U is
-    exactly 1 and the evolution reproduces propagate_free bit for bit.
+    Each of the fused run's y steps is the Cayley step of the y chains
+    with the cut's phased link, swept as the free factor gauged by U, which
+    multiplies the entries past the link in the rows the cut crosses by
+    e^{i q flux}. The x factors and the sponge mask, applied after each y
+    step, are those of propagate_free. With q*flux = 0 the phase is exactly
+    1 and the evolution reproduces propagate_free bit for bit.
     """
     if line is None:
         raise DomainError("flux line required; use propagate_free otherwise")
@@ -507,7 +572,7 @@ def run_experiment(config, packet, lines):
                            config.dt)
     steps = config.resolved_steps()
     for line in lines:
-        _gauge_shift(grid0, line, sponge=True)
+        _cut_link(grid0, line, sponge=True)
     src, _, _ = config.geometry()
     if packet == "single":
         gaussian_packet(grid0, src, config.packet_width, (config.k, 0.0))

@@ -146,7 +146,24 @@ def test_flux_step_matches_dense_phased_link_reference(cut):
     assert np.abs(grid.psi - psi).max() < 1e-12
 
 
-def test_free_factors_match_dense_cayley():
+def _stepping_layout(a, padded):
+    """A copy of a, C-ordered or as the leading columns of a zero-padded
+    buffer, the layout _propagate steps psi in."""
+    if not padded:
+        return a.copy()
+    buf = np.zeros((a.shape[0], a.shape[1] + interference.ROW_PAD),
+                   dtype=np.complex128)
+    buf[:, :a.shape[1]] = a
+    return buf[:, :a.shape[1]]
+
+
+def _pad_is_zero(a):
+    return a.base is None or not a.base[:, a.shape[1]:].any()
+
+
+@pytest.mark.parametrize("padded", [False, True],
+                         ids=["contiguous", "padded"])
+def test_free_factors_match_dense_cayley(padded):
     # the x factor sweeps the rows of a C-ordered array and the y factor its
     # columns; a non-square grid makes an axis mix-up fail
     nx, ny, tau = 64, 70, 0.4
@@ -158,12 +175,59 @@ def test_free_factors_match_dense_cayley():
         a = 0.25j * tau * (hop + hop.T + 2.0 * np.eye(n))     # m = h = 1
         return np.linalg.solve(np.eye(n) + a, np.eye(n) - a)
 
-    x = psi.copy()
-    interference._Thomas(nx, tau, 1.0, 1.0).cayley(x, np.empty_like(x), 0)
+    x = _stepping_layout(psi, padded)
+    work = _stepping_layout(np.zeros_like(psi), padded)
+    interference._Thomas(nx, tau, 1.0, 1.0).cayley(x, work, 0)
     assert np.abs(x - dense(nx) @ psi).max() <= 1e-14
-    y = psi.copy()
-    interference._Thomas(ny, tau, 1.0, 1.0).cayley(y, np.empty_like(y), 1)
+    y = _stepping_layout(psi, padded)
+    interference._Thomas(ny, tau, 1.0, 1.0).cayley(y, work, 1)
     assert np.abs(y - psi @ dense(ny).T).max() <= 1e-14
+    assert _pad_is_zero(x) and _pad_is_zero(y) and _pad_is_zero(work)
+
+
+@pytest.mark.parametrize("padded", [False, True],
+                         ids=["contiguous", "padded"])
+@pytest.mark.parametrize("cut", ["+x", "-x"])
+def test_folded_link_is_gauged_free_factor(cut, padded):
+    # the y factor with the line's phased link folded into its sweep equals
+    # the free factor between the gauge shift U and U^dag, U = e^{i q flux}
+    # on the rows past the cut in the cut's columns; the +x cut's rows reach
+    # row nx, the -x cut's start at row 0
+    nx, ny, tau = 64, 70, 0.4
+    grid = make_wave_grid(nx, ny, dt=tau)
+    line = FluxLine(position=(30.5, 40.5), flux=1.3, charge=1.0, cut=cut)
+    link = interference._cut_link(grid, line, sponge=False)
+    rows, j0, phase = link
+    assert (rows.start, rows.stop) == ((31, None) if cut == "+x"
+                                       else (None, 31))
+    assert j0 == 40
+    rng = np.random.default_rng(11)
+    psi = rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny))
+
+    explicit = psi.copy()
+    explicit[rows, j0 + 1:] *= phase
+    interference._Thomas(ny, tau, 1.0, 1.0).cayley(
+        explicit, np.empty_like(explicit), 1)
+    explicit[rows, j0 + 1:] *= np.conj(phase)
+
+    folded = _stepping_layout(psi, padded)
+    work = _stepping_layout(np.zeros_like(psi), padded)
+    interference._Thomas(ny, tau, 1.0, 1.0, link).cayley(folded, work, 1)
+    assert np.abs(folded - explicit).max() <= 1e-14
+    assert _pad_is_zero(folded) and _pad_is_zero(work)
+
+
+@pytest.mark.parametrize("shape", [(64, 70), (128, 128)])
+def test_sponge_band_equals_whole_mask(shape):
+    # the mask is exactly 1 inside the four edge slabs, so multiplying only
+    # the slabs gives the values of the whole-mask multiply
+    grid = make_wave_grid(*shape)
+    rng = np.random.default_rng(3)
+    psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    banded = psi.copy()
+    for index, slab in interference._sponge_band(grid):
+        banded[index] *= slab
+    assert np.array_equal(banded, psi * interference._sponge_mask(grid))
 
 
 def test_fused_split_is_second_order():

@@ -125,15 +125,31 @@ def test_bad_inputs_are_usage_errors(tmp_path, argv, out_is_file):
     (["fields", "--mu", "1e308"], "fields.csv", ("e_screened", "q_local")),
     (["angmom", "--mu-list", "1e308", "--d-list", "1"], "angmom.csv",
      ("J_z", "err")),
+    (["angmom", "--mu-list", "1e300", "--d-list", "1e10"], "angmom.csv",
+     ("J_z", "err")),
 ])
 def test_overflowing_screening_gives_zeros(tmp_path, argv, data, cols):
-    # mu r overflows to inf; the screening weight is 0 there, not inf * 0
+    # mu r (or mu d) overflows to inf; the screening weight is 0 there, not
+    # inf * 0
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
     lines = _read(tmp_path / data).decode().strip().split("\n")[1:]
     header = lines[0].split(",")
     for row in lines[1:]:
         values = dict(zip(header, row.split(",")))
         assert all(float(values[c]) == 0.0 for c in cols)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("d", ["1e-100", "1e100", "1e200"])
+def test_massless_pair_at_extreme_separations(tmp_path, d):
+    # J depends on d only through mu d, so the massless pair carries q g at
+    # any separation, also where d^4 underflows or d^2 overflows
+    assert main(["angmom", "--mu-list", "0", "--d-list", d,
+                 "--out", str(tmp_path)]) == EXIT_OK
+    lines = _read(tmp_path / "angmom.csv").decode().strip().split("\n")[1:]
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert abs(float(row["J_z"]) - 0.5) < 1e-12
+    assert row["converged"] == "1"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -360,6 +376,12 @@ def test_absim_invisibility_output(tmp_path):
     absorbed = man["diagnostics"]["invisibility_absorbed"]
     assert len(absorbed["lines"]) == 1
     assert all(0.0 < a < 0.1 for a in [absorbed["free"], *absorbed["lines"]])
+    # the free run and one line run, each 2N + 1 solves for N fused steps
+    prop = man["diagnostics"]["invisibility_propagation"]
+    steps = metrics["invisibility"]["steps"]
+    assert prop["propagations"] == 2 and prop["steps"] == steps > 0
+    assert prop["solves"] == 2 * (2 * steps + 1)
+    assert prop["ms_per_step"] > 0.0
 
 
 def test_absim_snapshots_written(tmp_path):
