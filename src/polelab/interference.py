@@ -55,6 +55,7 @@ measure_fringe read the two consequences off fixed windows of the
 canonical geometry (module constants, like the sponge's width and rate).
 """
 
+import copy
 import json
 import math
 import os
@@ -250,8 +251,8 @@ class _Thomas:
 
         psi has n entries along `axis`. psi and the scratch work are
         C-ordered, or the leading columns of C-ordered buffers with the row
-        stride of psi.strides whose remaining pad columns, at most ROW_PAD,
-        are zero. The pads stay zero, so the x sweep and the elementwise
+        stride of psi.strides. psi's remaining pad columns, at most ROW_PAD,
+        must be zero and stay zero, so the x sweep and the elementwise
         arithmetic run over the whole buffer.
         """
         axpy, coef = self._axpy, self._coef
@@ -360,7 +361,8 @@ def _propagate(grid, line, steps, sponge):
     docstring): x(dt/2) [y M x(dt)]^(steps-1) y M x(dt/2), with the line's
     phased link in y when a line is given and M = 1 without the sponge.
     Everything is checked before the first factor; zero steps apply
-    nothing."""
+    nothing. grid.psi is rebound to a new C-ordered array; the array it
+    held is read once and never written."""
     if not isinstance(steps, (int, np.integer)) or steps < 0:
         raise DomainError("steps must be a nonnegative integer")
     _check_stability(grid)
@@ -380,7 +382,7 @@ def _propagate(grid, line, steps, sponge):
     psi = np.zeros((nx, ny + ROW_PAD), dtype=np.complex128)[:, :ny]
     psi[...] = grid.psi
     grid.psi = psi
-    work = np.zeros((nx, ny + ROW_PAD), dtype=np.complex128)[:, :ny]
+    work = np.empty((nx, ny + ROW_PAD), dtype=np.complex128)[:, :ny]
     half_x.cayley(psi, work, 0)
     for step in range(1, steps + 1):
         full_y.cayley(psi, work, 1)
@@ -581,8 +583,10 @@ def run_experiment(config, packet, lines):
                             config.packet_width, (config.k, 0.0))
     else:
         raise DomainError("packet must be 'single' or 'two_slit'")
-    free = propagate_free(grid0.copy(), steps)
-    return free, [propagate_with_flux(grid0.copy(), line, steps)
+    # a propagation never writes the psi array it is given, so every run
+    # can start from a shallow copy of the packet
+    free = propagate_free(copy.copy(grid0), steps)
+    return free, [propagate_with_flux(copy.copy(grid0), line, steps)
                   for line in lines]
 
 
