@@ -191,8 +191,8 @@ def test_free_factors_match_dense_cayley(padded):
 def test_folded_link_is_gauged_free_factor(cut, padded):
     # the y factor with the line's phased link folded into its sweep equals
     # the free factor between the gauge shift U and U^dag, U = e^{i q flux}
-    # on the rows past the cut in the cut's columns; the +x cut's rows reach
-    # row nx, the -x cut's start at row 0
+    # on the entries past the link in the rows the cut crosses; the +x
+    # cut's rows reach row nx, the -x cut's start at row 0
     nx, ny, tau = 64, 70, 0.4
     grid = make_wave_grid(nx, ny, dt=tau)
     line = FluxLine(position=(30.5, 40.5), flux=1.3, charge=1.0, cut=cut)
