@@ -128,20 +128,6 @@ def circle_loop(rho, z=0.0, n=64):
     return LoopPath(verts)
 
 
-def polar_circle(r, theta, n=64):
-    """Circle of constant polar angle theta on the sphere of radius r."""
-    if not 0 < theta < np.pi:
-        raise DomainError("polar circle needs 0 < theta < pi")
-    return circle_loop(r * np.sin(theta), z=r * np.cos(theta), n=n)
-
-
-def rectangle_loop(x0, x1, y0, y1, z=0.0):
-    verts = np.array([
-        [x0, y0, z], [x1, y0, z], [x1, y1, z], [x0, y1, z], [x0, y0, z]
-    ], dtype=float)
-    return LoopPath(verts)
-
-
 @lru_cache(maxsize=16)
 def _gl_nodes(order):
     x, w = np.polynomial.legendre.leggauss(order)
@@ -230,39 +216,3 @@ def cap_flux(g, theta, r=1.0, n0=64, levels=3):
     pot = partial(wu_yang_potential, "north", g)
     return refined_circle_flux(pot, r * np.sin(theta), z=r * np.cos(theta),
                                n0=n0, levels=levels)
-
-
-# ---------------------------------------------------------------------------
-# covariant-derivative triviality
-# ---------------------------------------------------------------------------
-
-def higgs_covariant_residual(q, gauge_fn, H0, points, h=1e-3):
-    """max |(grad - i*q*grad(Lambda)) H| for H = H0 * e^{i*q*Lambda}.
-
-    gauge_fn is the gauge scalar Lambda, callable on points of shape (..., 3);
-    both gradients are central differences with step h, evaluated at each of
-    the sample points. For any smooth Lambda the residual is O(h^2): the field
-    H is covariantly constant when the potential is the gradient of the gauge
-    function, no matter whether that gauge function is single-valued.
-    """
-    pts = as_vec3(points)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    if pts.shape[0] == 0 or not np.isfinite(h) or h <= 0:
-        raise DomainError("need a non-empty sample set and step h > 0")
-
-    def H(p):
-        return H0 * np.exp(1j * q * np.asarray(gauge_fn(p)))
-
-    h_center = H(pts)
-    res2 = np.zeros(pts.shape[0])
-    for axis in range(3):
-        step = np.zeros(3)
-        step[axis] = h
-        lam_p = np.asarray(gauge_fn(pts + step))
-        lam_m = np.asarray(gauge_fn(pts - step))
-        grad_h = (H(pts + step) - H(pts - step)) / (2.0 * h)
-        grad_lam = (lam_p - lam_m) / (2.0 * h)
-        res2 = res2 + np.abs(grad_h - 1j * q * grad_lam * h_center) ** 2
-    worst = float(np.sqrt(np.max(res2)))
-    return worst

@@ -36,6 +36,17 @@ the next, all in one L1 cache set, and the y sweep would evict its own
 lines. The pad stays zero, so the x sweeps and the elementwise arithmetic
 run over the whole contiguous buffer.
 
+The steps run on 2^s psi, with s chosen so that the l2 norm of 2^s psi
+lies just below 2^1000. The scheme is linear and 2^s a power of two, so
+every value in the normal range is exactly 2^s times that of the unscaled
+run; the factors are unitary and the mask at most 1, so no entry, nor the
+scratch 2 (1 + A)^-1 psi, comes near overflow at 2^1024. Unscaled, the
+sweeps spread psi into the exact zeros around the packet with tails that
+fall about tenfold per site, so every step would make subnormal numbers,
+whose arithmetic takes a slow path (Goldberg, ACM Comput. Surv. 23 (1991)
+5). Scaled, an entry turns subnormal only 2^1000 times further below the
+norm, and only the values that underflowed unscaled change.
+
 The flux line enters only the y factor. On the y chains of the rows its
 cut crosses, the link past the puncture carries e^{i q Phi}; there the
 factor is U^dag (1 + A) U, with U = e^{i q Phi} on the entries past the
@@ -171,8 +182,11 @@ def gaussian_packet(grid, center, width, momentum):
     y = grid.h * np.arange(grid.ny)[None, :]
     cx, cy = center
     kx, ky = momentum
-    env = np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * width**2))
-    grid.psi = (env * np.exp(1j * (kx * x + ky * y))).astype(np.complex128)
+    # the envelope is multiplied into the phase in place, so no third
+    # grid-sized array is live at once
+    psi = np.exp(1j * (kx * x + ky * y))
+    psi *= np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * width**2))
+    grid.psi = psi
     norm = grid.norm()
     if not norm > 0:
         raise DomainError(f"packet norm {norm} on the grid; the packet must "
@@ -185,11 +199,13 @@ def two_gaussian_packet(grid, center, separation, width, momentum):
     """Coherent pair of Gaussians split by `separation` along y: a two-slit
     source aimed along the momentum direction."""
     cx, cy = center
-    a = grid.copy()
-    gaussian_packet(a, (cx, cy + 0.5 * separation), width, momentum)
-    b = grid.copy()
-    gaussian_packet(b, (cx, cy - 0.5 * separation), width, momentum)
-    grid.psi = a.psi + b.psi
+    # each Gaussian fills a shallow copy, which rebinds its own psi and
+    # leaves grid's array alone
+    psi = gaussian_packet(copy.copy(grid), (cx, cy + 0.5 * separation),
+                          width, momentum).psi
+    psi += gaussian_packet(copy.copy(grid), (cx, cy - 0.5 * separation),
+                           width, momentum).psi
+    grid.psi = psi
     grid.psi /= grid.norm()
     return grid
 
@@ -356,13 +372,24 @@ def _sponge_band(grid):
              np.s_[inner, :wy], np.s_[inner, grid.ny - wy:])]
 
 
+def _scale_exponent(psi):
+    """The s that puts the l2 norm of 2^s psi in [2^999, 2^1000), clamped
+    to 0 <= s <= 1000; 0 when the norm is 0 or not finite."""
+    norm = math.sqrt(np.vdot(psi, psi).real)
+    if not (math.isfinite(norm) and norm > 0.0):
+        return 0
+    return min(max(1000 - math.frexp(norm)[1], 0), 1000)
+
+
 def _propagate(grid, line, steps, sponge):
     """Run `steps` fused Strang steps on grid.psi (see the module
     docstring): x(dt/2) [y M x(dt)]^(steps-1) y M x(dt/2), with the line's
     phased link in y when a line is given and M = 1 without the sponge.
     Everything is checked before the first factor; zero steps apply
-    nothing. grid.psi is rebound to a new C-ordered array; the array it
-    held is read once and never written."""
+    nothing. The steps run on 2^s psi, s = _scale_exponent(psi): the copy
+    into the stepping buffer multiplies by 2^s and the copy out by 2^-s.
+    grid.psi is rebound to a new C-ordered array; the array it held is
+    read and never written."""
     if not isinstance(steps, (int, np.integer)) or steps < 0:
         raise DomainError("steps must be a nonnegative integer")
     _check_stability(grid)
@@ -379,8 +406,9 @@ def _propagate(grid, line, steps, sponge):
     # psi is stepped in place as the leading columns of a zero-padded
     # buffer, work is the one scratch array; grid.psi's old array goes
     # before work comes, so two grid-sized arrays are live at a time
+    s = _scale_exponent(grid.psi)
     psi = np.zeros((nx, ny + ROW_PAD), dtype=np.complex128)[:, :ny]
-    psi[...] = grid.psi
+    np.multiply(grid.psi, 2.0**s, out=psi)
     grid.psi = psi
     work = np.empty((nx, ny + ROW_PAD), dtype=np.complex128)[:, :ny]
     half_x.cayley(psi, work, 0)
@@ -390,7 +418,7 @@ def _propagate(grid, line, steps, sponge):
             psi[index] *= slab
         (full_x if step < steps else half_x).cayley(psi, work, 0)
     del work
-    grid.psi = np.ascontiguousarray(psi)
+    grid.psi = np.multiply(psi, 2.0**-s, order="C")
     return grid
 
 

@@ -32,7 +32,6 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import AccuracyError, ConvergenceError, DomainError
-from .fields import _azimuthal
 
 
 @dataclass(frozen=True)
@@ -166,26 +165,6 @@ def energy_density_profile(model, profile):
     if rho[0] == 0.0 and len(rho) > 1:
         dens[0] = dens[1]
     return dens
-
-
-def vector_potential_fn(model, profile):
-    """Callable A(r) for the tube, for loop-holonomy checks.
-
-    Azimuthal magnitude n*a(rho)/(q*rho), with a interpolated linearly on the
-    profile grid and clamped to 1 beyond it.
-    """
-    rho_g, a_g = profile.rho_grid, profile.a
-    n, q = profile.n, model.q
-
-    def potential(r):
-        arr = np.asarray(r, dtype=float)
-        rho = np.hypot(arr[..., 0], arr[..., 1])
-        a = np.interp(rho, rho_g, a_g, right=1.0)
-        safe = np.where(rho > 0, rho, 1.0)
-        amp = np.where(rho > 0, n * a / (q * safe**2), 0.0)
-        return _azimuthal(arr, amp)
-
-    return potential
 
 
 def vortex_flux(model, profile):

@@ -255,6 +255,42 @@ def test_zero_steps_apply_nothing(packet128):
     assert np.array_equal(g.psi, packet128.psi)
 
 
+@pytest.fixture(scope="module")
+def packet512():
+    cfg = InterferenceConfig()
+    src, _, _ = cfg.geometry()
+    return gaussian_packet(make_wave_grid(512, 512), src, cfg.packet_width,
+                           (cfg.k, 0.0))
+
+
+@pytest.mark.parametrize("k", [16, 200, 600])
+def test_steps_commute_with_power_of_two_scale(packet512, k):
+    # the canonical 512^2 packet has subnormal tails; stepped at a fixed
+    # power-of-two scale, a and 2^k a give the same values, scaled by 2^k,
+    # down to the last bit of every entry
+    a = propagate_free(packet512.copy(), 10)
+    b = packet512.copy()
+    b.psi *= 2.0**k
+    propagate_free(b, 10)
+    assert np.array_equal(a.psi, b.psi * 2.0**-k)
+
+
+def test_zero_grid_steps_to_zero():
+    g = propagate_free(make_wave_grid(64, 64), 5)
+    assert not g.psi.any()
+
+
+def test_overflowing_norm_steps_unscaled():
+    # |psi|^2 overflows, so the run takes the unscaled path and its
+    # entries stay finite
+    g = make_wave_grid(64, 64)
+    g.psi[32, 32] = 1e300
+    assert interference._scale_exponent(g.psi) == 0
+    propagate_free(g, 5, sponge=False)
+    assert np.all(np.isfinite(g.psi))
+    assert np.abs(g.psi).max() > 1e298
+
+
 def test_flux_periodicity(packet128):
     lo = _flux_run(packet128, np.pi / 2.0, steps=100)
     hi = _flux_run(packet128, np.pi / 2.0 + 2.0 * np.pi, steps=100)
@@ -400,6 +436,33 @@ def test_packet_normalization_and_symmetry():
     intensity = grid.intensity()
     # mirror symmetry about the source row y = 64
     assert_allclose(intensity[:, 65:], intensity[:, 63:0:-1], atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(128, 96), (512, 512)])
+def test_packets_match_reference_formula(shape):
+    # the packets are, bit for bit, the normalized sum of the Gaussians
+    # exp(-|r-c|^2/(2 w^2) + i k.r), each normalized on its own
+    nx, ny = shape
+    x = np.arange(nx)[:, None] * 1.0
+    y = np.arange(ny)[None, :] * 1.0
+    width, (kx, ky) = 10.0, (0.9, -0.3)
+
+    def gaussian(cx, cy):
+        env = np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * width**2))
+        psi = (env * np.exp(1j * (kx * x + ky * y))).astype(np.complex128)
+        return psi / np.sqrt(np.sum(np.abs(psi) ** 2))
+
+    cx, cy, gap = 0.22 * nx, 0.5 * ny, 40.0
+    single = gaussian_packet(make_wave_grid(nx, ny), (cx, cy), width,
+                             (kx, ky))
+    assert np.array_equal(single.psi, gaussian(cx, cy))
+    pair = gaussian(cx, cy + 0.5 * gap) + gaussian(cx, cy - 0.5 * gap)
+    pair /= np.sqrt(np.sum(np.abs(pair) ** 2))
+    grid = make_wave_grid(nx, ny)
+    zeros = grid.psi
+    two_gaussian_packet(grid, (cx, cy), gap, width, (kx, ky))
+    assert np.array_equal(grid.psi, pair)
+    assert not zeros.any()      # the grid's array is rebound, not written
 
 
 def test_packet_width_validation():

@@ -18,6 +18,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
 from polelab.errors import AccuracyError, ConvergenceError, DomainError
+from polelab.fields import _azimuthal
 from polelab.gauge import circle_loop, line_integral
 from polelab.vortex import (
     HiggsModel,
@@ -27,7 +28,6 @@ from polelab.vortex import (
     energy_density_profile,
     magnetic_profile,
     solve_vortex,
-    vector_potential_fn,
     vortex_energy,
     vortex_flux,
 )
@@ -166,6 +166,26 @@ def test_magnetic_profile_structure(critical_solution):
     flux_from_b = np.trapezoid(B * 2.0 * np.pi * profile.rho_grid,
                                profile.rho_grid)
     assert_allclose(flux_from_b, 2.0 * np.pi, rtol=1e-4)
+
+
+def vector_potential_fn(model, profile):
+    """Callable A(r) for the tube, for loop-holonomy checks.
+
+    Azimuthal magnitude n*a(rho)/(q*rho), with a interpolated linearly on the
+    profile grid and clamped to 1 beyond it.
+    """
+    rho_g, a_g = profile.rho_grid, profile.a
+    n, q = profile.n, model.q
+
+    def potential(r):
+        arr = np.asarray(r, dtype=float)
+        rho = np.hypot(arr[..., 0], arr[..., 1])
+        a = np.interp(rho, rho_g, a_g, right=1.0)
+        safe = np.where(rho > 0, rho, 1.0)
+        amp = np.where(rho > 0, n * a / (q * safe**2), 0.0)
+        return _azimuthal(arr, amp)
+
+    return potential
 
 
 def test_flux_quantization_via_loop_integral(critical_solution):
