@@ -59,14 +59,15 @@ cosine-ramp absorbing sponge, disabled for norm accounting; its mask is
 exactly 1 inside a band along the walls, so M multiplies only the band's
 four edge slabs.
 
-Both experiments go through one driver, run_experiment: it checks every
-flux line, then propagates the packet free once and once per line, so the
-free reference is shared by all lines. measure_invisibility and
-measure_fringe read the two consequences off fixed windows of the
-canonical geometry (module constants, like the sponge's width and rate).
+A WaveGrid is a value: the packet builders and the propagations return a
+new grid and never write the one they are given. Both experiments go
+through one driver, run_experiment: it checks every flux line, then
+propagates the packet free once and once per line, so the free reference
+is shared by all lines. measure_invisibility and measure_fringe read the
+two consequences off fixed windows of the canonical geometry (module
+constants, like the sponge's width and rate).
 """
 
-import copy
 import json
 import math
 import os
@@ -104,9 +105,10 @@ def two_path_fringe_shift(q, flux):
     return (q * flux / (2.0 * np.pi)) % 1.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class WaveGrid:
-    """2-D wavefunction sample: psi[ix, iy] at x = ix*h, y = iy*h."""
+    """2-D wavefunction sample: psi[ix, iy] at x = ix*h, y = iy*h. psi is
+    held as C-ordered complex128, taken without a copy when it is one."""
 
     psi: np.ndarray
     h: float
@@ -114,7 +116,7 @@ class WaveGrid:
     dt: float
 
     def __post_init__(self):
-        psi = np.asarray(self.psi)
+        psi = np.asarray(self.psi, dtype=np.complex128, order="C")
         if psi.ndim != 2:
             raise DomainError("psi must be a 2-D array")
         if psi.shape[0] < MIN_GRID or psi.shape[1] < MIN_GRID:
@@ -122,7 +124,7 @@ class WaveGrid:
         if not all(np.isfinite(v) and v > 0
                    for v in (self.h, self.m, self.dt)):
             raise DomainError("h, m, dt must be finite and > 0")
-        self.psi = np.array(psi, dtype=np.complex128, order="C")
+        object.__setattr__(self, "psi", psi)
 
     @property
     def nx(self):
@@ -138,9 +140,6 @@ class WaveGrid:
 
     def intensity(self):
         return np.abs(self.psi) ** 2
-
-    def copy(self):
-        return replace(self, psi=self.psi.copy())
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,8 @@ def make_wave_grid(nx, ny, h=1.0, m=1.0, dt=0.4):
 
 
 def gaussian_packet(grid, center, width, momentum):
-    """Fill grid.psi with a normalized Gaussian exp(-|r-c|^2/(2 w^2) + i k.r)."""
+    """The normalized Gaussian exp(-|r-c|^2/(2 w^2) + i k.r) on a grid like
+    `grid`."""
     if width < 8.0 * grid.h:
         raise DomainError("packet width must be at least 8 lattice spacings")
     x = grid.h * np.arange(grid.nx)[:, None]
@@ -186,28 +186,26 @@ def gaussian_packet(grid, center, width, momentum):
     # grid-sized array is live at once
     psi = np.exp(1j * (kx * x + ky * y))
     psi *= np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * width**2))
-    grid.psi = psi
-    norm = grid.norm()
+    packet = replace(grid, psi=psi)
+    norm = packet.norm()
     if not norm > 0:
         raise DomainError(f"packet norm {norm} on the grid; the packet must "
                           "overlap the grid")
-    grid.psi /= norm
-    return grid
+    psi /= norm
+    return packet
 
 
 def two_gaussian_packet(grid, center, separation, width, momentum):
     """Coherent pair of Gaussians split by `separation` along y: a two-slit
     source aimed along the momentum direction."""
     cx, cy = center
-    # each Gaussian fills a shallow copy, which rebinds its own psi and
-    # leaves grid's array alone
-    psi = gaussian_packet(copy.copy(grid), (cx, cy + 0.5 * separation),
-                          width, momentum).psi
-    psi += gaussian_packet(copy.copy(grid), (cx, cy - 0.5 * separation),
-                           width, momentum).psi
-    grid.psi = psi
-    grid.psi /= grid.norm()
-    return grid
+    psi = gaussian_packet(grid, (cx, cy + 0.5 * separation), width,
+                          momentum).psi
+    psi += gaussian_packet(grid, (cx, cy - 0.5 * separation), width,
+                           momentum).psi
+    pair = replace(grid, psi=psi)
+    psi /= pair.norm()
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -309,25 +307,13 @@ def _check_stability(grid):
             f"dt = {grid.dt} exceeds the accuracy bound 0.5*m*h^2 = {limit}")
 
 
-def _snap_cut(grid, line):
-    """Puncture snapped to a plaquette center; returns (split_col, j_row).
-
-    Phased vertical links join rows j_row and j_row+1. For cut '+x' they sit
-    at columns ix >= split_col; for '-x' at ix < split_col.
-    """
-    x0, y0 = line.position
-    i0 = int(round(x0 / grid.h - 0.5))
-    j0 = int(round(y0 / grid.h - 0.5))
-    if not (0 <= i0 < grid.nx - 1 and 0 <= j0 < grid.ny - 1):
-        raise DomainError("flux line position outside the grid")
-    return i0 + 1, j0
-
-
 def _cut_link(grid, line, sponge):
     """Check that the line sits on the grid, clear of the sponge, and return
-    its cut as the y factor's link (rows, j0, e^{i q flux}): in the rows of
-    psi the cut crosses (a slice of x indices), the link between columns j0
-    and j0 + 1 carries the phase."""
+    its cut as the y factor's link (rows, j0, e^{i q flux}): the puncture
+    snaps to the center of the plaquette (i0..i0 + 1, j0..j0 + 1), and in
+    the rows of psi the cut crosses, ix > i0 for '+x' and ix <= i0 for
+    '-x', the link between columns j0 and j0 + 1 carries the phase. The
+    margin of at least 2h keeps i0 and j0 inside the grid."""
     margin = (SPONGE_FRACTION * grid.h * grid.nx if sponge else 0.0) \
         + 2.0 * grid.h
     x0, y0 = line.position
@@ -335,8 +321,9 @@ def _cut_link(grid, line, sponge):
     if not (margin < x0 < lx - margin and margin < y0 < ly - margin):
         raise DomainError("flux line must sit inside the grid, clear of the "
                           "boundary sponge")
-    split, j0 = _snap_cut(grid, line)
-    cut = slice(split, None) if line.cut == "+x" else slice(None, split)
+    i0 = int(round(x0 / grid.h - 0.5))
+    j0 = int(round(y0 / grid.h - 0.5))
+    cut = slice(i0 + 1, None) if line.cut == "+x" else slice(None, i0 + 1)
     return cut, j0, np.exp(1j * line.charge * line.flux)
 
 
@@ -382,14 +369,12 @@ def _scale_exponent(psi):
 
 
 def _propagate(grid, line, steps, sponge):
-    """Run `steps` fused Strang steps on grid.psi (see the module
+    """The grid after `steps` fused Strang steps (see the module
     docstring): x(dt/2) [y M x(dt)]^(steps-1) y M x(dt/2), with the line's
     phased link in y when a line is given and M = 1 without the sponge.
     Everything is checked before the first factor; zero steps apply
     nothing. The steps run on 2^s psi, s = _scale_exponent(psi): the copy
-    into the stepping buffer multiplies by 2^s and the copy out by 2^-s.
-    grid.psi is rebound to a new C-ordered array; the array it held is
-    read and never written."""
+    into the stepping buffer multiplies by 2^s and the copy out by 2^-s."""
     if not isinstance(steps, (int, np.integer)) or steps < 0:
         raise DomainError("steps must be a nonnegative integer")
     _check_stability(grid)
@@ -404,12 +389,10 @@ def _propagate(grid, line, steps, sponge):
     band = _sponge_band(grid) if sponge else []
 
     # psi is stepped in place as the leading columns of a zero-padded
-    # buffer, work is the one scratch array; grid.psi's old array goes
-    # before work comes, so two grid-sized arrays are live at a time
+    # buffer, work is the one scratch array
     s = _scale_exponent(grid.psi)
     psi = np.zeros((nx, ny + ROW_PAD), dtype=np.complex128)[:, :ny]
     np.multiply(grid.psi, 2.0**s, out=psi)
-    grid.psi = psi
     work = np.empty((nx, ny + ROW_PAD), dtype=np.complex128)[:, :ny]
     half_x.cayley(psi, work, 0)
     for step in range(1, steps + 1):
@@ -418,17 +401,16 @@ def _propagate(grid, line, steps, sponge):
             psi[index] *= slab
         (full_x if step < steps else half_x).cayley(psi, work, 0)
     del work
-    grid.psi = np.multiply(psi, 2.0**-s, order="C")
-    return grid
+    return replace(grid, psi=np.multiply(psi, 2.0**-s, order="C"))
 
 
 def propagate_free(grid, steps, sponge=True):
-    """Evolve the grid with no flux line. Mutates and returns grid."""
+    """The grid evolved with no flux line."""
     return _propagate(grid, None, steps, sponge)
 
 
 def propagate_with_flux(grid, line, steps, sponge=True):
-    """Evolve the grid minimally coupled to the flux line's cut phases.
+    """The grid evolved minimally coupled to the flux line's cut phases.
 
     Each of the fused run's y steps is the Cayley step of the y chains
     with the cut's phased link, swept as the free factor gauged by U, which
@@ -598,24 +580,22 @@ def run_experiment(config, packet, lines):
     order.
     """
     # the grid rejects a non-finite h, m or dt before the step count uses it
-    grid0 = make_wave_grid(config.nx, config.ny, config.h, config.m,
-                           config.dt)
+    grid = make_wave_grid(config.nx, config.ny, config.h, config.m,
+                          config.dt)
     steps = config.resolved_steps()
     for line in lines:
-        _cut_link(grid0, line, sponge=True)
+        _cut_link(grid, line, sponge=True)
     src, _, _ = config.geometry()
     if packet == "single":
-        gaussian_packet(grid0, src, config.packet_width, (config.k, 0.0))
+        grid = gaussian_packet(grid, src, config.packet_width,
+                               (config.k, 0.0))
     elif packet == "two_slit":
-        two_gaussian_packet(grid0, src, config.slit_separation,
-                            config.packet_width, (config.k, 0.0))
+        grid = two_gaussian_packet(grid, src, config.slit_separation,
+                                   config.packet_width, (config.k, 0.0))
     else:
         raise DomainError("packet must be 'single' or 'two_slit'")
-    # a propagation never writes the psi array it is given, so every run
-    # can start from a shallow copy of the packet
-    free = propagate_free(copy.copy(grid0), steps)
-    return free, [propagate_with_flux(copy.copy(grid0), line, steps)
-                  for line in lines]
+    return propagate_free(grid, steps), [
+        propagate_with_flux(grid, line, steps) for line in lines]
 
 
 def measure_invisibility(config, grid_with_flux, grid_free):

@@ -9,6 +9,7 @@ grid runs in the acceptance suite.
 """
 
 import json
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -47,10 +48,9 @@ def packet128():
 
 
 def _flux_run(packet, flux, cut="+x", steps=None):
-    g = packet.copy()
-    propagate_with_flux(g, CFG128.flux_line(flux, 1.0, cut),
-                        CFG128.resolved_steps() if steps is None else steps)
-    return g
+    return propagate_with_flux(
+        packet, CFG128.flux_line(flux, 1.0, cut),
+        CFG128.resolved_steps() if steps is None else steps)
 
 
 # ---------------------------------------------------------------------------
@@ -73,25 +73,21 @@ def test_two_path_fringe_shift_values():
 # ---------------------------------------------------------------------------
 
 def test_norm_preserved_without_sponge(packet128):
-    g = packet128.copy()
-    n0 = g.norm()
-    propagate_free(g, 1000, sponge=False)
-    assert abs(g.norm() - n0) < 1e-8
+    g = propagate_free(packet128, 1000, sponge=False)
+    assert abs(g.norm() - packet128.norm()) < 1e-8
 
 
 def test_zero_flux_is_bitwise_free(packet128):
     _, flux_pos, _ = CFG128.geometry()
-    free = packet128.copy()
-    propagate_free(free, 100)
-    gauged = packet128.copy()
-    propagate_with_flux(gauged, FluxLine(position=flux_pos, flux=0.0,
-                                         charge=1.0), 100)
+    free = propagate_free(packet128, 100)
+    gauged = propagate_with_flux(packet128, FluxLine(position=flux_pos,
+                                                     flux=0.0, charge=1.0),
+                                 100)
     assert np.array_equal(free.psi, gauged.psi)
 
 
 def test_stability_bound_rejects_coarse_dt(packet128):
-    g = packet128.copy()
-    g.dt = 0.6                       # above 0.5 * m * h^2
+    g = replace(packet128, dt=0.6)  # above 0.5 * m * h^2
     before = g.psi.copy()
     with pytest.raises(StabilityError):
         propagate_free(g, 1)
@@ -142,7 +138,7 @@ def test_flux_step_matches_dense_phased_link_reference(cut):
         psi[cut_cols] = psi[cut_cols] @ cut_y.T
         psi = (full_x if step < steps else half_x) @ psi
 
-    propagate_with_flux(grid, line, steps, sponge=False)
+    grid = propagate_with_flux(grid, line, steps, sponge=False)
     assert np.abs(grid.psi - psi).max() < 1e-12
 
 
@@ -248,10 +244,9 @@ def test_fused_split_is_second_order():
 
 
 def test_zero_steps_apply_nothing(packet128):
-    g = packet128.copy()
-    propagate_free(g, 0)
+    g = propagate_free(packet128, 0)
     assert np.array_equal(g.psi, packet128.psi)
-    propagate_with_flux(g, CFG128.flux_line(np.pi, 1.0), 0)
+    g = propagate_with_flux(packet128, CFG128.flux_line(np.pi, 1.0), 0)
     assert np.array_equal(g.psi, packet128.psi)
 
 
@@ -268,10 +263,8 @@ def test_steps_commute_with_power_of_two_scale(packet512, k):
     # the canonical 512^2 packet has subnormal tails; stepped at a fixed
     # power-of-two scale, a and 2^k a give the same values, scaled by 2^k,
     # down to the last bit of every entry
-    a = propagate_free(packet512.copy(), 10)
-    b = packet512.copy()
-    b.psi *= 2.0**k
-    propagate_free(b, 10)
+    a = propagate_free(packet512, 10)
+    b = propagate_free(replace(packet512, psi=packet512.psi * 2.0**k), 10)
     assert np.array_equal(a.psi, b.psi * 2.0**-k)
 
 
@@ -286,7 +279,7 @@ def test_overflowing_norm_steps_unscaled():
     g = make_wave_grid(64, 64)
     g.psi[32, 32] = 1e300
     assert interference._scale_exponent(g.psi) == 0
-    propagate_free(g, 5, sponge=False)
+    g = propagate_free(g, 5, sponge=False)
     assert np.all(np.isfinite(g.psi))
     assert np.abs(g.psi).max() > 1e298
 
@@ -330,14 +323,15 @@ def test_experiment_matches_separate_runs():
         src, _, _ = cfg.geometry()
         grid0 = make_wave_grid(128, 128)
         if packet == "single":
-            gaussian_packet(grid0, src, cfg.packet_width, (cfg.k, 0.0))
+            grid0 = gaussian_packet(grid0, src, cfg.packet_width,
+                                    (cfg.k, 0.0))
         else:
-            two_gaussian_packet(grid0, src, cfg.slit_separation,
-                                cfg.packet_width, (cfg.k, 0.0))
-        assert np.array_equal(free.psi, propagate_free(grid0.copy(), 40).psi)
+            grid0 = two_gaussian_packet(grid0, src, cfg.slit_separation,
+                                        cfg.packet_width, (cfg.k, 0.0))
+        assert np.array_equal(free.psi, propagate_free(grid0, 40).psi)
         assert len(grids) == len(lines)
         for line, grid in zip(lines, grids):
-            alone = propagate_with_flux(grid0.copy(), line, 40)
+            alone = propagate_with_flux(grid0, line, 40)
             assert np.array_equal(grid.psi, alone.psi)
 
 
@@ -407,12 +401,11 @@ def test_fringe_shift_window_validation():
 
 
 def test_invisibility_metric_edges(packet128):
-    g = packet128.copy()
-    assert invisibility_metric(g, g.copy(), x_min=64.0) == 0.0
+    assert invisibility_metric(packet128, packet128, x_min=64.0) == 0.0
     with pytest.raises(DomainError):
-        invisibility_metric(g, make_wave_grid(128, 256), x_min=64.0)
+        invisibility_metric(packet128, make_wave_grid(128, 256), x_min=64.0)
     with pytest.raises(DomainError):
-        invisibility_metric(g, g.copy(), x_min=1e9)
+        invisibility_metric(packet128, packet128, x_min=1e9)
 
 
 def test_intensity_slice_bounds(packet128):
@@ -430,8 +423,8 @@ def test_intensity_slice_bounds(packet128):
 # ---------------------------------------------------------------------------
 
 def test_packet_normalization_and_symmetry():
-    grid = make_wave_grid(128, 128)
-    two_gaussian_packet(grid, (28.0, 64.0), 40.0, 10.0, (0.9, 0.0))
+    grid = two_gaussian_packet(make_wave_grid(128, 128), (28.0, 64.0), 40.0,
+                               10.0, (0.9, 0.0))
     assert abs(grid.norm() - 1.0) < 1e-12
     intensity = grid.intensity()
     # mirror symmetry about the source row y = 64
@@ -458,11 +451,9 @@ def test_packets_match_reference_formula(shape):
     assert np.array_equal(single.psi, gaussian(cx, cy))
     pair = gaussian(cx, cy + 0.5 * gap) + gaussian(cx, cy - 0.5 * gap)
     pair /= np.sqrt(np.sum(np.abs(pair) ** 2))
-    grid = make_wave_grid(nx, ny)
-    zeros = grid.psi
-    two_gaussian_packet(grid, (cx, cy), gap, width, (kx, ky))
+    grid = two_gaussian_packet(make_wave_grid(nx, ny), (cx, cy), gap, width,
+                               (kx, ky))
     assert np.array_equal(grid.psi, pair)
-    assert not zeros.any()      # the grid's array is rebound, not written
 
 
 def test_packet_width_validation():
@@ -484,10 +475,41 @@ def test_grid_validation():
         WaveGrid(psi=np.zeros(128, dtype=complex), h=1.0, m=1.0, dt=0.4)
 
 
-def test_grid_copy_is_independent(packet128):
-    g = packet128.copy()
-    g.psi[:] = 0.0
-    assert packet128.norm() > 0.9
+def test_grid_is_a_value(monkeypatch, packet128):
+    # the builders, the propagations and run_experiment's runs each return
+    # a new grid and leave the grid they are given, its array and every
+    # byte of it, as it was
+    line = CFG128.flux_line(np.pi, 1.0)
+    zeros = make_wave_grid(128, 128)
+    calls = [(gaussian_packet, zeros, (28.0, 64.0), 10.0, (0.9, 0.0)),
+             (two_gaussian_packet, zeros, (28.0, 64.0), 40.0, 10.0,
+              (0.9, 0.0)),
+             (propagate_free, packet128, 5),
+             (propagate_with_flux, packet128, line, 5)]
+    for run, grid, *args in calls:
+        psi, before = grid.psi, grid.psi.tobytes()
+        assert run(grid, *args) is not grid
+        assert grid.psi is psi and psi.tobytes() == before
+    seen = []
+    for name in ("propagate_free", "propagate_with_flux"):
+        def spy(grid, *args, _run=getattr(interference, name)):
+            seen.append((grid, grid.psi, grid.psi.tobytes()))
+            return _run(grid, *args)
+        monkeypatch.setattr(interference, name, spy)
+    for packet in ("single", "two_slit"):
+        run_experiment(replace(CFG128, steps=5), packet, [line, line])
+    assert len(seen) == 6
+    for grid, psi, before in seen:
+        assert grid.psi is psi and psi.tobytes() == before
+
+    with pytest.raises(FrozenInstanceError):
+        packet128.psi = zeros.psi
+    a = np.arange(4096.0).reshape(64, 64) * (1.0 + 1.0j)
+    assert WaveGrid(psi=a, h=1.0, m=1.0, dt=0.4).psi is a
+    for b in (np.asfortranarray(a), a.real.copy()):
+        psi = WaveGrid(psi=b, h=1.0, m=1.0, dt=0.4).psi
+        assert psi.dtype == np.complex128 and psi.flags.c_contiguous
+        assert np.array_equal(psi, b)
 
 
 def test_flux_line_validation(packet128):
@@ -497,21 +519,19 @@ def test_flux_line_validation(packet128):
         FluxLine(position=(1.0, float("inf")), flux=1.0, charge=1.0)
     with pytest.raises(DomainError):
         FluxLine(position=(10.0, 10.0), flux=1.0, charge=1.0, cut="y")
-    g = packet128.copy()
     # inside the sponge margin: rejected
     with pytest.raises(DomainError):
-        propagate_with_flux(g, FluxLine(position=(5.0, 64.0), flux=1.0,
-                                        charge=1.0), 1)
+        propagate_with_flux(packet128, FluxLine(position=(5.0, 64.0),
+                                                flux=1.0, charge=1.0), 1)
     with pytest.raises(DomainError):
-        propagate_with_flux(g, None, 1)
+        propagate_with_flux(packet128, None, 1)
 
 
 def test_steps_validation(packet128):
-    g = packet128.copy()
     with pytest.raises(DomainError):
-        propagate_free(g, -1)
+        propagate_free(packet128, -1)
     with pytest.raises(DomainError):
-        propagate_free(g, 2.5)
+        propagate_free(packet128, 2.5)
 
 
 # ---------------------------------------------------------------------------

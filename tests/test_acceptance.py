@@ -4,7 +4,7 @@ tolerance, one printed PASS/FAIL line per criterion.
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 go by; without -s they appear in the captured output of any failure. The
 two lattice criteria propagate on the full 512^2 grid and dominate the
-runtime (a couple of minutes); everything else is seconds.
+runtime (about a minute on a 2-core Xeon); everything else is seconds.
 """
 
 import math
@@ -97,7 +97,7 @@ def test_criterion_2_massless_angular_momentum():
     worst = max(abs(v - 0.5) / 0.5 for v in values)
     spread = max(values) - min(values)
     passed = worst < 1e-3 and spread < 1e-3
-    _verdict(2, "massless J_z = q g / 2, separation-independent", passed,
+    _verdict(2, "massless J_z = q g, separation-independent", passed,
              f"max rel dev {worst:.3e}, spread {spread:.3e}",
              {"rel dev": _margin(1e-3, worst),
               "spread": _margin(1e-3, spread)})

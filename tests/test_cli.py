@@ -339,7 +339,7 @@ def test_angmom_sweep_output(tmp_path):
     rows = [line.split(",") for line in lines[2:]]
     assert [r[0] for r in rows] == ["0.0", "0.0", "1.0", "1.0"]  # mu outer
     assert all(r[4] == "1" for r in rows)
-    # massless rows sit at J = q g / 2 regardless of separation
+    # massless rows sit at J = q g regardless of separation
     assert abs(float(rows[0][2]) - 0.5) < 1e-3
     assert abs(float(rows[1][2]) - 0.5) < 1e-3
     assert float(rows[3][2]) < float(rows[2][2])   # screened decline
