@@ -37,7 +37,8 @@ from .errors import (AccuracyError, ConvergenceError, DomainError,
 from .fields import (PhysicalConfig, local_charge, monopole_field,
                      yukawa_electric_field)
 from .gauge import DEFAULT_TOL, cap_flux, check_quantization
-from .interference import (InterferenceConfig, intensity_slice,
+from .interference import (InterferenceConfig, check_fringe_window,
+                           fringe_sensitivity, intensity_slice,
                            measure_fringe, measure_invisibility,
                            run_experiment, save_snapshot)
 from .vortex import (HiggsModel, confinement_energy, energy_density_profile,
@@ -328,6 +329,17 @@ def cmd_angmom(run):
     n_failed = sum(0 if c.converged else 1 for c in cells)
     run.diagnostics["cells"] = len(cells)
     run.diagnostics["failed_cells"] = n_failed
+    stats = [c.stats for c in cells if c.stats is not None]
+    if stats:
+        evaluations = sum(st.evaluations for st in stats)
+        run.diagnostics["quadrature"] = {
+            "evaluations": evaluations,
+            "padded_share": sum(st.padded for st in stats) / evaluations,
+            "r_max_pushes": sum(st.r_max_pushes for st in stats),
+            **{f"max_{key}": max(getattr(st, key) for st in stats)
+               for key in ("err_extrapolation", "err_quadrature",
+                           "err_tail")},
+        }
     with run.stage("write"):
         write_csv(run.path("angmom.csv"),
                   ["mu", "d", "J_z", "err", "converged"],
@@ -411,11 +423,15 @@ def cmd_absim(run):
                                       "two_slit", fringe_lines)
             table = [(line.flux, *measure_fringe(sim_cfg, line, grid, free))
                      for line, grid in zip(fringe_lines, grids)]
+            sensitivity = [fringe_sensitivity(sim_cfg, grid, free)
+                           for grid in grids]
         payload["fringe_table"] = [
             {"flux": f, "shift_predicted": p, "shift_measured": s,
              "circular_error": e} for f, p, s, e in table]
         run.diagnostics["fringe_worst_error"] = max(e for *_, e in table)
         run.diagnostics["fringe_absorbed"] = _absorbed(free, grids)
+        run.diagnostics["fringe_sensitivity"] = sensitivity
+        check_fringe_window(fringe_lines, sensitivity)
         with run.stage("write"):
             write_csv(run.path("absim_fringe.csv"),
                       ["flux", "shift_predicted", "shift_measured",

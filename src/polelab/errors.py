@@ -25,12 +25,14 @@ class AccuracyError(RuntimeError):
 class ConvergenceError(RuntimeError):
     """An iterative solve failed to converge.
 
-    Carries the best estimate and its error/residual history so partial
-    results stay inspectable.
+    Carries the best estimate, its error/residual history and the solver's
+    stats record, if it keeps one, so partial results stay inspectable.
     """
 
-    def __init__(self, message, best=None, error=None, history=None):
+    def __init__(self, message, best=None, error=None, history=None,
+                 stats=None):
         super().__init__(message)
         self.best = best
         self.error = error
         self.history = list(history) if history is not None else []
+        self.stats = stats

@@ -65,7 +65,10 @@ through one driver, run_experiment: it checks every flux line, then
 propagates the packet free once and once per line, so the free reference
 is shared by all lines. measure_invisibility and measure_fringe read the
 two consequences off fixed windows of the canonical geometry (module
-constants, like the sponge's width and rate).
+constants, like the sponge's width and rate). check_fringe_window refuses a
+fringe window that the flux barely changes (fringe_sensitivity): there the
+geometry forms no two-path interferometer, and every measured shift is
+about 0 whatever the flux.
 """
 
 import json
@@ -76,7 +79,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.blas import get_blas_funcs
 
-from .errors import DomainError, StabilityError
+from .errors import AccuracyError, DomainError, StabilityError
 
 MIN_GRID = 64
 ROW_PAD = 4     # zero columns after each row of the stepped psi: 64 bytes,
@@ -92,6 +95,11 @@ PROBE_X_FRACTION = 0.78
 # slit gap
 INVISIBILITY_GAP_FRACTION = 0.08
 FRINGE_WINDOW_FRACTION = 0.36
+# a fringe window that sees the flux changes by more than this (relative L2)
+# for some line whose predicted shift is FRINGE_EXEMPT_SHIFT or more from an
+# integer; windows that form no two-path interferometer change by 0.01-0.02
+FRINGE_MIN_SENSITIVITY = 0.1
+FRINGE_EXEMPT_SHIFT = 0.1
 EDGE_EXCLUDE_FRACTION = 0.12    # sponge fringe left out of invisibility_metric
 
 
@@ -458,6 +466,19 @@ def intensity_slice(grid, x_probe):
     return y, np.abs(grid.psi[ix, :]) ** 2
 
 
+def _fringe_window(grid_with_flux, grid_free, x_probe, y_center, window):
+    """The two |psi|^2 patterns on the probe column within window of
+    y_center."""
+    if grid_with_flux.psi.shape != grid_free.psi.shape:
+        raise DomainError("grids must have identical shapes")
+    y, i_a = intensity_slice(grid_with_flux, x_probe)
+    _, i_b = intensity_slice(grid_free, x_probe)
+    sel = np.abs(y - y_center) <= window
+    if np.count_nonzero(sel) < 16:
+        raise DomainError("fringe window too narrow")
+    return i_a[sel], i_b[sel]
+
+
 def fringe_shift(grid_with_flux, grid_free, x_probe, y_center, window):
     """Measured fringe displacement (fraction of a period, in [0,1)) between
     the two intensity patterns on the probe column.
@@ -466,15 +487,10 @@ def fringe_shift(grid_with_flux, grid_free, x_probe, y_center, window):
     the displacement is the phase advance of that component, so it needs a
     window holding at least a couple of fringe periods.
     """
-    if grid_with_flux.psi.shape != grid_free.psi.shape:
-        raise DomainError("grids must have identical shapes")
-    y, i_a = intensity_slice(grid_with_flux, x_probe)
-    _, i_b = intensity_slice(grid_free, x_probe)
-    sel = np.abs(y - y_center) <= window
-    if np.count_nonzero(sel) < 16:
-        raise DomainError("fringe window too narrow")
-    wa = i_a[sel] - np.mean(i_a[sel])
-    wb = i_b[sel] - np.mean(i_b[sel])
+    i_a, i_b = _fringe_window(grid_with_flux, grid_free, x_probe, y_center,
+                              window)
+    wa = i_a - np.mean(i_a)
+    wb = i_b - np.mean(i_b)
     taper = np.hanning(len(wa))
     fa = np.fft.rfft(wa * taper)
     fb = np.fft.rfft(wb * taper)
@@ -606,16 +622,51 @@ def measure_invisibility(config, grid_with_flux, grid_free):
     return invisibility_metric(grid_with_flux, grid_free, x_min=x_min)
 
 
+def _fringe_probe(config):
+    """(x_probe, y_center, window) of the fringe measurement. The two-path
+    loop encloses the puncture only for screen points within about half the
+    slit gap of the axis; the window stays inside that zone."""
+    _, _, probe_x = config.geometry()
+    return (probe_x, 0.5 * config.h * config.ny,
+            FRINGE_WINDOW_FRACTION * config.slit_separation)
+
+
 def measure_fringe(config, line, grid_with_flux, grid_free):
     """Fringe displacement of a two-slit run on the probe column against the
     two-path prediction for the line: (predicted, measured, circular error),
     all fractions of a period."""
-    _, _, probe_x = config.geometry()
-    # the two-path loop encloses the puncture only for screen points within
-    # about half the slit gap of the axis; keep the window inside that zone
-    measured = fringe_shift(grid_with_flux, grid_free, probe_x,
-                            0.5 * config.h * config.ny,
-                            FRINGE_WINDOW_FRACTION * config.slit_separation)
+    measured = fringe_shift(grid_with_flux, grid_free, *_fringe_probe(config))
     predicted = two_path_fringe_shift(line.charge, line.flux)
     err = abs(measured - predicted)
     return predicted, measured, min(err, 1.0 - err)
+
+
+def fringe_sensitivity(config, grid_with_flux, grid_free):
+    """||I_line - I_free|| / ||I_free|| on measure_fringe's window: how much
+    the line changes the pattern that the fringe shift is read from."""
+    i_a, i_b = _fringe_window(grid_with_flux, grid_free,
+                              *_fringe_probe(config))
+    ref = float(np.linalg.norm(i_b))
+    if ref == 0.0:
+        return 0.0
+    return float(np.linalg.norm(i_a - i_b) / ref)
+
+
+def check_fringe_window(lines, sensitivities):
+    """Raise AccuracyError unless the fringe window sees the flux: the
+    largest fringe_sensitivity over the lines whose predicted shift lies
+    FRINGE_EXEMPT_SHIFT or more from an integer must reach
+    FRINGE_MIN_SENSITIVITY. Lines with q*flux near 2*pi*Z are exempt, since
+    physics makes them invisible. A window that fails measures a shift of
+    about 0 for every flux: the geometry forms no two-path interferometer
+    (a slit gap too wide for the grid, say)."""
+    seen = []
+    for line, sensitivity in zip(lines, sensitivities):
+        shift = two_path_fringe_shift(line.charge, line.flux)
+        if min(shift, 1.0 - shift) >= FRINGE_EXEMPT_SHIFT:
+            seen.append(sensitivity)
+    if seen and max(seen) < FRINGE_MIN_SENSITIVITY:
+        raise AccuracyError(
+            f"fringe window does not see the flux: sensitivity {max(seen):.3g}"
+            f" < {FRINGE_MIN_SENSITIVITY}; the geometry forms no two-path "
+            "interferometer (try a smaller slit_separation)")

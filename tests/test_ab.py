@@ -16,11 +16,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from polelab import interference
-from polelab.errors import DomainError, StabilityError
+from polelab.errors import AccuracyError, DomainError, StabilityError
 from polelab.interference import (
     FluxLine,
     InterferenceConfig,
     WaveGrid,
+    check_fringe_window,
+    fringe_sensitivity,
     fringe_shift,
     gaussian_packet,
     intensity_slice,
@@ -310,6 +312,41 @@ def test_fringe_law_mid_grid():
     predicted, _, err = measure_fringe(cfg, line, grid, free)
     assert predicted == 0.5
     assert err < 0.02
+
+
+@pytest.mark.parametrize("separation, blind", [(100.0, True), (24.0, False)])
+def test_fringe_window_must_see_the_flux(separation, blind):
+    # at 128^2 a slit gap of 100 forms no two-path interferometer: the
+    # window barely changes with the flux and every measured shift is ~0
+    cfg = InterferenceConfig(nx=128, ny=128, slit_separation=separation)
+    lines = [cfg.flux_line(flux, 1.0)
+             for flux in (0.5 * np.pi, np.pi, 1.5 * np.pi, 0.0)]
+    free, grids = run_experiment(cfg, "two_slit", lines)
+    sensitivity = [fringe_sensitivity(cfg, grid, free) for grid in grids]
+    assert sensitivity[-1] == 0.0          # zero flux is bitwise free
+    if blind:
+        assert max(sensitivity) < 0.05
+        measured = [measure_fringe(cfg, line, grid, free)[1]
+                    for line, grid in zip(lines, grids)]
+        assert all(min(m, 1.0 - m) < 1e-6 for m in measured)
+        with pytest.raises(AccuracyError, match="sensitivity"):
+            check_fringe_window(lines, sensitivity)
+    else:
+        assert min(sensitivity[:3]) > 0.3
+        check_fringe_window(lines, sensitivity)
+
+
+def test_fringe_window_check_exempts_near_integer_shifts():
+    cfg = InterferenceConfig(nx=128, ny=128)
+    # shifts 0, 0.0016, 1 - 0.05 and 0.05: physics hides them all
+    exempt = [cfg.flux_line(flux, 1.0) for flux in
+              (2.0 * np.pi, 0.01, 1.9 * np.pi, 0.1 * np.pi)]
+    check_fringe_window(exempt, [0.0] * 4)
+    # a shift of 0.1 or more from an integer is not exempt
+    seen = exempt + [cfg.flux_line(0.2 * np.pi, 1.0)]
+    with pytest.raises(AccuracyError):
+        check_fringe_window(seen, [0.0] * 4 + [0.09])
+    check_fringe_window(seen, [0.0] * 4 + [0.1])
 
 
 def test_experiment_matches_separate_runs():

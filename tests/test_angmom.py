@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import polelab.angmom as angmom
 from polelab.angmom import (
+    MAX_GL_ORDER,
     AngularMomentum,
     PairConfig,
     QuadratureSpec,
@@ -26,6 +28,7 @@ from polelab.angmom import (
     field_momentum_density,
 )
 from polelab.errors import ConvergenceError, DomainError, SingularPointError
+from polelab.fields import _SCREENING_CLAMP
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +83,39 @@ def raw_axial_angular_momentum(pair, eps_frac=5e-4, order_v=40, order_u=20,
             total += wv_scaled[iv] * float(np.sum(f * uw))
     # density is azimuthal; the reported component is charge-to-pole (-z)
     return -2.0 * np.pi * (0.5 * d) ** 3 * total
+
+
+def inner_integral_by_node(r_nodes, d, mu, s_floor, order):
+    """The inner integral one r node at a time, each on its own m geometric
+    panels: the reference for the module's padded block."""
+    nodes, weights = _gl(order)
+    mu = min(mu, _SCREENING_CLAMP / s_floor)
+    out = np.zeros_like(r_nodes)
+    for idx, r in enumerate(r_nodes):
+        a = abs(r - d)
+        b = r + d
+        lo = max(a, s_floor)
+        if lo >= b:
+            continue
+        m = max(1, int(math.ceil(math.log2(b / lo))))
+        edges = lo * (b / lo) ** (np.arange(m + 1) / m)
+        edges[-1] = b
+        widths = np.diff(edges)
+        s = edges[:-1, None] + widths[:, None] * nodes[None, :]
+        f = (s * s - a * a) * (b * b - s * s) * (1.0 + mu * s) \
+            * np.exp(-mu * s) / (s * s)
+        out[idx] = float(np.sum(f * weights[None, :] * widths[:, None]))
+    return out
+
+
+def inner_panel_counts(r_nodes, d, s_floor):
+    """Each node's inner panel count m, 0 where its s range is empty."""
+    counts = []
+    for r in r_nodes:
+        lo, b = max(abs(r - d), s_floor), r + d
+        counts.append(max(1, int(math.ceil(math.log2(b / lo))))
+                      if lo < b else 0)
+    return counts
 
 
 def closed_form_ratio(x):
@@ -240,6 +276,56 @@ def test_quadrature_layers_scale_exactly_with_d():
         assert np.array_equal(scaled_outer, f * outer), k
 
 
+@pytest.mark.parametrize("d, mu, eps_frac, order", [
+    (1.0, 0.0, 1 / 64, 24),
+    (1.0, 1.0, 1 / 256, 24),
+    (3.0, 0.7, 1 / 128, 12),
+    (0.25, 40.0, 1 / 64, 40),
+    (1.0, 0.3, 1 / 64, MAX_GL_ORDER),
+])
+def test_inner_block_matches_node_by_node(d, mu, eps_frac, order):
+    # the GL r nodes of every outer panel, as _j_at_eps hands them over,
+    # plus r = d (a = 0, so lo = eps); calls beyond r = 3d have m = 1 on
+    # every node, calls near r = d mix m = 1 with m up to log2(2d/eps)
+    eps = eps_frac * d
+    outer = _outer_breakpoints(eps, d, 50.0 * d)
+    x, _ = _gl(order)
+    panels = [lo + (hi - lo) * x for lo, hi in zip(outer[:-1], outer[1:])]
+    mixed = 0
+    for r in panels + [np.array([d]), np.array([0.5 * d, d, 1.5 * d])]:
+        counts = inner_panel_counts(r, d, eps)
+        mixed += len(set(counts)) > 1
+        assert_allclose(_inner_integral(r, d, mu, eps, order),
+                        inner_integral_by_node(r, d, mu, eps, order),
+                        rtol=1e-14, atol=0.0)
+    assert mixed > 0
+    assert inner_panel_counts(panels[-1], d, eps) == [1] * order
+
+
+def test_inner_block_edge_cases():
+    x, _ = _gl(24)
+    r = np.array([0.2, 0.5, 1.0, 2.0, 6.0, 60.0])
+    # lo >= b: with s_floor >= r + d a node has nothing to integrate and
+    # gives exactly 0, next to nodes that do
+    floor = 2.5
+    out = _inner_integral(r, 1.0, 0.5, floor, 24)
+    assert inner_panel_counts(r, 1.0, floor)[:3] == [0, 0, 0]
+    assert np.all(out[:3] == 0.0) and np.all(out[3:] > 0.0)
+    assert_allclose(out, inner_integral_by_node(r, 1.0, 0.5, floor, 24),
+                    rtol=1e-14, atol=0.0)
+    assert np.all(_inner_integral(np.array([0.1, 0.2]), 1.0, 0.0, 5.0, 8)
+                  == 0.0)
+    # mu at the _SCREENING_CLAMP cap and past it: both weights clamp alike
+    eps = 1 / 64
+    for mu in (_SCREENING_CLAMP / eps, 1e300):
+        assert_allclose(_inner_integral(r, 1.0, mu, eps, 24),
+                        inner_integral_by_node(r, 1.0, mu, eps, 24),
+                        rtol=1e-14, atol=0.0)
+    # mu = 0 on the far nodes: the exact (16/3) d^3 multipole value
+    assert_allclose(_inner_integral(r[3:], 1.0, 0.0, eps, 24), 16.0 / 3.0,
+                    rtol=1e-12)
+
+
 def test_bilinearity_in_couplings():
     base = field_angular_momentum(PairConfig(q=1.0, g=0.5, d=1.0, mu=1.0))
     swapped = field_angular_momentum(PairConfig(q=2.0, g=0.25, d=1.0, mu=1.0))
@@ -286,6 +372,53 @@ def test_sweep_records_failures_instead_of_raising():
     assert len(cells) == 2
     assert all(not c.converged for c in cells)
     assert all(np.isfinite(c.value) and c.error > 0 for c in cells)
+    assert all(c.stats.evaluations > 0 for c in cells)
+
+
+@pytest.mark.parametrize("mu, spec", [
+    (0.0, QuadratureSpec()),
+    (1.0, QuadratureSpec()),
+    (0.005, QuadratureSpec(levels=4, gl_order=10, target_tol=1e-7)),
+    (1.0, QuadratureSpec(levels=2, gl_order=4, target_tol=1e-12)),
+])
+def test_stats_count_what_the_quadrature_did(monkeypatch, mu, spec):
+    # count every inner call as the padded block evaluates it: each node
+    # padded to the call's largest panel count, order points per panel
+    seen = {"total": 0, "real": 0}
+    inner = angmom._inner_integral
+
+    def counting(r_nodes, d, mu, s_floor, order):
+        counts = inner_panel_counts(r_nodes, d, s_floor)
+        seen["total"] += len(counts) * max(counts) * order
+        seen["real"] += sum(counts) * order
+        return inner(r_nodes, d, mu, s_floor, order)
+
+    monkeypatch.setattr(angmom, "_inner_integral", counting)
+    pair = PairConfig(q=1.0, g=0.5, d=2.0, mu=mu)
+    try:
+        res = field_angular_momentum(pair, spec)
+        stats, error = res.stats, res.error
+    except ConvergenceError as exc:
+        stats, error = exc.stats, exc.error
+    assert stats.evaluations == seen["total"]
+    assert stats.padded == seen["total"] - seen["real"]
+    assert 0 < stats.padded < stats.evaluations
+    budget = stats.err_extrapolation + stats.err_quadrature + stats.err_tail
+    assert budget == error
+    # mu = 0 has its tail in closed form; mu > 0 pushes r_max out until the
+    # envelope bound is below a tenth of the target, which a mu*d of 0.01
+    # needs at r_max = 50 d and a mu*d of 2 does not
+    assert (stats.err_tail == 0.0) == (mu == 0.0)
+    assert (stats.r_max_pushes > 0) == (mu * pair.d == 0.01)
+    assert stats.err_tail <= 0.1 * spec.target_tol * 0.5
+
+
+def test_gl_order_is_bounded():
+    pair = PairConfig(q=1.0, g=0.5, d=1.0, mu=1.0)
+    assert QuadratureSpec(gl_order=MAX_GL_ORDER).resolve(pair)
+    for order in (MAX_GL_ORDER + 1, 100000):
+        with pytest.raises(DomainError, match="gl_order"):
+            QuadratureSpec(gl_order=order).resolve(pair)
 
 
 def test_sweep_structure_and_order():

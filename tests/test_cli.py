@@ -107,6 +107,8 @@ def test_usage_errors(tmp_path):
       "2", "--slit-separation", "1e6", "--snapshots", "0"], False),
     (["angmom", "--mu-list", "1", "--d-list", "1e-300"], False),
     (["angmom", "--mu-list", "1", "--d-list", "5e-324"], False),
+    (["angmom", "--gl-order", "65"], False),
+    (["angmom", "--gl-order", "100000"], False),
 ])
 def test_bad_inputs_are_usage_errors(tmp_path, argv, out_is_file):
     # non-finite values and an unusable --out never share the verdict code 1
@@ -218,6 +220,21 @@ def test_convergence_exit_code(tmp_path):
     lines = _read(tmp_path / "angmom.csv").decode().strip().split("\n")
     assert lines[1] == "mu,d,J_z,err,converged"
     assert lines[2].split(",")[4] == "0"
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_blind_fringe_window_is_an_accuracy_error(tmp_path, n):
+    # the default slit gap of 100 fits only the 512^2 grid: at 128^2 and
+    # 256^2 every line measures a shift of about 0, so the errors read 0.25,
+    # 0.5 and 0.25, and the window's flux sensitivity is 0.01-0.02
+    code = main(["absim", "--mode", "fringe", "--nx", str(n), "--ny", str(n),
+                 "--out", str(tmp_path)])
+    assert code == EXIT_CONVERGENCE
+    man = _manifest(tmp_path, "absim")
+    assert man["status"] == "error" and "sensitivity" in man["error"]
+    sensitivity = man["diagnostics"]["fringe_sensitivity"]
+    assert len(sensitivity) == 3 and max(sensitivity) < 0.05
+    assert [p.name for p in tmp_path.iterdir()] == ["absim_manifest.json"]
 
 
 def test_stability_exit_code(tmp_path):
@@ -343,6 +360,28 @@ def test_angmom_sweep_output(tmp_path):
     assert abs(float(rows[0][2]) - 0.5) < 1e-3
     assert abs(float(rows[1][2]) - 0.5) < 1e-3
     assert float(rows[3][2]) < float(rows[2][2])   # screened decline
+
+
+def test_angmom_reports_quadrature_diagnostics(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert main(["angmom", "--mu-list", "0,0.01,1", "--d-list", "1,2",
+                     "--out", str(out)]) == EXIT_OK
+    assert _read(a / "angmom.csv") == _read(b / "angmom.csv")
+    diag = _manifest(a, "angmom")["diagnostics"]
+    assert diag == _manifest(b, "angmom")["diagnostics"]
+    quad = diag["quadrature"]
+    assert sorted(quad) == ["evaluations", "max_err_extrapolation",
+                            "max_err_quadrature", "max_err_tail",
+                            "padded_share", "r_max_pushes"]
+    assert quad["evaluations"] > 0 and 0.0 < quad["padded_share"] < 0.5
+    # mu*d = 0.01 and 0.02 push r_max out; the others do not
+    assert quad["r_max_pushes"] > 0
+    err = [float(row.split(",")[3]) for row in
+           _read(a / "angmom.csv").decode().strip().split("\n")[2:]]
+    terms = [quad[f"max_err_{k}"] for k in ("extrapolation", "quadrature",
+                                            "tail")]
+    assert max(terms) <= max(err) <= sum(terms)
 
 
 def test_holonomy_output(tmp_path):
