@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import dataclasses
 import datetime
+import functools
 import hashlib
 import inspect
 import json
@@ -448,9 +449,14 @@ def _solve_vortex_for(run):
         raise DomainError("winding number n must be >= 1")
     model = HiggsModel(q=cfg["q"], v=cfg["v"], lam=cfg["lam"])
     with run.stage("solve"):
-        profile, tension = solve_vortex(
-            model, cfg["n"], **{key: cfg[key] for key in _VORTEX_KEYS})
+        try:
+            profile, tension = solve_vortex(
+                model, cfg["n"], **{key: cfg[key] for key in _VORTEX_KEYS})
+        except ConvergenceError as exc:
+            run.diagnostics["relaxation"] = exc.stats._asdict()
+            raise
     run.diagnostics["residual"] = tension.residual
+    run.diagnostics["relaxation"] = tension.stats._asdict()
     return model, profile, tension
 
 
@@ -501,7 +507,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The polelab argument parser, built once per process: parse_args
+    leaves it unchanged, so every main call can share it."""
     parser = argparse.ArgumentParser(
         prog="polelab",
         description="Numerical checks of pole quantization with photon mass.")

@@ -26,15 +26,18 @@ A = i tau H/2 with H the Hermitian hopping tridiagonal, prefactored once;
 applying it as (1 + A)^-1 (1 - A) = 2 (1 + A)^-1 - 1, the (1,1) Pade
 approximant of exp(-i tau H), keeps every factor exactly unitary and the
 fused split second order in dt (Strang, SIAM J. Numer. Anal. 5 (1968) 506).
-Every factor is a pivot-free Thomas sweep of psi[ix, iy] in place, one
-BLAS axpy per line: the x factors over its rows, vectorised over the
+Every factor is a pivot-free Thomas sweep of psi[ix, iy] in place, a BLAS
+axpy per line update: the x factors over its rows, vectorised over the
 columns, and the y factor over its columns, vectorised over the rows, so a
-step makes no layout copy. psi is stepped as the leading columns of a
-buffer whose rows are ROW_PAD zero entries (64 bytes) longer: with rows of
-2^k entries every element of a column would sit a multiple of 4 KiB from
-the next, all in one L1 cache set, and the y sweep would evict its own
-lines. The pad stays zero, so the x sweeps and the elementwise arithmetic
-run over the whole contiguous buffer.
+step makes no layout copy. Each propagation binds its three factors to its
+two buffers once: binding lists every axpy call of the sweep with its
+operands, and each step replays the lists, so the per-line work left in
+Python is one call from a prepared argument tuple. psi is stepped as the
+leading columns of a buffer whose rows are ROW_PAD zero entries (64 bytes)
+longer: with rows of 2^k entries every element of a column would sit a
+multiple of 4 KiB from the next, all in one L1 cache set, and the y sweep
+would evict its own lines. The pad stays zero, so the x sweeps and the
+elementwise arithmetic run over the whole contiguous buffer.
 
 The steps run on 2^s psi, with s chosen so that the l2 norm of 2^s psi
 lies just below 2^1000. The scheme is linear and 2^s a power of two, so
@@ -74,7 +77,9 @@ about 0 whatever the flux.
 import json
 import math
 import os
+from collections import deque
 from dataclasses import dataclass, replace
+from itertools import starmap
 
 import numpy as np
 from scipy.linalg.blas import get_blas_funcs
@@ -82,6 +87,9 @@ from scipy.linalg.blas import get_blas_funcs
 from .errors import AccuracyError, DomainError, StabilityError
 
 MIN_GRID = 64
+# one 4096^2 grid is 256 MiB and a propagation holds four such arrays;
+# larger sides are refused before anything is allocated
+MAX_GRID = 4096
 ROW_PAD = 4     # zero columns after each row of the stepped psi: 64 bytes,
                 # so a row stride is never a multiple of 4 KiB
 SPONGE_FRACTION = 0.10          # absorber width per side, fraction of the grid
@@ -127,8 +135,7 @@ class WaveGrid:
         psi = np.asarray(self.psi, dtype=np.complex128, order="C")
         if psi.ndim != 2:
             raise DomainError("psi must be a 2-D array")
-        if psi.shape[0] < MIN_GRID or psi.shape[1] < MIN_GRID:
-            raise DomainError(f"grid must be at least {MIN_GRID} x {MIN_GRID}")
+        _check_sides(*psi.shape)
         if not all(np.isfinite(v) and v > 0
                    for v in (self.h, self.m, self.dt)):
             raise DomainError("h, m, dt must be finite and > 0")
@@ -177,7 +184,14 @@ class FluxLine:
                                               float(self.position[1])))
 
 
+def _check_sides(nx, ny):
+    if not (MIN_GRID <= nx <= MAX_GRID and MIN_GRID <= ny <= MAX_GRID):
+        raise DomainError(f"grid sides must lie in [{MIN_GRID}, {MAX_GRID}]"
+                          f", not {nx} x {ny}")
+
+
 def make_wave_grid(nx, ny, h=1.0, m=1.0, dt=0.4):
+    _check_sides(nx, ny)
     return WaveGrid(psi=np.zeros((nx, ny), dtype=np.complex128), h=h, m=m, dt=dt)
 
 
@@ -267,17 +281,18 @@ class _Thomas:
             + [(k, k + 1, phase if k == j else None)
                for k in range(n - 2, -1, -1)])
 
-    def cayley(self, psi, work, axis):
-        """psi := (1 + A)^-1 (1 - A) psi = 2 (1 + A)^-1 psi - psi along
-        `axis`, in place.
+    def bind(self, psi, work, axis):
+        """The step psi := (1 + A)^-1 (1 - A) psi = 2 (1 + A)^-1 psi - psi
+        along `axis`, in place, for these two buffers.
 
         psi has n entries along `axis`. psi and the scratch work are
         C-ordered, or the leading columns of C-ordered buffers with the row
         stride of psi.strides. psi's remaining pad columns, at most ROW_PAD,
         must be zero and stay zero, so the x sweep and the elementwise
-        arithmetic run over the whole buffer.
+        arithmetic run over the whole buffer. The sweep's axpy calls, with
+        their operands, are listed here once; each call of the step replays
+        the list. The step holds both buffers.
         """
-        axpy, coef = self._axpy, self._coef
         rows, row = psi.shape[0], psi.strides[0] // psi.itemsize
         whole, scratch = _rows(psi, row), _rows(work, row)
         if axis == 0:
@@ -286,23 +301,25 @@ class _Thomas:
         else:
             # line k is column k
             scale, stride, inc, size = self._scale[:row], 1, row, rows
-        np.multiply(whole, scale, out=scratch)
         flat = scratch.reshape(-1)
         if self._cut is not None:
             lo, hi, _ = self._cut.indices(size)
+        plan = []
         for dst, src, phase in self._updates:
-            a = coef[dst]
-            if phase is None:
-                axpy(flat, flat, size, a, src * stride, inc, dst * stride,
-                     inc)
-                continue
-            for first, end, w in ((0, lo, a), (lo, hi, a * phase),
-                                  (hi, size, a)):
-                if end > first:
-                    axpy(flat, flat, end - first, w,
-                         src * stride + first * inc, inc,
-                         dst * stride + first * inc, inc)
-        np.subtract(scratch, whole, out=whole)
+            a = self._coef[dst]
+            pieces = ([(0, size, a)] if phase is None else
+                      [(0, lo, a), (lo, hi, a * phase), (hi, size, a)])
+            plan += [(flat, flat, end - first, w, src * stride + first * inc,
+                      inc, dst * stride + first * inc, inc)
+                     for first, end, w in pieces if end > first]
+        axpy = self._axpy
+
+        def step():
+            np.multiply(whole, scale, out=scratch)
+            deque(starmap(axpy, plan), maxlen=0)
+            np.subtract(scratch, whole, out=whole)
+
+        return step
 
 
 def _check_stability(grid):
@@ -391,9 +408,6 @@ def _propagate(grid, line, steps, sponge):
         return grid
 
     nx, ny = grid.psi.shape
-    half_x = _Thomas(nx, grid.dt / 2.0, grid.m, grid.h)
-    full_x = _Thomas(nx, grid.dt, grid.m, grid.h)
-    full_y = _Thomas(ny, grid.dt, grid.m, grid.h, link)
     band = _sponge_band(grid) if sponge else []
 
     # psi is stepped in place as the leading columns of a zero-padded
@@ -402,13 +416,17 @@ def _propagate(grid, line, steps, sponge):
     psi = np.zeros((nx, ny + ROW_PAD), dtype=np.complex128)[:, :ny]
     np.multiply(grid.psi, 2.0**s, out=psi)
     work = np.empty((nx, ny + ROW_PAD), dtype=np.complex128)[:, :ny]
-    half_x.cayley(psi, work, 0)
+    half_x = _Thomas(nx, grid.dt / 2.0, grid.m, grid.h).bind(psi, work, 0)
+    full_x = _Thomas(nx, grid.dt, grid.m, grid.h).bind(psi, work, 0)
+    full_y = _Thomas(ny, grid.dt, grid.m, grid.h, link).bind(psi, work, 1)
+    half_x()
     for step in range(1, steps + 1):
-        full_y.cayley(psi, work, 1)
+        full_y()
         for index, slab in band:
             psi[index] *= slab
-        (full_x if step < steps else half_x).cayley(psi, work, 0)
-    del work
+        (full_x if step < steps else half_x)()
+    # the steps hold work: drop them before the copy out allocates
+    del work, half_x, full_x, full_y
     return replace(grid, psi=np.multiply(psi, 2.0**-s, order="C"))
 
 

@@ -26,12 +26,17 @@ grid is sinh-stretched to cluster points near the axis.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import AccuracyError, ConvergenceError, DomainError
+
+# most radial grid points of solve_vortex; a larger grid is refused before
+# anything is allocated
+MAX_GRID = 2**16
 
 
 @dataclass(frozen=True)
@@ -94,15 +99,29 @@ class VortexProfile:
         object.__setattr__(self, "n", int(self.n))
 
 
+class RelaxationStats(NamedTuple):
+    """What one solve_vortex call did: its sweeps (one banded solve each),
+    the residual before each sweep and, once converged, the final one, and
+    the pseudo-timestep dtau of the last sweep (0 if none was taken)."""
+
+    iterations: int
+    residual_history: tuple
+    final_dtau: float
+
+
 @dataclass(frozen=True)
 class TensionResult:
     T: float
     bogomolny_ratio: float
     converged: bool
     residual: float
+    stats: RelaxationStats = None
 
     def to_dict(self):
-        return asdict(self)
+        """The four result values; the stats record of the solve is not
+        one of them."""
+        return {"T": self.T, "bogomolny_ratio": self.bogomolny_ratio,
+                "converged": self.converged, "residual": self.residual}
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +238,10 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
     """Relax the winding-n tube profiles; returns (VortexProfile, TensionResult).
 
     r_max defaults to 20 * max(1/m_H, 1/m_V) and must be at least 10
-    correlation lengths; grid must be >= 512 points. Raises ConvergenceError
-    (with the residual history) if the relaxation stalls.
+    correlation lengths; grid must have 512 to MAX_GRID points. The
+    tension carries the RelaxationStats of the solve. Raises
+    ConvergenceError (with the residual history and the stats) if the
+    relaxation stalls.
     """
     if not isinstance(n, (int, np.integer)):
         raise DomainError("winding number n must be an integer")
@@ -228,8 +249,8 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
         raise DomainError("winding number n must be >= 1")
     if model.q == 0:
         raise DomainError("vortex solve requires q != 0")
-    if grid < 512:
-        raise DomainError("grid must have at least 512 points")
+    if not 512 <= grid <= MAX_GRID:
+        raise DomainError(f"grid must have 512 to {MAX_GRID} points")
     if not tol > 0:
         raise DomainError("tol must be > 0")
 
@@ -256,7 +277,7 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
 
     n_int = npts - 2
     history = []
-    dtau = 0.5
+    dtau = 0.25     # doubled before each sweep: 0.5, 1, 2, ... up to 1e12
     converged = False
     for _ in range(max_iter):
         rf, ra = _residual(x, f, a, n, beta, d1, d2)
@@ -265,6 +286,7 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
         if res < tol:
             converged = True
             break
+        dtau = min(dtau * 2.0, 1e12)
 
         # banded Jacobian of the implicit-flow operator (1/dtau) I - J,
         # unknowns interleaved [f_1, a_1, f_2, a_2, ...]
@@ -308,17 +330,20 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
         np.clip(a, -0.2, 1.2, out=a)
         f[0] = a[0] = 0.0
         f[-1] = a[-1] = 1.0
-        dtau = min(dtau * 2.0, 1e12)
 
+    sweeps = len(history) - converged
+    stats = RelaxationStats(sweeps, tuple(history), dtau if sweeps else 0.0)
     rho = x / m_v
     profile = VortexProfile(n=n, rho_grid=rho, f=f.copy(), a=a.copy(), beta=beta)
     rf, ra = _residual(x, f, a, n, beta, d1, d2)
     res = float(max(np.max(np.abs(rf)), np.max(np.abs(ra))))
     if not converged:
         raise ConvergenceError("vortex relaxation did not converge",
-                               best=profile, error=res, history=history)
+                               best=profile, error=res, history=history,
+                               stats=stats)
     T = vortex_energy(model, profile)
     bound = 2.0 * np.pi * model.v**2 * abs(n)
     return profile, TensionResult(
         T=T, bogomolny_ratio=float(T / bound), converged=True, residual=res,
+        stats=stats,
     )

@@ -9,6 +9,7 @@ grid runs in the acceptance suite.
 """
 
 import json
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -175,10 +176,10 @@ def test_free_factors_match_dense_cayley(padded):
 
     x = _stepping_layout(psi, padded)
     work = _stepping_layout(np.zeros_like(psi), padded)
-    interference._Thomas(nx, tau, 1.0, 1.0).cayley(x, work, 0)
+    interference._Thomas(nx, tau, 1.0, 1.0).bind(x, work, 0)()
     assert np.abs(x - dense(nx) @ psi).max() <= 1e-14
     y = _stepping_layout(psi, padded)
-    interference._Thomas(ny, tau, 1.0, 1.0).cayley(y, work, 1)
+    interference._Thomas(ny, tau, 1.0, 1.0).bind(y, work, 1)()
     assert np.abs(y - psi @ dense(ny).T).max() <= 1e-14
     assert _pad_is_zero(x) and _pad_is_zero(y) and _pad_is_zero(work)
 
@@ -204,15 +205,106 @@ def test_folded_link_is_gauged_free_factor(cut, padded):
 
     explicit = psi.copy()
     explicit[rows, j0 + 1:] *= phase
-    interference._Thomas(ny, tau, 1.0, 1.0).cayley(
-        explicit, np.empty_like(explicit), 1)
+    interference._Thomas(ny, tau, 1.0, 1.0).bind(
+        explicit, np.empty_like(explicit), 1)()
     explicit[rows, j0 + 1:] *= np.conj(phase)
 
     folded = _stepping_layout(psi, padded)
     work = _stepping_layout(np.zeros_like(psi), padded)
-    interference._Thomas(ny, tau, 1.0, 1.0, link).cayley(folded, work, 1)
+    interference._Thomas(ny, tau, 1.0, 1.0, link).bind(folded, work, 1)()
     assert np.abs(folded - explicit).max() <= 1e-14
     assert _pad_is_zero(folded) and _pad_is_zero(work)
+
+
+def cayley_by_update(thomas, psi, work, axis):
+    """The reference for _Thomas.bind: the same factor applied by one loop
+    over the sweep's updates, each axpy call built as it is made."""
+    axpy, coef = thomas._axpy, thomas._coef
+    rows, row = psi.shape[0], psi.strides[0] // psi.itemsize
+    whole = interference._rows(psi, row)
+    scratch = interference._rows(work, row)
+    if axis == 0:
+        scale, stride, inc, size = thomas._scale[:rows, None], row, 1, row
+    else:
+        scale, stride, inc, size = thomas._scale[:row], 1, row, rows
+    np.multiply(whole, scale, out=scratch)
+    flat = scratch.reshape(-1)
+    if thomas._cut is not None:
+        lo, hi, _ = thomas._cut.indices(size)
+    for dst, src, phase in thomas._updates:
+        a = coef[dst]
+        if phase is None:
+            axpy(flat, flat, size, a, src * stride, inc, dst * stride, inc)
+            continue
+        for first, end, w in ((0, lo, a), (lo, hi, a * phase),
+                              (hi, size, a)):
+            if end > first:
+                axpy(flat, flat, end - first, w, src * stride + first * inc,
+                     inc, dst * stride + first * inc, inc)
+    np.subtract(scratch, whole, out=whole)
+
+
+def propagate_by_update(grid, line, steps):
+    """_propagate's fused sponge run, every factor applied by
+    cayley_by_update."""
+    nx, ny = grid.psi.shape
+    link = (interference._cut_link(grid, line, sponge=True)
+            if line is not None else None)
+    half_x = interference._Thomas(nx, grid.dt / 2.0, grid.m, grid.h)
+    full_x = interference._Thomas(nx, grid.dt, grid.m, grid.h)
+    full_y = interference._Thomas(ny, grid.dt, grid.m, grid.h, link)
+    s = interference._scale_exponent(grid.psi)
+    psi = _stepping_layout(grid.psi * 2.0**s, True)
+    work = _stepping_layout(np.zeros_like(grid.psi), True)
+    cayley_by_update(half_x, psi, work, 0)
+    for step in range(1, steps + 1):
+        cayley_by_update(full_y, psi, work, 1)
+        for index, slab in interference._sponge_band(grid):
+            psi[index] *= slab
+        cayley_by_update(full_x if step < steps else half_x, psi, work, 0)
+    return psi * 2.0**-s
+
+
+@pytest.mark.parametrize("padded", [False, True],
+                         ids=["contiguous", "padded"])
+@pytest.mark.parametrize("axis, cut", [(0, None), (1, None), (1, "+x"),
+                                       (1, "-x")],
+                         ids=["x", "y", "y+x", "y-x"])
+def test_bound_step_replays_the_update_loop(axis, cut, padded):
+    # the same axpy calls with the same operands in the same order: equal
+    # to the last bit, on the first call and on a replay of the same list;
+    # the +x cut's rows reach row nx, the -x cut's start at row 0
+    nx, ny, tau = 64, 70, 0.4
+    link = None
+    if cut is not None:
+        line = FluxLine(position=(30.5, 40.5), flux=1.3, charge=1.0, cut=cut)
+        link = interference._cut_link(make_wave_grid(nx, ny, dt=tau), line,
+                                      sponge=False)
+    thomas = interference._Thomas((nx, ny)[axis], tau, 1.0, 1.0, link)
+    rng = np.random.default_rng(5)
+    psi = rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny))
+    ref = _stepping_layout(psi, padded)
+    ref_work = _stepping_layout(np.zeros_like(psi), padded)
+    bound = _stepping_layout(psi, padded)
+    work = _stepping_layout(np.zeros_like(psi), padded)
+    step = thomas.bind(bound, work, axis)
+    for _ in range(2):
+        cayley_by_update(thomas, ref, ref_work, axis)
+        step()
+        assert np.array_equal(bound, ref)
+    assert _pad_is_zero(bound) and _pad_is_zero(work)
+
+
+@pytest.mark.parametrize("cut", [None, "+x", "-x"])
+def test_sponge_run_replays_the_update_loop(cut):
+    grid = gaussian_packet(make_wave_grid(64, 70), (20.0, 35.0), 8.0,
+                           (0.9, 0.0))
+    if cut is None:
+        line, run = None, propagate_free(grid, 20)
+    else:
+        line = FluxLine(position=(30.5, 40.5), flux=1.3, charge=1.0, cut=cut)
+        run = propagate_with_flux(grid, line, 20)
+    assert np.array_equal(run.psi, propagate_by_update(grid, line, 20))
 
 
 @pytest.mark.parametrize("shape", [(64, 70), (128, 128)])
@@ -268,6 +360,18 @@ def test_steps_commute_with_power_of_two_scale(packet512, k):
     a = propagate_free(packet512, 10)
     b = propagate_free(replace(packet512, psi=packet512.psi * 2.0**k), 10)
     assert np.array_equal(a.psi, b.psi * 2.0**-k)
+
+
+def test_copy_out_drops_the_stepping_buffers(packet512):
+    # the bound steps hold work; dropped with it before the copy out, psi,
+    # work and the result are never live together, three padded buffers
+    tracemalloc.start()
+    try:
+        propagate_free(packet512, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 512 * (512 + interference.ROW_PAD) * 16
 
 
 def test_zero_grid_steps_to_zero():

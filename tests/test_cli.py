@@ -109,6 +109,9 @@ def test_usage_errors(tmp_path):
     (["angmom", "--mu-list", "1", "--d-list", "5e-324"], False),
     (["angmom", "--gl-order", "65"], False),
     (["angmom", "--gl-order", "100000"], False),
+    (["absim", "--mode", "invisibility", "--nx", "1000000000000", "--ny",
+      "1000000000000"], False),
+    (["vortex", "--grid", "1000000000000000"], False),
 ])
 def test_bad_inputs_are_usage_errors(tmp_path, argv, out_is_file):
     # non-finite values and an unusable --out never share the verdict code 1
@@ -259,6 +262,28 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == EXIT_OK
     assert json.loads(proc.stdout)["satisfied"] is True
+
+
+def test_one_parser_serves_every_command(tmp_path):
+    # main builds the parser once; two commands run in one process write
+    # the files each writes in a process of its own, and the second sees
+    # its own defaults, not the first's flags
+    assert build_parser() is build_parser()
+    argvs = [["check", "--q", "2", "--g", "0.25"],
+             ["fields", "--samples", "8"]]
+    for i, argv in enumerate(argvs):
+        assert main(argv + ["--out", str(tmp_path / "shared")]) == EXIT_OK
+        subprocess.run([sys.executable, "-m", "polelab", *argv,
+                        "--out", str(tmp_path / f"own{i}")],
+                       check=True, capture_output=True)
+    own = {p.name: _read(p) for i in range(2)
+           for p in (tmp_path / f"own{i}").iterdir()}
+    shared = {p.name: _read(p) for p in (tmp_path / "shared").iterdir()}
+    assert sorted(own) == sorted(shared) == [
+        "check.json", "check_manifest.json", "fields.csv",
+        "fields_manifest.json"]
+    for name in ("check.json", "fields.csv"):
+        assert shared[name] == own[name]
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +456,26 @@ def test_absim_snapshots_written(tmp_path):
     assert (tmp_path / "absim_free.f64").exists()
     assert (tmp_path / "absim_free.f64.json").exists()
     assert (tmp_path / "absim_flux.f64").exists()
+
+
+@pytest.mark.parametrize("cmd", ["vortex", "confine"])
+def test_vortex_reports_relaxation_diagnostics(tmp_path, cmd):
+    assert main([cmd, "--out", str(tmp_path)]) == EXIT_OK
+    diag = _manifest(tmp_path, cmd)["diagnostics"]
+    relax = diag["relaxation"]
+    assert len(relax["residual_history"]) == relax["iterations"] + 1
+    assert relax["residual_history"][-1] == diag["residual"]
+    assert relax["final_dtau"] == 0.5 * 2.0 ** (relax["iterations"] - 1)
+
+
+def test_stalled_vortex_records_its_relaxation(tmp_path):
+    code = main(["vortex", "--max-iter", "3", "--out", str(tmp_path)])
+    assert code == EXIT_CONVERGENCE
+    man = _manifest(tmp_path, "vortex")
+    assert man["status"] == "error"
+    relax = man["diagnostics"]["relaxation"]
+    assert relax["iterations"] == len(relax["residual_history"]) == 3
+    assert relax["final_dtau"] == 2.0
 
 
 def test_confine_output(tmp_path):

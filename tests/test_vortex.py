@@ -21,6 +21,7 @@ from polelab.errors import AccuracyError, ConvergenceError, DomainError
 from polelab.fields import _azimuthal
 from polelab.gauge import circle_loop, line_integral
 from polelab.vortex import (
+    MAX_GRID,
     HiggsModel,
     TensionResult,
     VortexProfile,
@@ -293,6 +294,8 @@ def test_solver_input_validation():
     with pytest.raises(DomainError):
         solve_vortex(CRITICAL, 1, grid=256)
     with pytest.raises(DomainError):
+        solve_vortex(CRITICAL, 1, grid=MAX_GRID + 1)
+    with pytest.raises(DomainError):
         solve_vortex(CRITICAL, 1, r_max=5.0)   # < 10 correlation lengths
 
 
@@ -317,6 +320,20 @@ def test_stalled_relaxation_reports_history():
     err = exc_info.value
     assert isinstance(err.best, VortexProfile)
     assert err.error > 0 and len(err.history) == 3
+    # three sweeps at dtau = 0.5, 1, 2, each after its residual
+    assert err.stats == (3, tuple(err.history), 2.0)
+
+
+def test_converged_relaxation_reports_its_stats(critical_solution):
+    # the history ends at the converged residual, one entry past the last
+    # sweep; dtau doubles from 0.5 each sweep
+    _, tension = critical_solution
+    stats = tension.stats
+    assert len(stats.residual_history) == stats.iterations + 1
+    assert stats.residual_history[-1] == tension.residual < 1e-10
+    assert all(r >= 1e-10 for r in stats.residual_history[:-1])
+    assert stats.final_dtau == min(0.5 * 2.0 ** (stats.iterations - 1), 1e12)
+    assert "stats" not in tension.to_dict()
 
 
 def test_tension_result_serialization():
