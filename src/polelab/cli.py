@@ -39,9 +39,10 @@ from .fields import (PhysicalConfig, local_charge, monopole_field,
                      yukawa_electric_field)
 from .gauge import DEFAULT_TOL, cap_flux, check_quantization
 from .interference import (InterferenceConfig, check_fringe_window,
-                           fringe_sensitivity, intensity_slice,
-                           measure_fringe, measure_invisibility,
-                           run_experiment, save_snapshot)
+                           experiment_workers, fringe_sensitivity,
+                           intensity_slice, measure_fringe,
+                           measure_invisibility, run_experiment,
+                           save_snapshot)
 from .vortex import (HiggsModel, confinement_energy, energy_density_profile,
                      magnetic_profile, solve_vortex, vortex_flux)
 
@@ -361,8 +362,10 @@ def _absorbed(free, grids):
 def _experiment(run, key, sim_cfg, packet, lines):
     """run_experiment, recording in the diagnostics under `key` what it
     did: propagations, steps per propagation, Cayley solves (2N + 1 per
-    propagation of N > 0 fused Strang steps) and the wall ms per step of
-    the whole call."""
+    propagation of N > 0 fused Strang steps), the worker processes the
+    propagations ran on, and ms_per_step, the wall time of the whole call
+    divided by propagations x steps. The propagations run in parallel, so
+    ms_per_step is below the time one step takes in one worker."""
     t0 = time.perf_counter()
     free, grids = run_experiment(sim_cfg, packet, lines)
     seconds = time.perf_counter() - t0
@@ -371,6 +374,7 @@ def _experiment(run, key, sim_cfg, packet, lines):
         "propagations": runs,
         "steps": steps,
         "solves": runs * (2 * steps + 1) if steps else 0,
+        "workers": experiment_workers(runs),
         "ms_per_step": 1e3 * seconds / (runs * steps) if steps else 0.0,
     }
     return free, grids

@@ -66,18 +66,26 @@ A WaveGrid is a value: the packet builders and the propagations return a
 new grid and never write the one they are given. Both experiments go
 through one driver, run_experiment: it checks every flux line, then
 propagates the packet free once and once per line, so the free reference
-is shared by all lines. measure_invisibility and measure_fringe read the
-two consequences off fixed windows of the canonical geometry (module
-constants, like the sponge's width and rate). check_fringe_window refuses a
-fringe window that the flux barely changes (fringe_sensitivity): there the
-geometry forms no two-path interferometer, and every measured shift is
-about 0 whatever the flux.
+is shared by all lines. These runs are independent, so they run in
+parallel, one worker process per CPU at most, forked for the call (so
+Linux only). The workers inherit the packet rather than receive it, and
+each writes its result into its own slot of one anonymous shared memory
+map; the returned grids are views of the slots, so no grid is pickled
+either way. measure_invisibility and measure_fringe read the two
+consequences off fixed windows of the canonical geometry (module
+constants, like the sponge's width and rate).
+check_fringe_window refuses a fringe window that the flux barely changes
+(fringe_sensitivity): there the geometry forms no two-path interferometer,
+and every measured shift is about 0 whatever the flux.
 """
 
 import json
 import math
+import mmap
+import multiprocessing
 import os
 from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import starmap
 
@@ -322,6 +330,11 @@ class _Thomas:
         return step
 
 
+def _check_steps(steps):
+    if not isinstance(steps, (int, np.integer)) or steps < 0:
+        raise DomainError("steps must be a nonnegative integer")
+
+
 def _check_stability(grid):
     # Cayley factors are unitary for any dt, but the per-step phase error at
     # the band edge (E_max = 4/(m h^2) in 2-D) is O(1) once dt exceeds
@@ -338,12 +351,13 @@ def _cut_link(grid, line, sponge):
     snaps to the center of the plaquette (i0..i0 + 1, j0..j0 + 1), and in
     the rows of psi the cut crosses, ix > i0 for '+x' and ix <= i0 for
     '-x', the link between columns j0 and j0 + 1 carries the phase. The
-    margin of at least 2h keeps i0 and j0 inside the grid."""
-    margin = (SPONGE_FRACTION * grid.h * grid.nx if sponge else 0.0) \
-        + 2.0 * grid.h
+    margin along each axis is the sponge's width on that axis plus 2h; the
+    2h keeps i0 and j0 inside the grid."""
+    sponge_h = SPONGE_FRACTION * grid.h if sponge else 0.0
+    mx, my = (sponge_h * n + 2.0 * grid.h for n in (grid.nx, grid.ny))
     x0, y0 = line.position
     lx, ly = grid.h * (grid.nx - 1), grid.h * (grid.ny - 1)
-    if not (margin < x0 < lx - margin and margin < y0 < ly - margin):
+    if not (mx < x0 < lx - mx and my < y0 < ly - my):
         raise DomainError("flux line must sit inside the grid, clear of the "
                           "boundary sponge")
     i0 = int(round(x0 / grid.h - 0.5))
@@ -400,8 +414,7 @@ def _propagate(grid, line, steps, sponge):
     Everything is checked before the first factor; zero steps apply
     nothing. The steps run on 2^s psi, s = _scale_exponent(psi): the copy
     into the stepping buffer multiplies by 2^s and the copy out by 2^-s."""
-    if not isinstance(steps, (int, np.integer)) or steps < 0:
-        raise DomainError("steps must be a nonnegative integer")
+    _check_steps(steps)
     _check_stability(grid)
     link = _cut_link(grid, line, sponge) if line is not None else None
     if steps == 0:
@@ -604,19 +617,50 @@ class InterferenceConfig:
                         cut=cut)
 
 
+def experiment_workers(runs):
+    """Worker processes run_experiment forks for `runs` propagations: one
+    per run, at most one per CPU this process may run on."""
+    return min(runs, len(os.sched_getaffinity(0)))
+
+
+_worker_args = ()   # (packet, steps, runs, slots), set in each worker
+
+
+def _init_worker(*args):
+    global _worker_args
+    _worker_args = args
+
+
+def _run_into_slot(i):
+    """Propagate run i of the worker's experiment, the free run for i = 0,
+    into slot i."""
+    packet, steps, runs, slots = _worker_args
+    slots[i] = _propagate(packet, runs[i], steps, True).psi
+
+
 def run_experiment(config, packet, lines):
     """Propagate one packet free and once along each flux line.
 
     packet is "single", one Gaussian aimed head-on at the lines, or
     "two_slit", a coherent pair straddling them. The grid, the step count,
-    every line and the packet are checked before the first step. All runs
-    start from the same packet; returns (free grid, [grid per line]) in line
-    order.
+    the time step's stability bound, every line and the packet are checked
+    before any worker starts. All runs start from the same packet and are
+    independent, so they run in parallel: a pool of experiment_workers
+    processes forked for this call alone, which inherit the packet, the
+    step count and the lines and so never pickle them. Run i writes its
+    psi into slot i of one anonymous shared memory map, made before the
+    fork, and the returned grids are views of their slots; nothing but the
+    run index and a worker's exception crosses a pipe. A run's values are
+    those of the same propagation in this process, bit for bit. The pool
+    is shut down, and its workers joined, before the call returns or
+    raises. Returns (free grid, [grid per line]) in line order.
     """
     # the grid rejects a non-finite h, m or dt before the step count uses it
     grid = make_wave_grid(config.nx, config.ny, config.h, config.m,
                           config.dt)
     steps = config.resolved_steps()
+    _check_steps(steps)
+    _check_stability(grid)
     for line in lines:
         _cut_link(grid, line, sponge=True)
     src, _, _ = config.geometry()
@@ -628,8 +672,18 @@ def run_experiment(config, packet, lines):
                                    config.packet_width, (config.k, 0.0))
     else:
         raise DomainError("packet must be 'single' or 'two_slit'")
-    return propagate_free(grid, steps), [
-        propagate_with_flux(grid, line, steps) for line in lines]
+    # fork, not spawn: the workers inherit the packet and the anonymous
+    # map, which a spawned worker could only get pickled or by name
+    runs = [None, *lines]
+    slots = np.frombuffer(mmap.mmap(-1, len(runs) * grid.psi.nbytes),
+                          np.complex128).reshape(len(runs), *grid.psi.shape)
+    with ProcessPoolExecutor(experiment_workers(len(runs)),
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_init_worker,
+                             initargs=(grid, steps, runs, slots)) as pool:
+        deque(pool.map(_run_into_slot, range(len(runs))), maxlen=0)
+    free, *grids = [replace(grid, psi=slot) for slot in slots]
+    return free, grids
 
 
 def measure_invisibility(config, grid_with_flux, grid_free):

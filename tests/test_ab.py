@@ -9,6 +9,7 @@ grid runs in the acceptance suite.
 """
 
 import json
+import multiprocessing
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
@@ -476,23 +477,43 @@ def test_experiment_matches_separate_runs():
             assert np.array_equal(grid.psi, alone.psi)
 
 
-@pytest.mark.parametrize("packet, bad", [
-    ("single", FluxLine(position=(5.0, 64.0), flux=1.0, charge=1.0)),
-    ("single", FluxLine(position=(64.0, 500.0), flux=1.0, charge=1.0)),
-    ("wide", None),
-])
-def test_experiment_checks_everything_before_propagating(monkeypatch,
-                                                         packet, bad):
-    # a line in the sponge, a line off the grid, or an unknown packet fails
-    # before the first propagation, even after a good line
+@pytest.mark.parametrize("cfg, packet, bad, error", [
+    (CFG128, "single", FluxLine(position=(5.0, 64.0), flux=1.0, charge=1.0),
+     DomainError),
+    (CFG128, "single", FluxLine(position=(64.0, 500.0), flux=1.0, charge=1.0),
+     DomainError),
+    (CFG128, "wide", None, DomainError),
+    (replace(CFG128, dt=0.6), "single", None, StabilityError),
+], ids=["single-bad0", "single-bad1", "wide-None", "unstable-dt"])
+def test_experiment_checks_everything_before_propagating(monkeypatch, cfg,
+                                                         packet, bad, error):
+    # a line in the sponge, a line off the grid, an unknown packet or a
+    # time step past 0.5 m h^2 fails before the worker pool starts, even
+    # after a good line
     calls = []
-    for name in ("propagate_free", "propagate_with_flux"):
-        monkeypatch.setattr(interference, name,
-                            lambda *args, **kw: calls.append(args))
-    lines = [CFG128.flux_line(2.0 * np.pi, 1.0)] + ([bad] if bad else [])
-    with pytest.raises(DomainError):
-        run_experiment(CFG128, packet, lines)
+    monkeypatch.setattr(interference, "ProcessPoolExecutor",
+                        lambda *args, **kw: calls.append(args))
+    lines = [cfg.flux_line(2.0 * np.pi, 1.0)] + ([bad] if bad else [])
+    with pytest.raises(error):
+        run_experiment(cfg, packet, lines)
     assert calls == []
+
+
+def test_failing_worker_is_reraised_and_reaped(monkeypatch):
+    # no worker outlives the call, whether it returns or raises; the forked
+    # workers inherit the patched propagation, and its exception reaches
+    # the caller
+    cfg, lines = replace(CFG128, steps=5), [CFG128.flux_line(np.pi, 1.0)]
+    run_experiment(cfg, "single", lines)
+    assert multiprocessing.active_children() == []
+
+    def fail(*args):
+        raise ZeroDivisionError("run failed")
+
+    monkeypatch.setattr(interference, "_propagate", fail)
+    with pytest.raises(ZeroDivisionError, match="run failed"):
+        run_experiment(cfg, "single", lines)
+    assert multiprocessing.active_children() == []
 
 
 def test_config_step_resolution():
@@ -631,17 +652,25 @@ def test_grid_is_a_value(monkeypatch, packet128):
         psi, before = grid.psi, grid.psi.tobytes()
         assert run(grid, *args) is not grid
         assert grid.psi is psi and psi.tobytes() == before
-    seen = []
-    for name in ("propagate_free", "propagate_with_flux"):
-        def spy(grid, *args, _run=getattr(interference, name)):
-            seen.append((grid, grid.psi, grid.psi.tobytes()))
-            return _run(grid, *args)
+    made = []
+    for name in ("gaussian_packet", "two_gaussian_packet"):
+        def spy(*args, _make=getattr(interference, name)):
+            grid = _make(*args)
+            made.append((grid, grid.psi.tobytes()))
+            return grid
         monkeypatch.setattr(interference, name, spy)
+    packets, grids = [], []
     for packet in ("single", "two_slit"):
-        run_experiment(replace(CFG128, steps=5), packet, [line, line])
-    assert len(seen) == 6
-    for grid, psi, before in seen:
-        assert grid.psi is psi and psi.tobytes() == before
+        free, lines = run_experiment(replace(CFG128, steps=5), packet,
+                                     [line, line])
+        # the packet run_experiment propagated is the last one built
+        packets.append(made[-1])
+        grids += [free, *lines]
+    assert len(grids) == 6
+    assert all(grid.psi.tobytes() == before for grid, before in packets)
+    arrays = [grid.psi for grid, _ in packets] + [g.psi for g in grids]
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
     with pytest.raises(FrozenInstanceError):
         packet128.psi = zeros.psi
@@ -666,6 +695,18 @@ def test_flux_line_validation(packet128):
                                                 flux=1.0, charge=1.0), 1)
     with pytest.raises(DomainError):
         propagate_with_flux(packet128, None, 1)
+
+
+def test_sponge_margin_follows_each_axis():
+    # on a 64 x 1000 grid the y sponge is 100 sites wide: a line at y = 50
+    # sits in it, one at y = 500 is clear of it
+    grid = make_wave_grid(64, 1000)
+    with pytest.raises(DomainError):
+        propagate_with_flux(grid, FluxLine(position=(32.0, 50.0), flux=1.0,
+                                           charge=1.0), 0)
+    assert propagate_with_flux(grid, FluxLine(position=(32.0, 500.0),
+                                              flux=1.0, charge=1.0), 0) \
+        is grid
 
 
 def test_steps_validation(packet128):

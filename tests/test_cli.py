@@ -440,11 +440,13 @@ def test_absim_invisibility_output(tmp_path):
     absorbed = man["diagnostics"]["invisibility_absorbed"]
     assert len(absorbed["lines"]) == 1
     assert all(0.0 < a < 0.1 for a in [absorbed["free"], *absorbed["lines"]])
-    # the free run and one line run, each 2N + 1 solves for N fused steps
+    # the free run and one line run, each 2N + 1 solves for N fused steps,
+    # on one worker per run up to the CPUs this process may use
     prop = man["diagnostics"]["invisibility_propagation"]
     steps = metrics["invisibility"]["steps"]
     assert prop["propagations"] == 2 and prop["steps"] == steps > 0
     assert prop["solves"] == 2 * (2 * steps + 1)
+    assert prop["workers"] == min(2, len(os.sched_getaffinity(0))) >= 1
     assert prop["ms_per_step"] > 0.0
 
 
