@@ -39,10 +39,10 @@ from .fields import (PhysicalConfig, local_charge, monopole_field,
                      yukawa_electric_field)
 from .gauge import DEFAULT_TOL, cap_flux, check_quantization
 from .interference import (InterferenceConfig, check_fringe_window,
-                           experiment_workers, fringe_sensitivity,
-                           intensity_slice, measure_fringe,
-                           measure_invisibility, run_experiment,
-                           save_snapshot)
+                           experiment_workers, fringe_bin,
+                           fringe_sensitivity, intensity_slice,
+                           measure_fringe, measure_invisibility,
+                           run_experiment, save_snapshot)
 from .vortex import (HiggsModel, confinement_energy, energy_density_profile,
                      magnetic_profile, solve_vortex, vortex_flux)
 
@@ -59,6 +59,9 @@ EXIT_CODES = {
     AccuracyError: EXIT_CONVERGENCE,
     StabilityError: EXIT_STABILITY,
 }
+
+# fields --samples above this is refused before anything is allocated
+MAX_SAMPLES = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +198,24 @@ def _fmt(x):
     return repr(x)
 
 
+def _fmt_column(column):
+    """The cells of one column as text. A column of floats is checked once
+    with np.isfinite and formatted by repr, which gives what _fmt gives
+    each cell; any other column goes through _fmt cell by cell."""
+    if not all(issubclass(kind, (float, np.floating))
+               for kind in set(map(type, column))):
+        return [_fmt(x) for x in column]
+    values = np.asarray(column, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise DomainError(f"result {values[~finite][0]} is not finite")
+    return list(map(repr, values.tolist()))
+
+
 def write_csv(path, header_cols, rows, sha):
     lines = [f"# config_sha256={sha}", ",".join(header_cols)]
-    lines += [",".join(_fmt(x) for x in row) for row in rows]
+    columns = [_fmt_column(column) for column in zip(*rows)]
+    lines += map(",".join, zip(*columns))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -273,8 +291,8 @@ def cmd_fields(run):
     cfg = run.config
     if cfg["r_min"] <= 0 or cfg["r_max"] <= cfg["r_min"]:
         raise DomainError("need 0 < r_min < r_max")
-    if cfg["samples"] < 2:
-        raise DomainError("samples must be >= 2")
+    if not 2 <= cfg["samples"] <= MAX_SAMPLES:
+        raise DomainError(f"samples must lie in [2, {MAX_SAMPLES}]")
     if cfg["g"] == 0:
         raise DomainError("g must be nonzero: b_over_coulomb divides by it")
     with run.stage("solve"):
@@ -430,12 +448,15 @@ def cmd_absim(run):
                      for line, grid in zip(fringe_lines, grids)]
             sensitivity = [fringe_sensitivity(sim_cfg, grid, free)
                            for grid in grids]
+            k_star, window_points = fringe_bin(sim_cfg, free)
         payload["fringe_table"] = [
             {"flux": f, "shift_predicted": p, "shift_measured": s,
              "circular_error": e} for f, p, s, e in table]
         run.diagnostics["fringe_worst_error"] = max(e for *_, e in table)
         run.diagnostics["fringe_absorbed"] = _absorbed(free, grids)
         run.diagnostics["fringe_sensitivity"] = sensitivity
+        run.diagnostics["fringe_bin"] = {"k": k_star,
+                                         "window_points": window_points}
         check_fringe_window(fringe_lines, sensitivity)
         with run.stage("write"):
             write_csv(run.path("absim_fringe.csv"),

@@ -11,11 +11,14 @@ over a scale 1/mu while its integrated flux stays exactly 4*pi*g.
 
 All field functions accept a single point of shape (3,) or a batch of points
 of shape (..., 3) and return arrays of matching shape.
+
+The screened tube's Bessel functions K0 and K1 are imported inside the two
+proca_tube_* functions, the only callers of scipy.special in the package, so
+importing polelab (and so every CLI command) does not load it.
 """
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.special import k0, k1
 
 from .errors import DomainError, SingularPointError
 
@@ -192,6 +195,9 @@ def proca_tube_profile(g, mu, rho):
     int_0^inf K0(x) x dx = 1 the integrated flux stays exactly 4*pi*g for
     every mu.
     """
+    # imported here, not at module level: no CLI command needs scipy.special
+    from scipy.special import k0
+
     if not np.isfinite(mu) or mu <= 0:
         raise DomainError("proca tube profile requires mu > 0")
     rho = np.asarray(rho, dtype=float)
@@ -208,6 +214,9 @@ def proca_tube_potential(g, mu, r):
     2*pi*rho*A_phi = 4*pi*g*(1 - mu*rho*K1(mu*rho)) climbs to the full 4*pi*g
     once mu*rho >> 1. Regular on the axis (A -> 0 like rho*log(rho)).
     """
+    # imported here, not at module level: no CLI command needs scipy.special
+    from scipy.special import k1
+
     if not np.isfinite(mu) or mu <= 0:
         raise DomainError("proca tube potential requires mu > 0")
     arr = as_vec3(r)

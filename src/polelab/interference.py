@@ -497,17 +497,33 @@ def intensity_slice(grid, x_probe):
     return y, np.abs(grid.psi[ix, :]) ** 2
 
 
+def _window_pattern(grid, x_probe, y_center, window):
+    """|psi|^2 on the probe column within window of y_center."""
+    y, intensity = intensity_slice(grid, x_probe)
+    sel = np.abs(y - y_center) <= window
+    if np.count_nonzero(sel) < 16:
+        raise DomainError("fringe window too narrow")
+    return intensity[sel]
+
+
 def _fringe_window(grid_with_flux, grid_free, x_probe, y_center, window):
     """The two |psi|^2 patterns on the probe column within window of
     y_center."""
     if grid_with_flux.psi.shape != grid_free.psi.shape:
         raise DomainError("grids must have identical shapes")
-    y, i_a = intensity_slice(grid_with_flux, x_probe)
-    _, i_b = intensity_slice(grid_free, x_probe)
-    sel = np.abs(y - y_center) <= window
-    if np.count_nonzero(sel) < 16:
-        raise DomainError("fringe window too narrow")
-    return i_a[sel], i_b[sel]
+    return (_window_pattern(grid_with_flux, x_probe, y_center, window),
+            _window_pattern(grid_free, x_probe, y_center, window))
+
+
+def _spectrum(pattern):
+    """rfft of the pattern with its mean removed, under a Hann taper."""
+    taper = np.hanning(len(pattern))
+    return np.fft.rfft((pattern - np.mean(pattern)) * taper)
+
+
+def _dominant_bin(spectrum):
+    """The fringe bin k*: the strongest nonzero bin of the spectrum."""
+    return 1 + int(np.argmax(np.abs(spectrum[1:])))
 
 
 def fringe_shift(grid_with_flux, grid_free, x_probe, y_center, window):
@@ -520,12 +536,9 @@ def fringe_shift(grid_with_flux, grid_free, x_probe, y_center, window):
     """
     i_a, i_b = _fringe_window(grid_with_flux, grid_free, x_probe, y_center,
                               window)
-    wa = i_a - np.mean(i_a)
-    wb = i_b - np.mean(i_b)
-    taper = np.hanning(len(wa))
-    fa = np.fft.rfft(wa * taper)
-    fb = np.fft.rfft(wb * taper)
-    k_star = 1 + int(np.argmax(np.abs(fb[1:])))
+    fa = _spectrum(i_a)
+    fb = _spectrum(i_b)
+    k_star = _dominant_bin(fb)
     # pattern displaced toward +y by delta shows phase -k*delta at the
     # fringe bin; report the displacement fraction with that sign undone
     dphi = np.angle(fa[k_star]) - np.angle(fb[k_star])
@@ -711,6 +724,13 @@ def measure_fringe(config, line, grid_with_flux, grid_free):
     predicted = two_path_fringe_shift(line.charge, line.flux)
     err = abs(measured - predicted)
     return predicted, measured, min(err, 1.0 - err)
+
+
+def fringe_bin(config, grid_free):
+    """(k*, n): the bin measure_fringe reads every line's phase at, chosen
+    from the free pattern alone, and the number of points in its window."""
+    pattern = _window_pattern(grid_free, *_fringe_probe(config))
+    return _dominant_bin(_spectrum(pattern)), len(pattern)
 
 
 def fringe_sensitivity(config, grid_with_flux, grid_free):

@@ -16,9 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polelab.cli import COMMANDS, EXIT_CONVERGENCE, EXIT_CRASH, EXIT_OK, \
-    EXIT_STABILITY, EXIT_UNSATISFIED, EXIT_USAGE, SCHEMAS, build_parser, \
-    config_hash, main, resolve_config, write_csv, write_json
+    EXIT_STABILITY, EXIT_UNSATISFIED, EXIT_USAGE, MAX_SAMPLES, SCHEMAS, \
+    _fmt, build_parser, config_hash, main, resolve_config, write_csv, \
+    write_json
 from polelab.errors import DomainError
+from polelab.fields import proca_tube_profile
 
 
 def _read(path):
@@ -112,6 +114,7 @@ def test_usage_errors(tmp_path):
     (["absim", "--mode", "invisibility", "--nx", "1000000000000", "--ny",
       "1000000000000"], False),
     (["vortex", "--grid", "1000000000000000"], False),
+    (["fields", "--samples", str(MAX_SAMPLES + 1)], False),
 ])
 def test_bad_inputs_are_usage_errors(tmp_path, argv, out_is_file):
     # non-finite values and an unusable --out never share the verdict code 1
@@ -237,6 +240,10 @@ def test_blind_fringe_window_is_an_accuracy_error(tmp_path, n):
     assert man["status"] == "error" and "sensitivity" in man["error"]
     sensitivity = man["diagnostics"]["fringe_sensitivity"]
     assert len(sensitivity) == 3 and max(sensitivity) < 0.05
+    # the bin every line's phase is read at, recorded once per experiment
+    fringe_bin = man["diagnostics"]["fringe_bin"]
+    k, n_points = fringe_bin["k"], fringe_bin["window_points"]
+    assert n_points >= 16 and 1 <= k < n_points / 2
     assert [p.name for p in tmp_path.iterdir()] == ["absim_manifest.json"]
 
 
@@ -262,6 +269,32 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == EXIT_OK
     assert json.loads(proc.stdout)["satisfied"] is True
+
+
+def test_commands_never_load_scipy_special(tmp_path):
+    # only the screened tube's Bessel functions need scipy.special, and no
+    # command calls them, so a fresh interpreter that imports the package,
+    # builds the parser and runs the light commands never loads it
+    script = f"""
+import sys
+import numpy as np
+import polelab.cli as cli
+import polelab.angmom, polelab.fields, polelab.gauge, polelab.interference
+import polelab.vortex
+cli.build_parser()
+for argv in (["check"], ["fields"], ["holonomy"], ["vortex"],
+             ["angmom", "--mu-list", "0,1", "--d-list", "1"]):
+    assert cli.main(argv + ["--out", {str(tmp_path)!r}]) == 0, argv
+assert "scipy.special" not in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in ("src", os.environ.get("PYTHONPATH")) if p))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=root,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # the function-level import still gives the same value: 2 g mu^2 K0(1)
+    assert proca_tube_profile(0.5, 1.0, 1.0) == 2 * 0.5 * 0.42102443824070823
 
 
 def test_one_parser_serves_every_command(tmp_path):
@@ -333,6 +366,26 @@ def test_writers_reject_non_finite(tmp_path, bad):
     with pytest.raises(DomainError):
         write_json(str(tmp_path / "t.json"), {"x": [1.0, bad]}, "0")
     assert list(tmp_path.iterdir()) == []
+
+def test_columns_format_like_cells(tmp_path):
+    # write_csv formats float columns whole; the reference is the per-cell
+    # loop, _fmt on every cell, and the two files must match byte for byte
+    rng = np.random.default_rng(5)
+    floats = rng.standard_normal(40) * 10.0 ** rng.integers(-320, 300, 40)
+    rows = list(zip(
+        floats,                                      # numpy float64
+        [float(x) for x in floats[::-1]],           # Python float
+        rng.standard_normal(40).astype(np.float32),
+        [i % 2 == 0 for i in range(40)],             # bool
+        np.arange(40) - 20,                          # numpy int
+        [i if i % 3 else 0.5 * i for i in range(40)],   # int and float
+        [-0.0, 5e-324] * 20,
+    ))
+    write_csv(str(tmp_path / "t.csv"), list("abcdefg"), rows, "0")
+    reference = ["# config_sha256=0", "a,b,c,d,e,f,g"]
+    reference += [",".join(_fmt(x) for x in row) for row in rows]
+    assert _read(tmp_path / "t.csv").decode() == "\n".join(reference) + "\n"
+
 
 def test_config_file_overrides_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
