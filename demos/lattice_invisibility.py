@@ -33,8 +33,8 @@ lines = [mid.flux_line(flux, 1.0) for flux in (np.pi, 2.0 * np.pi)]
 print("\ntwo-slit pair around the line (256^2 lattice)")
 print(f"{'q Phi':>10} {'predicted':>10} {'measured':>10} {'circ err':>10}")
 free, grids = run_experiment(mid, "two_slit", lines)
-for line, grid in zip(lines, grids):
-    predicted, measured, err = measure_fringe(mid, line, grid, free)
-    print(f"{line.flux:10.4f} {predicted:10.4f} {measured:10.4f} {err:10.4f}")
+for flux, predicted, measured, err in measure_fringe(mid, lines, free,
+                                                     grids).table:
+    print(f"{flux:10.4f} {predicted:10.4f} {measured:10.4f} {err:10.4f}")
 print("(displacements are fractions of one period; 0.9999 and 0 are the "
       "same point on the circle, hence the circular error column)")

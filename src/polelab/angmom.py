@@ -107,8 +107,8 @@ class QuadratureSpec:
         if self.levels < 2 or not 4 <= self.gl_order <= MAX_GL_ORDER:
             raise DomainError(
                 f"need levels >= 2 and 4 <= gl_order <= {MAX_GL_ORDER}")
-        if not self.target_tol > 0:
-            raise DomainError("target_tol must be > 0")
+        if not 0 < self.target_tol < np.inf:
+            raise DomainError("target_tol must be finite and > 0")
         return pair.d / 64.0, 50.0 * pair.d
 
 
@@ -165,7 +165,8 @@ def _inner_panels(r_nodes, d, s_floor):
 def _inner_integral(r_nodes, d, mu, s_floor, order):
     """int_{max(|r-d|, s_floor)}^{r+d} (s^2-a^2)(b^2-s^2) w(s) / s^2 ds
     for an array of r values, each via geometric Gauss-Legendre panels, all
-    r evaluated in one block.
+    r evaluated in one block. Returns (integrals, m): the values and each
+    r's panel count m.
 
     The panel edges of one r are lo * (b/lo)^(j/m), j < m, with edge m set
     to b exactly. Every r is padded to the largest m in the call, M, by
@@ -182,15 +183,16 @@ def _inner_integral(r_nodes, d, mu, s_floor, order):
     # s >= s_floor, so this cap moves only a mu whose weights are all 0; it
     # keeps mu*s finite (no inf * 0 = nan) and every smaller mu unchanged
     mu = min(mu, _SCREENING_CLAMP / s_floor)
-    a, b, lo, m = _inner_panels(r_nodes, d, s_floor)
-    j = np.arange(m.max() + 1)
-    m, a, b, lo = m[:, None], a[:, None], b[:, None], lo[:, None]
+    a, b, lo, counts = _inner_panels(r_nodes, d, s_floor)
+    j = np.arange(counts.max() + 1)
+    m, a, b, lo = counts[:, None], a[:, None], b[:, None], lo[:, None]
     edges = np.where(j < m, lo * (b / lo) ** (j / np.maximum(m, 1)), b)
     widths = np.diff(edges, axis=1)
     s = edges[:, :-1, None] + widths[:, :, None] * nodes
     a, b = a[:, :, None], b[:, :, None]
     f = (s * s - a * a) * (b * b - s * s) * (1.0 + mu * s) * np.exp(-mu * s) / (s * s)
-    return (f * weights * widths[:, :, None]).reshape(len(m), -1).sum(axis=1)
+    inner = f * weights * widths[:, :, None]
+    return inner.reshape(len(m), -1).sum(axis=1), counts
 
 
 def _outer_breakpoints(eps, d, r_max):
@@ -210,28 +212,25 @@ def _outer_breakpoints(eps, d, r_max):
 
 
 def _j_at_eps(pair, eps, r_max, order):
-    """The reduced double integral with both exclusion cuts at eps."""
+    """The reduced double integral with both exclusion cuts at eps, with
+    the integrand evaluations it made and how many of them were padding:
+    each outer panel's `order` r nodes are padded to their largest inner
+    panel count M, so the panel evaluates order * M * order points.
+    Returns (value, evaluations, padded)."""
     nodes, weights = _gl_nodes(order)
     edges = _outer_breakpoints(eps, pair.d, r_max)
     total = 0.0
+    counts = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         w = hi - lo
         r = lo + w * nodes
-        inner = _inner_integral(r, pair.d, pair.mu, eps, order)
+        inner, m = _inner_integral(r, pair.d, pair.mu, eps, order)
         total += float(np.sum(weights * inner / (r * r))) * w
-    return pair.q * pair.g / (8.0 * pair.d**2) * total
-
-
-def _evaluations(d, eps, r_max, order):
-    """(integrand evaluations, padded ones among them) of one _j_at_eps
-    call: each outer panel's `order` r nodes are padded to their largest
-    inner panel count M, so the panel evaluates order * M * order points."""
-    nodes, _ = _gl_nodes(order)
-    edges = _outer_breakpoints(eps, d, r_max)
-    r = edges[:-1, None] + np.diff(edges)[:, None] * nodes
-    m = _inner_panels(r, d, eps)[-1]
-    total = int(m.max(axis=1).sum()) * order * order
-    return total, total - int(m.sum()) * order
+        counts.append(m)
+    counts = np.array(counts)
+    evaluations = int(counts.max(axis=1).sum()) * order * order
+    padded = evaluations - int(counts.sum()) * order
+    return pair.q * pair.g / (8.0 * pair.d**2) * total, evaluations, padded
 
 
 def _tail(pair, r_max):
@@ -274,20 +273,19 @@ def field_angular_momentum(pair, quad=None):
         tail_value, tail_bound = _tail(pair, r_max)
 
     eps_list = [eps0 / 2**k for k in range(quad.levels)]
-    vals = np.array([_j_at_eps(pair, e, r_max, quad.gl_order) for e in eps_list])
+    runs = [_j_at_eps(pair, e, r_max, quad.gl_order) for e in eps_list]
+    vals = np.array([value for value, _, _ in runs])
 
     # Richardson in eps^2 toward eps = 0
     extrapolated, err_extrap = _neville_at_zero(np.array(eps_list) ** 2, vals)
 
     # quadrature error: repeat the finest-eps evaluation at half the GL order
-    coarse_order = max(4, quad.gl_order // 2)
-    coarse = _j_at_eps(pair, eps_list[-1], r_max, coarse_order)
-    err_quad = abs(vals[-1] - coarse)
+    runs.append(_j_at_eps(pair, eps_list[-1], r_max,
+                          max(4, quad.gl_order // 2)))
+    err_quad = abs(vals[-1] - runs[-1][0])
 
-    counts = [_evaluations(pair.d, e, r_max, quad.gl_order) for e in eps_list]
-    counts.append(_evaluations(pair.d, eps_list[-1], r_max, coarse_order))
-    stats = QuadratureStats(sum(c[0] for c in counts),
-                            sum(c[1] for c in counts), pushes,
+    stats = QuadratureStats(sum(run[1] for run in runs),
+                            sum(run[2] for run in runs), pushes,
                             float(err_extrap), float(err_quad), tail_bound)
     value = extrapolated + tail_value
     error = err_extrap + err_quad + tail_bound

@@ -39,8 +39,7 @@ from .fields import (PhysicalConfig, local_charge, monopole_field,
                      yukawa_electric_field)
 from .gauge import DEFAULT_TOL, cap_flux, check_quantization
 from .interference import (InterferenceConfig, check_fringe_window,
-                           experiment_workers, fringe_bin,
-                           fringe_sensitivity, intensity_slice,
+                           experiment_workers, intensity_slice,
                            measure_fringe, measure_invisibility,
                            run_experiment, save_snapshot)
 from .vortex import (HiggsModel, confinement_energy, energy_density_profile,
@@ -339,8 +338,6 @@ def cmd_holonomy(run):
 
 def cmd_angmom(run):
     cfg = run.config
-    if not cfg["mu_list"] or not cfg["d_list"]:
-        raise DomainError("mu_list and d_list must be nonempty")
     quad = QuadratureSpec(target_tol=cfg["tol"], levels=cfg["levels"],
                           gl_order=cfg["gl_order"])
     with run.stage("solve"):
@@ -444,24 +441,22 @@ def cmd_absim(run):
         with run.stage("fringe"):
             free, grids = _experiment(run, "fringe_propagation", sim_cfg,
                                       "two_slit", fringe_lines)
-            table = [(line.flux, *measure_fringe(sim_cfg, line, grid, free))
-                     for line, grid in zip(fringe_lines, grids)]
-            sensitivity = [fringe_sensitivity(sim_cfg, grid, free)
-                           for grid in grids]
-            k_star, window_points = fringe_bin(sim_cfg, free)
+            reading = measure_fringe(sim_cfg, fringe_lines, free, grids)
         payload["fringe_table"] = [
             {"flux": f, "shift_predicted": p, "shift_measured": s,
-             "circular_error": e} for f, p, s, e in table]
-        run.diagnostics["fringe_worst_error"] = max(e for *_, e in table)
+             "circular_error": e} for f, p, s, e in reading.table]
+        run.diagnostics["fringe_worst_error"] = max(
+            e for *_, e in reading.table)
         run.diagnostics["fringe_absorbed"] = _absorbed(free, grids)
-        run.diagnostics["fringe_sensitivity"] = sensitivity
-        run.diagnostics["fringe_bin"] = {"k": k_star,
-                                         "window_points": window_points}
-        check_fringe_window(fringe_lines, sensitivity)
+        run.diagnostics["fringe_sensitivity"] = reading.sensitivity
+        run.diagnostics["fringe_bin"] = {
+            "k": reading.k, "window_points": reading.window_points,
+            "window_periods": reading.window_periods}
+        check_fringe_window(fringe_lines, reading.sensitivity)
         with run.stage("write"):
             write_csv(run.path("absim_fringe.csv"),
                       ["flux", "shift_predicted", "shift_measured",
-                       "circular_error"], table, run.sha)
+                       "circular_error"], reading.table, run.sha)
 
     with run.stage("write"):
         write_json(run.path("absim_metrics.json"), payload, run.sha)
@@ -470,8 +465,6 @@ def cmd_absim(run):
 
 def _solve_vortex_for(run):
     cfg = run.config
-    if cfg["n"] < 1:
-        raise DomainError("winding number n must be >= 1")
     model = HiggsModel(q=cfg["q"], v=cfg["v"], lam=cfg["lam"])
     with run.stage("solve"):
         try:

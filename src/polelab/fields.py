@@ -81,7 +81,12 @@ def as_vec3(r):
 
 
 def _radii(arr):
-    r = np.sqrt(np.sum(arr * arr, axis=-1))
+    """|r| of finite points; a point whose |r|^2 overflows is refused, since
+    its field would come out as an exact 0 instead of the true value."""
+    with np.errstate(over="ignore"):
+        r = np.sqrt(np.sum(arr * arr, axis=-1))
+    if not np.all(np.isfinite(r)):
+        raise DomainError("|r|^2 overflows: coordinates too large")
     if np.any(r == 0.0):
         raise SingularPointError("field evaluated at a source point")
     return r

@@ -52,8 +52,8 @@ def winding_residual(q, g):
 
 def check_quantization(q, g, tol=DEFAULT_TOL):
     """Report whether 2*q*g is an integer to within tol."""
-    if not tol > 0:
-        raise DomainError("tol must be > 0")
+    if not 0 < tol < np.inf:
+        raise DomainError("tol must be finite and > 0")
     residual, n_nearest = winding_residual(q, g)
     return QuantizationReport(
         n_real=2.0 * q * g,
@@ -71,8 +71,8 @@ def string_invisibility(q, g, tol=DEFAULT_TOL):
     condition check_quantization tests arithmetically. tol is in winding
     units (fraction of a full turn), identical to check_quantization's.
     """
-    if not tol > 0:
-        raise DomainError("tol must be > 0")
+    if not 0 < tol < np.inf:
+        raise DomainError("tol must be finite and > 0")
     holonomy = np.exp(1j * q * 4.0 * np.pi * g)
     residual = abs(np.angle(holonomy)) / (2.0 * np.pi)
     return bool(residual <= tol)

@@ -238,7 +238,9 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
     """Relax the winding-n tube profiles; returns (VortexProfile, TensionResult).
 
     r_max defaults to 20 * max(1/m_H, 1/m_V) and must be at least 10
-    correlation lengths; grid must have 512 to MAX_GRID points. The
+    correlation lengths; grid must have 512 to MAX_GRID points. beta,
+    1/m_V, 1/m_H, m_V*r_max and lam*v^4 must be finite and > 0, and the
+    grid's finite-difference weights finite; DomainError otherwise. The
     tension carries the RelaxationStats of the solve. Raises
     ConvergenceError (with the residual history and the stats) if the
     relaxation stalls.
@@ -251,21 +253,37 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
         raise DomainError("vortex solve requires q != 0")
     if not 512 <= grid <= MAX_GRID:
         raise DomainError(f"grid must have 512 to {MAX_GRID} points")
-    if not tol > 0:
-        raise DomainError("tol must be > 0")
+    if not 0 < tol < np.inf:
+        raise DomainError("tol must be finite and > 0")
 
     m_v = model.photon_mass
     m_h = model.higgs_mass
-    corr = max(1.0 / m_h, 1.0 / m_v)
-    if r_max is None:
-        r_max = 20.0 * corr
+    # the scales the solve divides by or raises to a power, in float64: an
+    # overflow, an underflow to 0 or a zero divisor gives a value that is
+    # not finite and > 0 instead of raising
+    q, v = np.float64(model.q), np.float64(model.v)
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        inv_v, inv_h = np.divide(1.0, m_v), np.divide(1.0, m_h)
+        corr = max(inv_h, inv_v)
+        if r_max is None:
+            r_max = 20.0 * corr
+        scales = {"beta": model.lam / (2.0 * q**2), "1/m_V": inv_v,
+                  "1/m_H": inv_h, "m_V*r_max": m_v * np.float64(r_max),
+                  "lam*v^4": model.lam * v**4}
+    bad = [name for name, value in scales.items() if not 0 < value < np.inf]
+    if bad:
+        raise DomainError(f"{', '.join(bad)} must be finite and > 0")
     if r_max < 10.0 * corr:
         raise DomainError("r_max must cover at least 10 correlation lengths")
 
     beta = model.beta
     t = np.linspace(0.0, 1.0, grid + 1)
     x = m_v * r_max * np.sinh(4.0 * t) / math.sinh(4.0)
-    d1, d2 = _fd_coeffs(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1, d2 = _fd_coeffs(x)
+    if not all(np.isfinite(c).all() for c in d1 + d2):
+        raise DomainError("m_V*r_max too large: the grid's difference "
+                          "weights overflow")
     npts = grid + 1
     xi = x[1:-1]
 

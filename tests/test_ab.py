@@ -24,7 +24,6 @@ from polelab.interference import (
     InterferenceConfig,
     WaveGrid,
     check_fringe_window,
-    fringe_sensitivity,
     fringe_shift,
     gaussian_packet,
     intensity_slice,
@@ -308,6 +307,24 @@ def test_sponge_run_replays_the_update_loop(cut):
     assert np.array_equal(run.psi, propagate_by_update(grid, line, 20))
 
 
+def sponge_mask(grid):
+    """The whole nx x ny cosine-ramp absorber (per-step amplitude factor,
+    1 in the interior): the reference that the band's slabs, built from
+    the two ramps alone, must reproduce."""
+
+    def ramp(n):
+        w = interference._sponge_width(n)
+        prof = np.ones(n)
+        s = np.arange(w) / w           # 0 at the inner edge, 1 at the wall
+        damp = np.exp(-grid.dt * interference.SPONGE_STRENGTH * 0.5
+                      * (1.0 - np.cos(np.pi * s)))
+        prof[:w] = damp[::-1]
+        prof[n - w:] = damp
+        return prof
+
+    return ramp(grid.nx)[:, None] * ramp(grid.ny)[None, :]
+
+
 @pytest.mark.parametrize("shape", [(64, 70), (128, 128)])
 def test_sponge_band_equals_whole_mask(shape):
     # the mask is exactly 1 inside the four edge slabs, so multiplying only
@@ -318,7 +335,7 @@ def test_sponge_band_equals_whole_mask(shape):
     banded = psi.copy()
     for index, slab in interference._sponge_band(grid):
         banded[index] *= slab
-    assert np.array_equal(banded, psi * interference._sponge_mask(grid))
+    assert np.array_equal(banded, psi * sponge_mask(grid))
 
 
 def test_fused_split_is_second_order():
@@ -413,10 +430,26 @@ def test_invisibility_dichotomy():
 def test_fringe_law_mid_grid():
     cfg = InterferenceConfig(nx=256, ny=256, slit_separation=60.0)
     line = cfg.flux_line(np.pi, 1.0)
-    free, (grid,) = run_experiment(cfg, "two_slit", [line])
-    predicted, _, err = measure_fringe(cfg, line, grid, free)
-    assert predicted == 0.5
+    free, grids = run_experiment(cfg, "two_slit", [line])
+    ((flux, predicted, _, err),) = measure_fringe(cfg, [line], free,
+                                                  grids).table
+    assert (flux, predicted) == (np.pi, 0.5)
     assert err < 0.02
+
+
+@pytest.mark.parametrize("n, separation, periods, points", [
+    (512, 100.0, 3.60, 73), (256, 40.0, 1.15, 29)])
+def test_fringe_window_periods(n, separation, periods, points):
+    # window / period = FRINGE_WINDOW_FRACTION k s^2 / (pi L) depends on the
+    # config alone, so a reading of no lines off a zero grid gives it
+    cfg = InterferenceConfig(nx=n, ny=n, slit_separation=separation)
+    free = make_wave_grid(n, n)
+    reading = measure_fringe(cfg, [], free, [])
+    assert round(reading.window_periods, 2) == periods
+    assert reading.window_points == points
+    assert reading.table == [] and reading.sensitivity == []
+    with pytest.raises(DomainError, match="one grid per flux line"):
+        measure_fringe(cfg, [cfg.flux_line(np.pi, 1.0)], free, [])
 
 
 @pytest.mark.parametrize("separation, blind", [(100.0, True), (24.0, False)])
@@ -427,12 +460,12 @@ def test_fringe_window_must_see_the_flux(separation, blind):
     lines = [cfg.flux_line(flux, 1.0)
              for flux in (0.5 * np.pi, np.pi, 1.5 * np.pi, 0.0)]
     free, grids = run_experiment(cfg, "two_slit", lines)
-    sensitivity = [fringe_sensitivity(cfg, grid, free) for grid in grids]
+    reading = measure_fringe(cfg, lines, free, grids)
+    sensitivity = reading.sensitivity
     assert sensitivity[-1] == 0.0          # zero flux is bitwise free
     if blind:
         assert max(sensitivity) < 0.05
-        measured = [measure_fringe(cfg, line, grid, free)[1]
-                    for line, grid in zip(lines, grids)]
+        measured = [row[2] for row in reading.table]
         assert all(min(m, 1.0 - m) < 1e-6 for m in measured)
         with pytest.raises(AccuracyError, match="sensitivity"):
             check_fringe_window(lines, sensitivity)

@@ -187,13 +187,10 @@ def test_criterion_6_string_invisibility_by_simulation(single_packet_runs):
 
 def test_criterion_7_fringe_shift_law(two_slit_runs):
     cfg, free, lines, grids = two_slit_runs
-    details = []
-    worst = 0.0
-    for line, grid in zip(lines, grids):
-        predicted, measured, err = measure_fringe(cfg, line, grid, free)
-        worst = max(worst, err)
-        details.append(f"{line.flux / np.pi:.1f}pi: {measured:.4f} vs "
-                       f"{predicted:.4f}")
+    table = measure_fringe(cfg, lines, free, grids).table
+    worst = max(err for *_, err in table)
+    details = [f"{flux / np.pi:.1f}pi: {measured:.4f} vs {predicted:.4f}"
+               for flux, predicted, measured, _ in table]
     _verdict(7, "fringe displacement follows (q flux / 2pi) mod 1",
              worst < 0.05, f"worst error {worst:.4f}; " + "; ".join(details),
              {"worst error": _margin(0.05, worst)})

@@ -267,10 +267,10 @@ def test_quadrature_layers_scale_exactly_with_d():
     r = np.concatenate([lo + (hi - lo) * x
                         for lo, hi in zip(outer[:-1], outer[1:])] + [[d]])
     assert r.min() < d < r.max()
-    inner = _inner_integral(r, d, mu, eps, 24)
+    inner = _inner_integral(r, d, mu, eps, 24)[0]
     for k in (1, 2, 3):
         f = 2.0 ** k
-        scaled_inner = _inner_integral(f * r, f * d, mu / f, f * eps, 24)
+        scaled_inner = _inner_integral(f * r, f * d, mu / f, f * eps, 24)[0]
         assert np.array_equal(scaled_inner, 8.0 ** k * inner), k
         scaled_outer = _outer_breakpoints(f * eps, f * d, f * r_max)
         assert np.array_equal(scaled_outer, f * outer), k
@@ -295,9 +295,10 @@ def test_inner_block_matches_node_by_node(d, mu, eps_frac, order):
     for r in panels + [np.array([d]), np.array([0.5 * d, d, 1.5 * d])]:
         counts = inner_panel_counts(r, d, eps)
         mixed += len(set(counts)) > 1
-        assert_allclose(_inner_integral(r, d, mu, eps, order),
-                        inner_integral_by_node(r, d, mu, eps, order),
+        values, m = _inner_integral(r, d, mu, eps, order)
+        assert_allclose(values, inner_integral_by_node(r, d, mu, eps, order),
                         rtol=1e-14, atol=0.0)
+        assert m.tolist() == counts
     assert mixed > 0
     assert inner_panel_counts(panels[-1], d, eps) == [1] * order
 
@@ -308,21 +309,21 @@ def test_inner_block_edge_cases():
     # lo >= b: with s_floor >= r + d a node has nothing to integrate and
     # gives exactly 0, next to nodes that do
     floor = 2.5
-    out = _inner_integral(r, 1.0, 0.5, floor, 24)
+    out = _inner_integral(r, 1.0, 0.5, floor, 24)[0]
     assert inner_panel_counts(r, 1.0, floor)[:3] == [0, 0, 0]
     assert np.all(out[:3] == 0.0) and np.all(out[3:] > 0.0)
     assert_allclose(out, inner_integral_by_node(r, 1.0, 0.5, floor, 24),
                     rtol=1e-14, atol=0.0)
-    assert np.all(_inner_integral(np.array([0.1, 0.2]), 1.0, 0.0, 5.0, 8)
+    assert np.all(_inner_integral(np.array([0.1, 0.2]), 1.0, 0.0, 5.0, 8)[0]
                   == 0.0)
     # mu at the _SCREENING_CLAMP cap and past it: both weights clamp alike
     eps = 1 / 64
     for mu in (_SCREENING_CLAMP / eps, 1e300):
-        assert_allclose(_inner_integral(r, 1.0, mu, eps, 24),
+        assert_allclose(_inner_integral(r, 1.0, mu, eps, 24)[0],
                         inner_integral_by_node(r, 1.0, mu, eps, 24),
                         rtol=1e-14, atol=0.0)
     # mu = 0 on the far nodes: the exact (16/3) d^3 multipole value
-    assert_allclose(_inner_integral(r[3:], 1.0, 0.0, eps, 24), 16.0 / 3.0,
+    assert_allclose(_inner_integral(r[3:], 1.0, 0.0, eps, 24)[0], 16.0 / 3.0,
                     rtol=1e-12)
 
 

@@ -115,6 +115,19 @@ def test_usage_errors(tmp_path):
       "1000000000000"], False),
     (["vortex", "--grid", "1000000000000000"], False),
     (["fields", "--samples", str(MAX_SAMPLES + 1)], False),
+    (["check", "--g", "0.3", "--tol", "inf"], False),
+    (["holonomy", "--tol", "inf"], False),
+    (["vortex", "--tol", "inf"], False),
+    (["angmom", "--tol", "inf"], False),
+    (["holonomy", "--radius", "1e160"], False),
+    (["vortex", "--r-max", "nan"], False),
+    (["vortex", "--q", "1e-200"], False),
+    (["vortex", "--q", "1e-160"], False),
+    (["vortex", "--v", "1e200"], False),
+    (["confine", "--v", "1e200"], False),
+    (["vortex", "--r-max", "1e300"], False),
+    (["angmom", "--mu-list", ""], False),
+    (["vortex", "--n", "0"], False),
 ])
 def test_bad_inputs_are_usage_errors(tmp_path, argv, out_is_file):
     # non-finite values and an unusable --out never share the verdict code 1
@@ -192,6 +205,8 @@ _FLAG_VALUES = {
                  "theta": _EXTREME, "tol": _EXTREME,
                  "base_segments": st.integers(-1, 16),
                  "levels": st.integers(-1, 3)},
+    "vortex": {"q": _EXTREME, "v": _EXTREME, "lam": _EXTREME,
+               "r_max": _EXTREME, "tol": _EXTREME, "n": st.integers(-1, 3)},
 }
 
 
@@ -244,6 +259,8 @@ def test_blind_fringe_window_is_an_accuracy_error(tmp_path, n):
     fringe_bin = man["diagnostics"]["fringe_bin"]
     k, n_points = fringe_bin["k"], fringe_bin["window_points"]
     assert n_points >= 16 and 1 <= k < n_points / 2
+    # with the default gap of 100 the window spans 3.60 * 512 / n periods
+    assert round(fringe_bin["window_periods"] * n / 512, 2) == 3.60
     assert [p.name for p in tmp_path.iterdir()] == ["absim_manifest.json"]
 
 
