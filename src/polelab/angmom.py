@@ -32,14 +32,17 @@ with m = ceil(log2(b/lo)) geometric panels, and all r nodes of one outer
 panel are evaluated as one block: each r is padded to the largest m among
 them by panels whose edges all sit at b. A padded panel has width exactly
 0, so it adds an exact 0 to its node's sum. On the seed-401 benchmark sweep
-the padding is 19% of the integrand evaluations. field_angular_momentum
-reports the evaluations, the padded share, the r_max pushes and the three
-error terms in the stats of each result.
+the padding is 19% of the integrand evaluations of its 25 computed cells.
+field_angular_momentum reports the evaluations, the padded share, the r_max
+pushes and the three error terms in the stats of each result.
 
 J depends on d and mu only through mu*d, so field_angular_momentum
 evaluates it on the unit pair, J(d, mu) = J(1, mu*d): the d^2 prefactor and
 the d^4-sized products of the integrand then neither underflow nor overflow
-at any separation. The layers below still take d. Every breakpoint is an
+at any separation. angular_momentum_sweep computes each distinct mu*d once
+and copies the result into every other cell with that mu*d (every mu = 0
+cell, for one): 7 of the 32 cells of that sweep. The layers below still
+take d. Every breakpoint is an
 exact multiple of d, eps or the inner panel's lower limit lo by a
 scale-free factor (a power of two, a small integer, or (b/lo)^(j/m)), and
 the r_max push depends only on mu*(r_max - d) and exact powers of d, so
@@ -133,12 +136,16 @@ class AngularMomentum(NamedTuple):
 
 @dataclass(frozen=True)
 class SweepCell:
+    """One (mu, d) cell of a sweep. reused: the cell's unit pair was
+    already computed for an earlier cell, whose result it copies."""
+
     mu: float
     d: float
     value: float
     error: float
     converged: bool
     stats: QuadratureStats = None
+    reused: bool = False
 
 
 def field_momentum_density(pair, r):
@@ -190,9 +197,18 @@ def _inner_integral(r_nodes, d, mu, s_floor, order):
     widths = np.diff(edges, axis=1)
     s = edges[:, :-1, None] + widths[:, :, None] * nodes
     a, b = a[:, :, None], b[:, :, None]
-    f = (s * s - a * a) * (b * b - s * s) * (1.0 + mu * s) * np.exp(-mu * s) / (s * s)
-    inner = f * weights * widths[:, :, None]
-    return inner.reshape(len(m), -1).sum(axis=1), counts
+    # (s^2-a^2)(b^2-s^2) w(s) / s^2, multiplied left to right as written,
+    # in place; w = (1 + 0*s) exp(-0*s) is exactly 1 at mu = 0
+    s2 = s * s
+    f = s2 - a * a
+    f *= b * b - s2
+    if mu != 0.0:
+        f *= 1.0 + mu * s
+        f *= np.exp(-mu * s)
+    f /= s2
+    f *= weights
+    f *= widths[:, :, None]
+    return f.reshape(len(m), -1).sum(axis=1), counts
 
 
 def _outer_breakpoints(eps, d, r_max):
@@ -245,6 +261,12 @@ def _tail(pair, r_max):
     return 0.0, bound
 
 
+def _unit_pair(pair):
+    """The pair J is evaluated on: J(d, mu) = J(1, mu*d), and a mu*d past
+    the largest float screens J to 0 as the largest float does."""
+    return replace(pair, d=1.0, mu=min(pair.mu * pair.d, sys.float_info.max))
+
+
 def field_angular_momentum(pair, quad=None):
     """Axial field angular momentum of the pair, with an error estimate.
 
@@ -256,9 +278,7 @@ def field_angular_momentum(pair, quad=None):
     absolute.
     """
     quad = quad if quad is not None else QuadratureSpec()
-    # J(d, mu) = J(1, mu*d); a mu*d past the largest float screens J to 0
-    # as the largest float does
-    pair = replace(pair, d=1.0, mu=min(pair.mu * pair.d, sys.float_info.max))
+    pair = _unit_pair(pair)
     eps0, r_max = quad.resolve(pair)
     scale = abs(pair.q * pair.g)
     if scale == 0.0:
@@ -300,20 +320,26 @@ def field_angular_momentum(pair, quad=None):
 
 def angular_momentum_sweep(q, g, mu_list, d_list, quad=None):
     """J over the (mu, d) grid; per-cell convergence failures are recorded,
-    not raised. Returns a list of SweepCell in row-major (mu outer) order."""
+    not raised. Returns a list of SweepCell in row-major (mu outer) order.
+    Each distinct unit pair, i.e. each distinct mu*d, is computed once; a
+    later cell with the same unit pair copies its result, failure included,
+    and is marked reused."""
     mu_list = list(mu_list)
     d_list = list(d_list)
     if not mu_list or not d_list:
         raise DomainError("sweep needs at least one mu and one d")
+    done = {}
     cells = []
     for mu in mu_list:
         for d in d_list:
             pair = PairConfig(q=q, g=g, d=d, mu=mu)
-            try:
-                res = field_angular_momentum(pair, quad)
-                cells.append(SweepCell(mu, d, res.value, res.error, True,
-                                       res.stats))
-            except ConvergenceError as exc:
-                cells.append(SweepCell(mu, d, exc.best, exc.error, False,
-                                       exc.stats))
+            key = _unit_pair(pair)
+            reused = key in done
+            if not reused:
+                try:
+                    res = field_angular_momentum(pair, quad)
+                    done[key] = (res.value, res.error, True, res.stats)
+                except ConvergenceError as exc:
+                    done[key] = (exc.best, exc.error, False, exc.stats)
+            cells.append(SweepCell(mu, d, *done[key], reused))
     return cells

@@ -346,10 +346,12 @@ def cmd_angmom(run):
     n_failed = sum(0 if c.converged else 1 for c in cells)
     run.diagnostics["cells"] = len(cells)
     run.diagnostics["failed_cells"] = n_failed
-    stats = [c.stats for c in cells if c.stats is not None]
+    # a reused cell copies another cell's stats: count each computation once
+    stats = [c.stats for c in cells if c.stats is not None and not c.reused]
     if stats:
         evaluations = sum(st.evaluations for st in stats)
         run.diagnostics["quadrature"] = {
+            "reused_cells": sum(c.reused for c in cells),
             "evaluations": evaluations,
             "padded_share": sum(st.padded for st in stats) / evaluations,
             "r_max_pushes": sum(st.r_max_pushes for st in stats),
@@ -452,7 +454,7 @@ def cmd_absim(run):
         run.diagnostics["fringe_bin"] = {
             "k": reading.k, "window_points": reading.window_points,
             "window_periods": reading.window_periods}
-        check_fringe_window(fringe_lines, reading.sensitivity)
+        check_fringe_window(fringe_lines, reading)
         with run.stage("write"):
             write_csv(run.path("absim_fringe.csv"),
                       ["flux", "shift_predicted", "shift_measured",

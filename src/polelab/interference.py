@@ -77,7 +77,9 @@ constants, like the sponge's width and rate); measure_fringe reads every
 line of one experiment in one pass into a FringeReading.
 check_fringe_window refuses a fringe window that the flux barely changes
 (the reading's sensitivity): there the geometry forms no two-path
-interferometer, and every measured shift is about 0 whatever the flux.
+interferometer, and every measured shift is about 0 whatever the flux. It
+also refuses a window whose fringe bin k* is not near the periods it spans:
+there the free pattern's strongest bin is its envelope, not a fringe.
 """
 
 import json
@@ -118,6 +120,12 @@ FRINGE_WINDOW_FRACTION = 0.36
 # integer; windows that form no two-path interferometer change by 0.01-0.02
 FRINGE_MIN_SENSITIVITY = 0.1
 FRINGE_EXEMPT_SHIFT = 0.1
+# a fringe window reads its phases at a fringe bin k* within this many bins
+# of the periods it spans (window_periods): of 50 slit gaps measured on
+# 128^2, 256^2 and 512^2 grids, the 30 that read every shift to 0.13 or
+# better have k* at most 0.871 from it, and the 20 that read the free
+# pattern's envelope at k* = 1 (errors 0.49-0.50) at least 0.948
+FRINGE_MAX_BIN_OFFSET = 0.9
 EDGE_EXCLUDE_FRACTION = 0.12    # sponge fringe left out of invisibility_metric
 
 
@@ -754,16 +762,21 @@ def measure_fringe(config, lines, grid_free, grids):
                          len(free), periods)
 
 
-def check_fringe_window(lines, sensitivities):
-    """Raise AccuracyError unless the fringe window sees the flux: the
-    largest of measure_fringe's sensitivities over the lines whose
-    predicted shift lies FRINGE_EXEMPT_SHIFT or more from an integer must
-    reach FRINGE_MIN_SENSITIVITY. Lines with q*flux near 2*pi*Z are exempt, since
+def check_fringe_window(lines, reading):
+    """Raise AccuracyError unless measure_fringe's reading of the lines
+    reads fringes that see the flux.
+
+    The largest sensitivity over the lines whose predicted shift lies
+    FRINGE_EXEMPT_SHIFT or more from an integer must reach
+    FRINGE_MIN_SENSITIVITY. Lines with q*flux near 2*pi*Z are exempt, since
     physics makes them invisible. A window that fails measures a shift of
     about 0 for every flux: the geometry forms no two-path interferometer
-    (a slit gap too wide for the grid, say)."""
+    (a slit gap too wide for the grid, say). Then the fringe bin k* must
+    lie within FRINGE_MAX_BIN_OFFSET of window_periods. A window that fails
+    reads its phases at the free pattern's envelope (k* = 1 where about 2
+    or 3 periods fit), and its shifts are off by up to half a period."""
     seen = []
-    for line, sensitivity in zip(lines, sensitivities):
+    for line, sensitivity in zip(lines, reading.sensitivity):
         shift = two_path_fringe_shift(line.charge, line.flux)
         if min(shift, 1.0 - shift) >= FRINGE_EXEMPT_SHIFT:
             seen.append(sensitivity)
@@ -772,3 +785,9 @@ def check_fringe_window(lines, sensitivities):
             f"fringe window does not see the flux: sensitivity {max(seen):.3g}"
             f" < {FRINGE_MIN_SENSITIVITY}; the geometry forms no two-path "
             "interferometer (try a smaller slit_separation)")
+    if abs(reading.k - reading.window_periods) > FRINGE_MAX_BIN_OFFSET:
+        raise AccuracyError(
+            f"fringe window reads bin k* = {reading.k} but spans "
+            f"{reading.window_periods:.3g} fringe periods, more than "
+            f"{FRINGE_MAX_BIN_OFFSET} apart: the free pattern's strongest bin "
+            "is its envelope, not a fringe (try a smaller slit_separation)")

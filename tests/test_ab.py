@@ -20,7 +20,9 @@ from numpy.testing import assert_allclose
 from polelab import interference
 from polelab.errors import AccuracyError, DomainError, StabilityError
 from polelab.interference import (
+    FRINGE_MAX_BIN_OFFSET,
     FluxLine,
+    FringeReading,
     InterferenceConfig,
     WaveGrid,
     check_fringe_window,
@@ -468,10 +470,15 @@ def test_fringe_window_must_see_the_flux(separation, blind):
         measured = [row[2] for row in reading.table]
         assert all(min(m, 1.0 - m) < 1e-6 for m in measured)
         with pytest.raises(AccuracyError, match="sensitivity"):
-            check_fringe_window(lines, sensitivity)
+            check_fringe_window(lines, reading)
     else:
         assert min(sensitivity[:3]) > 0.3
-        check_fringe_window(lines, sensitivity)
+        check_fringe_window(lines, reading)
+
+
+def _reading(sensitivity, k=1, window_periods=1.0):
+    """A FringeReading that only check_fringe_window's inputs are set in."""
+    return FringeReading([], sensitivity, k, 29, window_periods)
 
 
 def test_fringe_window_check_exempts_near_integer_shifts():
@@ -479,12 +486,30 @@ def test_fringe_window_check_exempts_near_integer_shifts():
     # shifts 0, 0.0016, 1 - 0.05 and 0.05: physics hides them all
     exempt = [cfg.flux_line(flux, 1.0) for flux in
               (2.0 * np.pi, 0.01, 1.9 * np.pi, 0.1 * np.pi)]
-    check_fringe_window(exempt, [0.0] * 4)
+    check_fringe_window(exempt, _reading([0.0] * 4))
     # a shift of 0.1 or more from an integer is not exempt
     seen = exempt + [cfg.flux_line(0.2 * np.pi, 1.0)]
     with pytest.raises(AccuracyError):
-        check_fringe_window(seen, [0.0] * 4 + [0.09])
-    check_fringe_window(seen, [0.0] * 4 + [0.1])
+        check_fringe_window(seen, _reading([0.0] * 4 + [0.09]))
+    check_fringe_window(seen, _reading([0.0] * 4 + [0.1]))
+
+
+@pytest.mark.parametrize("k, window_periods, envelope", [
+    (3, 3.60, False), (1, 1.15, False), (1, 0.83, False), (1, 1.87, False),
+    (1, 1.95, True), (1, 2.95, True), (2, 0.9, True), (1, 1.9, False),
+    (1, 1.0 + FRINGE_MAX_BIN_OFFSET + 1e-9, True)])
+def test_fringe_window_check_refuses_the_envelope_bin(k, window_periods,
+                                                      envelope):
+    # the gate (3.60 at k* = 3), lattice_fringe (1.15 at 1), the tiny 128^2
+    # pass (0.83 at 1) and 256^2 gap 51 (1.87 at 1) read the fringe; 128^2
+    # gap 36.8 (1.95 at 1) and 256^2 gap 64 (2.95 at 1) read the envelope
+    lines = [InterferenceConfig().flux_line(np.pi, 1.0)]
+    reading = _reading([0.5], k, window_periods)
+    if envelope:
+        with pytest.raises(AccuracyError, match="envelope"):
+            check_fringe_window(lines, reading)
+    else:
+        check_fringe_window(lines, reading)
 
 
 def test_experiment_matches_separate_runs():

@@ -29,6 +29,7 @@ from polelab.angmom import (
 )
 from polelab.errors import ConvergenceError, DomainError, SingularPointError
 from polelab.fields import _SCREENING_CLAMP
+from polelab.gauge import _gl_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +107,24 @@ def inner_integral_by_node(r_nodes, d, mu, s_floor, order):
             * np.exp(-mu * s) / (s * s)
         out[idx] = float(np.sum(f * weights[None, :] * widths[:, None]))
     return out
+
+
+def inner_integral_one_line(r_nodes, d, mu, s_floor, order):
+    """The padded block with its integrand as one expression, as the module
+    wrote it before the in-place passes: the bitwise reference for them."""
+    nodes, weights = _gl_nodes(order)
+    mu = min(mu, _SCREENING_CLAMP / s_floor)
+    a, b, lo, counts = angmom._inner_panels(r_nodes, d, s_floor)
+    j = np.arange(counts.max() + 1)
+    m, a, b, lo = counts[:, None], a[:, None], b[:, None], lo[:, None]
+    edges = np.where(j < m, lo * (b / lo) ** (j / np.maximum(m, 1)), b)
+    widths = np.diff(edges, axis=1)
+    s = edges[:, :-1, None] + widths[:, :, None] * nodes
+    a, b = a[:, :, None], b[:, :, None]
+    f = (s * s - a * a) * (b * b - s * s) * (1.0 + mu * s) \
+        * np.exp(-mu * s) / (s * s)
+    inner = f * weights * widths[:, :, None]
+    return inner.reshape(len(m), -1).sum(axis=1)
 
 
 def inner_panel_counts(r_nodes, d, s_floor):
@@ -327,6 +346,23 @@ def test_inner_block_edge_cases():
                     rtol=1e-12)
 
 
+@pytest.mark.parametrize("mu", [0.0, 0.7, _SCREENING_CLAMP * 64.0, 1e300])
+@pytest.mark.parametrize("d, order", [(1.0, 24), (3.0, 12)])
+def test_inner_integral_matches_one_line_reference(d, mu, order):
+    # every outer panel's r nodes as _j_at_eps hands them over, at the
+    # default eps = d/64; mu = 0 skips the screening weight, mu > 0 applies
+    # it, 64 * _SCREENING_CLAMP sits exactly at the cap for d = 1 and past
+    # it for d = 3, and 1e300 is past it for both
+    eps = d / 64.0
+    outer = _outer_breakpoints(eps, d, 50.0 * d)
+    x, _ = _gl(order)
+    for lo, hi in zip(outer[:-1], outer[1:]):
+        r = lo + (hi - lo) * x
+        values = _inner_integral(r, d, mu, eps, order)[0]
+        assert np.array_equal(
+            values, inner_integral_one_line(r, d, mu, eps, order)), (lo, hi)
+
+
 def test_bilinearity_in_couplings():
     base = field_angular_momentum(PairConfig(q=1.0, g=0.5, d=1.0, mu=1.0))
     swapped = field_angular_momentum(PairConfig(q=2.0, g=0.25, d=1.0, mu=1.0))
@@ -374,6 +410,45 @@ def test_sweep_records_failures_instead_of_raising():
     assert all(not c.converged for c in cells)
     assert all(np.isfinite(c.value) and c.error > 0 for c in cells)
     assert all(c.stats.evaluations > 0 for c in cells)
+
+
+def test_sweep_computes_each_unit_pair_once(monkeypatch):
+    # mu*d over the grid is 0, 0, 0.5, 1, 1, 2: four distinct unit pairs
+    calls = []
+    direct = angmom.field_angular_momentum
+
+    def counting(pair, quad=None):
+        calls.append(pair)
+        return direct(pair, quad)
+
+    monkeypatch.setattr(angmom, "field_angular_momentum", counting)
+    cells = angular_momentum_sweep(1.0, 0.5, [0.0, 0.5, 1.0], [1.0, 2.0])
+    assert len(calls) == 4
+    assert [(c.mu, c.d) for c in cells] == [
+        (0.0, 1.0), (0.0, 2.0), (0.5, 1.0), (0.5, 2.0), (1.0, 1.0),
+        (1.0, 2.0)]
+    assert [c.reused for c in cells] == [False, True, False, False, True,
+                                         False]
+    for c in cells:
+        res = direct(PairConfig(q=1.0, g=0.5, d=c.d, mu=c.mu))
+        assert (c.value, c.error, c.stats) == tuple(res)
+        assert c.converged
+
+
+def test_sweep_reuses_failures():
+    # the failing spec of test_sweep_records_failures_instead_of_raising;
+    # mu*d = 1 twice, so the second cell copies the first cell's failure
+    spec = QuadratureSpec(levels=2, gl_order=4, target_tol=1e-12)
+    cells = angular_momentum_sweep(1.0, 0.5, [1.0, 2.0], [1.0, 0.5],
+                                   quad=spec)
+    assert [c.reused for c in cells] == [False, False, False, True]
+    with pytest.raises(ConvergenceError) as exc_info:
+        field_angular_momentum(PairConfig(q=1.0, g=0.5, d=0.5, mu=2.0), spec)
+    err = exc_info.value
+    for c in (cells[0], cells[3]):
+        assert not c.converged
+        assert (c.value, c.error, c.stats) == (err.best, err.error,
+                                               err.stats)
 
 
 @pytest.mark.parametrize("mu, spec", [

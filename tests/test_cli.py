@@ -19,6 +19,7 @@ from polelab.cli import COMMANDS, EXIT_CONVERGENCE, EXIT_CRASH, EXIT_OK, \
     EXIT_STABILITY, EXIT_UNSATISFIED, EXIT_USAGE, MAX_SAMPLES, SCHEMAS, \
     _fmt, build_parser, config_hash, main, resolve_config, write_csv, \
     write_json
+from polelab.angmom import angular_momentum_sweep
 from polelab.errors import DomainError
 from polelab.fields import proca_tube_profile
 
@@ -128,6 +129,7 @@ def test_usage_errors(tmp_path):
     (["vortex", "--r-max", "1e300"], False),
     (["angmom", "--mu-list", ""], False),
     (["vortex", "--n", "0"], False),
+    (["vortex", "--r-max", "1e100"], False),
 ])
 def test_bad_inputs_are_usage_errors(tmp_path, argv, out_is_file):
     # non-finite values and an unusable --out never share the verdict code 1
@@ -261,6 +263,23 @@ def test_blind_fringe_window_is_an_accuracy_error(tmp_path, n):
     assert n_points >= 16 and 1 <= k < n_points / 2
     # with the default gap of 100 the window spans 3.60 * 512 / n periods
     assert round(fringe_bin["window_periods"] * n / 512, 2) == 3.60
+    assert [p.name for p in tmp_path.iterdir()] == ["absim_manifest.json"]
+
+
+@pytest.mark.parametrize("n, separation", [(256, 64.0), (128, 40.0)])
+def test_envelope_fringe_bin_is_an_accuracy_error(tmp_path, n, separation):
+    # the window sees the flux (sensitivity 0.28-0.54) but spans about 2.3
+    # (128^2) or 2.9 (256^2) fringe periods while the free pattern's
+    # strongest bin is k* = 1, its envelope: the errors read up to 0.5
+    code = main(["absim", "--mode", "fringe", "--nx", str(n), "--ny", str(n),
+                 "--slit-separation", repr(separation), "--out",
+                 str(tmp_path)])
+    assert code == EXIT_CONVERGENCE
+    man = _manifest(tmp_path, "absim")
+    assert man["status"] == "error" and "envelope" in man["error"]
+    assert min(man["diagnostics"]["fringe_sensitivity"]) > 0.25
+    fringe_bin = man["diagnostics"]["fringe_bin"]
+    assert fringe_bin["k"] == 1 and fringe_bin["window_periods"] > 2.0
     assert [p.name for p in tmp_path.iterdir()] == ["absim_manifest.json"]
 
 
@@ -468,8 +487,14 @@ def test_angmom_reports_quadrature_diagnostics(tmp_path):
     quad = diag["quadrature"]
     assert sorted(quad) == ["evaluations", "max_err_extrapolation",
                             "max_err_quadrature", "max_err_tail",
-                            "padded_share", "r_max_pushes"]
+                            "padded_share", "r_max_pushes", "reused_cells"]
     assert quad["evaluations"] > 0 and 0.0 < quad["padded_share"] < 0.5
+    # mu*d = 0 at both d: the second mu = 0 cell reuses the first, and its
+    # evaluations are not counted again
+    assert quad["reused_cells"] == 1
+    cells = angular_momentum_sweep(1.0, 0.5, [0.0, 0.01, 1.0], [1.0, 2.0])
+    assert quad["evaluations"] == sum(c.stats.evaluations for c in cells
+                                      if not c.reused)
     # mu*d = 0.01 and 0.02 push r_max out; the others do not
     assert quad["r_max_pushes"] > 0
     err = [float(row.split(",")[3]) for row in
@@ -477,6 +502,13 @@ def test_angmom_reports_quadrature_diagnostics(tmp_path):
     terms = [quad[f"max_err_{k}"] for k in ("extrapolation", "quadrature",
                                             "tail")]
     assert max(terms) <= max(err) <= sum(terms)
+
+
+def test_default_angmom_reuses_its_massless_cells(tmp_path):
+    # mu = 0 against four d: one computation, three reused cells
+    assert main(["angmom", "--out", str(tmp_path)]) == EXIT_OK
+    diag = _manifest(tmp_path, "angmom")["diagnostics"]
+    assert diag["cells"] == 8 and diag["quadrature"]["reused_cells"] == 3
 
 
 def test_holonomy_output(tmp_path):

@@ -22,6 +22,7 @@ from polelab.fields import _azimuthal
 from polelab.gauge import circle_loop, line_integral
 from polelab.vortex import (
     MAX_GRID,
+    MIN_CORE_NODES,
     HiggsModel,
     TensionResult,
     VortexProfile,
@@ -297,6 +298,26 @@ def test_solver_input_validation():
         solve_vortex(CRITICAL, 1, grid=MAX_GRID + 1)
     with pytest.raises(DomainError):
         solve_vortex(CRITICAL, 1, r_max=5.0)   # < 10 correlation lengths
+
+
+@pytest.mark.parametrize("lam, correlations, core", [
+    (2.0, 1000.0, 7), (2.0, 2000.0, 4), (0.5, 600.0, 6), (0.5, 1000.0, 4),
+    (2.0, 1e100, 1)])
+def test_grid_must_resolve_the_core(lam, correlations, core):
+    # at 1024 points the sinh grid puts `core` points within
+    # min(1/m_V, 1/m_H) of the axis; below MIN_CORE_NODES the solve is
+    # refused before any sweep (at 1e100 correlation lengths it used to
+    # report a Bogomolny ratio of 0.25 at critical coupling)
+    model = HiggsModel(q=1.0, v=1.0, lam=lam)
+    r_max = correlations * max(1.0 / model.photon_mass,
+                               1.0 / model.higgs_mass)
+    if core < MIN_CORE_NODES:
+        with pytest.raises(DomainError, match=f"puts {core} points"):
+            solve_vortex(model, 1, r_max=r_max)
+    else:
+        _, tension = solve_vortex(model, 1, r_max=r_max)
+        reference = solve_vortex(model, 1)[1]
+        assert abs(tension.T / reference.T - 1.0) < 5e-3
 
 
 def test_profile_validation():
