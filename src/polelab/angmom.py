@@ -197,14 +197,13 @@ def _inner_integral(r_nodes, d, mu, s_floor, order):
     widths = np.diff(edges, axis=1)
     s = edges[:, :-1, None] + widths[:, :, None] * nodes
     a, b = a[:, :, None], b[:, :, None]
-    # (s^2-a^2)(b^2-s^2) w(s) / s^2, multiplied left to right as written,
-    # in place; w = (1 + 0*s) exp(-0*s) is exactly 1 at mu = 0
+    # (s^2-a^2)(b^2-s^2)(1+mu*s) exp(-mu*s) / s^2, in place, multiplied
+    # left to right as written
     s2 = s * s
     f = s2 - a * a
     f *= b * b - s2
-    if mu != 0.0:
-        f *= 1.0 + mu * s
-        f *= np.exp(-mu * s)
+    f *= 1.0 + mu * s
+    f *= np.exp(-mu * s)
     f /= s2
     f *= weights
     f *= widths[:, :, None]

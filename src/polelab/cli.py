@@ -475,6 +475,7 @@ def _solve_vortex_for(run):
         except ConvergenceError as exc:
             run.diagnostics["relaxation"] = exc.stats._asdict()
             raise
+    run.diagnostics["grid"] = len(profile.rho_grid) - 1
     run.diagnostics["residual"] = tension.residual
     run.diagnostics["relaxation"] = tension.stats._asdict()
     return model, profile, tension

@@ -350,9 +350,8 @@ def test_inner_block_edge_cases():
 @pytest.mark.parametrize("d, order", [(1.0, 24), (3.0, 12)])
 def test_inner_integral_matches_one_line_reference(d, mu, order):
     # every outer panel's r nodes as _j_at_eps hands them over, at the
-    # default eps = d/64; mu = 0 skips the screening weight, mu > 0 applies
-    # it, 64 * _SCREENING_CLAMP sits exactly at the cap for d = 1 and past
-    # it for d = 3, and 1e300 is past it for both
+    # default eps = d/64; 64 * _SCREENING_CLAMP sits exactly at the cap
+    # for d = 1 and past it for d = 3, and 1e300 is past it for both
     eps = d / 64.0
     outer = _outer_breakpoints(eps, d, 50.0 * d)
     x, _ = _gl(order)

@@ -22,6 +22,7 @@ from polelab.cli import COMMANDS, EXIT_CONVERGENCE, EXIT_CRASH, EXIT_OK, \
 from polelab.angmom import angular_momentum_sweep
 from polelab.errors import DomainError
 from polelab.fields import proca_tube_profile
+from polelab.interference import FRINGE_MAX_BIN_OFFSET
 
 
 def _read(path):
@@ -283,6 +284,20 @@ def test_envelope_fringe_bin_is_an_accuracy_error(tmp_path, n, separation):
     assert [p.name for p in tmp_path.iterdir()] == ["absim_manifest.json"]
 
 
+def test_widest_fringe_bin_offset_still_reads_the_fringe(tmp_path):
+    # 256^2 with a gap of 51 is the good geometry whose k* = 1 lies
+    # farthest from window_periods (1.87) of the 50 measured: it must stay
+    # inside FRINGE_MAX_BIN_OFFSET and read every shift to 0.08
+    code = main(["absim", "--mode", "fringe", "--nx", "256", "--ny", "256",
+                 "--slit-separation", "51.0", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    fringe_bin = _manifest(tmp_path, "absim")["diagnostics"]["fringe_bin"]
+    assert fringe_bin["k"] == 1
+    assert 0.85 < fringe_bin["window_periods"] - 1 < FRINGE_MAX_BIN_OFFSET
+    rows = _read(tmp_path / "absim_fringe.csv").decode().strip().split("\n")
+    assert max(float(row.split(",")[3]) for row in rows[2:]) < 0.08
+
+
 def test_stability_exit_code(tmp_path):
     code = main(["absim", "--mode", "invisibility", "--nx", "128",
                  "--ny", "128", "--dt", "0.9", "--snapshots", "0",
@@ -509,6 +524,18 @@ def test_default_angmom_reuses_its_massless_cells(tmp_path):
     assert main(["angmom", "--out", str(tmp_path)]) == EXIT_OK
     diag = _manifest(tmp_path, "angmom")["diagnostics"]
     assert diag["cells"] == 8 and diag["quadrature"]["reused_cells"] == 3
+
+
+def test_vortex_grid_follows_the_core(tmp_path):
+    # beta = 5e-5: the default r_max puts 3 of 1024 points in the core, so
+    # the grid doubles to 2048, and the ratio is within 0.03% of the
+    # 65536-point 0.236151
+    assert main(["vortex", "--lam", "1e-4", "--out", str(tmp_path)]) \
+        == EXIT_OK
+    man = _manifest(tmp_path, "vortex")
+    assert man["config"]["grid"] == 1024 and man["diagnostics"]["grid"] == 2048
+    tension = json.loads(_read(tmp_path / "vortex_tension.json"))
+    assert tension["bogomolny_ratio"] == pytest.approx(0.236151, rel=3e-4)
 
 
 def test_holonomy_output(tmp_path):

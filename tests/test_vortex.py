@@ -300,24 +300,38 @@ def test_solver_input_validation():
         solve_vortex(CRITICAL, 1, r_max=5.0)   # < 10 correlation lengths
 
 
-@pytest.mark.parametrize("lam, correlations, core", [
-    (2.0, 1000.0, 7), (2.0, 2000.0, 4), (0.5, 600.0, 6), (0.5, 1000.0, 4),
-    (2.0, 1e100, 1)])
-def test_grid_must_resolve_the_core(lam, correlations, core):
-    # at 1024 points the sinh grid puts `core` points within
-    # min(1/m_V, 1/m_H) of the axis; below MIN_CORE_NODES the solve is
-    # refused before any sweep (at 1e100 correlation lengths it used to
-    # report a Bogomolny ratio of 0.25 at critical coupling)
+@pytest.mark.parametrize("lam, correlations, core, grid, reference_grid", [
+    (2.0, 20.0, 286, 1024, 1024), (2.0, 1000.0, 7, 1024, 1024),
+    (2.0, 2000.0, 4, 2048, 1024), (0.5, 1000.0, 4, 2048, 1024),
+    (0.02, 1000.0, 1, 8192, 1024), (2e-4, 20.0, 4, 2048, 8192)])
+def test_grid_doubles_until_it_resolves_the_core(lam, correlations, core,
+                                                 grid, reference_grid):
+    # 1024 points put `core` points within min(1/m_V, 1/m_H) of the axis;
+    # below MIN_CORE_NODES the grid is doubled until they are enough. The
+    # tension is then within 0.6% of one at the default r_max (0.56% was
+    # the worst of 47 solves at 7 couplings, r_max from 20 to 1e5
+    # correlation lengths)
     model = HiggsModel(q=1.0, v=1.0, lam=lam)
     r_max = correlations * max(1.0 / model.photon_mass,
                                1.0 / model.higgs_mass)
-    if core < MIN_CORE_NODES:
-        with pytest.raises(DomainError, match=f"puts {core} points"):
-            solve_vortex(model, 1, r_max=r_max)
-    else:
-        _, tension = solve_vortex(model, 1, r_max=r_max)
-        reference = solve_vortex(model, 1)[1]
-        assert abs(tension.T / reference.T - 1.0) < 5e-3
+    t = np.linspace(0.0, 1.0, 1025)
+    rho = r_max * np.sinh(4.0 * t) / math.sinh(4.0)
+    assert np.count_nonzero(
+        rho < min(1.0 / model.photon_mass, 1.0 / model.higgs_mass)) == core
+    profile, tension = solve_vortex(model, 1, r_max=r_max)
+    assert len(profile.rho_grid) == grid + 1
+    assert (core >= MIN_CORE_NODES) == (grid == 1024)
+    reference = solve_vortex(model, 1, grid=reference_grid)[1]
+    assert abs(tension.T / reference.T - 1.0) < 6e-3
+
+
+@pytest.mark.parametrize("grid", [512, 1024, MAX_GRID])
+def test_grid_that_cannot_resolve_the_core_is_refused(grid):
+    # at 1e100 correlation lengths even MAX_GRID points leave the axis
+    # alone in the core: refused before any sweep (a fixed 1024-point grid
+    # used to report a Bogomolny ratio of 0.25 at critical coupling)
+    with pytest.raises(DomainError, match=f"grid of {MAX_GRID} points puts 1"):
+        solve_vortex(CRITICAL, 1, r_max=1e100, grid=grid)
 
 
 def test_profile_validation():
