@@ -36,20 +36,9 @@ the padding is 19% of the integrand evaluations of its 25 computed cells.
 field_angular_momentum reports the evaluations, the padded share, the r_max
 pushes and the three error terms in the stats of each result.
 
-J depends on d and mu only through mu*d, so field_angular_momentum
-evaluates it on the unit pair, J(d, mu) = J(1, mu*d): the d^2 prefactor and
-the d^4-sized products of the integrand then neither underflow nor overflow
-at any separation. angular_momentum_sweep computes each distinct mu*d once
-and copies the result into every other cell with that mu*d (every mu = 0
-cell, for one): 7 of the 32 cells of that sweep. The layers below still
-take d. Every breakpoint is an
-exact multiple of d, eps or the inner panel's lower limit lo by a
-scale-free factor (a power of two, a small integer, or (b/lo)^(j/m)), and
-the r_max push depends only on mu*(r_max - d) and exact powers of d, so
-they scale exactly with d. The padding keeps this: m depends only on the
-ratio b/lo, so a 2^k rescaling pads the same panels, and b - b is 0 at
-every scale. np.geomspace(lo, b) must not build the inner panels: its
-log10 rounding breaks that.
+J(d, mu) = J(1, mu*d), and every layer below field_angular_momentum
+works on that unit pair, so the d^2 prefactor and the d^4-sized products
+of the integrand neither underflow nor overflow at any separation.
 """
 
 import math
@@ -78,8 +67,9 @@ class PairConfig:
         for name in ("q", "g", "d", "mu"):
             if not np.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
-        # d > 0, and neither the exclusion radius d/64 nor the prefactor's
-        # 8*d^2 underflows to 0
+        # d > 0, and d/64 and 8*d^2 do not underflow to 0: a separation
+        # too small to hold an exclusion ball or to square is refused here,
+        # though J itself is evaluated on the unit pair
         if not (self.d / 64.0 > 0 and 8.0 * self.d * self.d > 0):
             raise DomainError(f"separation d = {self.d} must be > 0, with "
                               "d/64 and 8*d^2 > 0")
@@ -91,28 +81,40 @@ class PairConfig:
         return np.array([0.0, 0.0, self.d])
 
 
+# the first level's exclusion radius and the unpushed outer cutoff
+EPS0 = 1.0 / 64.0
+R_MAX0 = 50.0
+# the last r_max pushed: _tail squares the next, 1.5 * r_max, which past
+# this overflows; only a mu*d below about 1e-302 needs more pushes
+_R_MAX_LAST = math.sqrt(sys.float_info.max) / 1.5
+
 # the inner quadrature evaluates gl_order^2 * M points per outer panel
 # (M ~ 7 + levels inner panels), and leggauss builds a gl_order^2 matrix
 MAX_GL_ORDER = 64
 
+# the finest cut EPS0 / 2^(levels - 1) is then 2^-52, the last with
+# 1 + eps != 1. One cell at 47 levels takes 0.2 s at gl_order 24 and 1.0 s
+# at MAX_GL_ORDER on a 2-core Xeon
+MAX_LEVELS = 47
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Target relative tolerance, number of eps-halving refinement levels
-    and Gauss-Legendre order (4 to MAX_GL_ORDER). The exclusion radius
-    eps = d/64 and the outer cutoff r_max = 50*d are fixed per pair."""
+    """Target relative tolerance (finite, > 0), number of eps-halving
+    refinement levels (2 to MAX_LEVELS) and Gauss-Legendre order (4 to
+    MAX_GL_ORDER), checked on construction."""
 
     target_tol: float = 1e-5
     levels: int = 3
     gl_order: int = 24
 
-    def resolve(self, pair):
-        if self.levels < 2 or not 4 <= self.gl_order <= MAX_GL_ORDER:
-            raise DomainError(
-                f"need levels >= 2 and 4 <= gl_order <= {MAX_GL_ORDER}")
+    def __post_init__(self):
+        if not 2 <= self.levels <= MAX_LEVELS:
+            raise DomainError(f"levels must lie in [2, {MAX_LEVELS}]")
+        if not 4 <= self.gl_order <= MAX_GL_ORDER:
+            raise DomainError(f"gl_order must lie in [4, {MAX_GL_ORDER}]")
         if not 0 < self.target_tol < np.inf:
             raise DomainError("target_tol must be finite and > 0")
-        return pair.d / 64.0, 50.0 * pair.d
 
 
 class QuadratureStats(NamedTuple):
@@ -158,39 +160,33 @@ def field_momentum_density(pair, r):
     return np.cross(e, b) / (4.0 * np.pi)
 
 
-def _inner_panels(r_nodes, d, s_floor):
-    """(a, b, lo, m) for the inner integral at each r: a = |r-d|, b = r+d,
+def _inner_panels(r_nodes, s_floor):
+    """(a, b, lo, m) for the inner integral at each r: a = |r-1|, b = r+1,
     the lower limit lo = max(a, s_floor) and the number m of geometric
     panels on [lo, b], which is 0 where lo >= b leaves nothing to integrate."""
-    a = np.abs(r_nodes - d)
-    b = r_nodes + d
+    a = np.abs(r_nodes - 1.0)
+    b = r_nodes + 1.0
     lo = np.maximum(a, s_floor)
     m = np.maximum(1, np.ceil(np.log2(b / lo)))
     return a, b, lo, np.where(lo < b, m, 0).astype(int)
 
 
-def _inner_integral(r_nodes, d, mu, s_floor, order):
-    """int_{max(|r-d|, s_floor)}^{r+d} (s^2-a^2)(b^2-s^2) w(s) / s^2 ds
-    for an array of r values, each via geometric Gauss-Legendre panels, all
-    r evaluated in one block. Returns (integrals, m): the values and each
-    r's panel count m.
+def _inner_integral(r_nodes, mu, s_floor, order):
+    """int_{max(|r-1|, s_floor)}^{r+1} (s^2-a^2)(b^2-s^2) w(s) / s^2 ds
+    on the unit pair for an array of r values, each via geometric
+    Gauss-Legendre panels, all r evaluated in one block. Returns
+    (integrals, m): the values and each r's panel count m.
 
     The panel edges of one r are lo * (b/lo)^(j/m), j < m, with edge m set
     to b exactly. Every r is padded to the largest m in the call, M, by
     holding edges m..M at b: a padded panel has width b - b = 0, so its
     nodes sit at s = b and add an exact 0 to the sum, and an r with lo >= b
-    (m = 0) gives exactly 0. The factor (b/lo)^(j/m) depends only on the
-    scale-free ratio b/lo and the panel count m, so scaling r, d and
-    s_floor by 2^k (and mu by 2^-k) scales every edge, node and width by
-    exactly 2^k, leaves m and the zero widths as they are, and scales the
-    result by exactly 8^k. np.geomspace(lo, b) must not be used here: it
-    interpolates log10(lo) and log10(b), and log10(2^k x) does not round to
-    k log10(2) + log10(x), so its interior edges break that scaling."""
+    (m = 0) gives exactly 0."""
     nodes, weights = _gl_nodes(order)
     # s >= s_floor, so this cap moves only a mu whose weights are all 0; it
     # keeps mu*s finite (no inf * 0 = nan) and every smaller mu unchanged
     mu = min(mu, _SCREENING_CLAMP / s_floor)
-    a, b, lo, counts = _inner_panels(r_nodes, d, s_floor)
+    a, b, lo, counts = _inner_panels(r_nodes, s_floor)
     j = np.arange(counts.max() + 1)
     m, a, b, lo = counts[:, None], a[:, None], b[:, None], lo[:, None]
     edges = np.where(j < m, lo * (b / lo) ** (j / np.maximum(m, 1)), b)
@@ -210,14 +206,14 @@ def _inner_integral(r_nodes, d, mu, s_floor, order):
     return f.reshape(len(m), -1).sum(axis=1), counts
 
 
-def _outer_breakpoints(eps, d, r_max):
+def _outer_breakpoints(eps, r_max):
     pts = [eps, 2 * eps, 4 * eps]
-    r = d / 2
+    r = 0.5
     while r > 8 * eps:
         pts.append(r)
         r /= 2
-    pts.extend([d / 2, d - eps, d, d + eps, 1.5 * d, 2 * d])
-    r = 4 * d
+    pts.extend([0.5, 1.0 - eps, 1.0, 1.0 + eps, 1.5, 2.0])
+    r = 4.0
     while r < r_max:
         pts.append(r)
         r *= 2
@@ -233,29 +229,29 @@ def _j_at_eps(pair, eps, r_max, order):
     panel count M, so the panel evaluates order * M * order points.
     Returns (value, evaluations, padded)."""
     nodes, weights = _gl_nodes(order)
-    edges = _outer_breakpoints(eps, pair.d, r_max)
+    edges = _outer_breakpoints(eps, r_max)
     total = 0.0
     counts = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         w = hi - lo
         r = lo + w * nodes
-        inner, m = _inner_integral(r, pair.d, pair.mu, eps, order)
+        inner, m = _inner_integral(r, pair.mu, eps, order)
         total += float(np.sum(weights * inner / (r * r))) * w
         counts.append(m)
     counts = np.array(counts)
     evaluations = int(counts.max(axis=1).sum()) * order * order
     padded = evaluations - int(counts.sum()) * order
-    return pair.q * pair.g / (8.0 * pair.d**2) * total, evaluations, padded
+    return pair.q * pair.g / 8.0 * total, evaluations, padded
 
 
 def _tail(pair, r_max):
     """(exact mu=0 tail, bound for mu>0 tail) beyond r_max."""
-    q, g, d, mu = pair.q, pair.g, pair.d, pair.mu
+    q, g, mu = pair.q, pair.g, pair.mu
     if mu == 0.0:
-        return 2.0 * q * g * d / (3.0 * r_max), 0.0
-    # inner integral is bounded by (16/3) d^3 (1 + mu*(r-d)) e^{-mu*(r-d)}
-    u = float(_screening_argument(mu, r_max - d))
-    bound = abs(q * g) / (8 * d * d) * (16.0 / 3.0) * d**3 / r_max**2 \
+        return 2.0 * q * g / (3.0 * r_max), 0.0
+    # inner integral is bounded by (16/3) (1 + mu*(r-1)) e^{-mu*(r-1)}
+    u = float(_screening_argument(mu, r_max - 1.0))
+    bound = abs(q * g) / 8.0 * (16.0 / 3.0) / r_max**2 \
         * math.exp(-u) * ((1.0 + u) / mu + 1.0 / mu)
     return 0.0, bound
 
@@ -278,20 +274,22 @@ def field_angular_momentum(pair, quad=None):
     """
     quad = quad if quad is not None else QuadratureSpec()
     pair = _unit_pair(pair)
-    eps0, r_max = quad.resolve(pair)
+    r_max = R_MAX0
     scale = abs(pair.q * pair.g)
     if scale == 0.0:
         return AngularMomentum(0.0, 0.0)
 
-    # push r_max out until the mu>0 envelope bound is negligible
+    # push r_max out until the mu>0 envelope bound is negligible; one still
+    # above that at _R_MAX_LAST stays in the error, and the call fails
     tail_value, tail_bound = _tail(pair, r_max)
     pushes = 0
-    while tail_bound > 0.1 * quad.target_tol * scale:
+    while (tail_bound > 0.1 * quad.target_tol * scale
+           and r_max <= _R_MAX_LAST):
         r_max *= 1.5
         pushes += 1
         tail_value, tail_bound = _tail(pair, r_max)
 
-    eps_list = [eps0 / 2**k for k in range(quad.levels)]
+    eps_list = [EPS0 / 2**k for k in range(quad.levels)]
     runs = [_j_at_eps(pair, e, r_max, quad.gl_order) for e in eps_list]
     vals = np.array([value for value, _, _ in runs])
 

@@ -501,8 +501,9 @@ def cmd_vortex(run):
 
 def cmd_confine(run):
     cfg = run.config
-    if not cfg["lengths"] or min(cfg["lengths"]) < 0:
-        raise DomainError("lengths must be nonempty and >= 0")
+    if not cfg["lengths"] or not all(0 <= length < math.inf
+                                     for length in cfg["lengths"]):
+        raise DomainError("lengths must be nonempty, finite and >= 0")
     model, profile, tension = _solve_vortex_for(run)
     with run.stage("write"):
         rows = [(length, confinement_energy(tension, length))

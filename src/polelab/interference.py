@@ -544,12 +544,18 @@ def fringe_shift(grid_with_flux, grid_free, x_probe, y_center, window):
     """
     if grid_with_flux.psi.shape != grid_free.psi.shape:
         raise DomainError("grids must have identical shapes")
-    fa = _spectrum(_window_pattern(grid_with_flux, x_probe, y_center, window))
-    fb = _spectrum(_window_pattern(grid_free, x_probe, y_center, window))
-    k_star = _dominant_bin(fb)
+    pattern = _window_pattern(grid_with_flux, x_probe, y_center, window)
+    free = _spectrum(_window_pattern(grid_free, x_probe, y_center, window))
+    return _fringe_phase(pattern, free, _dominant_bin(free))
+
+
+def _fringe_phase(pattern, free, k_star):
+    """fringe_shift of a window pattern against the free pattern's spectrum
+    free, read at its fringe bin k_star."""
+    fa = _spectrum(pattern)
     # pattern displaced toward +y by delta shows phase -k*delta at the
     # fringe bin; report the displacement fraction with that sign undone
-    dphi = np.angle(fa[k_star]) - np.angle(fb[k_star])
+    dphi = np.angle(fa[k_star]) - np.angle(free[k_star])
     return float((-dphi / (2.0 * np.pi)) % 1.0)
 
 
@@ -733,7 +739,8 @@ class FringeReading(NamedTuple):
 def measure_fringe(config, lines, grid_free, grids):
     """Read the fringe displacement of each line's two-slit run on the probe
     column against the two-path prediction, and how much the line changes
-    that window, from one read of the free window.
+    that window: one read and one spectrum of the free window, and one read
+    of each line's window for both.
 
     window_periods is the window's width, 2 FRINGE_WINDOW_FRACTION s, over
     the far-field fringe period 2 pi L / (k s) of slits s apart seen at
@@ -742,6 +749,8 @@ def measure_fringe(config, lines, grid_free, grids):
     """
     if len(lines) != len(grids):
         raise DomainError("need one grid per flux line")
+    if any(grid.psi.shape != grid_free.psi.shape for grid in grids):
+        raise DomainError("grids must have identical shapes")
     # (x_probe, y_center, window): the two-path loop encloses the puncture
     # only for screen points within about half the slit gap of the axis,
     # and the window stays inside that zone
@@ -749,17 +758,19 @@ def measure_fringe(config, lines, grid_free, grids):
     probe = (probe_x, 0.5 * config.h * config.ny,
              FRINGE_WINDOW_FRACTION * config.slit_separation)
     free = _window_pattern(grid_free, *probe)
+    spectrum = _spectrum(free)
+    k_star = _dominant_bin(spectrum)
     table, sensitivity = [], []
     for line, grid in zip(lines, grids):
-        measured = fringe_shift(grid, grid_free, *probe)
+        pattern = _window_pattern(grid, *probe)
+        measured = _fringe_phase(pattern, spectrum, k_star)
         predicted = two_path_fringe_shift(line.charge, line.flux)
         err = abs(measured - predicted)
         table.append((line.flux, predicted, measured, min(err, 1.0 - err)))
-        sensitivity.append(_relative_l2(_window_pattern(grid, *probe), free))
+        sensitivity.append(_relative_l2(pattern, free))
     periods = (FRINGE_WINDOW_FRACTION * config.k * config.slit_separation**2
                / (math.pi * (probe_x - src[0])))
-    return FringeReading(table, sensitivity, _dominant_bin(_spectrum(free)),
-                         len(free), periods)
+    return FringeReading(table, sensitivity, k_star, len(free), periods)
 
 
 def check_fringe_window(lines, reading):

@@ -203,8 +203,8 @@ def vortex_flux(model, profile):
 def confinement_energy(tension, L):
     """Energy of a tube of length L: exactly linear, E = T*L."""
     L = np.asarray(L, dtype=float)
-    if np.any(L < 0):
-        raise DomainError("tube length must be >= 0")
+    if not np.all((L >= 0) & (L < np.inf)):
+        raise DomainError("tube length must be finite and >= 0")
     out = tension.T * L
     return float(out) if out.ndim == 0 else out
 
@@ -249,9 +249,9 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
     r_max defaults to 20 * max(1/m_H, 1/m_V) and must be at least 10
     correlation lengths. grid, 512 to MAX_GRID, is the fewest points: it is
     doubled, up to MAX_GRID, until MIN_CORE_NODES of them lie within
-    min(1/m_V, 1/m_H) of the axis. beta,
-    1/m_V, 1/m_H, m_V*r_max and lam*v^4 must be finite and > 0, and the
-    grid's finite-difference weights finite; DomainError otherwise. The
+    min(1/m_V, 1/m_H) of the axis. max_iter must be >= 1, beta, 1/m_V,
+    1/m_H, m_V*r_max and lam*v^4 finite and > 0, and the grid's
+    finite-difference weights finite; DomainError otherwise. The
     tension carries the RelaxationStats of the solve. Raises
     ConvergenceError (with the residual history and the stats) if the
     relaxation stalls.
@@ -266,6 +266,8 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
         raise DomainError(f"grid must have 512 to {MAX_GRID} points")
     if not 0 < tol < np.inf:
         raise DomainError("tol must be finite and > 0")
+    if max_iter < 1:
+        raise DomainError("max_iter must be >= 1")
 
     m_v = model.photon_mass
     m_h = model.higgs_mass

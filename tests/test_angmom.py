@@ -17,7 +17,10 @@ from numpy.testing import assert_allclose
 
 import polelab.angmom as angmom
 from polelab.angmom import (
+    EPS0,
     MAX_GL_ORDER,
+    MAX_LEVELS,
+    R_MAX0,
     AngularMomentum,
     PairConfig,
     QuadratureSpec,
@@ -86,15 +89,15 @@ def raw_axial_angular_momentum(pair, eps_frac=5e-4, order_v=40, order_u=20,
     return -2.0 * np.pi * (0.5 * d) ** 3 * total
 
 
-def inner_integral_by_node(r_nodes, d, mu, s_floor, order):
-    """The inner integral one r node at a time, each on its own m geometric
-    panels: the reference for the module's padded block."""
+def inner_integral_by_node(r_nodes, mu, s_floor, order):
+    """The inner integral of the unit pair one r node at a time, each on its
+    own m geometric panels: the reference for the module's padded block."""
     nodes, weights = _gl(order)
     mu = min(mu, _SCREENING_CLAMP / s_floor)
     out = np.zeros_like(r_nodes)
     for idx, r in enumerate(r_nodes):
-        a = abs(r - d)
-        b = r + d
+        a = abs(r - 1.0)
+        b = r + 1.0
         lo = max(a, s_floor)
         if lo >= b:
             continue
@@ -109,12 +112,12 @@ def inner_integral_by_node(r_nodes, d, mu, s_floor, order):
     return out
 
 
-def inner_integral_one_line(r_nodes, d, mu, s_floor, order):
+def inner_integral_one_line(r_nodes, mu, s_floor, order):
     """The padded block with its integrand as one expression, as the module
     wrote it before the in-place passes: the bitwise reference for them."""
     nodes, weights = _gl_nodes(order)
     mu = min(mu, _SCREENING_CLAMP / s_floor)
-    a, b, lo, counts = angmom._inner_panels(r_nodes, d, s_floor)
+    a, b, lo, counts = angmom._inner_panels(r_nodes, s_floor)
     j = np.arange(counts.max() + 1)
     m, a, b, lo = counts[:, None], a[:, None], b[:, None], lo[:, None]
     edges = np.where(j < m, lo * (b / lo) ** (j / np.maximum(m, 1)), b)
@@ -127,11 +130,12 @@ def inner_integral_one_line(r_nodes, d, mu, s_floor, order):
     return inner.reshape(len(m), -1).sum(axis=1)
 
 
-def inner_panel_counts(r_nodes, d, s_floor):
-    """Each node's inner panel count m, 0 where its s range is empty."""
+def inner_panel_counts(r_nodes, s_floor):
+    """Each node's inner panel count m on the unit pair, 0 where its s range
+    is empty."""
     counts = []
     for r in r_nodes:
-        lo, b = max(abs(r - d), s_floor), r + d
+        lo, b = max(abs(r - 1.0), s_floor), r + 1.0
         counts.append(max(1, int(math.ceil(math.log2(b / lo))))
                       if lo < b else 0)
     return counts
@@ -205,17 +209,19 @@ def test_pair_config_validation():
 
 
 def test_quadrature_spec_validation():
-    pair = PairConfig(q=1.0, g=0.5, d=1.0, mu=1.0)
     bad = [
-        QuadratureSpec(levels=1),
-        QuadratureSpec(gl_order=2),
-        QuadratureSpec(target_tol=0.0),
+        dict(levels=1),
+        dict(levels=MAX_LEVELS + 1),
+        dict(levels=1000000),
+        dict(gl_order=2),
+        dict(target_tol=0.0),
     ]
-    for spec in bad:
+    for kwargs in bad:
         with pytest.raises(DomainError):
-            spec.resolve(pair)
-    eps, r_max = QuadratureSpec().resolve(pair)
-    assert eps == pair.d / 64.0 and r_max == 50.0 * pair.d
+            QuadratureSpec(**kwargs)
+    assert QuadratureSpec(levels=MAX_LEVELS).levels == MAX_LEVELS
+    # the unit pair's exclusion radius d/64 and cutoff 50 d
+    assert (EPS0, R_MAX0) == (1.0 / 64.0, 50.0)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +268,8 @@ def test_massless_value_independent_of_separation():
 
 
 def test_mu_d_scaling():
-    # J depends on mu and d only through mu*d; power-of-two rescalings are
-    # exact in floating point because every breakpoint scales with d
+    # J depends on mu and d only through mu*d; these three pairs share the
+    # unit pair mu*d = 4 exactly
     a = field_angular_momentum(PairConfig(q=1.0, g=0.5, d=4.0, mu=1.0)).value
     b = field_angular_momentum(PairConfig(q=1.0, g=0.5, d=2.0, mu=2.0)).value
     c = field_angular_momentum(PairConfig(q=1.0, g=0.5, d=1.0, mu=4.0)).value
@@ -273,26 +279,30 @@ def test_mu_d_scaling():
     assert_allclose(d3, a, rtol=1e-9)
 
 
-def test_quadrature_layers_scale_exactly_with_d():
-    # the layer under test_mu_d_scaling: with d -> 2^k d, mu -> mu/2^k and
-    # every length scaled alike, the inner integral is (s^2-a^2)(b^2-s^2)/s^2
-    # ds, i.e. length^3, so it must come out exactly 8^k times larger, and
-    # the outer breakpoints exactly 2^k times larger
-    d, mu = 1.0, 1.0
-    eps, r_max = d / 64.0, 50.0 * d
-    outer = _outer_breakpoints(eps, d, r_max)
-    # the r nodes J is built from: every outer panel's GL nodes, plus d
-    x, _ = _gl(24)
-    r = np.concatenate([lo + (hi - lo) * x
-                        for lo, hi in zip(outer[:-1], outer[1:])] + [[d]])
-    assert r.min() < d < r.max()
-    inner = _inner_integral(r, d, mu, eps, 24)[0]
-    for k in (1, 2, 3):
-        f = 2.0 ** k
-        scaled_inner = _inner_integral(f * r, f * d, mu / f, f * eps, 24)[0]
-        assert np.array_equal(scaled_inner, 8.0 ** k * inner), k
-        scaled_outer = _outer_breakpoints(f * eps, f * d, f * r_max)
-        assert np.array_equal(scaled_outer, f * outer), k
+def _outcome(pair, spec=None):
+    """field_angular_momentum's result, or its ConvergenceError's contents."""
+    try:
+        return tuple(field_angular_momentum(pair, spec))
+    except ConvergenceError as exc:
+        return (str(exc), exc.best, exc.error, exc.history, exc.stats)
+
+
+def test_pair_is_evaluated_as_its_unit_pair():
+    # J(d, mu) = J(1, mu*d) exactly: value, error and stats, or under a
+    # spec that fails, the ConvergenceError's contents; d need not be a
+    # power of two
+    failing = QuadratureSpec(levels=2, gl_order=4, target_tol=1e-12)
+    failures = 0
+    for d in (3.0, 4.0 / 3.0, 1e-3, 123.0):
+        for mu in (0.0, 0.7, 40.0):
+            pair = PairConfig(q=1.0, g=0.5, d=d, mu=mu)
+            unit = PairConfig(q=1.0, g=0.5, d=1.0, mu=mu * d)
+            assert _outcome(pair) == _outcome(unit), (d, mu)
+            failed = _outcome(pair, failing)
+            assert failed == _outcome(unit, failing), (d, mu)
+            failures += isinstance(failed[0], str)
+    # all but mu*d = 4920, whose J of 3e-22 is within the spec's tolerance
+    assert failures == 11
 
 
 @pytest.mark.parametrize("d, mu, eps_frac, order", [
@@ -303,23 +313,24 @@ def test_quadrature_layers_scale_exactly_with_d():
     (1.0, 0.3, 1 / 64, MAX_GL_ORDER),
 ])
 def test_inner_block_matches_node_by_node(d, mu, eps_frac, order):
-    # the GL r nodes of every outer panel, as _j_at_eps hands them over,
-    # plus r = d (a = 0, so lo = eps); calls beyond r = 3d have m = 1 on
-    # every node, calls near r = d mix m = 1 with m up to log2(2d/eps)
-    eps = eps_frac * d
-    outer = _outer_breakpoints(eps, d, 50.0 * d)
+    # on the unit pair of (d, mu), i.e. mu*d, with eps = eps_frac: the GL r
+    # nodes of every outer panel, as _j_at_eps hands them over, plus r = 1
+    # (a = 0, so lo = eps); calls beyond r = 3 have m = 1 on every node,
+    # calls near r = 1 mix m = 1 with m up to log2(2/eps)
+    mu, eps = mu * d, eps_frac
+    outer = _outer_breakpoints(eps, R_MAX0)
     x, _ = _gl(order)
     panels = [lo + (hi - lo) * x for lo, hi in zip(outer[:-1], outer[1:])]
     mixed = 0
-    for r in panels + [np.array([d]), np.array([0.5 * d, d, 1.5 * d])]:
-        counts = inner_panel_counts(r, d, eps)
+    for r in panels + [np.array([1.0]), np.array([0.5, 1.0, 1.5])]:
+        counts = inner_panel_counts(r, eps)
         mixed += len(set(counts)) > 1
-        values, m = _inner_integral(r, d, mu, eps, order)
-        assert_allclose(values, inner_integral_by_node(r, d, mu, eps, order),
+        values, m = _inner_integral(r, mu, eps, order)
+        assert_allclose(values, inner_integral_by_node(r, mu, eps, order),
                         rtol=1e-14, atol=0.0)
         assert m.tolist() == counts
     assert mixed > 0
-    assert inner_panel_counts(panels[-1], d, eps) == [1] * order
+    assert inner_panel_counts(panels[-1], eps) == [1] * order
 
 
 def test_inner_block_edge_cases():
@@ -328,38 +339,39 @@ def test_inner_block_edge_cases():
     # lo >= b: with s_floor >= r + d a node has nothing to integrate and
     # gives exactly 0, next to nodes that do
     floor = 2.5
-    out = _inner_integral(r, 1.0, 0.5, floor, 24)[0]
-    assert inner_panel_counts(r, 1.0, floor)[:3] == [0, 0, 0]
+    out = _inner_integral(r, 0.5, floor, 24)[0]
+    assert inner_panel_counts(r, floor)[:3] == [0, 0, 0]
     assert np.all(out[:3] == 0.0) and np.all(out[3:] > 0.0)
-    assert_allclose(out, inner_integral_by_node(r, 1.0, 0.5, floor, 24),
+    assert_allclose(out, inner_integral_by_node(r, 0.5, floor, 24),
                     rtol=1e-14, atol=0.0)
-    assert np.all(_inner_integral(np.array([0.1, 0.2]), 1.0, 0.0, 5.0, 8)[0]
+    assert np.all(_inner_integral(np.array([0.1, 0.2]), 0.0, 5.0, 8)[0]
                   == 0.0)
     # mu at the _SCREENING_CLAMP cap and past it: both weights clamp alike
-    eps = 1 / 64
+    eps = EPS0
     for mu in (_SCREENING_CLAMP / eps, 1e300):
-        assert_allclose(_inner_integral(r, 1.0, mu, eps, 24)[0],
-                        inner_integral_by_node(r, 1.0, mu, eps, 24),
+        assert_allclose(_inner_integral(r, mu, eps, 24)[0],
+                        inner_integral_by_node(r, mu, eps, 24),
                         rtol=1e-14, atol=0.0)
-    # mu = 0 on the far nodes: the exact (16/3) d^3 multipole value
-    assert_allclose(_inner_integral(r[3:], 1.0, 0.0, eps, 24)[0], 16.0 / 3.0,
+    # mu = 0 on the far nodes: the exact (16/3) d^3 multipole value, d = 1
+    assert_allclose(_inner_integral(r[3:], 0.0, eps, 24)[0], 16.0 / 3.0,
                     rtol=1e-12)
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.7, _SCREENING_CLAMP * 64.0, 1e300])
 @pytest.mark.parametrize("d, order", [(1.0, 24), (3.0, 12)])
 def test_inner_integral_matches_one_line_reference(d, mu, order):
-    # every outer panel's r nodes as _j_at_eps hands them over, at the
-    # default eps = d/64; 64 * _SCREENING_CLAMP sits exactly at the cap
-    # for d = 1 and past it for d = 3, and 1e300 is past it for both
-    eps = d / 64.0
-    outer = _outer_breakpoints(eps, d, 50.0 * d)
+    # on the unit pair of (d, mu), i.e. mu*d, every outer panel's r nodes
+    # as _j_at_eps hands them over, at the first level's eps = 1/64;
+    # 64 * _SCREENING_CLAMP sits exactly at the cap for d = 1 and past it
+    # for d = 3, and 1e300 is past it for both
+    mu = mu * d
+    outer = _outer_breakpoints(EPS0, R_MAX0)
     x, _ = _gl(order)
     for lo, hi in zip(outer[:-1], outer[1:]):
         r = lo + (hi - lo) * x
-        values = _inner_integral(r, d, mu, eps, order)[0]
+        values = _inner_integral(r, mu, EPS0, order)[0]
         assert np.array_equal(
-            values, inner_integral_one_line(r, d, mu, eps, order)), (lo, hi)
+            values, inner_integral_one_line(r, mu, EPS0, order)), (lo, hi)
 
 
 def test_bilinearity_in_couplings():
@@ -462,11 +474,11 @@ def test_stats_count_what_the_quadrature_did(monkeypatch, mu, spec):
     seen = {"total": 0, "real": 0}
     inner = angmom._inner_integral
 
-    def counting(r_nodes, d, mu, s_floor, order):
-        counts = inner_panel_counts(r_nodes, d, s_floor)
+    def counting(r_nodes, mu, s_floor, order):
+        counts = inner_panel_counts(r_nodes, s_floor)
         seen["total"] += len(counts) * max(counts) * order
         seen["real"] += sum(counts) * order
-        return inner(r_nodes, d, mu, s_floor, order)
+        return inner(r_nodes, mu, s_floor, order)
 
     monkeypatch.setattr(angmom, "_inner_integral", counting)
     pair = PairConfig(q=1.0, g=0.5, d=2.0, mu=mu)
@@ -488,12 +500,25 @@ def test_stats_count_what_the_quadrature_did(monkeypatch, mu, spec):
     assert stats.err_tail <= 0.1 * spec.target_tol * 0.5
 
 
+def test_r_max_push_stops_before_its_square_overflows():
+    # mu*d = 1e-302 still pushes its envelope bound below the target, 865
+    # pushes out; a smaller mu*d stops there with the bound in its error
+    # (inf once 2/mu overflows) instead of raising OverflowError
+    res = field_angular_momentum(PairConfig(q=1.0, g=0.5, d=1.0, mu=1e-302))
+    assert res.stats.r_max_pushes == 865 and abs(res.value - 0.5) < 1e-12
+    for mu in (1e-305, 5e-324):
+        with pytest.raises(ConvergenceError) as exc_info:
+            field_angular_momentum(PairConfig(q=1.0, g=0.5, d=1.0, mu=mu))
+        err = exc_info.value
+        assert err.stats.r_max_pushes == 865
+        assert abs(err.best - 0.5) < 1e-12 and err.error > 1e-5 * 0.5
+
+
 def test_gl_order_is_bounded():
-    pair = PairConfig(q=1.0, g=0.5, d=1.0, mu=1.0)
-    assert QuadratureSpec(gl_order=MAX_GL_ORDER).resolve(pair)
+    assert QuadratureSpec(gl_order=MAX_GL_ORDER).gl_order == MAX_GL_ORDER
     for order in (MAX_GL_ORDER + 1, 100000):
         with pytest.raises(DomainError, match="gl_order"):
-            QuadratureSpec(gl_order=order).resolve(pair)
+            QuadratureSpec(gl_order=order)
 
 
 def test_sweep_structure_and_order():

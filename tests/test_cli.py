@@ -131,6 +131,14 @@ def test_usage_errors(tmp_path):
     (["angmom", "--mu-list", ""], False),
     (["vortex", "--n", "0"], False),
     (["vortex", "--r-max", "1e100"], False),
+    (["angmom", "--levels", "1000000"], False),
+    (["angmom", "--levels", "48"], False),
+    (["holonomy", "--levels", "100000"], False),
+    (["holonomy", "--base-segments", "100000000"], False),
+    (["confine", "--lengths", "nan"], False),
+    (["confine", "--lengths", "1,inf"], False),
+    (["vortex", "--max-iter", "-5"], False),
+    (["angmom", "--mu-list", "5e-324"], False),
 ])
 def test_bad_inputs_are_usage_errors(tmp_path, argv, out_is_file):
     # non-finite values and an unusable --out never share the verdict code 1
@@ -210,7 +218,19 @@ _FLAG_VALUES = {
                  "levels": st.integers(-1, 3)},
     "vortex": {"q": _EXTREME, "v": _EXTREME, "lam": _EXTREME,
                "r_max": _EXTREME, "tol": _EXTREME, "n": st.integers(-1, 3)},
+    # a sweep of at most one cell and few levels: the caps on levels and
+    # gl_order are rows of test_bad_inputs_are_usage_errors
+    "angmom": {"q": _EXTREME, "g": _EXTREME, "tol": _EXTREME,
+               "levels": st.integers(-1, 4), "gl_order": st.integers(-1, 16),
+               "mu_list": st.lists(_EXTREME, max_size=1),
+               "d_list": st.lists(_EXTREME, max_size=1)},
 }
+
+
+def _flag(key, value):
+    text = ",".join(map(repr, value)) if isinstance(value, list) \
+        else repr(value)
+    return f"--{key.replace('_', '-')}={text}"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -219,8 +239,7 @@ def test_any_flag_values_give_a_documented_exit_code(cmd):
     @settings(max_examples=40, deadline=None)
     @given(st.fixed_dictionaries({}, optional=_FLAG_VALUES[cmd]))
     def run(flags):
-        argv = [cmd] + [f"--{key.replace('_', '-')}={value!r}"
-                        for key, value in flags.items()]
+        argv = [cmd] + [_flag(key, value) for key, value in flags.items()]
         with tempfile.TemporaryDirectory() as out:
             code = main(argv + ["--out", out])
             # never EXIT_CRASH: no flag value may reach an unhandled error
@@ -623,3 +642,14 @@ def test_confine_output(tmp_path):
 
     assert main(["confine", "--lengths=-1,2",
                  "--out", str(tmp_path)]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["confine", "--lengths", "nan"],
+    ["confine", "--lengths", "0,inf"],
+    ["angmom", "--levels", "1000000"],
+    ["angmom", "--gl-order", "65"],
+])
+def test_bad_inputs_are_refused_before_the_solve(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
+    assert _manifest(tmp_path, argv[0])["stages_seconds"] == {}

@@ -15,7 +15,9 @@ from numpy.testing import assert_allclose
 
 from polelab.errors import DomainError, SingularPointError
 from polelab.fields import TubeSpec, as_vec3, tube_potential, wu_yang_potential
+import polelab.gauge as gauge
 from polelab.gauge import (
+    MAX_POLYGON,
     OVERLAP_BAND,
     LoopPath,
     cap_flux,
@@ -244,6 +246,30 @@ def test_refined_circle_flux_hits_smooth_limit():
                                     rho=5.0)
     assert_allclose(flux, 2 * np.pi, rtol=1e-11)
     assert err < 1e-9
+
+
+class _Built(Exception):
+    pass
+
+
+def test_largest_polygon_is_bounded(monkeypatch):
+    # refused before any polygon is built, for sizes past int64 as well;
+    # a largest polygon of exactly MAX_POLYGON vertices is built
+    built = []
+
+    def record(rho, z=0.0, n=64):
+        built.append(n)
+        raise _Built
+
+    monkeypatch.setattr(gauge, "circle_loop", record)
+    for n0, levels in [(MAX_POLYGON // 2 + 1, 2), (64, 100000),
+                       (64, 10**18), (10**30, 2)]:
+        with pytest.raises(DomainError, match="at most"):
+            cap_flux(0.5, 2.2, n0=n0, levels=levels)
+    assert built == []
+    with pytest.raises(_Built):
+        cap_flux(0.5, 2.2, n0=MAX_POLYGON // 4, levels=3)
+    assert built == [MAX_POLYGON // 4]
 
 
 def test_cap_flux_formula():

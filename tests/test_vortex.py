@@ -254,8 +254,9 @@ def test_confinement_linear_growth(critical_solution):
     e10 = confinement_energy(tension, 10.0)
     assert isinstance(e10, float)
     assert_allclose(e10, 20.0 * np.pi, rtol=1e-2)
-    with pytest.raises(DomainError):
-        confinement_energy(tension, -1.0)
+    for bad in (-1.0, math.nan, math.inf, [1.0, math.inf]):
+        with pytest.raises(DomainError):
+            confinement_energy(tension, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +299,9 @@ def test_solver_input_validation():
         solve_vortex(CRITICAL, 1, grid=MAX_GRID + 1)
     with pytest.raises(DomainError):
         solve_vortex(CRITICAL, 1, r_max=5.0)   # < 10 correlation lengths
+    for max_iter in (0, -5):
+        with pytest.raises(DomainError, match="max_iter"):
+            solve_vortex(CRITICAL, 1, max_iter=max_iter)
 
 
 @pytest.mark.parametrize("lam, correlations, core, grid, reference_grid", [
