@@ -20,7 +20,7 @@ labels = ("q Phi = 2 pi (quantized)", "q Phi = pi   (half quantum)")
 lines = [small.flux_line(flux, 1.0) for flux in (2.0 * np.pi, np.pi)]
 
 print("single packet aimed at the flux line (128^2 lattice)")
-free, grids = run_experiment(small, "single", lines)
+free, grids, _ = run_experiment(small, "single", lines)
 for label, grid in zip(labels, grids):
     print(f"  {label}: far-field deviation from free = "
           f"{measure_invisibility(small, grid, free):.3e}")
@@ -32,7 +32,7 @@ lines = [mid.flux_line(flux, 1.0) for flux in (np.pi, 2.0 * np.pi)]
 
 print("\ntwo-slit pair around the line (256^2 lattice)")
 print(f"{'q Phi':>10} {'predicted':>10} {'measured':>10} {'circ err':>10}")
-free, grids = run_experiment(mid, "two_slit", lines)
+free, grids, _ = run_experiment(mid, "two_slit", lines)
 for flux, predicted, measured, err in measure_fringe(mid, lines, free,
                                                      grids).table:
     print(f"{flux:10.4f} {predicted:10.4f} {measured:10.4f} {err:10.4f}")

@@ -39,9 +39,9 @@ from .fields import (PhysicalConfig, local_charge, monopole_field,
                      yukawa_electric_field)
 from .gauge import DEFAULT_TOL, cap_flux, check_quantization
 from .interference import (InterferenceConfig, check_fringe_window,
-                           experiment_workers, intensity_slice,
-                           measure_fringe, measure_invisibility,
-                           run_experiment, save_snapshot)
+                           intensity_slice, measure_fringe,
+                           measure_invisibility, run_experiment,
+                           save_snapshot)
 from .vortex import (HiggsModel, confinement_energy, energy_density_profile,
                      magnetic_profile, solve_vortex, vortex_flux)
 
@@ -376,27 +376,6 @@ def _absorbed(free, grids):
             "lines": [1.0 - grid.norm() for grid in grids]}
 
 
-def _experiment(run, key, sim_cfg, packet, lines):
-    """run_experiment, recording in the diagnostics under `key` what it
-    did: propagations, steps per propagation, Cayley solves (2N + 1 per
-    propagation of N > 0 fused Strang steps), the worker processes the
-    propagations ran on, and ms_per_step, the wall time of the whole call
-    divided by propagations x steps. The propagations run in parallel, so
-    ms_per_step is below the time one step takes in one worker."""
-    t0 = time.perf_counter()
-    free, grids = run_experiment(sim_cfg, packet, lines)
-    seconds = time.perf_counter() - t0
-    steps, runs = sim_cfg.resolved_steps(), len(lines) + 1
-    run.diagnostics[key] = {
-        "propagations": runs,
-        "steps": steps,
-        "solves": runs * (2 * steps + 1) if steps else 0,
-        "workers": experiment_workers(runs),
-        "ms_per_step": 1e3 * seconds / (runs * steps) if steps else 0.0,
-    }
-    return free, grids
-
-
 def cmd_absim(run):
     cfg = run.config
     if cfg["mode"] not in ("invisibility", "fringe", "both"):
@@ -416,14 +395,15 @@ def cmd_absim(run):
 
     if invisibility:
         with run.stage("invisibility"):
-            free, (flux_grid,) = _experiment(
-                run, "invisibility_propagation", sim_cfg, "single", [inv_line])
+            free, (flux_grid,), stats = run_experiment(sim_cfg, "single",
+                                                       [inv_line])
+            run.diagnostics["invisibility_propagation"] = stats._asdict()
             metric = measure_invisibility(sim_cfg, flux_grid, free)
         payload["invisibility"] = {
             "flux": cfg["flux"],
             "q_flux_over_2pi": (cfg["q"] * cfg["flux"]) / (2.0 * math.pi),
             "metric": metric,
-            "steps": sim_cfg.resolved_steps(),
+            "steps": stats.steps,
         }
         run.diagnostics["invisibility_metric"] = metric
         run.diagnostics["invisibility_absorbed"] = _absorbed(free,
@@ -441,8 +421,9 @@ def cmd_absim(run):
 
     if fringe:
         with run.stage("fringe"):
-            free, grids = _experiment(run, "fringe_propagation", sim_cfg,
-                                      "two_slit", fringe_lines)
+            free, grids, stats = run_experiment(sim_cfg, "two_slit",
+                                                fringe_lines)
+            run.diagnostics["fringe_propagation"] = stats._asdict()
             reading = measure_fringe(sim_cfg, fringe_lines, free, grids)
         payload["fringe_table"] = [
             {"flux": f, "shift_predicted": p, "shift_measured": s,

@@ -14,7 +14,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import DomainError, SingularPointError
+from .errors import DomainError
 from .fields import as_vec3, wu_yang_potential
 
 # Polar-angle band on which both patches are regular and may be compared.

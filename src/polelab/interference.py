@@ -63,18 +63,22 @@ exactly 1 inside a band along the walls, so M multiplies only the band's
 four edge slabs.
 
 A WaveGrid is a value: the packet builders and the propagations return a
-new grid and never write the one they are given. Both experiments go
-through one driver, run_experiment: it checks every flux line, then
-propagates the packet free once and once per line, so the free reference
-is shared by all lines. These runs are independent, so they run in
-parallel, one worker process per CPU at most, forked for the call (so
-Linux only). The workers inherit the packet rather than receive it, and
-each writes its result into its own slot of one anonymous shared memory
-map; the returned grids are views of the slots, so no grid is pickled
-either way. measure_invisibility and measure_fringe read the two
-consequences off fixed windows of the canonical geometry (module
-constants, like the sponge's width and rate); measure_fringe reads every
-line of one experiment in one pass into a FringeReading.
+new grid and never write the one they are given. Each input is checked
+once, where it enters: WaveGrid its sides, h, m, dt and the accuracy bound
+dt <= m h^2/2; FluxLine its position, cut and q*flux; InterferenceConfig
+its step count; gaussian_packet the width; _cut_link the line's place.
+Both experiments go through run_experiment alone: it propagates the
+packet free once and once per line, so the free reference is shared by
+all lines, and returns an ExperimentStats. These runs are independent, so
+they run in parallel, one worker process per CPU at most, forked for the
+call (so Linux only). The workers inherit the packet and the lines' cuts
+rather than receive them, and each writes its result into its own slot of
+one anonymous shared memory map; the returned grids are views of the
+slots, so no grid is pickled either way. measure_invisibility and
+measure_fringe read the two consequences off fixed windows of the
+canonical geometry (module constants, like the sponge's width and rate);
+measure_fringe reads every line of one experiment in one pass into a
+FringeReading.
 check_fringe_window refuses a fringe window that the flux barely changes
 (the reading's sensitivity): there the geometry forms no two-path
 interferometer, and every measured shift is about 0 whatever the flux. It
@@ -87,6 +91,7 @@ import math
 import mmap
 import multiprocessing
 import os
+import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -102,6 +107,11 @@ MIN_GRID = 64
 # one 4096^2 grid is 256 MiB and a propagation holds four such arrays;
 # larger sides are refused before anything is allocated
 MAX_GRID = 4096
+# a step takes about 0.16 ms on a 64^2 grid and 5.7 ms on the default 512^2
+# one (2-core Xeon), so a propagation of this many steps, over 100 times the
+# default run's 916, takes 16 s and 10 min there; more are refused before
+# any worker starts
+MAX_STEPS = 100_000
 ROW_PAD = 4     # zero columns after each row of the stepped psi: 64 bytes,
                 # so a row stride is never a multiple of 4 KiB
 SPONGE_FRACTION = 0.10          # absorber width per side, fraction of the grid
@@ -132,11 +142,10 @@ EDGE_EXCLUDE_FRACTION = 0.12    # sponge fringe left out of invisibility_metric
 def two_path_fringe_shift(q, flux):
     """Fringe displacement, as a fraction of one period, for a two-path
     interferometer enclosing the given flux: ((q*flux / 2*pi) mod 1)."""
-    q = float(q)
-    flux = float(flux)
-    if not (np.isfinite(q) and np.isfinite(flux)):
-        raise DomainError("q and flux must be finite")
-    return (q * flux / (2.0 * np.pi)) % 1.0
+    phase = float(q) * float(flux)
+    if not np.isfinite(phase):
+        raise DomainError("q * flux must be finite")
+    return (phase / (2.0 * np.pi)) % 1.0
 
 
 @dataclass(frozen=True)
@@ -157,6 +166,13 @@ class WaveGrid:
         if not all(np.isfinite(v) and v > 0
                    for v in (self.h, self.m, self.dt)):
             raise DomainError("h, m, dt must be finite and > 0")
+        # Cayley factors are unitary for any dt, but the per-step phase error
+        # at the band edge (E_max = 4/(m h^2) in 2-D) is O(1) once dt exceeds
+        # m h^2 / 2; past that the step no longer resolves the dynamics at all
+        limit = 0.5 * self.m * self.h * self.h      # inf, not an overflow
+        if self.dt > limit:
+            raise StabilityError(f"dt = {self.dt} exceeds the accuracy bound "
+                                 f"0.5*m*h^2 = {limit}")
         object.__setattr__(self, "psi", psi)
 
     @property
@@ -194,8 +210,8 @@ class FluxLine:
             raise DomainError("position must be a 2-D point")
         if not all(np.isfinite(p) for p in self.position):
             raise DomainError("position must be finite")
-        if not (np.isfinite(self.flux) and np.isfinite(self.charge)):
-            raise DomainError("flux and charge must be finite")
+        if not np.isfinite(self.charge * self.flux):
+            raise DomainError("charge * flux must be finite")
         if self.cut not in ("+x", "-x"):
             raise DomainError("cut must be '+x' or '-x'")
         object.__setattr__(self, "position", (float(self.position[0]),
@@ -216,8 +232,9 @@ def make_wave_grid(nx, ny, h=1.0, m=1.0, dt=0.4):
 def gaussian_packet(grid, center, width, momentum):
     """The normalized Gaussian exp(-|r-c|^2/(2 w^2) + i k.r) on a grid like
     `grid`."""
-    if width < 8.0 * grid.h:
-        raise DomainError("packet width must be at least 8 lattice spacings")
+    if not (width >= 8.0 * grid.h and math.isfinite(width * width)):
+        raise DomainError("packet width must be at least 8 lattice spacings "
+                          "and have a finite square")
     x = grid.h * np.arange(grid.nx)[:, None]
     y = grid.h * np.arange(grid.ny)[None, :]
     cx, cy = center
@@ -345,16 +362,6 @@ def _check_steps(steps):
         raise DomainError("steps must be a nonnegative integer")
 
 
-def _check_stability(grid):
-    # Cayley factors are unitary for any dt, but the per-step phase error at
-    # the band edge (E_max = 4/(m h^2) in 2-D) is O(1) once dt exceeds
-    # m h^2 / 2; past that the step no longer resolves the dynamics at all.
-    limit = 0.5 * grid.m * grid.h**2
-    if grid.dt > limit:
-        raise StabilityError(
-            f"dt = {grid.dt} exceeds the accuracy bound 0.5*m*h^2 = {limit}")
-
-
 def _cut_link(grid, line, sponge):
     """Check that the line sits on the grid, clear of the sponge, and return
     its cut as the y factor's link (rows, j0, e^{i q flux}): the puncture
@@ -416,16 +423,14 @@ def _scale_exponent(psi):
     return min(max(1000 - math.frexp(norm)[1], 0), 1000)
 
 
-def _propagate(grid, line, steps, sponge):
+def _propagate(grid, link, steps, sponge):
     """The grid after `steps` fused Strang steps (see the module
-    docstring): x(dt/2) [y M x(dt)]^(steps-1) y M x(dt/2), with the line's
-    phased link in y when a line is given and M = 1 without the sponge.
-    Everything is checked before the first factor; zero steps apply
-    nothing. The steps run on 2^s psi, s = _scale_exponent(psi): the copy
-    into the stepping buffer multiplies by 2^s and the copy out by 2^-s."""
+    docstring): x(dt/2) [y M x(dt)]^(steps-1) y M x(dt/2), with a line's
+    _cut_link in y when one is given and M = 1 without the sponge. Zero
+    steps apply nothing. The steps run on 2^s psi, s = _scale_exponent(psi):
+    the copy into the stepping buffer multiplies by 2^s and the copy out by
+    2^-s."""
     _check_steps(steps)
-    _check_stability(grid)
-    link = _cut_link(grid, line, sponge) if line is not None else None
     if steps == 0:
         return grid
 
@@ -469,7 +474,7 @@ def propagate_with_flux(grid, line, steps, sponge=True):
     """
     if line is None:
         raise DomainError("flux line required; use propagate_free otherwise")
-    return _propagate(grid, line, steps, sponge)
+    return _propagate(grid, _cut_link(grid, line, sponge), steps, sponge)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +612,8 @@ def load_snapshot(bin_path):
 class InterferenceConfig:
     """Size, packet and step count of the canonical runs; lengths in units
     of h. The source, flux line and probe sit at fixed fractions of the grid
-    width (SOURCE_X_FRACTION, FLUX_X_FRACTION, PROBE_X_FRACTION)."""
+    width (SOURCE_X_FRACTION, FLUX_X_FRACTION, PROBE_X_FRACTION). The step
+    count, given or derived, is checked on construction."""
 
     nx: int = 512
     ny: int = 512
@@ -619,6 +625,14 @@ class InterferenceConfig:
     slit_separation: float = 100.0
     steps: int = 0                  # 0: derive from the group velocity
 
+    def __post_init__(self):
+        _check_steps(self.steps)
+        count = self.steps or self._steps_to_probe()
+        if not 0 < count <= MAX_STEPS:
+            raise DomainError(
+                f"{count} steps; the step count, given or derived from the "
+                f"group velocity, must lie in [1, {MAX_STEPS}]")
+
     def geometry(self):
         lx = self.h * self.nx
         ly = self.h * self.ny
@@ -627,16 +641,18 @@ class InterferenceConfig:
         probe_x = PROBE_X_FRACTION * lx
         return src, flux_pos, probe_x
 
-    def resolved_steps(self):
-        if self.steps:
-            return int(self.steps)
-        v_g = math.sin(self.k * self.h) / (self.m * self.h)
-        advance = v_g * self.dt
-        if not (math.isfinite(advance) and advance > 0):
-            raise DomainError(f"group velocity * dt = {advance}; it must be "
-                              "finite and > 0 to derive the step count")
+    def _steps_to_probe(self):
+        """The steps at the group velocity sin(k h)/(m h) from the source
+        to the probe, unrounded; nan where it does not advance the packet."""
+        kh, mh = self.k * self.h, self.m * self.h
+        if not (math.isfinite(kh) and mh):
+            return math.nan
+        advance = math.sin(kh) / mh * self.dt
         src, _, probe_x = self.geometry()
-        return int(math.ceil((probe_x - src[0]) / advance))
+        return (probe_x - src[0]) / advance if advance > 0 else math.nan
+
+    def resolved_steps(self):
+        return self.steps or math.ceil(self._steps_to_probe())
 
     def flux_line(self, flux, charge, cut="+x"):
         """A flux line at the canonical puncture, mid-grid."""
@@ -644,13 +660,21 @@ class InterferenceConfig:
                         cut=cut)
 
 
-def experiment_workers(runs):
-    """Worker processes run_experiment forks for `runs` propagations: one
-    per run, at most one per CPU this process may run on."""
-    return min(runs, len(os.sched_getaffinity(0)))
+class ExperimentStats(NamedTuple):
+    """What one run_experiment call did: propagations (free and one per
+    line), fused steps in each (at least 1), Cayley solves (2N + 1 per
+    propagation of N steps), worker processes, and ms_per_step, the call's
+    wall time over propagations x steps. The propagations run in parallel,
+    so ms_per_step is below one step's time in one worker."""
+
+    propagations: int
+    steps: int
+    solves: int
+    workers: int
+    ms_per_step: float
 
 
-_worker_args = ()   # (packet, steps, runs, slots), set in each worker
+_worker_args = ()   # (packet, steps, links, slots), set in each worker
 
 
 def _init_worker(*args):
@@ -661,35 +685,31 @@ def _init_worker(*args):
 def _run_into_slot(i):
     """Propagate run i of the worker's experiment, the free run for i = 0,
     into slot i."""
-    packet, steps, runs, slots = _worker_args
-    slots[i] = _propagate(packet, runs[i], steps, True).psi
+    packet, steps, links, slots = _worker_args
+    slots[i] = _propagate(packet, links[i], steps, True).psi
 
 
 def run_experiment(config, packet, lines):
     """Propagate one packet free and once along each flux line.
 
     packet is "single", one Gaussian aimed head-on at the lines, or
-    "two_slit", a coherent pair straddling them. The grid, the step count,
-    the time step's stability bound, every line and the packet are checked
-    before any worker starts. All runs start from the same packet and are
-    independent, so they run in parallel: a pool of experiment_workers
-    processes forked for this call alone, which inherit the packet, the
-    step count and the lines and so never pickle them. Run i writes its
-    psi into slot i of one anonymous shared memory map, made before the
-    fork, and the returned grids are views of their slots; nothing but the
-    run index and a worker's exception crosses a pipe. A run's values are
-    those of the same propagation in this process, bit for bit. The pool
-    is shut down, and its workers joined, before the call returns or
-    raises. Returns (free grid, [grid per line]) in line order.
+    "two_slit", a coherent pair straddling them. The grid, every line's
+    cut and the packet are made, and so checked, before any worker starts.
+    All runs start from the same packet and are independent, so they run in
+    parallel, one worker per run and at most one per CPU this process may
+    run on, in a pool forked for this call alone. The workers inherit the
+    packet, the step count and the cuts, and so never pickle them. Run i
+    writes its psi into slot i of one anonymous shared memory map, made
+    before the fork, and the returned grids are views of their slots;
+    nothing but the run index and a worker's exception crosses a pipe. A
+    run's values are those of the same propagation in this process, bit for
+    bit. The pool is shut down, and its workers joined, before the call
+    returns or raises. Returns (free grid, [grid per line], stats).
     """
-    # the grid rejects a non-finite h, m or dt before the step count uses it
+    t0 = time.perf_counter()
     grid = make_wave_grid(config.nx, config.ny, config.h, config.m,
                           config.dt)
-    steps = config.resolved_steps()
-    _check_steps(steps)
-    _check_stability(grid)
-    for line in lines:
-        _cut_link(grid, line, sponge=True)
+    links = [None] + [_cut_link(grid, line, sponge=True) for line in lines]
     src, _, _ = config.geometry()
     if packet == "single":
         grid = gaussian_packet(grid, src, config.packet_width,
@@ -701,16 +721,19 @@ def run_experiment(config, packet, lines):
         raise DomainError("packet must be 'single' or 'two_slit'")
     # fork, not spawn: the workers inherit the packet and the anonymous
     # map, which a spawned worker could only get pickled or by name
-    runs = [None, *lines]
-    slots = np.frombuffer(mmap.mmap(-1, len(runs) * grid.psi.nbytes),
-                          np.complex128).reshape(len(runs), *grid.psi.shape)
-    with ProcessPoolExecutor(experiment_workers(len(runs)),
+    runs, steps = len(links), config.resolved_steps()
+    workers = min(runs, len(os.sched_getaffinity(0)))
+    slots = np.frombuffer(mmap.mmap(-1, runs * grid.psi.nbytes),
+                          np.complex128).reshape(runs, *grid.psi.shape)
+    with ProcessPoolExecutor(workers,
                              mp_context=multiprocessing.get_context("fork"),
                              initializer=_init_worker,
-                             initargs=(grid, steps, runs, slots)) as pool:
-        deque(pool.map(_run_into_slot, range(len(runs))), maxlen=0)
+                             initargs=(grid, steps, links, slots)) as pool:
+        deque(pool.map(_run_into_slot, range(runs)), maxlen=0)
     free, *grids = [replace(grid, psi=slot) for slot in slots]
-    return free, grids
+    ms = 1e3 * (time.perf_counter() - t0) / (runs * steps)
+    return free, grids, ExperimentStats(runs, steps, runs * (2 * steps + 1),
+                                        workers, ms)
 
 
 def measure_invisibility(config, grid_with_flux, grid_free):

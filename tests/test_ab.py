@@ -10,6 +10,7 @@ grid runs in the acceptance suite.
 
 import json
 import multiprocessing
+import os
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
@@ -21,6 +22,8 @@ from polelab import interference
 from polelab.errors import AccuracyError, DomainError, StabilityError
 from polelab.interference import (
     FRINGE_MAX_BIN_OFFSET,
+    MAX_STEPS,
+    ExperimentStats,
     FluxLine,
     FringeReading,
     InterferenceConfig,
@@ -71,6 +74,9 @@ def test_two_path_fringe_shift_values():
     assert two_path_fringe_shift(-1.0, np.pi / 2.0) == 0.75
     with pytest.raises(DomainError):
         two_path_fringe_shift(float("nan"), 1.0)
+    # each factor is finite, their product is not
+    with pytest.raises(DomainError):
+        two_path_fringe_shift(1e308, 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -92,15 +98,17 @@ def test_zero_flux_is_bitwise_free(packet128):
 
 
 def test_stability_bound_rejects_coarse_dt(packet128):
-    g = replace(packet128, dt=0.6)  # above 0.5 * m * h^2
-    before = g.psi.copy()
+    # the grid owns the bound dt <= 0.5 * m * h^2: no grid past it is made,
+    # so no propagation sees one
+    with pytest.raises(StabilityError, match="0.5\\*m\\*h\\^2"):
+        replace(packet128, dt=0.6)
     with pytest.raises(StabilityError):
-        propagate_free(g, 1)
-    assert np.array_equal(g.psi, before)   # rejected before stepping
-    _, flux_pos, _ = CFG128.geometry()
+        make_wave_grid(128, 128, m=0.5, dt=0.26)
+    assert make_wave_grid(128, 128, dt=0.5).dt == 0.5
+    # the bound of a huge h is inf, not an overflow; of a tiny one 0
+    assert make_wave_grid(64, 64, h=1e300).h == 1e300
     with pytest.raises(StabilityError):
-        propagate_with_flux(g, FluxLine(position=flux_pos, flux=1.0,
-                                        charge=1.0), 1)
+        make_wave_grid(64, 64, h=1e-200)
 
 
 def test_cut_direction_matters_only_when_unquantized(packet128):
@@ -423,7 +431,7 @@ def test_flux_periodicity(packet128):
 def test_invisibility_dichotomy():
     lines = [CFG128.flux_line(2.0 * np.pi, 1.0),
              CFG128.flux_line(np.pi, 1.0)]
-    free, (quant, vis) = run_experiment(CFG128, "single", lines)
+    free, (quant, vis), _ = run_experiment(CFG128, "single", lines)
     assert measure_invisibility(CFG128, quant, free) < 1e-8
     assert measure_invisibility(CFG128, vis, free) > 0.1
     assert isinstance(free, WaveGrid)
@@ -432,7 +440,7 @@ def test_invisibility_dichotomy():
 def test_fringe_law_mid_grid():
     cfg = InterferenceConfig(nx=256, ny=256, slit_separation=60.0)
     line = cfg.flux_line(np.pi, 1.0)
-    free, grids = run_experiment(cfg, "two_slit", [line])
+    free, grids, _ = run_experiment(cfg, "two_slit", [line])
     ((flux, predicted, _, err),) = measure_fringe(cfg, [line], free,
                                                   grids).table
     assert (flux, predicted) == (np.pi, 0.5)
@@ -461,7 +469,7 @@ def test_fringe_window_must_see_the_flux(separation, blind):
     cfg = InterferenceConfig(nx=128, ny=128, slit_separation=separation)
     lines = [cfg.flux_line(flux, 1.0)
              for flux in (0.5 * np.pi, np.pi, 1.5 * np.pi, 0.0)]
-    free, grids = run_experiment(cfg, "two_slit", lines)
+    free, grids, _ = run_experiment(cfg, "two_slit", lines)
     reading = measure_fringe(cfg, lines, free, grids)
     sensitivity = reading.sensitivity
     assert sensitivity[-1] == 0.0          # zero flux is bitwise free
@@ -519,7 +527,10 @@ def test_experiment_matches_separate_runs():
     lines = [cfg.flux_line(2.0 * np.pi, 1.0, "-x"),
              cfg.flux_line(np.pi / 2.0, -1.0)]
     for packet in ("single", "two_slit"):
-        free, grids = run_experiment(cfg, packet, lines)
+        free, grids, stats = run_experiment(cfg, packet, lines)
+        # three propagations of 40 steps, 81 solves each
+        assert stats[:4] == (3, 40, 243, min(3, len(os.sched_getaffinity(0))))
+        assert stats.ms_per_step > 0.0
         src, _, _ = cfg.geometry()
         grid0 = make_wave_grid(128, 128)
         if packet == "single":
@@ -557,6 +568,25 @@ def test_experiment_checks_everything_before_propagating(monkeypatch, cfg,
     assert calls == []
 
 
+def test_experiment_cuts_each_line_once(monkeypatch):
+    # each line's cut is made in the calling process, once per experiment,
+    # and the forked workers inherit it; a worker that made one would raise
+    parent, cut = os.getpid(), interference._cut_link
+    calls = []
+
+    def spy(grid, line, sponge):
+        assert os.getpid() == parent, "a worker made a cut"
+        calls.append(line)
+        return cut(grid, line, sponge)
+
+    monkeypatch.setattr(interference, "_cut_link", spy)
+    lines = [CFG128.flux_line(np.pi, 1.0), CFG128.flux_line(np.pi, 1.0, "-x")]
+    free, grids, stats = run_experiment(replace(CFG128, steps=2), "single",
+                                        lines)
+    assert calls == lines and stats.propagations == 3
+    assert isinstance(stats, ExperimentStats)
+
+
 def test_failing_worker_is_reraised_and_reaped(monkeypatch):
     # no worker outlives the call, whether it returns or raises; the forked
     # workers inherit the patched propagation, and its exception reaches
@@ -577,14 +607,20 @@ def test_failing_worker_is_reraised_and_reaped(monkeypatch):
 def test_config_step_resolution():
     assert InterferenceConfig().resolved_steps() == 916
     assert InterferenceConfig(steps=7).resolved_steps() == 7
+    assert InterferenceConfig(steps=MAX_STEPS).resolved_steps() == MAX_STEPS
     src, flux_pos, probe_x = InterferenceConfig().geometry()
     assert src == (0.22 * 512.0, 256.0)
     assert flux_pos == (256.0, 256.0)
     assert probe_x == 0.78 * 512.0
-    # a packet that does not move toward the probe has no step count
-    for k in (0.0, -0.9, float("nan")):
+    # the config checks its step count on construction: a packet that does
+    # not move toward the probe has none, and a count that is not a
+    # nonnegative int or resolves above MAX_STEPS is refused
+    bad = [{"k": k} for k in (0.0, -0.9, float("nan"), float("inf"), 1e-10)]
+    bad += [{"dt": 1e-320}, {"m": 5e-324, "h": 5e-324}, {"steps": 2.5},
+            {"steps": -1}, {"steps": MAX_STEPS + 1}, {"steps": 10**12}]
+    for kwargs in bad:
         with pytest.raises(DomainError):
-            InterferenceConfig(k=k).resolved_steps()
+            InterferenceConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +714,10 @@ def test_packets_match_reference_formula(shape):
 
 def test_packet_width_validation():
     grid = make_wave_grid(128, 128)
-    with pytest.raises(DomainError):
-        gaussian_packet(grid, (28.0, 64.0), 7.9, (0.9, 0.0))
+    # too narrow for the lattice, not a number, or with no finite square
+    for width in (7.9, float("nan"), 1e308, float("inf")):
+        with pytest.raises(DomainError):
+            gaussian_packet(grid, (28.0, 64.0), width, (0.9, 0.0))
 
 
 def test_grid_validation():
@@ -719,8 +757,8 @@ def test_grid_is_a_value(monkeypatch, packet128):
         monkeypatch.setattr(interference, name, spy)
     packets, grids = [], []
     for packet in ("single", "two_slit"):
-        free, lines = run_experiment(replace(CFG128, steps=5), packet,
-                                     [line, line])
+        free, lines, _ = run_experiment(replace(CFG128, steps=5), packet,
+                                        [line, line])
         # the packet run_experiment propagated is the last one built
         packets.append(made[-1])
         grids += [free, *lines]
@@ -747,6 +785,11 @@ def test_flux_line_validation(packet128):
         FluxLine(position=(1.0, float("inf")), flux=1.0, charge=1.0)
     with pytest.raises(DomainError):
         FluxLine(position=(10.0, 10.0), flux=1.0, charge=1.0, cut="y")
+    # q * flux must be finite: each factor alone may be, and overflow
+    for flux, charge in ((10.0, 1e308), (float("inf"), 0.0),
+                         (1.0, float("nan"))):
+        with pytest.raises(DomainError):
+            FluxLine(position=(10.0, 10.0), flux=flux, charge=charge)
     # inside the sponge margin: rejected
     with pytest.raises(DomainError):
         propagate_with_flux(packet128, FluxLine(position=(5.0, 64.0),

@@ -53,7 +53,7 @@ def single_packet_runs():
     lines = [cfg.flux_line(2.0 * np.pi, 1.0, "+x"),
              cfg.flux_line(2.0 * np.pi, 1.0, "-x"),
              cfg.flux_line(np.pi, 1.0, "+x")]
-    free, grids = run_experiment(cfg, "single", lines)
+    free, grids, _ = run_experiment(cfg, "single", lines)
     return cfg, free, grids
 
 
@@ -62,7 +62,7 @@ def two_slit_runs():
     cfg = InterferenceConfig()
     lines = [cfg.flux_line(flux, 1.0)
              for flux in (0.5 * np.pi, np.pi, 1.5 * np.pi)]
-    free, grids = run_experiment(cfg, "two_slit", lines)
+    free, grids, _ = run_experiment(cfg, "two_slit", lines)
     return cfg, free, lines, grids
 
 

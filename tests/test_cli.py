@@ -90,6 +90,9 @@ def test_usage_errors(tmp_path):
     assert man["status"] == "error" and "r_min" in man["error"]
 
 
+_ABSIM64 = ["absim", "--nx", "64", "--ny", "64", "--snapshots", "0"]
+
+
 @pytest.mark.parametrize("argv, out_is_file", [
     (["check", "--q", "nan"], False),
     (["check", "--g", "inf"], False),
@@ -139,6 +142,13 @@ def test_usage_errors(tmp_path):
     (["confine", "--lengths", "1,inf"], False),
     (["vortex", "--max-iter", "-5"], False),
     (["angmom", "--mu-list", "5e-324"], False),
+    (_ABSIM64 + ["--k", "1e-10"], False),
+    (_ABSIM64 + ["--k", "1e-300"], False),
+    (_ABSIM64 + ["--steps", "1000000000000"], False),
+    (_ABSIM64 + ["--dt", "1e-320"], False),
+    (_ABSIM64 + ["--q", "1e308"], False),
+    (_ABSIM64 + ["--steps", "2", "--packet-width", "1e308"], False),
+    (_ABSIM64 + ["--steps", "2", "--h", "1e300"], False),
 ])
 def test_bad_inputs_are_usage_errors(tmp_path, argv, out_is_file):
     # non-finite values and an unusable --out never share the verdict code 1
@@ -224,7 +234,17 @@ _FLAG_VALUES = {
                "levels": st.integers(-1, 4), "gl_order": st.integers(-1, 16),
                "mu_list": st.lists(_EXTREME, max_size=1),
                "d_list": st.lists(_EXTREME, max_size=1)},
+    "absim": {**{key: _EXTREME for key in (
+        "q", "flux", "k", "h", "m", "dt", "packet_width", "slit_separation")},
+        "fringe_fluxes": st.lists(_EXTREME, max_size=2)},
 }
+_FLAG_VALUES["confine"] = {**_FLAG_VALUES["vortex"],
+                           "lengths": st.lists(_EXTREME, max_size=2)}
+# flags every example passes: absim on the smallest grid for a few steps,
+# since a derived step count may run to MAX_STEPS; that cap is a row of
+# test_bad_inputs_are_usage_errors
+_FIXED_FLAGS = {"absim": {"nx": st.just(64), "ny": st.just(64),
+                          "steps": st.integers(1, 3), "snapshots": st.just(0)}}
 
 
 def _flag(key, value):
@@ -237,7 +257,8 @@ def _flag(key, value):
 @pytest.mark.parametrize("cmd", sorted(_FLAG_VALUES))
 def test_any_flag_values_give_a_documented_exit_code(cmd):
     @settings(max_examples=40, deadline=None)
-    @given(st.fixed_dictionaries({}, optional=_FLAG_VALUES[cmd]))
+    @given(st.fixed_dictionaries(_FIXED_FLAGS.get(cmd, {}),
+                                 optional=_FLAG_VALUES[cmd]))
     def run(flags):
         argv = [cmd] + [_flag(key, value) for key, value in flags.items()]
         with tempfile.TemporaryDirectory() as out:
@@ -649,6 +670,8 @@ def test_confine_output(tmp_path):
     ["confine", "--lengths", "0,inf"],
     ["angmom", "--levels", "1000000"],
     ["angmom", "--gl-order", "65"],
+    _ABSIM64 + ["--k", "1e-10"],
+    _ABSIM64 + ["--q", "1e308"],
 ])
 def test_bad_inputs_are_refused_before_the_solve(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
