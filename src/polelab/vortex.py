@@ -88,7 +88,6 @@ class VortexProfile:
     rho_grid: np.ndarray
     f: np.ndarray
     a: np.ndarray
-    beta: float
 
     def __post_init__(self):
         rho = np.asarray(self.rho_grid, dtype=float)
@@ -307,8 +306,21 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
     if not all(np.isfinite(c).all() for c in d1 + d2):
         raise DomainError("m_V*r_max too large: the grid's difference "
                           "weights overflow")
-    npts = grid + 1
     xi = x[1:-1]
+    (c1m, c1c, c1p), (c2m, c2c, c2p) = d1, d2
+
+    # banded matrix (l = u = 2) of the implicit-flow operator (1/dtau) I - J,
+    # unknowns interleaved [f_1, a_1, f_2, a_2, ...]. The outer bands, the
+    # f_k <- f_{k+-1} and a_k <- a_{k+-1} stencils, and the stencil part of
+    # the diagonal depend on the grid alone; each sweep rewrites only the
+    # diagonal and the f-a couplings
+    ab = np.zeros((5, 2 * (grid - 1)))
+    ab[0, 2::2] = -(c2p + c1p / xi)[:-1]
+    ab[0, 3::2] = -(c2p - c1p / xi)[:-1]
+    ab[4, 0:-2:2] = -(c2m + c1m / xi)[1:]
+    ab[4, 1:-2:2] = -(c2m - c1m / xi)[1:]
+    lin_f = c2c + c1c / xi
+    lin_a = c2c - c1c / xi
 
     # initial guess with the right boundary behavior
     f = np.tanh(0.5 * x * max(math.sqrt(beta), 0.7)) ** min(n, 2)
@@ -316,7 +328,6 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
     f[0] = a[0] = 0.0
     f[-1] = a[-1] = 1.0
 
-    n_int = npts - 2
     history = []
     dtau = 0.25     # doubled before each sweep: 0.5, 1, 2, ... up to 1e12
     converged = False
@@ -329,42 +340,16 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
             break
         dtau = min(dtau * 2.0, 1e12)
 
-        # banded Jacobian of the implicit-flow operator (1/dtau) I - J,
-        # unknowns interleaved [f_1, a_1, f_2, a_2, ...]
-        (c1m, c1c, c1p), (c2m, c2c, c2p) = d1, d2
         fi, ai = f[1:-1], a[1:-1]
-        jf_fm = c2m + c1m / xi
-        jf_fc = c2c + c1c / xi - n**2 * (1.0 - ai) ** 2 / xi**2 \
-            + 0.5 * beta * (1.0 - 3.0 * fi**2)
-        jf_fp = c2p + c1p / xi
-        jf_ac = 2.0 * n**2 * (1.0 - ai) * fi / xi**2
-        ja_am = c2m - c1m / xi
-        ja_ac = c2c - c1c / xi - fi**2
-        ja_ap = c2p - c1p / xi
-        ja_fc = 2.0 * fi * (1.0 - ai)
+        ab[2, 0::2] = (1.0 / dtau) - (
+            lin_f - n**2 * (1.0 - ai) ** 2 / xi**2
+            + 0.5 * beta * (1.0 - 3.0 * fi**2))
+        ab[2, 1::2] = (1.0 / dtau) - (lin_a - fi**2)
+        # f_k <- a_k: super-diagonal 1; a_k <- f_k: sub-diagonal 1
+        ab[1, 1::2] = -(2.0 * n**2 * (1.0 - ai) * fi / xi**2)
+        ab[3, 0:-1:2] = -(2.0 * fi * (1.0 - ai))
 
-        size = 2 * n_int
-        ab = np.zeros((5, size))  # l = u = 2 banded storage
-        rhs = np.empty(size)
-        rhs[0::2] = rf
-        rhs[1::2] = ra
-        # diagonal (row = col)
-        ab[2, 0::2] = (1.0 / dtau) - jf_fc
-        ab[2, 1::2] = (1.0 / dtau) - ja_ac
-        # f_k <- a_k coupling: col = row + 1 -> super-diagonal 1
-        ab[1, 1::2] = -jf_ac
-        # a_k <- f_k coupling: col = row - 1 -> sub-diagonal 1
-        ab[3, 0:-1:2] = -ja_fc
-        # f_k <- f_{k+1}: col = row + 2
-        ab[0, 2::2] = -jf_fp[:-1]
-        # a_k <- a_{k+1}
-        ab[0, 3::2] = -ja_ap[:-1]
-        # f_k <- f_{k-1}: col = row - 2
-        ab[4, 0:-2:2] = -jf_fm[1:]
-        # a_k <- a_{k-1}
-        ab[4, 1:-2:2] = -ja_am[1:]
-
-        delta = solve_banded((2, 2), ab, rhs)
+        delta = solve_banded((2, 2), ab, np.ravel([rf, ra], order="F"))
         f[1:-1] += delta[0::2]
         a[1:-1] += delta[1::2]
         np.clip(f, -0.2, 1.2, out=f)
@@ -375,7 +360,7 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
     sweeps = len(history) - converged
     stats = RelaxationStats(sweeps, tuple(history), dtau if sweeps else 0.0)
     rho = x / m_v
-    profile = VortexProfile(n=n, rho_grid=rho, f=f.copy(), a=a.copy(), beta=beta)
+    profile = VortexProfile(n=n, rho_grid=rho, f=f, a=a)
     rf, ra = _residual(x, f, a, n, beta, d1, d2)
     res = float(max(np.max(np.abs(rf)), np.max(np.abs(ra))))
     if not converged:

@@ -214,14 +214,14 @@ def test_energy_density_profile_shape(critical_solution):
 def test_vacuum_and_false_vacuum_energies():
     rho = np.linspace(0.0, 10.0, 1025)
     ones = VortexProfile(n=1, rho_grid=rho, f=np.ones_like(rho),
-                         a=np.ones_like(rho), beta=1.0)
+                         a=np.ones_like(rho))
     # vacuum energy is rounding noise from the gradient weights, not exact 0
     vac = vortex_energy(CRITICAL, ones)
     assert 0.0 <= vac < 1e-12
     # f = a = 0 leaves only the constant potential term lam*v^4/4, whose
     # disc integral the trapezoid rule reproduces exactly
     zeros = VortexProfile(n=1, rho_grid=rho, f=np.zeros_like(rho),
-                          a=np.zeros_like(rho), beta=1.0)
+                          a=np.zeros_like(rho))
     expected = 0.25 * CRITICAL.lam * CRITICAL.v**4 * np.pi * 10.0**2
     assert_allclose(vortex_energy(CRITICAL, zeros), expected, rtol=1e-12)
 
@@ -231,11 +231,11 @@ def test_energy_rejects_coarse_or_decoupled_input():
     wiggle = VortexProfile(n=1, rho_grid=rho,
                            f=np.array([0.0, 1.0, 0.1, 1.0, 0.2, 1.0, 0.3,
                                        1.0, 1.0]),
-                           a=np.linspace(0.0, 1.0, 9), beta=1.0)
+                           a=np.linspace(0.0, 1.0, 9))
     with pytest.raises(AccuracyError):
         vortex_energy(CRITICAL, wiggle)
     smooth = VortexProfile(n=1, rho_grid=np.linspace(0.0, 10.0, 1025),
-                           f=np.ones(1025), a=np.ones(1025), beta=1.0)
+                           f=np.ones(1025), a=np.ones(1025))
     with pytest.raises(DomainError):
         vortex_energy(HiggsModel(q=0.0, v=1.0, lam=2.0), smooth)
 
@@ -342,15 +342,15 @@ def test_profile_validation():
     rho = np.linspace(0.0, 10.0, 600)
     good = np.linspace(0.0, 1.0, 600)
     with pytest.raises(DomainError):
-        VortexProfile(n=0, rho_grid=rho, f=good, a=good, beta=1.0)
+        VortexProfile(n=0, rho_grid=rho, f=good, a=good)
     with pytest.raises(DomainError):
-        VortexProfile(n=1, rho_grid=rho, f=good[:-1], a=good, beta=1.0)
+        VortexProfile(n=1, rho_grid=rho, f=good[:-1], a=good)
     with pytest.raises(DomainError):
-        VortexProfile(n=1, rho_grid=rho[::-1], f=good, a=good, beta=1.0)
+        VortexProfile(n=1, rho_grid=rho[::-1], f=good, a=good)
     bad = good.copy()
     bad[5] = np.nan
     with pytest.raises(DomainError):
-        VortexProfile(n=1, rho_grid=rho, f=bad, a=good, beta=1.0)
+        VortexProfile(n=1, rho_grid=rho, f=bad, a=good)
 
 
 def test_stalled_relaxation_reports_history():
