@@ -454,6 +454,7 @@ def _solve_vortex_for(run):
             profile, tension = solve_vortex(
                 model, cfg["n"], **{key: cfg[key] for key in _VORTEX_KEYS})
         except ConvergenceError as exc:
+            run.diagnostics["grid"] = len(exc.best.rho_grid) - 1
             run.diagnostics["relaxation"] = exc.stats._asdict()
             raise
     run.diagnostics["grid"] = len(profile.rho_grid) - 1

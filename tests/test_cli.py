@@ -576,6 +576,13 @@ def test_vortex_grid_follows_the_core(tmp_path):
     assert man["config"]["grid"] == 1024 and man["diagnostics"]["grid"] == 2048
     tension = json.loads(_read(tmp_path / "vortex_tension.json"))
     assert tension["bogomolny_ratio"] == pytest.approx(0.236151, rel=3e-4)
+    # beta = 1.5e4 doubles the grid the other way, for the Higgs core; the
+    # finer grid's rounding floor lies above --tol, and the solve stops there
+    # (it used to stall for all 200 sweeps and exit 3)
+    type_two = tmp_path / "type_two"
+    assert main(["vortex", "--lam", "3e4", "--out", str(type_two)]) == EXIT_OK
+    diag = _manifest(type_two, "vortex")["diagnostics"]
+    assert diag["grid"] == 2048 and 1e-10 < diag["residual"] < 1e-9
 
 
 def test_holonomy_output(tmp_path):
@@ -647,6 +654,12 @@ def test_stalled_vortex_records_its_relaxation(tmp_path):
     relax = man["diagnostics"]["relaxation"]
     assert relax["iterations"] == len(relax["residual_history"]) == 3
     assert relax["final_dtau"] == 2.0
+    assert man["diagnostics"]["grid"] == 1024
+    # the grid the failed solve doubled to is recorded too
+    doubled = tmp_path / "doubled"
+    assert main(["vortex", "--lam", "1.6e4", "--max-iter", "3",
+                 "--out", str(doubled)]) == EXIT_CONVERGENCE
+    assert _manifest(doubled, "vortex")["diagnostics"]["grid"] == 2048
 
 
 def test_confine_output(tmp_path):

@@ -329,6 +329,26 @@ def test_grid_doubles_until_it_resolves_the_core(lam, correlations, core,
     assert abs(tension.T / reference.T - 1.0) < 6e-3
 
 
+@pytest.mark.parametrize("lam, grid, solved_grid", [
+    (2.0, 4096, 4096), (2.0, 8192, 8192), (3e4, 1024, 2048),
+    (1e5, 1024, 4096)])
+def test_fine_grids_converge_at_their_rounding_floor(lam, grid, solved_grid):
+    # the second differences round to about eps * max|c2c|, 2e-10 to 3.5e-9
+    # on these grids, so the residual cannot reach tol = 1e-10; the solve
+    # stops at that floor instead of stalling for all max_iter sweeps
+    profile, tension = solve_vortex(HiggsModel(q=1.0, v=1.0, lam=lam), 1,
+                                    grid=grid)
+    assert len(profile.rho_grid) == solved_grid + 1
+    assert 1e-10 < tension.residual < 1e-8
+    assert tension.stats.iterations < 20
+    if lam == 2.0:
+        assert abs(tension.bogomolny_ratio - 1.0) < 2e-7
+    else:
+        # type II: T grows roughly as pi v^2 ln(beta); frozen solver output
+        expected = {3e4: 31.1576, 1e5: 34.9330}[lam]
+        assert tension.T == pytest.approx(expected, rel=1e-4)
+
+
 @pytest.mark.parametrize("grid", [512, 1024, MAX_GRID])
 def test_grid_that_cannot_resolve_the_core_is_refused(grid):
     # at 1e100 correlation lengths even MAX_GRID points leave the axis
