@@ -12,7 +12,7 @@ consequences:
   * far-field intensity with the string matches free propagation when
     q*Phi in 2*pi*Z, and differs otherwise (invisibility_metric);
   * a two-slit pattern straddling the string shifts by (q*Phi/2*pi) mod 1
-    of a fringe period (fringe_shift vs two_path_fringe_shift).
+    of a fringe period (measure_fringe vs two_path_fringe_shift).
 
 Time stepping is a Strang split of Cayley (Crank-Nicolson) factors,
 x(dt/2) y(dt) x(dt/2) per step, with the adjacent x half-steps of
@@ -66,7 +66,8 @@ A WaveGrid is a value: the packet builders and the propagations return a
 new grid and never write the one they are given. Each input is checked
 once, where it enters: WaveGrid its sides, h, m, dt and the accuracy bound
 dt <= m h^2/2; FluxLine its position, cut and q*flux; InterferenceConfig
-its step count; gaussian_packet the width; _cut_link the line's place.
+its step count; gaussian_packet the width, the carrier phase and the
+packet centre; _cut_link the line's place.
 Both experiments go through run_experiment alone: it propagates the
 packet free once and once per line, so the free reference is shared by
 all lines, and returns an ExperimentStats. These runs are independent, so
@@ -235,10 +236,20 @@ def gaussian_packet(grid, center, width, momentum):
     if not (width >= 8.0 * grid.h and math.isfinite(width * width)):
         raise DomainError("packet width must be at least 8 lattice spacings "
                           "and have a finite square")
-    x = grid.h * np.arange(grid.nx)[:, None]
-    y = grid.h * np.arange(grid.ny)[None, :]
     cx, cy = center
     kx, ky = momentum
+    # k.r and |r - c|^2 are largest in size at a corner of the grid
+    corners = [(x, y) for x in (0.0, grid.h * (grid.nx - 1))
+               for y in (0.0, grid.h * (grid.ny - 1))]
+    if not all(math.isfinite(kx * x + ky * y) for x, y in corners):
+        raise DomainError("carrier phase k.r is not finite on the grid: the "
+                          "momentum is too large")
+    if not all(math.isfinite((x - cx) * (x - cx) + (y - cy) * (y - cy))
+               for x, y in corners):
+        raise DomainError("|r - c|^2 from the packet centre is not finite on "
+                          "the grid: the centre lies too far from the grid")
+    x = grid.h * np.arange(grid.nx)[:, None]
+    y = grid.h * np.arange(grid.ny)[None, :]
     # the envelope is multiplied into the phase in place, so no third
     # grid-sized array is live at once
     psi = np.exp(1j * (kx * x + ky * y))
@@ -535,28 +546,17 @@ def _dominant_bin(spectrum):
     return 1 + int(np.argmax(np.abs(spectrum[1:])))
 
 
-def fringe_shift(grid_with_flux, grid_free, x_probe, y_center, window):
-    """Measured fringe displacement (fraction of a period, in [0,1)) between
-    the two intensity patterns on the probe column.
-
-    The dominant fringe wavenumber is located in the free pattern's spectrum;
-    the displacement is the phase advance of that component. The window
-    need not hold many fringe periods: lattice_fringe's 256^2 geometry with
-    a slit gap of 40 holds 1.15 (measure_fringe's window_periods) and reads
-    every phase at bin k* = 1, and its circular errors, 0.038 / 0.008 /
-    0.028, meet criterion 7's 0.05; the default 512^2 geometry holds 3.60
-    periods and reads k* = 3.
-    """
-    if grid_with_flux.psi.shape != grid_free.psi.shape:
-        raise DomainError("grids must have identical shapes")
-    pattern = _window_pattern(grid_with_flux, x_probe, y_center, window)
-    free = _spectrum(_window_pattern(grid_free, x_probe, y_center, window))
-    return _fringe_phase(pattern, free, _dominant_bin(free))
-
-
 def _fringe_phase(pattern, free, k_star):
-    """fringe_shift of a window pattern against the free pattern's spectrum
-    free, read at its fringe bin k_star."""
+    """Displacement of a window pattern against the free window, as a
+    fraction of a period in [0, 1): the phase advance of the pattern's
+    component at the free spectrum's fringe bin k_star.
+
+    The window need not hold many fringe periods: lattice_fringe's 256^2
+    geometry with a slit gap of 40 holds 1.15 (measure_fringe's
+    window_periods) and reads every phase at bin k* = 1, and its circular
+    errors, 0.038 / 0.008 / 0.028, meet criterion 7's 0.05; the default
+    512^2 geometry holds 3.60 periods and reads k* = 3.
+    """
     fa = _spectrum(pattern)
     # pattern displaced toward +y by delta shows phase -k*delta at the
     # fringe bin; report the displacement fraction with that sign undone

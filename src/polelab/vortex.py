@@ -250,10 +250,15 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
     doubled, up to MAX_GRID, until MIN_CORE_NODES of them lie within
     min(1/m_V, 1/m_H) of the axis. max_iter must be >= 1, beta, 1/m_V,
     1/m_H, m_V*r_max and lam*v^4 finite and > 0, and the grid's
-    finite-difference weights finite; DomainError otherwise. The
-    tension carries the RelaxationStats of the solve. Raises
-    ConvergenceError (with the residual history and the stats) if the
-    relaxation stalls.
+    finite-difference weights finite; DomainError otherwise.
+
+    The relaxation converges once the largest Euler-Lagrange residual falls
+    below max(tol, eps * max|c2|), c2 the grid's central second-difference
+    weights: the residual cannot go below that rounding floor, which grows
+    as 1/h_min^2 and can exceed tol on grids finer than the default, so
+    the returned residual may exceed tol there. The tension
+    carries the RelaxationStats of the solve. Raises ConvergenceError (with
+    the residual history and the stats) if the relaxation stalls.
     """
     if not isinstance(n, (int, np.integer)):
         raise DomainError("winding number n must be an integer")

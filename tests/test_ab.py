@@ -29,7 +29,6 @@ from polelab.interference import (
     InterferenceConfig,
     WaveGrid,
     check_fringe_window,
-    fringe_shift,
     gaussian_packet,
     intensity_slice,
     invisibility_metric,
@@ -627,33 +626,46 @@ def test_config_step_resolution():
 # measurement mechanics
 # ---------------------------------------------------------------------------
 
+# a 64 x 256 grid whose probe column, round(PROBE_X_FRACTION * 64) = 50,
+# holds the synthetic pattern; a slit gap of 140 makes the fringe window
+# FRINGE_WINDOW_FRACTION * 140 = 50.4 around y = 128, 101 samples
+CFG_SYNTHETIC = InterferenceConfig(nx=64, ny=256, slit_separation=140.0)
+
+
 def _synthetic_pair(displacement, period=20.0):
     a = make_wave_grid(64, 256)
     b = make_wave_grid(64, 256)
     y = np.arange(256.0)
     env = np.exp(-(((y - 128.0) / 60.0) ** 2))
     kf = 2.0 * np.pi / period
-    b.psi[32, :] = np.sqrt(env * (1.0 + np.cos(kf * (y - 128.0))))
-    a.psi[32, :] = np.sqrt(env * (1.0 + np.cos(kf * (y - 128.0
+    b.psi[50, :] = np.sqrt(env * (1.0 + np.cos(kf * (y - 128.0))))
+    a.psi[50, :] = np.sqrt(env * (1.0 + np.cos(kf * (y - 128.0
                                                      - displacement))))
     return a, b
 
 
-def test_fringe_shift_recovers_known_displacement():
+def test_measure_fringe_recovers_known_displacement():
     a, b = _synthetic_pair(7.0)      # 0.35 of a 20-unit period
-    got = fringe_shift(a, b, 32.0, 128.0, 50.0)
-    assert abs(got - 0.35) < 2e-3
+    line = CFG_SYNTHETIC.flux_line(0.7 * np.pi, 1.0)
+    ((_, predicted, got, err),) = measure_fringe(CFG_SYNTHETIC, [line], b,
+                                                 [a]).table
+    assert abs(got - 0.35) < 2e-3 and err == abs(got - predicted)
     same, ref = _synthetic_pair(0.0)
-    assert fringe_shift(same, ref, 32.0, 128.0, 50.0) == 0.0
+    reading = measure_fringe(CFG_SYNTHETIC, [CFG_SYNTHETIC.flux_line(0.0, 1.0)],
+                             ref, [same])
+    assert reading.table[0][2] == 0.0
 
 
-def test_fringe_shift_window_validation():
+def test_measure_fringe_window_validation():
     a, b = _synthetic_pair(5.0)
-    with pytest.raises(DomainError):
-        fringe_shift(a, b, 32.0, 128.0, 6.0)    # fewer than 16 samples
+    line = CFG_SYNTHETIC.flux_line(np.pi, 1.0)
+    # a slit gap of 20 makes a window of 7.2 around y = 128: 15 samples
+    narrow = InterferenceConfig(nx=64, ny=256, slit_separation=20.0)
+    with pytest.raises(DomainError, match="too narrow"):
+        measure_fringe(narrow, [line], b, [a])
     small = make_wave_grid(64, 64)
-    with pytest.raises(DomainError):
-        fringe_shift(a, small, 32.0, 32.0, 20.0)
+    with pytest.raises(DomainError, match="identical shapes"):
+        measure_fringe(CFG_SYNTHETIC, [line], b, [small])
 
 
 def test_invisibility_metric_edges(packet128):
@@ -718,6 +730,24 @@ def test_packet_width_validation():
     for width in (7.9, float("nan"), 1e308, float("inf")):
         with pytest.raises(DomainError):
             gaussian_packet(grid, (28.0, 64.0), width, (0.9, 0.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_packet_overflow_is_refused_with_its_cause():
+    # k.r or |r - c|^2 past the float range used to warn and end in a
+    # misleading "packet norm nan" (or 0.0) refusal
+    grid = make_wave_grid(64, 64)
+    for momentum in ((1e308, 0.0), (0.0, 1e308), (1e307, 1e307),
+                     (float("nan"), 0.0)):
+        with pytest.raises(DomainError, match="carrier phase"):
+            gaussian_packet(grid, (14.0, 32.0), 10.0, momentum)
+    for center in ((14.0, 1e308), (-1e155, -1e155), (float("inf"), 32.0)):
+        with pytest.raises(DomainError, match="packet centre"):
+            gaussian_packet(grid, center, 10.0, (0.9, 0.0))
+    with pytest.raises(DomainError, match="packet centre"):
+        two_gaussian_packet(grid, (14.0, 32.0), 1e308, 10.0, (0.9, 0.0))
+    # a large but finite phase still makes a packet
+    gaussian_packet(grid, (14.0, 32.0), 10.0, (1e300, 0.0))
 
 
 def test_grid_validation():

@@ -149,6 +149,9 @@ _ABSIM64 = ["absim", "--nx", "64", "--ny", "64", "--snapshots", "0"]
     (_ABSIM64 + ["--q", "1e308"], False),
     (_ABSIM64 + ["--steps", "2", "--packet-width", "1e308"], False),
     (_ABSIM64 + ["--steps", "2", "--h", "1e300"], False),
+    (_ABSIM64 + ["--steps", "2", "--k", "1e308"], False),
+    (_ABSIM64 + ["--mode", "fringe", "--steps", "2", "--slit-separation",
+                 "1e308"], False),
 ])
 def test_bad_inputs_are_usage_errors(tmp_path, argv, out_is_file):
     # non-finite values and an unusable --out never share the verdict code 1
