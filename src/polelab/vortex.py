@@ -256,9 +256,9 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
     below max(tol, eps * max|c2|), c2 the grid's central second-difference
     weights: the residual cannot go below that rounding floor, which grows
     as 1/h_min^2 and can exceed tol on grids finer than the default, so
-    the returned residual may exceed tol there. The tension
-    carries the RelaxationStats of the solve. Raises ConvergenceError (with
-    the residual history and the stats) if the relaxation stalls.
+    the returned residual may exceed tol there. The tension carries the
+    RelaxationStats of the solve. Raises ConvergenceError (with the residual
+    history and the stats) if the relaxation stalls.
     """
     if not isinstance(n, (int, np.integer)):
         raise DomainError("winding number n must be an integer")
@@ -326,9 +326,7 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
     ab[4, 1:-2:2] = -(c2m - c1m / xi)[1:]
     lin_f = c2c + c1c / xi
     lin_a = c2c - c1c / xi
-    # the second differences round to about eps * max|c2c|, which grows as
-    # 1/h_min^2 and passes tol on grids finer than the default: the residual
-    # stalls there, so that floor is the goal when it is the larger
+    # the second differences' rounding floor, above tol on fine grids
     goal = max(tol, np.finfo(float).eps * np.max(np.abs(c2c)))
 
     # initial guess with the right boundary behavior

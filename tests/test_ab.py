@@ -647,9 +647,8 @@ def _synthetic_pair(displacement, period=20.0):
 def test_measure_fringe_recovers_known_displacement():
     a, b = _synthetic_pair(7.0)      # 0.35 of a 20-unit period
     line = CFG_SYNTHETIC.flux_line(0.7 * np.pi, 1.0)
-    ((_, predicted, got, err),) = measure_fringe(CFG_SYNTHETIC, [line], b,
-                                                 [a]).table
-    assert abs(got - 0.35) < 2e-3 and err == abs(got - predicted)
+    ((_, _, got, _),) = measure_fringe(CFG_SYNTHETIC, [line], b, [a]).table
+    assert abs(got - 0.35) < 2e-3
     same, ref = _synthetic_pair(0.0)
     reading = measure_fringe(CFG_SYNTHETIC, [CFG_SYNTHETIC.flux_line(0.0, 1.0)],
                              ref, [same])
