@@ -38,10 +38,10 @@ from .errors import (AccuracyError, ConvergenceError, DomainError,
 from .fields import (PhysicalConfig, local_charge, monopole_field,
                      yukawa_electric_field)
 from .gauge import DEFAULT_TOL, cap_flux, check_quantization
-from .interference import (InterferenceConfig, check_fringe_window,
-                           intensity_slice, measure_fringe,
-                           measure_invisibility, run_experiment,
-                           save_snapshot)
+from .interference import (FluxLine, InterferenceConfig,
+                           check_fringe_window, intensity_slice,
+                           measure_fringe, measure_invisibility,
+                           run_experiment, save_snapshot)
 from .vortex import (HiggsModel, confinement_energy, energy_density_profile,
                      magnetic_profile, solve_vortex, vortex_flux)
 
@@ -113,7 +113,7 @@ SCHEMAS = {
         "fringe_fluxes": [0.5 * math.pi, math.pi, 1.5 * math.pi],
         "mode": "both",
         **dataclasses.asdict(InterferenceConfig()),
-        "cut": "+x",
+        "cut": FluxLine.cut,
         "snapshots": True,
     },
     "vortex": {
@@ -228,7 +228,8 @@ def write_json(path, payload, sha):
 
 
 class Run:
-    """Collects stage timings and writes the manifest no matter what."""
+    """Times each stage, each run once, and writes the manifest no matter
+    what."""
 
     def __init__(self, cmd, resolved, out_dir):
         self.cmd = cmd
@@ -251,8 +252,7 @@ class Run:
         try:
             yield
         finally:
-            self.stages[name] = self.stages.get(name, 0.0) \
-                + time.perf_counter() - t0
+            self.stages[name] = time.perf_counter() - t0
 
     def write_manifest(self, status, error=None):
         manifest = {
@@ -376,7 +376,18 @@ def _absorbed(free, grids):
             "lines": [1.0 - grid.norm() for grid in grids]}
 
 
+# a FringeReading's table row: its absim_fringe.csv header and its keys in
+# absim_metrics.json
+_FRINGE_COLS = ("flux", "shift_predicted", "shift_measured", "circular_error")
+
+
 def cmd_absim(run):
+    """Check, then run, then write. Every line and the fringe window are
+    built, and so checked, before the first stage, which is the fringe
+    experiment's. Its reading is judged by check_fringe_window, and its
+    grids are released once read, before the invisibility experiment
+    allocates its own. Every data file is written in the one write stage
+    that follows, so a refused run writes only its manifest."""
     cfg = run.config
     if cfg["mode"] not in ("invisibility", "fringe", "both"):
         raise DomainError("mode must be invisibility, fringe, or both")
@@ -386,12 +397,30 @@ def cmd_absim(run):
         raise DomainError("fringe_fluxes must be nonempty")
     sim_cfg = InterferenceConfig(**{
         f.name: cfg[f.name] for f in dataclasses.fields(InterferenceConfig)})
-    # every line is built, and so checked, before the first propagation
     inv_line = sim_cfg.flux_line(cfg["flux"], cfg["q"], cfg["cut"]) \
         if invisibility else None
-    fringe_lines = [sim_cfg.flux_line(flux, cfg["q"], cfg["cut"])
-                    for flux in cfg["fringe_fluxes"]] if fringe else []
     payload = {}
+
+    if fringe:
+        fringe_lines = [sim_cfg.flux_line(flux, cfg["q"], cfg["cut"])
+                        for flux in cfg["fringe_fluxes"]]
+        sim_cfg.fringe_window()
+        with run.stage("fringe"):
+            free, grids, stats = run_experiment(sim_cfg, "two_slit",
+                                                fringe_lines)
+            run.diagnostics["fringe_propagation"] = stats._asdict()
+            reading = measure_fringe(sim_cfg, fringe_lines, free, grids)
+            run.diagnostics["fringe_absorbed"] = _absorbed(free, grids)
+            del free, grids
+        payload["fringe_table"] = [dict(zip(_FRINGE_COLS, row))
+                                   for row in reading.table]
+        run.diagnostics["fringe_worst_error"] = max(
+            e for *_, e in reading.table)
+        run.diagnostics["fringe_sensitivity"] = reading.sensitivity
+        run.diagnostics["fringe_bin"] = {
+            "k": reading.k, "window_points": reading.window_points,
+            "window_periods": reading.window_periods}
+        check_fringe_window(reading)
 
     if invisibility:
         with run.stage("invisibility"):
@@ -408,7 +437,9 @@ def cmd_absim(run):
         run.diagnostics["invisibility_metric"] = metric
         run.diagnostics["invisibility_absorbed"] = _absorbed(free,
                                                              [flux_grid])
-        with run.stage("write"):
+
+    with run.stage("write"):
+        if invisibility:
             _, _, probe_x = sim_cfg.geometry()
             y, i_free = intensity_slice(free, probe_x)
             _, i_flux = intensity_slice(flux_grid, probe_x)
@@ -418,30 +449,9 @@ def cmd_absim(run):
             if cfg["snapshots"]:
                 save_snapshot(free, run.path("absim_free.f64"))
                 save_snapshot(flux_grid, run.path("absim_flux.f64"))
-
-    if fringe:
-        with run.stage("fringe"):
-            free, grids, stats = run_experiment(sim_cfg, "two_slit",
-                                                fringe_lines)
-            run.diagnostics["fringe_propagation"] = stats._asdict()
-            reading = measure_fringe(sim_cfg, fringe_lines, free, grids)
-        payload["fringe_table"] = [
-            {"flux": f, "shift_predicted": p, "shift_measured": s,
-             "circular_error": e} for f, p, s, e in reading.table]
-        run.diagnostics["fringe_worst_error"] = max(
-            e for *_, e in reading.table)
-        run.diagnostics["fringe_absorbed"] = _absorbed(free, grids)
-        run.diagnostics["fringe_sensitivity"] = reading.sensitivity
-        run.diagnostics["fringe_bin"] = {
-            "k": reading.k, "window_points": reading.window_points,
-            "window_periods": reading.window_periods}
-        check_fringe_window(fringe_lines, reading)
-        with run.stage("write"):
-            write_csv(run.path("absim_fringe.csv"),
-                      ["flux", "shift_predicted", "shift_measured",
-                       "circular_error"], reading.table, run.sha)
-
-    with run.stage("write"):
+        if fringe:
+            write_csv(run.path("absim_fringe.csv"), _FRINGE_COLS,
+                      reading.table, run.sha)
         write_json(run.path("absim_metrics.json"), payload, run.sha)
     return EXIT_OK
 

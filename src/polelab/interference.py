@@ -66,8 +66,9 @@ A WaveGrid is a value: the packet builders and the propagations return a
 new grid and never write the one they are given. Each input is checked
 once, where it enters: WaveGrid its sides, h, m, dt and the accuracy bound
 dt <= m h^2/2; FluxLine its position, cut and q*flux; InterferenceConfig
-its step count; gaussian_packet the width, the carrier phase and the
-packet centre; _cut_link the line's place.
+its step count, and its fringe_window the slit gap; gaussian_packet the
+width, the carrier phase and the packet centre; _cut_link the line's
+place.
 Both experiments go through run_experiment alone: it propagates the
 packet free once and once per line, so the free reference is shared by
 all lines, and returns an ExperimentStats. These runs are independent, so
@@ -77,14 +78,18 @@ rather than receive them, and each writes its result into its own slot of
 one anonymous shared memory map; the returned grids are views of the
 slots, so no grid is pickled either way. measure_invisibility and
 measure_fringe read the two consequences off fixed windows of the
-canonical geometry (module constants, like the sponge's width and rate);
-measure_fringe reads every line of one experiment in one pass into a
-FringeReading.
-check_fringe_window refuses a fringe window that the flux barely changes
-(the reading's sensitivity): there the geometry forms no two-path
-interferometer, and every measured shift is about 0 whatever the flux. It
-also refuses a window whose fringe bin k* is not near the periods it spans:
-there the free pattern's strongest bin is its envelope, not a fringe.
+canonical geometry (module constants, like the sponge's width and rate).
+The fringe window is a function of the config alone,
+InterferenceConfig.fringe_window, which refuses a window of fewer than 16
+rows; a caller can so refuse it before any propagation, and measure_fringe
+reads every line of one experiment through it in one pass into a
+FringeReading. check_fringe_window judges a reading by itself: it refuses
+a fringe window that the flux barely changes (the reading's sensitivity,
+for the lines whose predicted shift in the reading's table is not near an
+integer): there the geometry forms no two-path interferometer, and every
+measured shift is about 0 whatever the flux. It also refuses a window
+whose fringe bin k* is not near the periods it spans: there the free
+pattern's strongest bin is its envelope, not a fringe.
 """
 
 import json
@@ -526,24 +531,10 @@ def intensity_slice(grid, x_probe):
     return y, np.abs(grid.psi[ix, :]) ** 2
 
 
-def _window_pattern(grid, x_probe, y_center, window):
-    """|psi|^2 on the probe column within window of y_center."""
-    y, intensity = intensity_slice(grid, x_probe)
-    sel = np.abs(y - y_center) <= window
-    if np.count_nonzero(sel) < 16:
-        raise DomainError("fringe window too narrow")
-    return intensity[sel]
-
-
 def _spectrum(pattern):
     """rfft of the pattern with its mean removed, under a Hann taper."""
     taper = np.hanning(len(pattern))
     return np.fft.rfft((pattern - np.mean(pattern)) * taper)
-
-
-def _dominant_bin(spectrum):
-    """The fringe bin k*: the strongest nonzero bin of the spectrum."""
-    return 1 + int(np.argmax(np.abs(spectrum[1:])))
 
 
 def _fringe_phase(pattern, free, k_star):
@@ -552,7 +543,7 @@ def _fringe_phase(pattern, free, k_star):
     component at the free spectrum's fringe bin k_star.
 
     The window need not hold many fringe periods: lattice_fringe's 256^2
-    geometry with a slit gap of 40 holds 1.15 (measure_fringe's
+    geometry with a slit gap of 40 holds 1.15 (fringe_window's
     window_periods) and reads every phase at bin k* = 1, and its circular
     errors, 0.038 / 0.008 / 0.028, meet criterion 7's 0.05; the default
     512^2 geometry holds 3.60 periods and reads k* = 3.
@@ -653,6 +644,34 @@ class InterferenceConfig:
 
     def resolved_steps(self):
         return self.steps or math.ceil(self._steps_to_probe())
+
+    def fringe_window(self):
+        """The fringe window on the probe column: (probe column ix, the
+        window's row indices, window_periods). DomainError if it holds
+        fewer than 16 rows or h is not > 0.
+
+        The two-path loop encloses the puncture only for screen points
+        within about half the slit gap s of the axis, so the window keeps
+        to FRINGE_WINDOW_FRACTION s either side of it. window_periods is
+        the window's width, 2 FRINGE_WINDOW_FRACTION s, over the far-field
+        fringe period 2 pi L / (k s) of slits s apart seen at the probe a
+        distance L past the source: FRINGE_WINDOW_FRACTION k s^2 / (pi L),
+        with k the carrier momentum.
+        """
+        if not self.h > 0:
+            raise DomainError("h must be > 0: the window is measured in h")
+        src, _, probe_x = self.geometry()
+        gap = self.slit_separation
+        y = self.h * np.arange(self.ny)
+        rows = np.flatnonzero(np.abs(y - 0.5 * self.h * self.ny)
+                              <= FRINGE_WINDOW_FRACTION * gap)
+        if len(rows) < 16:
+            raise DomainError(f"fringe window too narrow: {len(rows)} rows, "
+                              "fewer than 16 (raise slit_separation)")
+        # gap * gap is inf where the square overflows; gap**2 would raise
+        periods = (FRINGE_WINDOW_FRACTION * self.k * (gap * gap)
+                   / (math.pi * (probe_x - src[0])))
+        return int(round(probe_x / self.h)), rows, periods
 
     def flux_line(self, flux, charge, cut="+x"):
         """A flux line at the canonical puncture, mid-grid."""
@@ -760,60 +779,48 @@ class FringeReading(NamedTuple):
 
 
 def measure_fringe(config, lines, grid_free, grids):
-    """Read the fringe displacement of each line's two-slit run on the probe
-    column against the two-path prediction, and how much the line changes
-    that window: one read and one spectrum of the free window, and one read
-    of each line's window for both.
-
-    window_periods is the window's width, 2 FRINGE_WINDOW_FRACTION s, over
-    the far-field fringe period 2 pi L / (k s) of slits s apart seen at
-    the probe a distance L past the source: FRINGE_WINDOW_FRACTION k s^2 /
-    (pi L), with k the carrier momentum. It depends on the config alone.
-    """
+    """Read the fringe displacement of each line's two-slit run in the
+    config's fringe_window against the two-path prediction, and how much
+    the line changes that window: one read and one spectrum of the free
+    window, and one read of each line's window for both. Every grid must
+    have the config's shape."""
     if len(lines) != len(grids):
         raise DomainError("need one grid per flux line")
-    if any(grid.psi.shape != grid_free.psi.shape for grid in grids):
-        raise DomainError("grids must have identical shapes")
-    # (x_probe, y_center, window): the two-path loop encloses the puncture
-    # only for screen points within about half the slit gap of the axis,
-    # and the window stays inside that zone
-    src, _, probe_x = config.geometry()
-    probe = (probe_x, 0.5 * config.h * config.ny,
-             FRINGE_WINDOW_FRACTION * config.slit_separation)
-    free = _window_pattern(grid_free, *probe)
+    if any(g.psi.shape != (config.nx, config.ny) for g in (grid_free, *grids)):
+        raise DomainError("grids must have identical shapes, the config's")
+    ix, rows, periods = config.fringe_window()
+    free = np.abs(grid_free.psi[ix, rows]) ** 2
     spectrum = _spectrum(free)
-    k_star = _dominant_bin(spectrum)
+    # the fringe bin k*: the strongest nonzero bin of the free spectrum
+    k_star = 1 + int(np.argmax(np.abs(spectrum[1:])))
     table, sensitivity = [], []
     for line, grid in zip(lines, grids):
-        pattern = _window_pattern(grid, *probe)
+        pattern = np.abs(grid.psi[ix, rows]) ** 2
         measured = _fringe_phase(pattern, spectrum, k_star)
         predicted = two_path_fringe_shift(line.charge, line.flux)
         err = abs(measured - predicted)
         table.append((line.flux, predicted, measured, min(err, 1.0 - err)))
         sensitivity.append(_relative_l2(pattern, free))
-    periods = (FRINGE_WINDOW_FRACTION * config.k * config.slit_separation**2
-               / (math.pi * (probe_x - src[0])))
     return FringeReading(table, sensitivity, k_star, len(free), periods)
 
 
-def check_fringe_window(lines, reading):
-    """Raise AccuracyError unless measure_fringe's reading of the lines
-    reads fringes that see the flux.
+def check_fringe_window(reading):
+    """Raise AccuracyError unless measure_fringe's reading reads fringes
+    that see the flux.
 
-    The largest sensitivity over the lines whose predicted shift lies
-    FRINGE_EXEMPT_SHIFT or more from an integer must reach
-    FRINGE_MIN_SENSITIVITY. Lines with q*flux near 2*pi*Z are exempt, since
-    physics makes them invisible. A window that fails measures a shift of
-    about 0 for every flux: the geometry forms no two-path interferometer
-    (a slit gap too wide for the grid, say). Then the fringe bin k* must
-    lie within FRINGE_MAX_BIN_OFFSET of window_periods. A window that fails
-    reads its phases at the free pattern's envelope (k* = 1 where about 2
-    or 3 periods fit), and its shifts are off by up to half a period."""
-    seen = []
-    for line, sensitivity in zip(lines, reading.sensitivity):
-        shift = two_path_fringe_shift(line.charge, line.flux)
-        if min(shift, 1.0 - shift) >= FRINGE_EXEMPT_SHIFT:
-            seen.append(sensitivity)
+    The largest sensitivity over the lines whose predicted shift (from the
+    reading's table) lies FRINGE_EXEMPT_SHIFT or more from an integer must
+    reach FRINGE_MIN_SENSITIVITY. Lines with q*flux near 2*pi*Z are exempt,
+    since physics makes them invisible. A window that fails measures a
+    shift of about 0 for every flux: the geometry forms no two-path
+    interferometer (a slit gap too wide for the grid, say). Then the fringe
+    bin k* must lie within FRINGE_MAX_BIN_OFFSET of window_periods. A
+    window that fails reads its phases at the free pattern's envelope
+    (k* = 1 where about 2 or 3 periods fit), and its shifts are off by up
+    to half a period."""
+    seen = [sensitivity for (_, shift, _, _), sensitivity
+            in zip(reading.table, reading.sensitivity)
+            if min(shift, 1.0 - shift) >= FRINGE_EXEMPT_SHIFT]
     if seen and max(seen) < FRINGE_MIN_SENSITIVITY:
         raise AccuracyError(
             f"fringe window does not see the flux: sensitivity {max(seen):.3g}"

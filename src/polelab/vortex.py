@@ -368,15 +368,16 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
     stats = RelaxationStats(sweeps, tuple(history), dtau if sweeps else 0.0)
     rho = x / m_v
     profile = VortexProfile(n=n, rho_grid=rho, f=f, a=a)
-    rf, ra = _residual(x, f, a, n, beta, d1, d2)
-    res = float(max(np.max(np.abs(rf)), np.max(np.abs(ra))))
     if not converged:
+        # the last sweep moved f and a past history's last residual
+        rf, ra = _residual(x, f, a, n, beta, d1, d2)
+        res = float(max(np.max(np.abs(rf)), np.max(np.abs(ra))))
         raise ConvergenceError("vortex relaxation did not converge",
                                best=profile, error=res, history=history,
                                stats=stats)
     T = vortex_energy(model, profile)
     bound = 2.0 * np.pi * model.v**2 * abs(n)
     return profile, TensionResult(
-        T=T, bogomolny_ratio=float(T / bound), converged=True, residual=res,
-        stats=stats,
+        T=T, bogomolny_ratio=float(T / bound), converged=True,
+        residual=history[-1], stats=stats,
     )

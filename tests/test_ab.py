@@ -477,15 +477,18 @@ def test_fringe_window_must_see_the_flux(separation, blind):
         measured = [row[2] for row in reading.table]
         assert all(min(m, 1.0 - m) < 1e-6 for m in measured)
         with pytest.raises(AccuracyError, match="sensitivity"):
-            check_fringe_window(lines, reading)
+            check_fringe_window(reading)
     else:
         assert min(sensitivity[:3]) > 0.3
-        check_fringe_window(lines, reading)
+        check_fringe_window(reading)
 
 
-def _reading(sensitivity, k=1, window_periods=1.0):
-    """A FringeReading that only check_fringe_window's inputs are set in."""
-    return FringeReading([], sensitivity, k, 29, window_periods)
+def _reading(lines, sensitivity, k=1, window_periods=1.0):
+    """A FringeReading that only check_fringe_window's inputs are set in:
+    each line's table row carries its predicted shift."""
+    table = [(line.flux, two_path_fringe_shift(line.charge, line.flux),
+              0.0, 0.0) for line in lines]
+    return FringeReading(table, sensitivity, k, 29, window_periods)
 
 
 def test_fringe_window_check_exempts_near_integer_shifts():
@@ -493,12 +496,12 @@ def test_fringe_window_check_exempts_near_integer_shifts():
     # shifts 0, 0.0016, 1 - 0.05 and 0.05: physics hides them all
     exempt = [cfg.flux_line(flux, 1.0) for flux in
               (2.0 * np.pi, 0.01, 1.9 * np.pi, 0.1 * np.pi)]
-    check_fringe_window(exempt, _reading([0.0] * 4))
+    check_fringe_window(_reading(exempt, [0.0] * 4))
     # a shift of 0.1 or more from an integer is not exempt
     seen = exempt + [cfg.flux_line(0.2 * np.pi, 1.0)]
     with pytest.raises(AccuracyError):
-        check_fringe_window(seen, _reading([0.0] * 4 + [0.09]))
-    check_fringe_window(seen, _reading([0.0] * 4 + [0.1]))
+        check_fringe_window(_reading(seen, [0.0] * 4 + [0.09]))
+    check_fringe_window(_reading(seen, [0.0] * 4 + [0.1]))
 
 
 @pytest.mark.parametrize("k, window_periods, envelope", [
@@ -511,12 +514,12 @@ def test_fringe_window_check_refuses_the_envelope_bin(k, window_periods,
     # pass (0.83 at 1) and 256^2 gap 51 (1.87 at 1) read the fringe; 128^2
     # gap 36.8 (1.95 at 1) and 256^2 gap 64 (2.95 at 1) read the envelope
     lines = [InterferenceConfig().flux_line(np.pi, 1.0)]
-    reading = _reading([0.5], k, window_periods)
+    reading = _reading(lines, [0.5], k, window_periods)
     if envelope:
         with pytest.raises(AccuracyError, match="envelope"):
-            check_fringe_window(lines, reading)
+            check_fringe_window(reading)
     else:
-        check_fringe_window(lines, reading)
+        check_fringe_window(reading)
 
 
 def test_experiment_matches_separate_runs():

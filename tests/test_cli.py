@@ -13,7 +13,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polelab.cli import COMMANDS, EXIT_CONVERGENCE, EXIT_CRASH, EXIT_OK, \
     EXIT_STABILITY, EXIT_UNSATISFIED, EXIT_USAGE, MAX_SAMPLES, SCHEMAS, \
@@ -152,6 +152,9 @@ _ABSIM64 = ["absim", "--nx", "64", "--ny", "64", "--snapshots", "0"]
     (_ABSIM64 + ["--steps", "2", "--k", "1e308"], False),
     (_ABSIM64 + ["--mode", "fringe", "--steps", "2", "--slit-separation",
                  "1e308"], False),
+    # only the two-slit packet refuses this gap, and in the default mode
+    # both experiments run: nothing is written before that refusal
+    (_ABSIM64 + ["--steps", "2", "--slit-separation", "1e308"], False),
 ])
 def test_bad_inputs_are_usage_errors(tmp_path, argv, out_is_file):
     # non-finite values and an unusable --out never share the verdict code 1
@@ -270,7 +273,16 @@ def test_any_flag_values_give_a_documented_exit_code(cmd):
             assert code in (EXIT_OK, EXIT_UNSATISFIED, EXIT_USAGE,
                             EXIT_CONVERGENCE, EXIT_STABILITY)
             assert os.path.exists(os.path.join(out, f"{cmd}_manifest.json"))
+            # a refused run writes no data file
+            if code == EXIT_USAGE:
+                assert os.listdir(out) == [f"{cmd}_manifest.json"]
 
+    if cmd == "absim":
+        # slit gaps that only the fringe window (0) or the two-slit packet
+        # (1e308) refuses, in the default mode, which runs both experiments
+        for gap in (0.0, 1e308):
+            run = example({"nx": 64, "ny": 64, "steps": 3, "snapshots": 0,
+                           "slit_separation": gap})(run)
     run()
 
 
@@ -629,6 +641,33 @@ def test_absim_invisibility_output(tmp_path):
     assert prop["ms_per_step"] > 0.0
 
 
+def test_absim_both_modes_write_what_each_mode_writes(tmp_path):
+    # the default mode runs the fringe experiment, then the invisibility
+    # one, and writes every file in one stage: its data rows are those of
+    # the two modes run apart; only the provenance (the config's sha) differs
+    argv = ["absim", "--nx", "128", "--ny", "128", "--slit-separation", "24",
+            "--snapshots", "0"]
+    outs = {mode: tmp_path / mode for mode in ("both", "fringe",
+                                               "invisibility")}
+    for mode, out in outs.items():
+        assert main(argv + ["--mode", mode, "--out", str(out)]) == EXIT_OK
+    assert sorted(p.name for p in outs["both"].iterdir()) == [
+        "absim_fringe.csv", "absim_manifest.json", "absim_metrics.json",
+        "absim_slice.csv"]
+    for name, mode in (("absim_fringe.csv", "fringe"),
+                       ("absim_slice.csv", "invisibility")):
+        both, alone = (_read(outs[m] / name).split(b"\n", 1)
+                       for m in ("both", mode))
+        assert both[0] != alone[0] and both[1] == alone[1]
+    metrics = {mode: json.loads(_read(out / "absim_metrics.json"))
+               for mode, out in outs.items()}
+    for payload in metrics.values():
+        del payload["config_sha256"]
+    assert metrics["both"] == {**metrics["fringe"], **metrics["invisibility"]}
+    stages = _manifest(outs["both"], "absim")["stages_seconds"]
+    assert set(stages) == {"fringe", "invisibility", "write"}
+
+
 def test_absim_snapshots_written(tmp_path):
     code = main(["absim", "--mode", "invisibility", "--nx", "128",
                  "--ny", "128", "--flux", "3.14159", "--steps", "40",
@@ -688,6 +727,8 @@ def test_confine_output(tmp_path):
     ["angmom", "--gl-order", "65"],
     _ABSIM64 + ["--k", "1e-10"],
     _ABSIM64 + ["--q", "1e308"],
+    _ABSIM64 + ["--slit-separation", "0"],
+    _ABSIM64 + ["--steps", "2", "--h", "0"],
 ])
 def test_bad_inputs_are_refused_before_the_solve(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
