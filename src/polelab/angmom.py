@@ -67,6 +67,10 @@ class PairConfig:
         for name in ("q", "g", "d", "mu"):
             if not np.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
+        # the massless tail 2*q*g/(3*r_max) is the largest product the
+        # quadrature forms with q*g; past the float range J would be inf
+        if not math.isfinite(2.0 * self.q * self.g):
+            raise DomainError(f"2*q*g = {2.0 * self.q * self.g} is not finite")
         # d > 0, and d/64 and 8*d^2 do not underflow to 0: a separation
         # too small to hold an exclusion ball or to square is refused here,
         # though J itself is evaluated on the unit pair

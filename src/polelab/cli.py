@@ -315,13 +315,15 @@ def cmd_holonomy(run):
     cfg = run.config
     if not 0 < cfg["theta"] < math.pi:
         raise DomainError("theta must lie strictly between 0 and pi")
+    # the report does not depend on the flux: a 2*q*g it refuses is refused
+    # before the solve
+    report = check_quantization(cfg["q"], cfg["g"], tol=cfg["tol"])
     with run.stage("solve"):
         flux, flux_err = cap_flux(cfg["g"], cfg["theta"], cfg["radius"],
                                   n0=cfg["base_segments"],
                                   levels=cfg["levels"])
         expected = 2.0 * math.pi * cfg["g"] * (1.0 - math.cos(cfg["theta"]))
         phase = cfg["q"] * flux
-        report = check_quantization(cfg["q"], cfg["g"], tol=cfg["tol"])
     run.diagnostics["flux_extrapolation_error"] = flux_err
     with run.stage("write"):
         write_json(run.path("holonomy.json"), {
@@ -369,13 +371,6 @@ def cmd_angmom(run):
     return EXIT_OK
 
 
-def _absorbed(free, grids):
-    """Norm the sponge absorbed in each propagation of a unit-norm packet:
-    1 - final norm, for the free run and for each line run."""
-    return {"free": 1.0 - free.norm(),
-            "lines": [1.0 - grid.norm() for grid in grids]}
-
-
 # a FringeReading's table row: its absim_fringe.csv header and its keys in
 # absim_metrics.json
 _FRINGE_COLS = ("flux", "shift_predicted", "shift_measured", "circular_error")
@@ -410,7 +405,6 @@ def cmd_absim(run):
                                                 fringe_lines)
             run.diagnostics["fringe_propagation"] = stats._asdict()
             reading = measure_fringe(sim_cfg, fringe_lines, free, grids)
-            run.diagnostics["fringe_absorbed"] = _absorbed(free, grids)
             del free, grids
         payload["fringe_table"] = [dict(zip(_FRINGE_COLS, row))
                                    for row in reading.table]
@@ -435,14 +429,11 @@ def cmd_absim(run):
             "steps": stats.steps,
         }
         run.diagnostics["invisibility_metric"] = metric
-        run.diagnostics["invisibility_absorbed"] = _absorbed(free,
-                                                             [flux_grid])
 
     with run.stage("write"):
         if invisibility:
-            _, _, probe_x = sim_cfg.geometry()
-            y, i_free = intensity_slice(free, probe_x)
-            _, i_flux = intensity_slice(flux_grid, probe_x)
+            y, i_free = intensity_slice(sim_cfg, free)
+            _, i_flux = intensity_slice(sim_cfg, flux_grid)
             write_csv(run.path("absim_slice.csv"),
                       ["y", "intensity_free", "intensity_with_flux"],
                       list(zip(y, i_free, i_flux)), run.sha)

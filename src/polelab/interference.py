@@ -10,7 +10,7 @@ string is exactly invisible iff q*Phi is a multiple of 2*pi. Two executable
 consequences:
 
   * far-field intensity with the string matches free propagation when
-    q*Phi in 2*pi*Z, and differs otherwise (invisibility_metric);
+    q*Phi in 2*pi*Z, and differs otherwise (measure_invisibility);
   * a two-slit pattern straddling the string shifts by (q*Phi/2*pi) mod 1
     of a fringe period (measure_fringe vs two_path_fringe_shift).
 
@@ -76,20 +76,27 @@ they run in parallel, one worker process per CPU at most, forked for the
 call (so Linux only). The workers inherit the packet and the lines' cuts
 rather than receive them, and each writes its result into its own slot of
 one anonymous shared memory map; the returned grids are views of the
-slots, so no grid is pickled either way. measure_invisibility and
-measure_fringe read the two consequences off fixed windows of the
-canonical geometry (module constants, like the sponge's width and rate).
-The fringe window is a function of the config alone,
-InterferenceConfig.fringe_window, which refuses a window of fewer than 16
-rows; a caller can so refuse it before any propagation, and measure_fringe
-reads every line of one experiment through it in one pass into a
-FringeReading. check_fringe_window judges a reading by itself: it refuses
-a fringe window that the flux barely changes (the reading's sensitivity,
-for the lines whose predicted shift in the reading's table is not near an
-integer): there the geometry forms no two-path interferometer, and every
-measured shift is about 0 whatever the flux. It also refuses a window
-whose fringe bin k* is not near the periods it spans: there the free
-pattern's strongest bin is its envelope, not a fringe.
+slots, so no grid is pickled either way. Each worker reports only the norm
+its run's sponge absorbed, which the stats collect.
+
+The canonical geometry (module constants, like the sponge's width and
+rate) places everything that is read, and InterferenceConfig alone turns
+it into grid indices: probe_column, the one rounding of the probe's x;
+invisibility_window, the far field past the flux line that
+measure_invisibility compares; and fringe_window, the rows of the probe
+column that measure_fringe reads, which refuses a window of fewer than 16
+rows. All three are functions of the config alone, so a caller can refuse
+a window before any propagation, and each reader refuses a grid of
+another shape than the config's. intensity_slice reads the probe column.
+measure_fringe reads every line of one experiment through its window in
+one pass into a FringeReading. check_fringe_window judges a reading by
+itself: it refuses a fringe window that the flux barely changes (the
+reading's sensitivity, for the lines whose predicted shift in the
+reading's table is not near an integer): there the geometry forms no
+two-path interferometer, and every measured shift is about 0 whatever the
+flux. It also refuses a window whose fringe bin k* is not near the periods
+it spans: there the free pattern's strongest bin is its envelope, not a
+fringe.
 """
 
 import json
@@ -142,7 +149,7 @@ FRINGE_EXEMPT_SHIFT = 0.1
 # better have k* at most 0.871 from it, and the 20 that read the free
 # pattern's envelope at k* = 1 (errors 0.49-0.50) at least 0.948
 FRINGE_MAX_BIN_OFFSET = 0.9
-EDGE_EXCLUDE_FRACTION = 0.12    # sponge fringe left out of invisibility_metric
+EDGE_EXCLUDE_FRACTION = 0.12    # sponge fringe left out of invisibility_window
 
 
 def two_path_fringe_shift(q, flux):
@@ -497,21 +504,9 @@ def propagate_with_flux(grid, line, steps, sponge=True):
 # measurement
 # ---------------------------------------------------------------------------
 
-def invisibility_metric(grid_with_flux, grid_free, x_min):
-    """Relative L2 distance between the two |psi|^2 fields on the far side
-    of the flux line (x >= x_min), excluding the sponge fringe."""
-    a, b = grid_with_flux, grid_free
-    if a.psi.shape != b.psi.shape:
-        raise DomainError("grids must have identical shapes")
-    nx, ny = a.nx, a.ny
-    i_lo = max(int(math.ceil(x_min / a.h)), 0)
-    i_hi = nx - max(int(round(EDGE_EXCLUDE_FRACTION * nx)), 1)
-    j_lo = max(int(round(EDGE_EXCLUDE_FRACTION * ny)), 1)
-    j_hi = ny - j_lo
-    if i_lo >= i_hi or j_lo >= j_hi:
-        raise DomainError("comparison window is empty")
-    return _relative_l2(a.intensity()[i_lo:i_hi, j_lo:j_hi],
-                        b.intensity()[i_lo:i_hi, j_lo:j_hi])
+def _check_shapes(config, *grids):
+    if any(g.psi.shape != (config.nx, config.ny) for g in grids):
+        raise DomainError("grids must have identical shapes, the config's")
 
 
 def _relative_l2(a, b):
@@ -522,13 +517,12 @@ def _relative_l2(a, b):
     return float(np.linalg.norm(a - b) / ref)
 
 
-def intensity_slice(grid, x_probe):
-    """(y coordinates, |psi|^2) along the grid column nearest x_probe."""
-    ix = int(round(x_probe / grid.h))
-    if not 0 <= ix < grid.nx:
-        raise DomainError("probe column outside the grid")
+def intensity_slice(config, grid):
+    """(y coordinates, |psi|^2) along the config's probe column of a grid of
+    the config's shape."""
+    _check_shapes(config, grid)
     y = grid.h * np.arange(grid.ny)
-    return y, np.abs(grid.psi[ix, :]) ** 2
+    return y, np.abs(grid.psi[config.probe_column(), :]) ** 2
 
 
 def _spectrum(pattern):
@@ -645,6 +639,24 @@ class InterferenceConfig:
     def resolved_steps(self):
         return self.steps or math.ceil(self._steps_to_probe())
 
+    def probe_column(self):
+        """The grid column nearest the probe: round(probe x / h)."""
+        return int(round(self.geometry()[2] / self.h))
+
+    def invisibility_window(self):
+        """The far field that measure_invisibility compares, as the index
+        window (x slice, y slice) of psi[ix, iy]: x at least INVISIBILITY_GAP_FRACTION of the
+        grid width past the flux line, and EDGE_EXCLUDE_FRACTION of each
+        side (at least one site) clear of the walls. Both fractions leave it
+        non-empty on every grid of MIN_GRID sites or more a side; on the
+        default 512^2 grid it is [297:451, 61:451]."""
+        _, flux_pos, _ = self.geometry()
+        x_min = flux_pos[0] + INVISIBILITY_GAP_FRACTION * self.h * self.nx
+        edge_x, edge_y = (max(int(round(EDGE_EXCLUDE_FRACTION * n)), 1)
+                          for n in (self.nx, self.ny))
+        return np.s_[max(math.ceil(x_min / self.h), 0):self.nx - edge_x,
+                     edge_y:self.ny - edge_y]
+
     def fringe_window(self):
         """The fringe window on the probe column: (probe column ix, the
         window's row indices, window_periods). DomainError if it holds
@@ -671,7 +683,7 @@ class InterferenceConfig:
         # gap * gap is inf where the square overflows; gap**2 would raise
         periods = (FRINGE_WINDOW_FRACTION * self.k * (gap * gap)
                    / (math.pi * (probe_x - src[0])))
-        return int(round(probe_x / self.h)), rows, periods
+        return self.probe_column(), rows, periods
 
     def flux_line(self, flux, charge, cut="+x"):
         """A flux line at the canonical puncture, mid-grid."""
@@ -682,15 +694,18 @@ class InterferenceConfig:
 class ExperimentStats(NamedTuple):
     """What one run_experiment call did: propagations (free and one per
     line), fused steps in each (at least 1), Cayley solves (2N + 1 per
-    propagation of N steps), worker processes, and ms_per_step, the call's
-    wall time over propagations x steps. The propagations run in parallel,
-    so ms_per_step is below one step's time in one worker."""
+    propagation of N steps), worker processes, ms_per_step, the call's
+    wall time over propagations x steps, and absorbed, 1 - the final norm
+    of each propagation of the unit-norm packet, the part the sponge took:
+    the free run's first, then one per line. The propagations run in
+    parallel, so ms_per_step is below one step's time in one worker."""
 
     propagations: int
     steps: int
     solves: int
     workers: int
     ms_per_step: float
+    absorbed: list
 
 
 _worker_args = ()   # (packet, steps, links, slots), set in each worker
@@ -703,9 +718,11 @@ def _init_worker(*args):
 
 def _run_into_slot(i):
     """Propagate run i of the worker's experiment, the free run for i = 0,
-    into slot i."""
+    into slot i, and return the norm its sponge absorbed."""
     packet, steps, links, slots = _worker_args
-    slots[i] = _propagate(packet, links[i], steps, True).psi
+    grid = _propagate(packet, links[i], steps, True)
+    slots[i] = grid.psi
+    return 1.0 - grid.norm()
 
 
 def run_experiment(config, packet, lines):
@@ -720,10 +737,11 @@ def run_experiment(config, packet, lines):
     packet, the step count and the cuts, and so never pickle them. Run i
     writes its psi into slot i of one anonymous shared memory map, made
     before the fork, and the returned grids are views of their slots;
-    nothing but the run index and a worker's exception crosses a pipe. A
-    run's values are those of the same propagation in this process, bit for
-    bit. The pool is shut down, and its workers joined, before the call
-    returns or raises. Returns (free grid, [grid per line], stats).
+    nothing but the run index, the run's absorbed norm and a worker's
+    exception crosses a pipe. A run's values are those of the same
+    propagation in this process, bit for bit. The pool is shut down, and
+    its workers joined, before the call returns or raises. Returns (free
+    grid, [grid per line], stats).
     """
     t0 = time.perf_counter()
     grid = make_wave_grid(config.nx, config.ny, config.h, config.m,
@@ -748,19 +766,20 @@ def run_experiment(config, packet, lines):
                              mp_context=multiprocessing.get_context("fork"),
                              initializer=_init_worker,
                              initargs=(grid, steps, links, slots)) as pool:
-        deque(pool.map(_run_into_slot, range(runs)), maxlen=0)
+        absorbed = list(pool.map(_run_into_slot, range(runs)))
     free, *grids = [replace(grid, psi=slot) for slot in slots]
     ms = 1e3 * (time.perf_counter() - t0) / (runs * steps)
     return free, grids, ExperimentStats(runs, steps, runs * (2 * steps + 1),
-                                        workers, ms)
+                                        workers, ms, absorbed)
 
 
 def measure_invisibility(config, grid_with_flux, grid_free):
-    """invisibility_metric over the far field: x beyond the flux line by
-    INVISIBILITY_GAP_FRACTION of the grid width."""
-    _, flux_pos, _ = config.geometry()
-    x_min = flux_pos[0] + INVISIBILITY_GAP_FRACTION * config.h * config.nx
-    return invisibility_metric(grid_with_flux, grid_free, x_min=x_min)
+    """Relative L2 distance between the two |psi|^2 fields in the config's
+    invisibility_window; both grids must have the config's shape."""
+    _check_shapes(config, grid_with_flux, grid_free)
+    window = config.invisibility_window()
+    return _relative_l2(np.abs(grid_with_flux.psi[window]) ** 2,
+                        np.abs(grid_free.psi[window]) ** 2)
 
 
 class FringeReading(NamedTuple):
@@ -786,8 +805,7 @@ def measure_fringe(config, lines, grid_free, grids):
     have the config's shape."""
     if len(lines) != len(grids):
         raise DomainError("need one grid per flux line")
-    if any(g.psi.shape != (config.nx, config.ny) for g in (grid_free, *grids)):
-        raise DomainError("grids must have identical shapes, the config's")
+    _check_shapes(config, grid_free, *grids)
     ix, rows, periods = config.fringe_window()
     free = np.abs(grid_free.psi[ix, rows]) ** 2
     spectrum = _spectrum(free)

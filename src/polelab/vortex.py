@@ -200,11 +200,15 @@ def vortex_flux(model, profile):
 
 
 def confinement_energy(tension, L):
-    """Energy of a tube of length L: exactly linear, E = T*L."""
+    """Energy of a tube of length L: exactly linear, E = T*L. A length that
+    is negative or not finite, or whose T*L overflows, is a DomainError."""
     L = np.asarray(L, dtype=float)
     if not np.all((L >= 0) & (L < np.inf)):
         raise DomainError("tube length must be finite and >= 0")
-    out = tension.T * L
+    with np.errstate(over="ignore"):
+        out = tension.T * L
+    if not np.all(np.isfinite(out)):
+        raise DomainError(f"T*L overflows: T = {tension.T}, L up to {L.max()}")
     return float(out) if out.ndim == 0 else out
 
 

@@ -22,7 +22,9 @@ from polelab import interference
 from polelab.errors import AccuracyError, DomainError, StabilityError
 from polelab.interference import (
     FRINGE_MAX_BIN_OFFSET,
+    MAX_GRID,
     MAX_STEPS,
+    MIN_GRID,
     ExperimentStats,
     FluxLine,
     FringeReading,
@@ -31,7 +33,6 @@ from polelab.interference import (
     check_fringe_window,
     gaussian_packet,
     intensity_slice,
-    invisibility_metric,
     load_snapshot,
     make_wave_grid,
     measure_fringe,
@@ -589,6 +590,18 @@ def test_experiment_cuts_each_line_once(monkeypatch):
     assert isinstance(stats, ExperimentStats)
 
 
+def test_workers_report_the_absorbed_norm():
+    # each worker returns 1 - the final norm of its run, the part of the
+    # unit-norm packet the sponge took: the free run's first, then one per
+    # line
+    lines = [CFG128.flux_line(2.0 * np.pi, 1.0), CFG128.flux_line(np.pi, 1.0)]
+    free, grids, stats = run_experiment(CFG128, "single", lines)
+    assert len(stats.absorbed) == 1 + len(lines)
+    for absorbed, grid in zip(stats.absorbed, [free, *grids]):
+        assert absorbed == 1.0 - grid.norm()
+        assert 0.0 < absorbed < 0.1
+
+
 def test_failing_worker_is_reraised_and_reaped(monkeypatch):
     # no worker outlives the call, whether it returns or raises; the forked
     # workers inherit the patched propagation, and its exception reaches
@@ -670,22 +683,41 @@ def test_measure_fringe_window_validation():
         measure_fringe(CFG_SYNTHETIC, [line], b, [small])
 
 
-def test_invisibility_metric_edges(packet128):
-    assert invisibility_metric(packet128, packet128, x_min=64.0) == 0.0
-    with pytest.raises(DomainError):
-        invisibility_metric(packet128, make_wave_grid(128, 256), x_min=64.0)
-    with pytest.raises(DomainError):
-        invisibility_metric(packet128, packet128, x_min=1e9)
+def test_measure_invisibility_edges(packet128):
+    # the window is the config's: no x_min past the grid, and so no empty
+    # window, can be asked for
+    assert measure_invisibility(CFG128, packet128, packet128) == 0.0
+    with pytest.raises(DomainError, match="identical shapes"):
+        measure_invisibility(CFG128, packet128, make_wave_grid(128, 256))
 
 
 def test_intensity_slice_bounds(packet128):
-    y, intensity = intensity_slice(packet128, 28.0)
+    # the column is the config's probe column: no probe off the grid can be
+    # asked for
+    y, intensity = intensity_slice(CFG128, packet128)
     assert y.shape == (128,) and intensity.shape == (128,)
     assert np.all(intensity >= 0.0)
-    with pytest.raises(DomainError):
-        intensity_slice(packet128, -5.0)
-    with pytest.raises(DomainError):
-        intensity_slice(packet128, 1e4)
+    assert np.array_equal(intensity,
+                          packet128.intensity()[CFG128.probe_column()])
+    with pytest.raises(DomainError, match="identical shapes"):
+        intensity_slice(CFG128, make_wave_grid(128, 256))
+
+
+def test_config_places_the_probe_column_and_both_windows():
+    # probe_column is the one rounding of the probe's x, and the fringe
+    # window lies on it
+    cfg = InterferenceConfig()
+    assert cfg.probe_column() == round(0.78 * 512) == 399
+    assert cfg.fringe_window()[0] == cfg.probe_column()
+    assert cfg.invisibility_window() == np.s_[297:451, 61:451]
+    # on every side the lattice allows, the probe column lies on the grid
+    # and the far-field window is not empty
+    for n in range(MIN_GRID, MAX_GRID + 1):
+        cfg = InterferenceConfig(nx=n, ny=n, steps=1)
+        xs, ys = cfg.invisibility_window()
+        assert 0 <= cfg.probe_column() < n
+        assert 0 <= xs.start < xs.stop <= n
+        assert 0 <= ys.start < ys.stop <= n
 
 
 # ---------------------------------------------------------------------------

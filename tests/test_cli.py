@@ -627,10 +627,11 @@ def test_absim_invisibility_output(tmp_path):
     man = _manifest(tmp_path, "absim")
     assert "invisibility" in man["stages_seconds"]
     assert "write" in man["stages_seconds"]
-    # the sponge absorbs a small, positive part of each unit-norm run
-    absorbed = man["diagnostics"]["invisibility_absorbed"]
-    assert len(absorbed["lines"]) == 1
-    assert all(0.0 < a < 0.1 for a in [absorbed["free"], *absorbed["lines"]])
+    # the sponge absorbs a small, positive part of each unit-norm run: the
+    # free run's, then the line run's
+    absorbed = man["diagnostics"]["invisibility_propagation"]["absorbed"]
+    assert len(absorbed) == 2
+    assert all(0.0 < a < 0.1 for a in absorbed)
     # the free run and one line run, each 2N + 1 solves for N fused steps,
     # on one worker per run up to the CPUs this process may use
     prop = man["diagnostics"]["invisibility_propagation"]
@@ -729,7 +730,25 @@ def test_confine_output(tmp_path):
     _ABSIM64 + ["--q", "1e308"],
     _ABSIM64 + ["--slit-separation", "0"],
     _ABSIM64 + ["--steps", "2", "--h", "0"],
+    # the quantization report refuses 2*q*g = inf before the cap is solved
+    ["holonomy", "--q", "1e200", "--g", "1e200"],
+    ["holonomy", "--g", "1e308"],
 ])
 def test_bad_inputs_are_refused_before_the_solve(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
     assert _manifest(tmp_path, argv[0])["stages_seconds"] == {}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, cause", [
+    (["angmom", "--q", "1e200", "--g", "1e200"], "2*q*g = inf"),
+    # q*g = 1e308 is finite, but twice it is not
+    (["angmom", "--q", "1e154", "--g", "1e154"], "2*q*g = inf"),
+    (["confine", "--lengths", "1,1e308"], "T*L overflows"),
+], ids=["angmom-qg-1e400", "angmom-qg-1e308", "confine-length-1e308"])
+def test_overflowing_products_are_refused_with_their_cause(tmp_path, argv,
+                                                           cause):
+    # each used to warn and end in "result ... is not finite" at the writer
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
+    assert [p.name for p in tmp_path.iterdir()] == [f"{argv[0]}_manifest.json"]
+    assert cause in _manifest(tmp_path, argv[0])["error"]
