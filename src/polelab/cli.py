@@ -67,13 +67,6 @@ MAX_SAMPLES = 2**20
 # config plumbing
 # ---------------------------------------------------------------------------
 
-def _float_list(text):
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad list {text!r}: {exc}")
-
-
 _CAP_FLUX = inspect.signature(cap_flux).parameters
 _SOLVE_VORTEX = inspect.signature(solve_vortex).parameters
 _VORTEX_KEYS = ("r_max", "grid", "tol", "max_iter")
@@ -129,18 +122,23 @@ SCHEMAS["confine"] = {**SCHEMAS["vortex"],
 
 
 def _coerce(cmd, key, value):
+    """The one conversion of a value to its key's type, for a flag's text
+    and a config file's JSON alike. A list may be given as "a,b" text, whose
+    empty tokens are dropped; a boolean is true/false, 0/1 or "0"/"1"."""
     default = SCHEMAS[cmd][key]
     try:
         if isinstance(default, bool):
-            if not isinstance(value, (bool, int)):
-                raise ValueError("expected a boolean")
-            return bool(value)
+            if isinstance(value, float) or value not in (0, 1, "0", "1"):
+                raise ValueError(f"expected true/false or 0/1, got {value!r}")
+            return value in (1, "1")
         if isinstance(default, int):
             out = int(value)
             if isinstance(value, float) and value != out:
                 raise ValueError("not an integer")
             return out
         if isinstance(default, list):
+            if isinstance(value, str):
+                value = [tok for tok in value.split(",") if tok.strip()]
             return [float(x) for x in value]
         if default is None:
             return None if value is None else float(value)
@@ -318,6 +316,9 @@ def cmd_holonomy(run):
     # the report does not depend on the flux: a 2*q*g it refuses is refused
     # before the solve
     report = check_quantization(cfg["q"], cfg["g"], tol=cfg["tol"])
+    # |q * cap flux| is at most the string's phase, q * 4 pi g
+    if not math.isfinite(4.0 * math.pi * (cfg["q"] * cfg["g"])):
+        raise DomainError("the string's phase q*4*pi*g is not finite")
     with run.stage("solve"):
         flux, flux_err = cap_flux(cfg["g"], cfg["theta"], cfg["radius"],
                                   n0=cfg["base_segments"],
@@ -527,16 +528,11 @@ def build_parser():
         p.add_argument("--config", default=None,
                        help="JSON file; entries override flags")
         p.add_argument("--out", default=".", help="output directory")
+        # argparse hands each value over as text; _coerce types it
         for key, default in schema.items():
-            flag = f"--{key.replace('_', '-')}"
-            if isinstance(default, bool):
-                p.add_argument(flag, dest=key, default=None, type=int,
-                               choices=(0, 1), help=f"default {int(default)}")
-            else:
-                arg_type = _float_list if isinstance(default, list) \
-                    else float if default is None else type(default)
-                p.add_argument(flag, dest=key, default=None, type=arg_type,
-                               help=f"default {default}")
+            shown = int(default) if isinstance(default, bool) else default
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                           help=f"default {shown}")
     return parser
 
 

@@ -9,6 +9,7 @@ share one residual definition (distance of 2*q*g from the nearest integer),
 so they agree as booleans for every input, not just generic ones.
 """
 
+import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 
@@ -176,7 +177,11 @@ def line_integral(potential, loop):
         pts = starts[:, None, None, :] + offs[None, :, :, None] * seg[:, None, None, :]
         a = potential(pts)  # (S, P, O, 3)
         integrand = np.einsum("spoc,sc->spo", a, seg)
-        return float(np.sum(integrand * weights[None, None, :]) / panels)
+        # the weights, not the sum, take the 1/panels: the sum is then the
+        # integral itself, not panels times it, and 1/panels is a power of
+        # two, so each term is scaled exactly
+        scaled = weights * (1.0 / panels)
+        return float(np.sum(integrand * scaled[None, None, :]))
 
     prev = value(1)
     for doubling in range(1, 9):
@@ -224,7 +229,12 @@ def refined_circle_flux(potential, rho, z=0.0, n0=64, levels=3):
 
 def cap_flux(g, theta, r=1.0, n0=64, levels=3):
     """Flux of a pole g through the spherical cap of opening angle theta,
-    measured as the extrapolated circle holonomy of the north patch."""
+    measured as the extrapolated circle holonomy of the north patch. g must
+    carry a finite string flux 4 pi g, the bound of every cap's flux."""
+    string_flux = 4.0 * math.pi * float(g)
+    if not math.isfinite(string_flux):
+        raise DomainError(f"the string flux 4*pi*g = {string_flux} is not "
+                          "finite")
     pot = partial(wu_yang_potential, "north", g)
     return refined_circle_flux(pot, r * np.sin(theta), z=r * np.cos(theta),
                                n0=n0, levels=levels)

@@ -112,7 +112,6 @@ from itertools import starmap
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import get_blas_funcs
 
 from .errors import AccuracyError, DomainError, StabilityError
 
@@ -198,10 +197,12 @@ class WaveGrid:
 
     def norm(self):
         """sqrt(sum |psi|^2 h^2), the discrete L2 norm."""
-        return float(np.sqrt(np.sum(np.abs(self.psi) ** 2)) * self.h)
+        return float(np.sqrt(np.sum(self.intensity())) * self.h)
 
     def intensity(self):
-        return np.abs(self.psi) ** 2
+        """|psi|^2 as a new C-ordered float64 array, squared in place."""
+        intensity = np.abs(self.psi)
+        return np.square(intensity, out=intensity)
 
 
 @dataclass(frozen=True)
@@ -262,10 +263,16 @@ def gaussian_packet(grid, center, width, momentum):
                           "the grid: the centre lies too far from the grid")
     x = grid.h * np.arange(grid.nx)[:, None]
     y = grid.h * np.arange(grid.ny)[None, :]
-    # the envelope is multiplied into the phase in place, so no third
-    # grid-sized array is live at once
-    psi = np.exp(1j * (kx * x + ky * y))
-    psi *= np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * width**2))
+    # psi and one float scratch are the only grid-sized arrays: the scratch
+    # holds k.r, then the envelope, and each exp is taken in place; it is
+    # dropped before the norm allocates its own
+    scratch = np.add(kx * x, ky * y)
+    psi = np.multiply(1j, scratch)
+    np.exp(psi, out=psi)
+    np.add((x - cx) ** 2, (y - cy) ** 2, out=scratch)
+    np.divide(scratch, -2.0 * width**2, out=scratch)
+    psi *= np.exp(scratch, out=scratch)
+    del scratch
     packet = replace(grid, psi=psi)
     norm = packet.norm()
     if not norm > 0:
@@ -321,6 +328,10 @@ class _Thomas:
     """
 
     def __init__(self, n, tau, m, h, link=None):
+        # imported here, not at module level: check, fields, holonomy and
+        # angmom never load scipy.linalg; run_experiment loads it before its
+        # workers fork
+        from scipy.linalg.blas import get_blas_funcs
         alpha = tau / (4.0 * m * h * h)
         c, d = -1j * alpha, 1.0 + 2j * alpha
         pivots = [d]
@@ -446,13 +457,14 @@ def _scale_exponent(psi):
     return min(max(1000 - math.frexp(norm)[1], 0), 1000)
 
 
-def _propagate(grid, link, steps, sponge):
+def _propagate(grid, link, steps, sponge, out=None):
     """The grid after `steps` fused Strang steps (see the module
     docstring): x(dt/2) [y M x(dt)]^(steps-1) y M x(dt/2), with a line's
     _cut_link in y when one is given and M = 1 without the sponge. Zero
     steps apply nothing. The steps run on 2^s psi, s = _scale_exponent(psi):
     the copy into the stepping buffer multiplies by 2^s and the copy out by
-    2^-s."""
+    2^-s. That copy goes into out, a C-ordered array of psi's shape, when
+    one is given, and into a new array otherwise; zero steps write nothing."""
     _check_steps(steps)
     if steps == 0:
         return grid
@@ -477,7 +489,7 @@ def _propagate(grid, link, steps, sponge):
         (full_x if step < steps else half_x)()
     # the steps hold work: drop them before the copy out allocates
     del work, half_x, full_x, full_y
-    return replace(grid, psi=np.multiply(psi, 2.0**-s, order="C"))
+    return replace(grid, psi=np.multiply(psi, 2.0**-s, out=out, order="C"))
 
 
 def propagate_free(grid, steps, sponge=True):
@@ -557,9 +569,8 @@ def save_snapshot(grid, bin_path):
     """Write |psi|^2 as flat row-major float64 plus a JSON sidecar giving
     shape and spacing, meta_path = bin_path + ".json". Returns both paths."""
     meta_path = bin_path + ".json"
-    intensity = np.ascontiguousarray(grid.intensity(), dtype=np.float64)
     with open(bin_path, "wb") as fh:
-        fh.write(intensity.tobytes(order="C"))
+        fh.write(memoryview(grid.intensity()))
     meta = {
         "shape": [int(grid.nx), int(grid.ny)],
         "order": "C",
@@ -720,9 +731,7 @@ def _run_into_slot(i):
     """Propagate run i of the worker's experiment, the free run for i = 0,
     into slot i, and return the norm its sponge absorbed."""
     packet, steps, links, slots = _worker_args
-    grid = _propagate(packet, links[i], steps, True)
-    slots[i] = grid.psi
-    return 1.0 - grid.norm()
+    return 1.0 - _propagate(packet, links[i], steps, True, slots[i]).norm()
 
 
 def run_experiment(config, packet, lines):
@@ -756,8 +765,10 @@ def run_experiment(config, packet, lines):
                                    config.packet_width, (config.k, 0.0))
     else:
         raise DomainError("packet must be 'single' or 'two_slit'")
-    # fork, not spawn: the workers inherit the packet and the anonymous
-    # map, which a spawned worker could only get pickled or by name
+    # fork, not spawn: the workers inherit the packet, the anonymous map and
+    # scipy.linalg, which a spawned worker could only get pickled, by name
+    # or by importing it again
+    import scipy.linalg.blas  # noqa: F401
     runs, steps = len(links), config.resolved_steps()
     workers = min(runs, len(os.sched_getaffinity(0)))
     slots = np.frombuffer(mmap.mmap(-1, runs * grid.psi.nbytes),

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import AccuracyError, ConvergenceError, DomainError
 
@@ -338,6 +337,10 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
     a = 1.0 - np.exp(-0.25 * x**2)
     f[0] = a[0] = 0.0
     f[-1] = a[-1] = 1.0
+
+    # imported here, not at module level: check, fields, holonomy and angmom
+    # never load scipy.linalg
+    from scipy.linalg import solve_banded
 
     history = []
     dtau = 0.25     # doubled before each sweep: 0.5, 1, 2, ... up to 1e12

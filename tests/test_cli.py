@@ -59,10 +59,8 @@ def test_check_unsatisfied(tmp_path):
 
 
 def test_usage_errors(tmp_path):
-    # malformed flag value: argparse exits 2 on its own
-    with pytest.raises(SystemExit) as exc:
-        main(["check", "--q", "one"])
-    assert exc.value.code == EXIT_USAGE
+    # malformed flag value: refused by the same conversion as a config entry
+    assert main(["check", "--q", "one", "--out", str(tmp_path)]) == EXIT_USAGE
 
     # unknown config key, rejected before any run starts
     bad = tmp_path / "bad.json"
@@ -380,7 +378,9 @@ def test_module_entry_point(tmp_path):
 def test_commands_never_load_scipy_special(tmp_path):
     # only the screened tube's Bessel functions need scipy.special, and no
     # command calls them, so a fresh interpreter that imports the package,
-    # builds the parser and runs the light commands never loads it
+    # builds the parser and runs the light commands never loads it; only the
+    # lattice's BLAS calls and the vortex's banded solve need scipy.linalg,
+    # so check, fields, holonomy and angmom never load that either
     script = f"""
 import sys
 import numpy as np
@@ -388,9 +388,12 @@ import polelab.cli as cli
 import polelab.angmom, polelab.fields, polelab.gauge, polelab.interference
 import polelab.vortex
 cli.build_parser()
-for argv in (["check"], ["fields"], ["holonomy"], ["vortex"],
+for argv in (["check"], ["fields"], ["holonomy"],
              ["angmom", "--mu-list", "0,1", "--d-list", "1"]):
     assert cli.main(argv + ["--out", {str(tmp_path)!r}]) == 0, argv
+assert "scipy.linalg" not in sys.modules
+assert cli.main(["vortex", "--out", {str(tmp_path)!r}]) == 0
+assert "scipy.linalg" in sys.modules
 assert "scipy.special" not in sys.modules
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -614,6 +617,17 @@ def test_holonomy_output(tmp_path):
                  "--out", str(tmp_path)]) == EXIT_USAGE
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_holonomy_of_a_huge_pole(tmp_path):
+    # 4 pi g = 1.26e308 is finite, and so is every sum on the way to the
+    # cap flux; it used to overflow to a NaN refused at the JSON writer
+    assert main(["holonomy", "--g", "1e307", "--out", str(tmp_path)]) \
+        == EXIT_OK
+    out = json.loads(_read(tmp_path / "holonomy.json"))
+    assert out["cap_flux"] == pytest.approx(out["cap_flux_expected"],
+                                            rel=1e-8)
+
+
 def test_absim_invisibility_output(tmp_path):
     code = main(["absim", "--mode", "invisibility", "--nx", "128",
                  "--ny", "128", "--snapshots", "0", "--out", str(tmp_path)])
@@ -733,10 +747,59 @@ def test_confine_output(tmp_path):
     # the quantization report refuses 2*q*g = inf before the cap is solved
     ["holonomy", "--q", "1e200", "--g", "1e200"],
     ["holonomy", "--g", "1e308"],
+    # 2*q*g is finite, but the string's phase q*4*pi*g is not
+    ["holonomy", "--g", "8e307"],
 ])
 def test_bad_inputs_are_refused_before_the_solve(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
     assert _manifest(tmp_path, argv[0])["stages_seconds"] == {}
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--q", "one"],
+    ["vortex", "--n", "2.5"],
+    ["absim", "--snapshots", "2"],
+    ["absim", "--snapshots", "1.0"],
+    ["angmom", "--mu-list", "0,x"],
+], ids=["check-q-one", "vortex-n-2.5", "absim-snapshots-2",
+        "absim-snapshots-1.0", "angmom-mu-list-x"])
+def test_malformed_flags_return_a_usage_error(tmp_path, argv, capsys):
+    # a flag's text is typed by the same conversion as a config entry: a
+    # malformed one returns 2 from main, with one error line naming the key,
+    # before a run starts, so nothing is written
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    key = argv[1].lstrip("-").replace("-", "_")
+    assert capsys.readouterr().err.startswith(f"error: config key {key!r}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, code", [
+    ("2", EXIT_USAGE), ("1.0", EXIT_USAGE), ('"yes"', EXIT_USAGE),
+    ("true", EXIT_STABILITY), ("1", EXIT_STABILITY), ('"1"', EXIT_STABILITY),
+])
+def test_config_booleans_take_true_false_or_0_1(tmp_path, value, code):
+    # {"snapshots": 2} used to be read as true; an accepted value reaches the
+    # run, which this dt then refuses with its own code
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"snapshots": {value}}}')
+    out = tmp_path / "out"
+    assert main(["absim", "--mode", "invisibility", "--nx", "64", "--ny", "64",
+                 "--dt", "0.9", "--config", str(cfg), "--out", str(out)]) \
+        == code
+    assert out.exists() == (code != EXIT_USAGE)
+
+
+def test_list_flags_drop_empty_tokens(tmp_path):
+    args = build_parser().parse_args(["angmom", "--mu-list", "0,,1",
+                                      "--d-list", "2,"])
+    cfg = resolve_config("angmom", args)
+    assert cfg["mu_list"] == [0.0, 1.0] and cfg["d_list"] == [2.0]
+    # and a config file may give a list as the same text
+    path = tmp_path / "cfg.json"
+    path.write_text('{"mu_list": "0, ,1"}')
+    args = build_parser().parse_args(["angmom", "--config", str(path)])
+    assert resolve_config("angmom", args)["mu_list"] == [0.0, 1.0]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -745,7 +808,12 @@ def test_bad_inputs_are_refused_before_the_solve(tmp_path, argv):
     # q*g = 1e308 is finite, but twice it is not
     (["angmom", "--q", "1e154", "--g", "1e154"], "2*q*g = inf"),
     (["confine", "--lengths", "1,1e308"], "T*L overflows"),
-], ids=["angmom-qg-1e400", "angmom-qg-1e308", "confine-length-1e308"])
+    # the phase q*4*pi*g = 1.0e9 is finite, the string flux 4*pi*g is not
+    (["holonomy", "--q", "1e-300", "--g", "8e307"], "4*pi*g = inf"),
+    # the flux is finite, q times it is not: it used to crash with exit 5
+    (["holonomy", "--q", "1e10", "--g", "8e297"], "q*4*pi*g"),
+], ids=["angmom-qg-1e400", "angmom-qg-1e308", "confine-length-1e308",
+        "holonomy-g-8e307", "holonomy-phase-8e307"])
 def test_overflowing_products_are_refused_with_their_cause(tmp_path, argv,
                                                            cause):
     # each used to warn and end in "result ... is not finite" at the writer

@@ -282,6 +282,29 @@ def test_cap_flux_formula():
     assert abs(near_full - 4 * np.pi * g) < 4 * np.pi * g * 1e-3
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cap_flux_of_a_huge_pole(monkeypatch):
+    # 4 pi g = 1.26e308 is finite: each line integral sums its panels to
+    # the integral itself, not to panels times it, so no sum overflows
+    g, theta = 1e307, 2.2
+    flux, err = cap_flux(g, theta)
+    expected = 2 * np.pi * g * (1 - math.cos(theta))
+    assert math.isfinite(flux) and abs(flux - expected) < 1e-8 * expected
+    assert math.isfinite(err)
+    # past that the string flux is not finite, and no polygon is built
+    built = []
+
+    def record(rho, z=0.0, n=64):
+        built.append(n)
+        raise _Built
+
+    monkeypatch.setattr(gauge, "circle_loop", record)
+    for g in (8e307, math.inf, math.nan):
+        with pytest.raises(DomainError, match="4\\*pi\\*g"):
+            cap_flux(g, theta)
+    assert built == []
+
+
 def test_holonomy_gauge_invariant():
     spec = TubeSpec(g=0.5, R=1.0)
 
