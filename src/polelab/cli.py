@@ -184,35 +184,23 @@ def _atomic_write(path, payload):
     os.replace(tmp, path)
 
 
-def _fmt(x):
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"result {x} is not finite")
-    return repr(x)
-
-
-def _fmt_column(column):
-    """The cells of one column as text. A column of floats is checked once
-    with np.isfinite and formatted by repr, which gives what _fmt gives
-    each cell; any other column goes through _fmt cell by cell."""
-    if not all(issubclass(kind, (float, np.floating))
-               for kind in set(map(type, column))):
-        return [_fmt(x) for x in column]
-    values = np.asarray(column, dtype=float)
+def _column_text(column):
+    """One column's cells as text: a bool column as 1/0, any other as
+    float64, checked finite once and written by repr."""
+    values = np.asarray(column)
+    if values.dtype == bool:
+        return ["1" if x else "0" for x in values.tolist()]
+    values = values.astype(float, copy=False)
     finite = np.isfinite(values)
     if not finite.all():
         raise DomainError(f"result {values[~finite][0]} is not finite")
     return list(map(repr, values.tolist()))
 
 
-def write_csv(path, header_cols, rows, sha):
+def write_csv(path, header_cols, columns, sha):
+    """A CSV file of equal-length columns, one line per row."""
     lines = [f"# config_sha256={sha}", ",".join(header_cols)]
-    columns = [_fmt_column(column) for column in zip(*rows)]
-    lines += map(",".join, zip(*columns))
+    lines += map(",".join, zip(*map(_column_text, columns), strict=True))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -300,12 +288,12 @@ def cmd_fields(run):
         e_mag = np.hypot.reduce(yukawa_electric_field(phys, pts), axis=1)
         b_mag = np.hypot.reduce(monopole_field(phys, pts), axis=1)
         q_loc = local_charge(phys, r)
-        rows = [(ri, ei, qi, bi, bi * ri**2 / cfg["g"])
-                for ri, ei, qi, bi in zip(r, e_mag, q_loc, b_mag)]
+        # per element: a vectorised r**2 can differ from ri**2 in the last bit
+        ratio = [bi * ri**2 / cfg["g"] for ri, bi in zip(r, b_mag)]
     with run.stage("write"):
         write_csv(run.path("fields.csv"),
                   ["r", "e_screened", "q_local", "b_pole", "b_over_coulomb"],
-                  rows, run.sha)
+                  [r, e_mag, q_loc, b_mag, ratio], run.sha)
     return EXIT_OK
 
 
@@ -365,8 +353,8 @@ def cmd_angmom(run):
     with run.stage("write"):
         write_csv(run.path("angmom.csv"),
                   ["mu", "d", "J_z", "err", "converged"],
-                  [(c.mu, c.d, c.value, c.error, c.converged) for c in cells],
-                  run.sha)
+                  zip(*[(c.mu, c.d, c.value, c.error, c.converged)
+                        for c in cells]), run.sha)
     if n_failed:
         raise ConvergenceError(f"{n_failed} sweep cell(s) failed to converge")
     return EXIT_OK
@@ -437,13 +425,13 @@ def cmd_absim(run):
             _, i_flux = intensity_slice(sim_cfg, flux_grid)
             write_csv(run.path("absim_slice.csv"),
                       ["y", "intensity_free", "intensity_with_flux"],
-                      list(zip(y, i_free, i_flux)), run.sha)
+                      [y, i_free, i_flux], run.sha)
             if cfg["snapshots"]:
                 save_snapshot(free, run.path("absim_free.f64"))
                 save_snapshot(flux_grid, run.path("absim_flux.f64"))
         if fringe:
             write_csv(run.path("absim_fringe.csv"), _FRINGE_COLS,
-                      reading.table, run.sha)
+                      zip(*reading.table), run.sha)
         write_json(run.path("absim_metrics.json"), payload, run.sha)
     return EXIT_OK
 
@@ -472,7 +460,7 @@ def cmd_vortex(run):
         dens = energy_density_profile(model, profile)
         write_csv(run.path("vortex_profile.csv"),
                   ["rho", "f", "a", "B_z", "energy_density"],
-                  zip(profile.rho_grid, profile.f, profile.a, b_z, dens),
+                  [profile.rho_grid, profile.f, profile.a, b_z, dens],
                   run.sha)
         payload = tension.to_dict()
         payload["flux"] = vortex_flux(model, profile)
@@ -490,9 +478,10 @@ def cmd_confine(run):
         raise DomainError("lengths must be nonempty, finite and >= 0")
     model, profile, tension = _solve_vortex_for(run)
     with run.stage("write"):
-        rows = [(length, confinement_energy(tension, length))
-                for length in cfg["lengths"]]
-        write_csv(run.path("confine.csv"), ["L", "energy"], rows, run.sha)
+        energy = [confinement_energy(tension, length)
+                  for length in cfg["lengths"]]
+        write_csv(run.path("confine.csv"), ["L", "energy"],
+                  [cfg["lengths"], energy], run.sha)
         write_json(run.path("confine.json"), {
             "tension": tension.T,
             "bogomolny_ratio": tension.bogomolny_ratio,

@@ -17,8 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from polelab.cli import COMMANDS, EXIT_CONVERGENCE, EXIT_CRASH, EXIT_OK, \
     EXIT_STABILITY, EXIT_UNSATISFIED, EXIT_USAGE, MAX_SAMPLES, SCHEMAS, \
-    _fmt, build_parser, config_hash, main, resolve_config, write_csv, \
-    write_json
+    build_parser, config_hash, main, resolve_config, write_csv, write_json
 from polelab.angmom import angular_momentum_sweep
 from polelab.errors import DomainError
 from polelab.fields import proca_tube_profile
@@ -471,29 +470,35 @@ def test_dropped_tol_key_is_a_usage_error(tmp_path, cmd):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf])
 def test_writers_reject_non_finite(tmp_path, bad):
     with pytest.raises(DomainError):
-        write_csv(str(tmp_path / "t.csv"), ["x"], [(1.0,), (bad,)], "0")
+        write_csv(str(tmp_path / "t.csv"), ["x"], [[1.0, bad]], "0")
     with pytest.raises(DomainError):
         write_json(str(tmp_path / "t.json"), {"x": [1.0, bad]}, "0")
     assert list(tmp_path.iterdir()) == []
 
 def test_columns_format_like_cells(tmp_path):
-    # write_csv formats float columns whole; the reference is the per-cell
-    # loop, _fmt on every cell, and the two files must match byte for byte
+    # write_csv formats each column whole; the reference formats each cell
+    # on its own, 1/0 for a bool and repr(float(x)) for any other, and the
+    # two files must match byte for byte
     rng = np.random.default_rng(5)
     floats = rng.standard_normal(40) * 10.0 ** rng.integers(-320, 300, 40)
-    rows = list(zip(
+    columns = [
         floats,                                      # numpy float64
         [float(x) for x in floats[::-1]],           # Python float
         rng.standard_normal(40).astype(np.float32),
         [i % 2 == 0 for i in range(40)],             # bool
-        np.arange(40) - 20,                          # numpy int
-        [i if i % 3 else 0.5 * i for i in range(40)],   # int and float
         [-0.0, 5e-324] * 20,
-    ))
-    write_csv(str(tmp_path / "t.csv"), list("abcdefg"), rows, "0")
-    reference = ["# config_sha256=0", "a,b,c,d,e,f,g"]
-    reference += [",".join(_fmt(x) for x in row) for row in rows]
+    ]
+    write_csv(str(tmp_path / "t.csv"), list("abcde"), columns, "0")
+    reference = ["# config_sha256=0", "a,b,c,d,e"]
+    reference += [",".join(("1" if x else "0") if isinstance(x, bool)
+                           else repr(float(x)) for x in row)
+                  for row in zip(*columns)]
     assert _read(tmp_path / "t.csv").decode() == "\n".join(reference) + "\n"
+    # columns of unequal length are refused, not cut to the shortest
+    with pytest.raises(ValueError):
+        write_csv(str(tmp_path / "u.csv"), ["a", "b"], [[1.0, 2.0], [1.0]],
+                  "0")
+    assert not (tmp_path / "u.csv").exists()
 
 
 def test_config_file_overrides_flags(tmp_path):
