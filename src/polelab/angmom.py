@@ -67,10 +67,11 @@ class PairConfig:
         for name in ("q", "g", "d", "mu"):
             if not np.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
-        # the massless tail 2*q*g/(3*r_max) is the largest product the
+        # the massless tail 2*(q*g)/(3*r_max) is the largest product the
         # quadrature forms with q*g; past the float range J would be inf
-        if not math.isfinite(2.0 * self.q * self.g):
-            raise DomainError(f"2*q*g = {2.0 * self.q * self.g} is not finite")
+        two_qg = 2.0 * (self.q * self.g)
+        if not math.isfinite(two_qg):
+            raise DomainError(f"2*q*g = {two_qg} is not finite")
         # d > 0, and d/64 and 8*d^2 do not underflow to 0: a separation
         # too small to hold an exclusion ball or to square is refused here,
         # though J itself is evaluated on the unit pair
@@ -252,7 +253,7 @@ def _tail(pair, r_max):
     """(exact mu=0 tail, bound for mu>0 tail) beyond r_max."""
     q, g, mu = pair.q, pair.g, pair.mu
     if mu == 0.0:
-        return 2.0 * q * g / (3.0 * r_max), 0.0
+        return 2.0 * (q * g) / (3.0 * r_max), 0.0
     # inner integral is bounded by (16/3) (1 + mu*(r-1)) e^{-mu*(r-1)}
     u = float(_screening_argument(mu, r_max - 1.0))
     bound = abs(q * g) / 8.0 * (16.0 / 3.0) / r_max**2 \

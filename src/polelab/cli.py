@@ -276,6 +276,10 @@ def cmd_fields(run):
     cfg = run.config
     if cfg["r_min"] <= 0 or cfg["r_max"] <= cfg["r_min"]:
         raise DomainError("need 0 < r_min < r_max")
+    # every field squares |r|: refused here, before np.geomspace overflows
+    # on its way to an r_max near the float limit
+    if not math.isfinite(cfg["r_max"] * cfg["r_max"]):
+        raise DomainError("r_max^2 overflows: coordinates too large")
     if not 2 <= cfg["samples"] <= MAX_SAMPLES:
         raise DomainError(f"samples must lie in [2, {MAX_SAMPLES}]")
     if cfg["g"] == 0:

@@ -100,6 +100,17 @@ def _screening_argument(mu, r):
         return np.minimum(mu * r, _SCREENING_CLAMP)
 
 
+def _radial(arr, rmag, numerator, field):
+    """The radial field numerator/|r|^2 at the points arr. A magnitude that
+    overflows is refused with its cause instead of returned as inf."""
+    with np.errstate(over="ignore"):
+        amp = numerator / rmag**2
+    if not np.all(np.isfinite(amp)):
+        raise DomainError(f"the field {field} overflows at |r| = "
+                          f"{np.min(rmag)}")
+    return amp[..., None] * (arr / rmag[..., None])
+
+
 def _azimuthal(arr, amp):
     """The azimuthal vector (-y*amp, x*amp, 0) at the points arr."""
     out = np.zeros_like(arr)
@@ -114,12 +125,14 @@ def yukawa_electric_field(cfg, r):
     Reduces to the Coulomb field for mu = 0. The prefactor (1 + mu*r) is what
     the gradient of the screened potential q*exp(-mu*r)/r produces; it keeps
     the small-r field Coulombic while the large-r field dies exponentially.
+    A field that overflows is a DomainError.
     """
     arr = as_vec3(r)
     rmag = _radii(arr)
     x = _screening_argument(cfg.mu, rmag)
-    amp = cfg.q * (1.0 + x) * np.exp(-x) / rmag**2
-    return amp[..., None] * (arr / rmag[..., None])
+    # the weight (1 + x) exp(-x) is at most 1, so q times it cannot overflow
+    return _radial(arr, rmag, cfg.q * ((1.0 + x) * np.exp(-x)),
+                   "q*(1 + mu*r)*exp(-mu*r)/r^2")
 
 
 def local_charge(cfg, R):
@@ -132,7 +145,7 @@ def local_charge(cfg, R):
     if np.any(R <= 0) or not np.all(np.isfinite(R)):
         raise DomainError("Gauss sphere radius must be finite and > 0")
     x = _screening_argument(cfg.mu, R)
-    out = cfg.q * (1.0 + x) * np.exp(-x)
+    out = cfg.q * ((1.0 + x) * np.exp(-x))
     return float(out) if out.ndim == 0 else out
 
 
@@ -140,11 +153,12 @@ def monopole_field(cfg, r):
     """Unscreened pole field g/r^2 in the radial direction.
 
     Independent of mu: no local mass term can terminate the return flux of a
-    point source of B, so the pole's field keeps its 1/r^2 form.
+    point source of B, so the pole's field keeps its 1/r^2 form. A field
+    that overflows is a DomainError.
     """
     arr = as_vec3(r)
     rmag = _radii(arr)
-    return (cfg.g / rmag**2)[..., None] * (arr / rmag[..., None])
+    return _radial(arr, rmag, cfg.g, "g/r^2")
 
 
 def wu_yang_potential(patch, g, r):
@@ -159,7 +173,8 @@ def wu_yang_potential(patch, g, r):
     Both are evaluated here in the equivalent cancellation-free forms
     +-g/(r*(r +- z)) * (-y, x, 0), which stay finite on the allowed axis.
     Evaluation within angular distance AXIS_TOL of the excluded axis raises
-    SingularPointError.
+    SingularPointError, and an amplitude g/(r*(r +- z)) that is not finite
+    (at a tiny or a huge |r|) DomainError.
     """
     if patch not in ("north", "south"):
         raise DomainError("patch must be 'north' or 'south'")
@@ -172,11 +187,17 @@ def wu_yang_potential(patch, g, r):
         # excluded axis theta = pi
         if np.any(np.pi - theta < AXIS_TOL):
             raise SingularPointError("north patch evaluated on its excluded (-z) axis")
-        amp = g / (rmag * (rmag + z))
+        num, side = g, rmag + z
     else:
         if np.any(theta < AXIS_TOL):
             raise SingularPointError("south patch evaluated on its excluded (+z) axis")
-        amp = -g / (rmag * (rmag - z))
+        num, side = -g, rmag - z
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        den = rmag * side
+        amp = num / den
+    if not (np.all(np.isfinite(den)) and np.all(np.isfinite(amp))):
+        raise DomainError(f"the {patch} patch's g/(r*(r +- z)) is not finite "
+                          f"for |r| in [{np.min(rmag)}, {np.max(rmag)}]")
     return _azimuthal(arr, amp)
 
 

@@ -48,22 +48,29 @@ def transition_function(q, g, phi):
     return complex(out) if out.ndim == 0 else out
 
 
-def winding_residual(q, g):
-    """Distance of 2*q*g from the nearest integer, with that integer."""
-    n_real = 2.0 * q * g
+def _winding(q, g):
+    """2*q*g, its distance from the nearest integer, and that integer. The
+    product is formed as 2*(q*g): 2*q alone overflows for a huge q and a
+    tiny g, while doubling a finite q*g is exact unless it overflows."""
+    n_real = 2.0 * (q * g)
     if not np.isfinite(n_real):
         raise DomainError(f"2*q*g = {n_real} is not finite")
     n_nearest = int(np.rint(n_real))
-    return abs(n_real - n_nearest), n_nearest
+    return n_real, abs(n_real - n_nearest), n_nearest
+
+
+def winding_residual(q, g):
+    """Distance of 2*q*g from the nearest integer, with that integer."""
+    return _winding(q, g)[1:]
 
 
 def check_quantization(q, g, tol=DEFAULT_TOL):
     """Report whether 2*q*g is an integer to within tol."""
     if not 0 < tol < np.inf:
         raise DomainError("tol must be finite and > 0")
-    residual, n_nearest = winding_residual(q, g)
+    n_real, residual, n_nearest = _winding(q, g)
     return QuantizationReport(
-        n_real=2.0 * q * g,
+        n_real=n_real,
         n_nearest=n_nearest,
         residual=residual,
         satisfied=bool(residual <= tol),

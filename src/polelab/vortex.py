@@ -279,16 +279,19 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
     m_v = model.photon_mass
     m_h = model.higgs_mass
     # the scales the solve divides by or raises to a power, in float64: an
-    # overflow, an underflow to 0 or a zero divisor gives a value that is
-    # not finite and > 0 instead of raising
+    # overflow, an underflow to 0, a zero divisor or inf * 0 gives a value
+    # that is not finite and > 0 instead of raising. The grid below is
+    # m_V*r_max*sinh(4t)/sinh(4), so its last product is finite if this one is
     q, v = np.float64(model.q), np.float64(model.v)
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+    with np.errstate(over="ignore", under="ignore", divide="ignore",
+                     invalid="ignore"):
         inv_v, inv_h = np.divide(1.0, m_v), np.divide(1.0, m_h)
         corr = max(inv_h, inv_v)
         if r_max is None:
             r_max = 20.0 * corr
         scales = {"beta": model.lam / (2.0 * q**2), "1/m_V": inv_v,
-                  "1/m_H": inv_h, "m_V*r_max": m_v * np.float64(r_max),
+                  "1/m_H": inv_h,
+                  "m_V*r_max*sinh(4)": m_v * np.float64(r_max) * np.sinh(4.0),
                   "lam*v^4": model.lam * v**4}
     bad = [name for name, value in scales.items() if not 0 < value < np.inf]
     if bad:

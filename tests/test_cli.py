@@ -256,7 +256,7 @@ def _flag(key, value):
     return f"--{key.replace('_', '-')}={text}"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("cmd", sorted(_FLAG_VALUES))
 def test_any_flag_values_give_a_documented_exit_code(cmd):
     @settings(max_examples=40, deadline=None)
@@ -817,11 +817,45 @@ def test_list_flags_drop_empty_tokens(tmp_path):
     (["holonomy", "--q", "1e-300", "--g", "8e307"], "4*pi*g = inf"),
     # the flux is finite, q times it is not: it used to crash with exit 5
     (["holonomy", "--q", "1e10", "--g", "8e297"], "q*4*pi*g"),
+    # the Coulomb field q/r^2 at r = 0.1 is 1e310
+    (["fields", "--q", "1e308", "--mu", "0"], "exp(-mu*r)/r^2 overflows"),
+    # the charge 1e308 * 1.0 * e^-1e-10 is finite, its field at 1e-10 not
+    (["fields", "--q", "1e308", "--r-min", "1e-10"],
+     "exp(-mu*r)/r^2 overflows"),
+    # the grid m_V*r_max*sinh(4t)/sinh(4) would overflow before the divide
+    (["vortex", "--r-max", "1e308"], "m_V*r_max*sinh(4) must be"),
+    (["confine", "--r-max", "1e308"], "m_V*r_max*sinh(4) must be"),
+    # m_V = inf, and the default r_max = 20/m_V = 0
+    (["vortex", "--v", "1.7976931348623157e308"], "1/m_V"),
+    (["confine", "--v", "1.7976931348623157e308"], "1/m_V"),
+    # np.geomspace overflowed on its way to this r_max
+    (["fields", "--r-max", "1.7976931348623157e308"], "r_max^2 overflows"),
+    # the potential's amplitude g/(r*(r + z)) at r = 1.5e-151 is 1.7e308
+    (["holonomy", "--g", "1645261.0", "--radius", "1.4933513064141861e-151"],
+     "g/(r*(r +- z)) is not finite"),
 ], ids=["angmom-qg-1e400", "angmom-qg-1e308", "confine-length-1e308",
-        "holonomy-g-8e307", "holonomy-phase-8e307"])
+        "holonomy-g-8e307", "holonomy-phase-8e307", "fields-coulomb-1e310",
+        "fields-r-min-1e-10", "vortex-r-max-1e308", "confine-r-max-1e308",
+        "vortex-v-max", "confine-v-max", "fields-r-max-max",
+        "holonomy-radius-1e-151"])
 def test_overflowing_products_are_refused_with_their_cause(tmp_path, argv,
                                                            cause):
-    # each used to warn and end in "result ... is not finite" at the writer
+    # each used to warn, and to end in "result ... is not finite" at the
+    # writer or in a later refusal
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
     assert [p.name for p in tmp_path.iterdir()] == [f"{argv[0]}_manifest.json"]
     assert cause in _manifest(tmp_path, argv[0])["error"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["check"], ["holonomy"], ["angmom", "--mu-list", "0", "--d-list", "1"],
+], ids=["check", "holonomy", "angmom"])
+def test_a_huge_charge_on_a_tiny_pole_is_judged(tmp_path, argv):
+    # 2*q overflows, but 2*(q*g) = 1.9999999999999998: each command used to
+    # refuse the pair with "2*q*g = inf is not finite"
+    assert main(argv + ["--q", "1e308", "--g", "1e-308",
+                        "--out", str(tmp_path)]) == EXIT_OK
+    if argv[0] == "check":
+        report = json.loads(_read(tmp_path / "check.json"))
+        assert report["n_nearest"] == 2 and report["satisfied"] is True

@@ -151,6 +151,22 @@ def test_local_charge_limits_and_errors():
         local_charge(PhysicalConfig(1.0, 0.0), -3.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_screened_charge_of_a_huge_charge():
+    # the weight (1 + mu*R) e^-(mu*R) is formed before q multiplies it, so
+    # the charge 11 e^-10 * 1e308 is finite though q*(1 + mu*R) is not
+    cfg = PhysicalConfig(q=1e308, g=1.0, mu=1.0)
+    assert_allclose(local_charge(cfg, 10.0), 11.0 * math.exp(-10.0) * 1e308,
+                    rtol=1e-15)
+    e = yukawa_electric_field(cfg, (10.0, 0.0, 0.0))
+    assert_allclose(e[0], 11.0 * math.exp(-10.0) * 1e306, rtol=1e-15)
+    # a field past the float range is refused with its cause, not inf
+    with pytest.raises(DomainError, match="overflows at"):
+        yukawa_electric_field(cfg, (1e-10, 0.0, 0.0))
+    with pytest.raises(DomainError, match="g/r\\^2 overflows"):
+        monopole_field(PhysicalConfig(q=1.0, g=1e308), (0.1, 0.0, 0.0))
+
+
 def test_screening_strictly_monotone():
     radii = np.geomspace(0.05, 40.0, 60)
     vals = local_charge(PhysicalConfig(1.0, 0.0, mu=1.0), radii)
