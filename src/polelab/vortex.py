@@ -252,7 +252,7 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
     correlation lengths. grid, 512 to MAX_GRID, is the fewest points: it is
     doubled, up to MAX_GRID, until MIN_CORE_NODES of them lie within
     min(1/m_V, 1/m_H) of the axis. max_iter must be >= 1, beta, 1/m_V,
-    1/m_H, m_V*r_max and lam*v^4 finite and > 0, and the grid's
+    1/m_H, m_V*r_max*sinh(4) and lam*v^4 finite and > 0, and the grid's
     finite-difference weights finite; DomainError otherwise.
 
     The relaxation converges once the largest Euler-Lagrange residual falls
