@@ -28,7 +28,7 @@ grad = np.stack([-pts[:, 1], pts[:, 0], np.zeros(400)],
 dev = np.abs(patch_mismatch(g, pts) - grad).max()
 print(f"max |(A_N - A_S) - grad(2 g phi)| over 400 band points: {dev:.3e}")
 
-# flux through spherical caps, from polygon loop integrals only
+# flux through spherical caps, from the loop integral around each rim only
 print(f"\n{'theta':>8} {'cap flux':>14} {'2 pi g (1-cos)':>16}")
 for theta_cap in (0.3, 1.0, np.pi / 2, 2.5):
     flux, _ = cap_flux(g, theta_cap)

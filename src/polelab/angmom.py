@@ -51,7 +51,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .fields import (_SCREENING_CLAMP, PhysicalConfig, _screening_argument,
                      as_vec3, monopole_field, yukawa_electric_field)
-from .gauge import _gl_nodes, _neville_at_zero
+from .gauge import _gl_nodes
 
 
 @dataclass(frozen=True)
@@ -259,6 +259,22 @@ def _tail(pair, r_max):
     bound = abs(q * g) / 8.0 * (16.0 / 3.0) / r_max**2 \
         * math.exp(-u) * ((1.0 + u) / mu + 1.0 / mu)
     return 0.0, bound
+
+
+def _neville_at_zero(x, vals):
+    """Neville table through the points (x[i], vals[i]), evaluated at x = 0.
+
+    Returns (value, error): the last corner of the table and its distance
+    from the previous one. Needs at least two points.
+    """
+    tab = list(vals)
+    levels = len(tab)
+    prev, cur = None, tab[-1]
+    for m in range(1, levels):
+        for i in range(levels - m):
+            tab[i] = (tab[i + 1] * x[i] - tab[i] * x[i + m]) / (x[i] - x[i + m])
+        prev, cur = cur, tab[0]
+    return cur, abs(cur - prev)
 
 
 def _unit_pair(pair):

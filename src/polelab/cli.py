@@ -317,7 +317,7 @@ def cmd_holonomy(run):
                                   levels=cfg["levels"])
         expected = 2.0 * math.pi * cfg["g"] * (1.0 - math.cos(cfg["theta"]))
         phase = cfg["q"] * flux
-    run.diagnostics["flux_extrapolation_error"] = flux_err
+    run.diagnostics["flux_rule_error"] = flux_err
     with run.stage("write"):
         write_json(run.path("holonomy.json"), {
             "cap_flux": flux,

@@ -5,8 +5,12 @@ The single-valuedness of the two-patch transition function e^{i*2*q*g*phi}
 requires 2*q*g to be an integer; the same condition makes a 4*pi*g flux
 string invisible to a charge q and makes the patch mismatch a pure gauge
 gradient. The three formulations are exposed as separate predicates that
-share one residual definition (distance of 2*q*g from the nearest integer),
-so they agree as booleans for every input, not just generic ones.
+take their phase from one winding, 2*(q*g), and its distance from the
+nearest integer, so they agree as booleans for every finite q and g, not
+just generic ones, and refuse together where 2*(q*g) is not finite.
+
+A cap's flux is the north patch's circulation on the rim circle itself, by
+the periodic trapezoid rule of circle_flux.
 """
 
 import math
@@ -23,11 +27,10 @@ OVERLAP_BAND = (np.pi / 2 - 0.3, np.pi / 2 + 0.3)
 
 DEFAULT_TOL = 1e-9
 
-# refined_circle_flux refuses a largest polygon above this many vertices
-# before it builds any: at 2^14 `polelab holonomy` peaks at 93 MiB RSS and
-# takes 0.5 s (59 MiB at the default 256) on a 2-core Xeon, and each
-# further doubling adds about 35 and then 70 MiB
-MAX_POLYGON = 2**14
+# circle_flux refuses a finest rule above this many nodes before it builds
+# any: at 2^14 `polelab holonomy` takes 6 ms and peaks at 38 MiB RSS (36 MiB
+# at the default 256) on a 2-core Xeon, and a few hundred reach rounding
+MAX_NODES = 2**14
 
 
 @dataclass(frozen=True)
@@ -42,9 +45,18 @@ class QuantizationReport:
 
 
 def transition_function(q, g, phi):
-    """Patch transition factor e^{i*2*q*g*phi} at azimuth phi."""
+    """Patch transition factor e^{i*2*q*g*phi} at azimuth phi, formed from
+    the fractional part (fmod, exact) of the turns 2*q*g * phi/(2*pi), which
+    at phi = 2*pi are 2*q*g itself. Turns that are not finite raise
+    DomainError."""
+    n_real = _winding(q, g)[0]
     phi = np.asarray(phi, dtype=float)
-    out = np.exp(2j * q * g * phi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        turns = n_real * (phi / (2.0 * np.pi))
+    if not np.all(np.isfinite(turns)):
+        raise DomainError(f"the transition phase 2*q*g*phi/(2*pi) is not "
+                          f"finite for 2*q*g = {n_real}")
+    out = np.exp(2j * np.pi * np.fmod(turns, 1.0))
     return complex(out) if out.ndim == 0 else out
 
 
@@ -57,11 +69,6 @@ def _winding(q, g):
         raise DomainError(f"2*q*g = {n_real} is not finite")
     n_nearest = int(np.rint(n_real))
     return n_real, abs(n_real - n_nearest), n_nearest
-
-
-def winding_residual(q, g):
-    """Distance of 2*q*g from the nearest integer, with that integer."""
-    return _winding(q, g)[1:]
 
 
 def check_quantization(q, g, tol=DEFAULT_TOL):
@@ -80,14 +87,14 @@ def check_quantization(q, g, tol=DEFAULT_TOL):
 def string_invisibility(q, g, tol=DEFAULT_TOL):
     """True iff the holonomy e^{i*q*4*pi*g} of the full string flux is trivial.
 
-    The winding residual is recovered from the argument of the actual phase
-    factor, so the predicate is the amplitude-level statement of the same
-    condition check_quantization tests arithmetically. tol is in winding
-    units (fraction of a full turn), identical to check_quantization's.
+    The factor is e^{2*pi*i*r}, r the winding's exact distance from its
+    nearest integer; reading r back from its argument makes the predicate the
+    amplitude-level statement of check_quantization's arithmetic one. tol is
+    in winding units (fraction of a full turn), identical to that one's.
     """
     if not 0 < tol < np.inf:
         raise DomainError("tol must be finite and > 0")
-    holonomy = np.exp(1j * q * 4.0 * np.pi * g)
+    holonomy = np.exp(2j * np.pi * _winding(q, g)[1])
     residual = abs(np.angle(holonomy)) / (2.0 * np.pi)
     return bool(residual <= tol)
 
@@ -149,22 +156,6 @@ def _gl_nodes(order):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _neville_at_zero(x, vals):
-    """Neville table through the points (x[i], vals[i]), evaluated at x = 0.
-
-    Returns (value, error): the last corner of the table and its distance
-    from the previous one. Needs at least two points.
-    """
-    tab = list(vals)
-    levels = len(tab)
-    prev, cur = None, tab[-1]
-    for m in range(1, levels):
-        for i in range(levels - m):
-            tab[i] = (tab[i + 1] * x[i] - tab[i] * x[i + m]) / (x[i] - x[i + m])
-        prev, cur = cur, tab[0]
-    return cur, abs(cur - prev)
-
-
 def line_integral(potential, loop):
     """Integral of A . dl around the polyline.
 
@@ -210,38 +201,45 @@ def loop_holonomy(potential, loop, q):
     return np.exp(1j * q * flux), flux
 
 
-def refined_circle_flux(potential, rho, z=0.0, n0=64, levels=3):
-    """Flux through the smooth circle, extrapolated from inscribed polygons.
+def circle_flux(potential, center, u, v, n0=64, levels=3):
+    """Integral of A . dl around the circle center + u cos(t) + v sin(t).
 
-    A fixed N-gon's line integral differs from the smooth circle's by
-    O(1/N^2), so the values at N, 2N, 4N, ... are Neville-extrapolated in
-    1/N^2. Returns (flux, error_estimate). n0 >= 64 keeps the leading
-    polygon error small enough for the extrapolation to reach ~1e-10, and
-    the largest polygon, n0 * 2^(levels - 1), may have at most MAX_POLYGON
-    vertices.
+    A(gamma(t)) . gamma'(t) is smooth and 2 pi-periodic, so the trapezoid
+    rule in t converges geometrically (Trefethen & Weideman, SIAM Review 56
+    (2014) 385). A is evaluated once, at N = n0 * 2^(levels - 1) nodes (at
+    most MAX_NODES); every other node gives the rule I(N/2). Returns
+    (I(N), |I(N) - I(N/2)|). The potential takes points of shape (N, 3).
     """
-    if levels < 2:
-        raise DomainError("refined flux needs at least 2 refinement levels")
+    if n0 < 3 or levels < 2:
+        raise DomainError("the circle rule needs n0 >= 3 and levels >= 2")
     # in Python ints, and by a shift, so no size of n0 or levels overflows
-    if n0 > MAX_POLYGON >> (levels - 1):
-        raise DomainError(f"the largest polygon, n0 * 2^(levels - 1), may "
-                          f"have at most {MAX_POLYGON} vertices")
-    ns = [n0 * 2**k for k in range(levels)]
-    vals = []
-    for n in ns:
-        flux, _ = line_integral(potential, circle_loop(rho, z=z, n=n))
-        vals.append(flux)
-    return _neville_at_zero(1.0 / np.array(ns, dtype=float) ** 2, vals)
+    if n0 > MAX_NODES >> (levels - 1):
+        raise DomainError(f"the finest rule, n0 * 2^(levels - 1), may have "
+                          f"at most {MAX_NODES} nodes")
+    n = n0 << (levels - 1)
+    t = 2.0 * np.pi * np.arange(n) / n
+    cos, sin = np.cos(t)[:, None], np.sin(t)[:, None]
+    a = potential(center + cos * u + sin * v)
+    # each term takes its weight 2 pi / N before the sum, as in
+    # line_integral, so the sum is the integral, not N times it
+    terms = np.einsum("nc,nc->n", a, cos * v - sin * u) * (2.0 * np.pi / n)
+    fine = float(np.sum(terms))
+    return fine, abs(fine - 2.0 * float(np.sum(terms[::2])))
 
 
 def cap_flux(g, theta, r=1.0, n0=64, levels=3):
-    """Flux of a pole g through the spherical cap of opening angle theta,
-    measured as the extrapolated circle holonomy of the north patch. g must
-    carry a finite string flux 4 pi g, the bound of every cap's flux."""
+    """Flux of a pole g through the cap of opening angle theta on the sphere
+    of radius r: the north patch's circle_flux around the rim. Each of the
+    levels rules doubles the n0 nodes of the one before, and the error
+    estimate is the distance between the two finest. g must carry a finite
+    string flux 4 pi g, the bound of every cap's flux."""
+    if not (r > 0 and 0 < theta < math.pi):
+        raise DomainError("a cap needs r > 0 and 0 < theta < pi")
     string_flux = 4.0 * math.pi * float(g)
     if not math.isfinite(string_flux):
         raise DomainError(f"the string flux 4*pi*g = {string_flux} is not "
                           "finite")
     pot = partial(wu_yang_potential, "north", g)
-    return refined_circle_flux(pot, r * np.sin(theta), z=r * np.cos(theta),
-                               n0=n0, levels=levels)
+    rho = r * math.sin(theta)
+    return circle_flux(pot, (0.0, 0.0, r * math.cos(theta)), (rho, 0.0, 0.0),
+                       (0.0, rho, 0.0), n0=n0, levels=levels)

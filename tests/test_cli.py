@@ -614,7 +614,7 @@ def test_holonomy_output(tmp_path):
     assert code == EXIT_OK
     out = json.loads(_read(tmp_path / "holonomy.json"))
     assert out["cap_flux"] == pytest.approx(out["cap_flux_expected"],
-                                            rel=1e-8)
+                                            rel=1e-14)
     assert out["holonomy_factor_re"] == pytest.approx(
         1.0, abs=1e-6) or out["quantization"]["satisfied"]
 
@@ -631,6 +631,18 @@ def test_holonomy_of_a_huge_pole(tmp_path):
     out = json.loads(_read(tmp_path / "holonomy.json"))
     assert out["cap_flux"] == pytest.approx(out["cap_flux_expected"],
                                             rel=1e-8)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_holonomy_of_a_tiny_cap(tmp_path):
+    # on the rim at r = 1.5e-151 the amplitude g/(r*(r + z)) is 1.79e308,
+    # finite; the chords of an inscribed polygon dipped inside the rim,
+    # where it is not, and this cap was refused
+    assert main(["holonomy", "--g", "1645261.0", "--radius",
+                 "1.4933513064141861e-151", "--out", str(tmp_path)]) == EXIT_OK
+    out = json.loads(_read(tmp_path / "holonomy.json"))
+    assert out["cap_flux"] == pytest.approx(out["cap_flux_expected"],
+                                            rel=1e-14)
 
 
 def test_absim_invisibility_output(tmp_path):
@@ -830,8 +842,9 @@ def test_list_flags_drop_empty_tokens(tmp_path):
     (["confine", "--v", "1.7976931348623157e308"], "1/m_V"),
     # np.geomspace overflowed on its way to this r_max
     (["fields", "--r-max", "1.7976931348623157e308"], "r_max^2 overflows"),
-    # the potential's amplitude g/(r*(r + z)) at r = 1.5e-151 is 1.7e308
-    (["holonomy", "--g", "1645261.0", "--radius", "1.4933513064141861e-151"],
+    # the potential's amplitude g/(r*(r + z)) on the rim at r = 1e-151 is
+    # 4.0e308
+    (["holonomy", "--g", "1645261.0", "--radius", "1e-151"],
      "g/(r*(r +- z)) is not finite"),
 ], ids=["angmom-qg-1e400", "angmom-qg-1e308", "confine-length-1e308",
         "holonomy-g-8e307", "holonomy-phase-8e307", "fields-coulomb-1e310",

@@ -2,14 +2,15 @@
 three equivalent forms, loop holonomy, and the covariant-derivative residual.
 
 Independent machinery: dense-polyline trapezoid line integrals (no shared
-code with the Gauss-Legendre panels under test) and closed-form cap fluxes.
+code with the Gauss-Legendre panels under test) and closed-form cap fluxes,
+on caps about the z axis and about tilted axes.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -17,19 +18,18 @@ from polelab.errors import DomainError, SingularPointError
 from polelab.fields import TubeSpec, as_vec3, tube_potential, wu_yang_potential
 import polelab.gauge as gauge
 from polelab.gauge import (
-    MAX_POLYGON,
+    MAX_NODES,
     OVERLAP_BAND,
     LoopPath,
     cap_flux,
     check_quantization,
+    circle_flux,
     circle_loop,
     line_integral,
     loop_holonomy,
     patch_mismatch,
-    refined_circle_flux,
     string_invisibility,
     transition_function,
-    winding_residual,
 )
 
 RNG = np.random.default_rng(7)
@@ -93,12 +93,28 @@ def test_string_invisibility_examples():
     assert string_invisibility(0.0, 7.13)
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
 @settings(max_examples=300, deadline=None)
-@given(q=st.floats(-4, 4, allow_nan=False), g=st.floats(-4, 4,
-                                                        allow_nan=False))
+@given(q=st.one_of(st.floats(-4, 4), _FINITE),
+       g=st.one_of(st.floats(-4, 4), _FINITE))
+# 2qg = 1e8, where one ulp of the full angle q*4*pi*g is 1.9e-8 turns
+@example(q=1.0, g=5e7)
+# 2*q alone overflows; 2*(q*g) is 1.9999999999999998
+@example(q=1e308, g=1e-308)
+@example(q=1e200, g=1e200)
 def test_three_predicates_agree(q, g):
     tol = 1e-9
-    resid, _ = winding_residual(q, g)
+    try:
+        resid = check_quantization(q, g, tol=tol).residual
+    except DomainError:
+        # 2*(q*g) is not finite, and all three refuse it
+        with pytest.raises(DomainError):
+            string_invisibility(q, g, tol=tol)
+        with pytest.raises(DomainError):
+            transition_function(q, g, 2 * np.pi)
+        return
     # knife-edge inputs where the verdict flips inside one tolerance are
     # legitimate disagreement territory for the amplitude form; skip them
     assume(abs(resid - tol) > 1e-12)
@@ -240,43 +256,75 @@ def test_holonomy_additive_on_shared_edge():
     assert_allclose(fb, spec.interior_field * 8.0, rtol=1e-12)
 
 
-def test_refined_circle_flux_hits_smooth_limit():
+def test_circle_flux_hits_smooth_limit():
     spec = TubeSpec(g=0.5, R=1.0)
-    flux, err = refined_circle_flux(lambda r: tube_potential(spec, r),
-                                    rho=5.0)
-    assert_allclose(flux, 2 * np.pi, rtol=1e-11)
-    assert err < 1e-9
+    flux, err = circle_flux(lambda r: tube_potential(spec, r), (0.0, 0.0, 0.0),
+                            (5.0, 0.0, 0.0), (0.0, 5.0, 0.0))
+    assert_allclose(flux, 2 * np.pi, rtol=1e-14)
+    assert err < 1e-14
+
+
+@pytest.mark.parametrize("theta, tilt", [(0.4, 0.7), (1.0, 1.2), (2.2, 0.5),
+                                         (1.0, 2.5)])
+def test_tilted_and_pierced_caps(theta, tilt):
+    # a cap of opening theta on the unit sphere, about an axis tilted from +z:
+    # A varies along its rim. Its flux is 2 pi g (1 - cos theta), less the
+    # north patch's string flux 4 pi g when the cap holds the -z axis, as the
+    # (1.0, 2.5) cap does
+    g = 0.5
+    axis = np.array([math.sin(tilt), 0.0, math.cos(tilt)])
+    u = math.sin(theta) * np.array([math.cos(tilt), 0.0, -math.sin(tilt)])
+    v = math.sin(theta) * np.array([0.0, 1.0, 0.0])   # u x v along the axis
+    expected = 2 * np.pi * g * (1 - math.cos(theta))
+    if math.pi - tilt < theta:
+        expected -= 4 * np.pi * g
+    for n0 in (32, 64, 128):
+        flux, err = circle_flux(lambda r: wu_yang_potential("north", g, r),
+                                math.cos(theta) * axis, u, v, n0=n0, levels=2)
+        # geometric convergence: 2 n0 = 64 nodes or more reach rounding, and
+        # the estimate bounds the error it reports on
+        assert abs(flux - expected) < 1e-12
+        assert abs(flux - expected) <= err + 1e-14
 
 
 class _Built(Exception):
     pass
 
 
-def test_largest_polygon_is_bounded(monkeypatch):
-    # refused before any polygon is built, for sizes past int64 as well;
-    # a largest polygon of exactly MAX_POLYGON vertices is built
-    built = []
+def test_finest_rule_is_bounded(monkeypatch):
+    # refused before any node is built: no potential is evaluated, and the
+    # sizes past int64 would fail in the shift or in numpy, not with the
+    # refusal, had the node count been formed first. A finest rule of
+    # exactly MAX_NODES nodes is evaluated
+    seen = []
 
-    def record(rho, z=0.0, n=64):
-        built.append(n)
+    def record(patch, g, r):
+        seen.append(np.shape(r))
         raise _Built
 
-    monkeypatch.setattr(gauge, "circle_loop", record)
-    for n0, levels in [(MAX_POLYGON // 2 + 1, 2), (64, 100000),
-                       (64, 10**18), (10**30, 2)]:
+    monkeypatch.setattr(gauge, "wu_yang_potential", record)
+    for n0, levels in [(MAX_NODES // 2 + 1, 2), (64, 100000), (64, 10**18),
+                       (10**30, 2), (10**30, 10**18)]:
         with pytest.raises(DomainError, match="at most"):
             cap_flux(0.5, 2.2, n0=n0, levels=levels)
-    assert built == []
+    for n0, levels in [(2, 3), (64, 1), (-1, 3)]:
+        with pytest.raises(DomainError, match="n0 >= 3 and levels >= 2"):
+            cap_flux(0.5, 2.2, n0=n0, levels=levels)
+    assert seen == []
     with pytest.raises(_Built):
-        cap_flux(0.5, 2.2, n0=MAX_POLYGON // 4, levels=3)
-    assert built == [MAX_POLYGON // 4]
+        cap_flux(0.5, 2.2, n0=MAX_NODES // 4, levels=3)
+    assert seen == [(MAX_NODES, 3)]
 
 
 def test_cap_flux_formula():
     g = 0.5
     for theta in (0.4, 1.0, np.pi / 2, 2.2, 2.9):
         flux, _ = cap_flux(g, theta, r=2.0)
-        assert abs(flux - 2 * np.pi * g * (1 - math.cos(theta))) < 1e-8
+        assert abs(flux - 2 * np.pi * g * (1 - math.cos(theta))) < 1e-13
+    for r, theta in [(0.0, 1.0), (-2.0, 1.0), (math.nan, 1.0), (1.0, 0.0),
+                     (1.0, math.pi), (1.0, 3.5)]:
+        with pytest.raises(DomainError, match="a cap needs"):
+            cap_flux(g, theta, r=r)
     # the full-sphere limit approaches the total string flux 4 pi g
     near_full, _ = cap_flux(g, np.pi - 1e-3, r=1.0)
     assert abs(near_full - 4 * np.pi * g) < 4 * np.pi * g * 1e-3
@@ -284,25 +332,25 @@ def test_cap_flux_formula():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cap_flux_of_a_huge_pole(monkeypatch):
-    # 4 pi g = 1.26e308 is finite: each line integral sums its panels to
-    # the integral itself, not to panels times it, so no sum overflows
+    # 4 pi g = 1.26e308 is finite: each term of the rule takes its weight
+    # before the sum, so the sum is the integral and does not overflow
     g, theta = 1e307, 2.2
     flux, err = cap_flux(g, theta)
     expected = 2 * np.pi * g * (1 - math.cos(theta))
     assert math.isfinite(flux) and abs(flux - expected) < 1e-8 * expected
     assert math.isfinite(err)
-    # past that the string flux is not finite, and no polygon is built
-    built = []
+    # past that the string flux is not finite, and the rule never runs
+    ran = []
 
-    def record(rho, z=0.0, n=64):
-        built.append(n)
+    def record(*args, **kwargs):
+        ran.append(args)
         raise _Built
 
-    monkeypatch.setattr(gauge, "circle_loop", record)
+    monkeypatch.setattr(gauge, "circle_flux", record)
     for g in (8e307, math.inf, math.nan):
         with pytest.raises(DomainError, match="4\\*pi\\*g"):
             cap_flux(g, theta)
-    assert built == []
+    assert ran == []
 
 
 def test_holonomy_gauge_invariant():
