@@ -13,7 +13,7 @@ from scipy.integrate import quad
 from polelab.fields import (PhysicalConfig, TubeSpec, local_charge,
                             monopole_field, proca_tube_profile,
                             tube_potential, yukawa_electric_field)
-from polelab.gauge import circle_loop, line_integral
+from polelab.gauge import circle_flux
 
 cfg = PhysicalConfig(q=1.0, g=0.5, mu=1.0)
 
@@ -45,7 +45,7 @@ for g, mu in ((0.5, 1.0), (1.0, 2.0)):
 # A uniform tube of radius R with B = 4 g / R^2 carries the same total,
 # and a loop far outside either tube reads the full winding.
 spec = TubeSpec(g=0.5, R=1.0)
-flux, err = line_integral(lambda r: tube_potential(spec, r),
-                          circle_loop(25.0, n=256))
+flux, err = circle_flux(lambda r: tube_potential(spec, r), (0.0, 0.0, 0.0),
+                        (25.0, 0.0, 0.0), (0.0, 25.0, 0.0))
 print(f"uniform tube, loop at rho=25: flux = {flux:.12f} "
       f"(quadrature err {err:.1e})")

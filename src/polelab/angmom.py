@@ -20,8 +20,10 @@ with a = |r-d|, b = r+d and w(s) = (1 + mu*s) exp(-mu*s). The exclusion
 balls demanded around both singular points are the half-planes r < eps and
 s < eps in these coordinates; J(eps) is evaluated on a halving schedule and
 Richardson-extrapolated to eps = 0 (the excluded contributions scale as
-eps^2). For mu = 0 the integrand beyond r > d is exactly (16/3) d^3 / r^2
-(all higher multipoles integrate to zero against the 1 - u^2 weight), so
+eps^2). That model holds while the screening length 1/mu is at least the
+finest cut, and a cell past it does not count as converged. For mu = 0 the
+integrand beyond r > d is exactly (16/3) d^3 / r^2 (all higher
+multipoles integrate to zero against the 1 - u^2 weight), so
 the tail past r_max is added in closed form; for mu > 0 the tail is bounded
 by its exponential envelope and r_max is pushed out until that bound is
 below a tenth of the target tolerance.
@@ -44,6 +46,7 @@ of the integrand neither underflow nor overflow at any separation.
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -51,7 +54,6 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .fields import (_SCREENING_CLAMP, PhysicalConfig, _screening_argument,
                      as_vec3, monopole_field, yukawa_electric_field)
-from .gauge import _gl_nodes
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,11 @@ R_MAX0 = 50.0
 # the last r_max pushed: _tail squares the next, 1.5 * r_max, which past
 # this overflows; only a mu*d below about 1e-302 needs more pushes
 _R_MAX_LAST = math.sqrt(sys.float_info.max) / 1.5
+
+# gl_order 4 has no quadrature-error estimate (its half-order rule is
+# itself), and past this mu*d its own error outgrows the extrapolation error
+# that stands in for it: at 2 levels the two cross at mu*d = 17.2
+_UNESTIMATED_MU_D_MAX = 16.0
 
 # the inner quadrature evaluates gl_order^2 * M points per outer panel
 # (M ~ 7 + levels inner panels), and leggauss builds a gl_order^2 matrix
@@ -163,6 +170,13 @@ def field_momentum_density(pair, r):
     e = yukawa_electric_field(e_cfg, arr - pair.charge_position)
     b = monopole_field(b_cfg, arr)
     return np.cross(e, b) / (4.0 * np.pi)
+
+
+@lru_cache(maxsize=16)
+def _gl_nodes(order):
+    x, w = np.polynomial.legendre.leggauss(order)
+    # map from [-1, 1] to [0, 1]
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def _inner_panels(r_nodes, s_floor):
@@ -277,6 +291,20 @@ def _neville_at_zero(x, vals):
     return cur, abs(cur - prev)
 
 
+def _resolved_mu_d(quad):
+    """The largest mu*d at which a cell of this spec may count as converged:
+    the screening length 1/(mu*d) must be at least the finest exclusion cut
+    EPS0 / 2^(levels - 1). Past it almost all of the integrand lies inside
+    the excluded balls, where the eps^2 model of the Richardson step fails,
+    and the error estimate falls below the true error: on the default spec
+    from mu*d = 733 up, where the cut is 256. At gl_order 4 it is
+    _UNESTIMATED_MU_D_MAX."""
+    limit = 2.0 ** (quad.levels - 1) / EPS0
+    if max(4, quad.gl_order // 2) == quad.gl_order:
+        limit = min(limit, _UNESTIMATED_MU_D_MAX)
+    return limit
+
+
 def _unit_pair(pair):
     """The pair J is evaluated on: J(d, mu) = J(1, mu*d), and a mu*d past
     the largest float screens J to 0 as the largest float does."""
@@ -290,8 +318,9 @@ def field_angular_momentum(pair, quad=None):
     +q*g as mu -> 0 (component along the charge-to-pole direction). Raises
     ConvergenceError (carrying the best estimate and the stats) unless the
     combined quadrature, extrapolation, and tail errors are within
-    target_tol relative to |q*g|. The stats' error terms, like value, are
-    absolute.
+    target_tol relative to |q*g|, and also past the mu*d the spec resolves
+    (_resolved_mu_d), unless J's bound 2*|q*g|/(mu*d)^2 rounds to 0 there.
+    The stats' error terms, like value, are absolute.
     """
     quad = quad if quad is not None else QuadratureSpec()
     pair = _unit_pair(pair)
@@ -327,13 +356,16 @@ def field_angular_momentum(pair, quad=None):
                             float(err_extrap), float(err_quad), tail_bound)
     value = extrapolated + tail_value
     error = err_extrap + err_quad + tail_bound
-    if not error <= quad.target_tol * scale:
-        raise ConvergenceError(
-            "angular-momentum quadrature did not reach target tolerance",
-            best=value, error=error,
-            history=list(vals), stats=stats,
-        )
-    return AngularMomentum(value, error, stats)
+    limit = _resolved_mu_d(quad)
+    if pair.mu > limit and 2.0 * scale / pair.mu / pair.mu > 0.0:
+        reason = (f"mu*d = {pair.mu:g} is past {limit:g}, the largest this "
+                  "quadrature resolves")
+    elif not error <= quad.target_tol * scale:
+        reason = "angular-momentum quadrature did not reach target tolerance"
+    else:
+        return AngularMomentum(value, error, stats)
+    raise ConvergenceError(reason, best=value, error=error,
+                           history=list(vals), stats=stats)
 
 
 def angular_momentum_sweep(q, g, mu_list, d_list, quad=None):

@@ -1,5 +1,5 @@
-"""Gauge structure around a pole: patch transition functions, loop holonomy,
-and the flux-quantization predicate.
+"""Gauge structure around a pole: patch transition functions, the flux
+around a circle, and the flux-quantization predicate.
 
 The single-valuedness of the two-patch transition function e^{i*2*q*g*phi}
 requires 2*q*g to be an integer; the same condition makes a 4*pi*g flux
@@ -9,13 +9,14 @@ take their phase from one winding, 2*(q*g), and its distance from the
 nearest integer, so they agree as booleans for every finite q and g, not
 just generic ones, and refuse together where 2*(q*g) is not finite.
 
-A cap's flux is the north patch's circulation on the rim circle itself, by
-the periodic trapezoid rule of circle_flux.
+circle_flux is the one integral of A . dl: a periodic trapezoid rule on a
+circle. A cap's flux is the north patch's circulation on its rim, and the
+holonomy a charge q picks up around a loop is e^{i*q*flux}.
 """
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -115,92 +116,6 @@ def patch_mismatch(g, point):
     return wu_yang_potential("north", g, arr) - wu_yang_potential("south", g, arr)
 
 
-# ---------------------------------------------------------------------------
-# loops and line integrals
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LoopPath:
-    """Closed polyline. vertices has shape (N, 3) with first row equal to the
-    last."""
-
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        arr = as_vec3(self.vertices)
-        if arr.ndim != 2 or arr.shape[0] < 4:
-            raise DomainError("a closed loop needs at least 3 distinct vertices plus closure")
-        if not np.allclose(arr[0], arr[-1], rtol=0.0, atol=1e-12):
-            raise DomainError("loop is not closed: first vertex must equal the last")
-        object.__setattr__(self, "vertices", arr)
-
-
-def circle_loop(rho, z=0.0, n=64):
-    """n-vertex closed polygon inscribed in the circle of cylindrical radius
-    rho at height z."""
-    if rho <= 0 or n < 3:
-        raise DomainError("circle loop needs rho > 0 and n >= 3")
-    ang = 2.0 * np.pi * np.arange(n + 1) / n
-    ang[-1] = 0.0  # exact closure
-    verts = np.empty((n + 1, 3))
-    verts[:, 0] = rho * np.cos(ang)
-    verts[:, 1] = rho * np.sin(ang)
-    verts[:, 2] = z
-    return LoopPath(verts)
-
-
-@lru_cache(maxsize=16)
-def _gl_nodes(order):
-    x, w = np.polynomial.legendre.leggauss(order)
-    # map from [-1, 1] to [0, 1]
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def line_integral(potential, loop):
-    """Integral of A . dl around the polyline.
-
-    Composite 12-point Gauss-Legendre panels per segment, doubling the panel
-    count, at most 8 times, until successive values agree to 1e-13 relative
-    to max(1, |value|). Returns (value, error_estimate). The potential must
-    accept points of shape (..., 3).
-    """
-    verts = loop.vertices
-    starts, ends = verts[:-1], verts[1:]
-    seg = ends - starts  # (S, 3)
-    nodes, weights = _gl_nodes(12)
-
-    def value(panels):
-        # panel offsets p/panels + node/panels, all segments at once
-        offs = (np.arange(panels)[:, None] + nodes[None, :]) / panels  # (P, O)
-        pts = starts[:, None, None, :] + offs[None, :, :, None] * seg[:, None, None, :]
-        a = potential(pts)  # (S, P, O, 3)
-        integrand = np.einsum("spoc,sc->spo", a, seg)
-        # the weights, not the sum, take the 1/panels: the sum is then the
-        # integral itself, not panels times it, and 1/panels is a power of
-        # two, so each term is scaled exactly
-        scaled = weights * (1.0 / panels)
-        return float(np.sum(integrand * scaled[None, None, :]))
-
-    prev = value(1)
-    for doubling in range(1, 9):
-        cur = value(2**doubling)
-        err = abs(cur - prev)
-        prev = cur
-        if err <= 1e-13 * max(1.0, abs(cur)):
-            break
-    return prev, err
-
-
-def loop_holonomy(potential, loop, q):
-    """(e^{i*q*closed-loop integral}, integral) for a charge q.
-
-    The complex factor is the phase a charge picks up around the loop; the
-    real number is the enclosed flux as seen through A.
-    """
-    flux, _ = line_integral(potential, loop)
-    return np.exp(1j * q * flux), flux
-
-
 def circle_flux(potential, center, u, v, n0=64, levels=3):
     """Integral of A . dl around the circle center + u cos(t) + v sin(t).
 
@@ -210,6 +125,9 @@ def circle_flux(potential, center, u, v, n0=64, levels=3):
     most MAX_NODES); every other node gives the rule I(N/2). Returns
     (I(N), |I(N) - I(N/2)|). The potential takes points of shape (N, 3).
     """
+    if not all(isinstance(k, (int, np.integer)) for k in (n0, levels)):
+        raise DomainError("the circle rule needs integer n0 and levels")
+    n0, levels = int(n0), int(levels)
     if n0 < 3 or levels < 2:
         raise DomainError("the circle rule needs n0 >= 3 and levels >= 2")
     # in Python ints, and by a shift, so no size of n0 or levels overflows
@@ -220,8 +138,9 @@ def circle_flux(potential, center, u, v, n0=64, levels=3):
     t = 2.0 * np.pi * np.arange(n) / n
     cos, sin = np.cos(t)[:, None], np.sin(t)[:, None]
     a = potential(center + cos * u + sin * v)
-    # each term takes its weight 2 pi / N before the sum, as in
-    # line_integral, so the sum is the integral, not N times it
+    # each term takes its weight 2 pi / N before the sum, so the sum is the
+    # integral, not N times it, and does not overflow where the integral
+    # does not
     terms = np.einsum("nc,nc->n", a, cos * v - sin * u) * (2.0 * np.pi / n)
     fine = float(np.sum(terms))
     return fine, abs(fine - 2.0 * float(np.sum(terms[::2])))

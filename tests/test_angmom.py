@@ -24,6 +24,7 @@ from polelab.angmom import (
     AngularMomentum,
     PairConfig,
     QuadratureSpec,
+    _gl_nodes,
     _inner_integral,
     _outer_breakpoints,
     angular_momentum_sweep,
@@ -32,7 +33,6 @@ from polelab.angmom import (
 )
 from polelab.errors import ConvergenceError, DomainError, SingularPointError
 from polelab.fields import _SCREENING_CLAMP
-from polelab.gauge import _gl_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +142,11 @@ def inner_panel_counts(r_nodes, s_floor):
 
 
 def closed_form_ratio(x):
-    if x == 0:
-        return 1.0
-    return 2.0 * (1.0 - (1.0 + x) * math.exp(-x)) / (x * x)
+    """J / (q*g) = 2 (1 - (1 + x) e^{-x}) / x^2 at x = mu*d; below x = 1e-3,
+    where that form cancels, its series."""
+    if x < 1e-3:
+        return 1.0 - 2.0 * x / 3.0 + x * x / 4.0 - x**3 / 15.0
+    return 2.0 * (-math.expm1(-x) - x * math.exp(-x)) / (x * x)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +260,23 @@ def test_closed_form_cross_check():
         0.05677636283478931, rtol=1e-9)
 
 
+@pytest.mark.parametrize("spec", [
+    QuadratureSpec(),
+    QuadratureSpec(levels=2, gl_order=8),
+    QuadratureSpec(levels=2, gl_order=4, target_tol=1e-3),
+], ids=["default", "levels-2-gl-8", "levels-2-gl-4-tol-1e-3"])
+def test_converged_cells_hold_the_closed_form(spec):
+    # a cell reported converged is within its error of the closed form, and
+    # that error within the tolerance, on 109 log-spaced mu*d in [1e-3, 1e6]
+    mu_d = np.geomspace(1e-3, 1e6, 109)
+    cells = angular_momentum_sweep(1.0, 0.5, mu_d, [1.0], quad=spec)
+    for c in cells:
+        if c.converged:
+            exact = 0.5 * closed_form_ratio(c.mu)
+            assert abs(c.value - exact) <= c.error <= spec.target_tol * 0.5, \
+                c.mu
+
+
 def test_massless_value_independent_of_separation():
     values = []
     for d in (0.5, 1.0, 2.0, 4.0):
@@ -301,8 +320,9 @@ def test_pair_is_evaluated_as_its_unit_pair():
             failed = _outcome(pair, failing)
             assert failed == _outcome(unit, failing), (d, mu)
             failures += isinstance(failed[0], str)
-    # all but mu*d = 4920, whose J of 3e-22 is within the spec's tolerance
-    assert failures == 11
+    # all 12, mu*d = 4920 too: it lies past the 16 this spec resolves, and
+    # its J of 3e-22 is 4.1e-8 off the closed form
+    assert failures == 12
 
 
 @pytest.mark.parametrize("d, mu, eps_frac, order", [

@@ -184,6 +184,19 @@ def test_overflowing_screening_gives_zeros(tmp_path, argv, data, cols):
         assert all(float(values[c]) == 0.0 for c in cols)
 
 
+def test_unresolved_screening_is_not_converged(tmp_path):
+    # at mu*d = 1000 the screening length is below the finest exclusion cut
+    # 1/256, where the quadrature's own error (2.8e-7) understates its true
+    # one (7.2e-7 off the closed form 1.0e-6): the cell fails, its best
+    # value kept
+    assert main(["angmom", "--mu-list", "1", "--d-list", "1000",
+                 "--out", str(tmp_path)]) == EXIT_CONVERGENCE
+    lines = _read(tmp_path / "angmom.csv").decode().strip().split("\n")[1:]
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert row["converged"] == "0"
+    assert 0.0 < float(row["J_z"]) < 1e-6 and float(row["err"]) > 0.0
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("d", ["1e-100", "1e100", "1e200"])
 def test_massless_pair_at_extreme_separations(tmp_path, d):

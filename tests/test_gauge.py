@@ -1,9 +1,11 @@
 """Gauge-sector checks: transition function, the winding predicate in its
-three equivalent forms, loop holonomy, and the covariant-derivative residual.
+three equivalent forms, the flux and holonomy around circles, and the
+covariant-derivative residual.
 
-Independent machinery: dense-polyline trapezoid line integrals (no shared
-code with the Gauss-Legendre panels under test) and closed-form cap fluxes,
-on caps about the z axis and about tilted axes.
+Independent oracles: closed-form fluxes (caps about the z axis and about
+tilted axes, a uniform field times the enclosed area, the quantized tube
+flux), exact identities of the rule (orientation, the vanishing circulation
+of a gradient) and the excluded Dirac-string axis.
 """
 
 import math
@@ -20,13 +22,9 @@ import polelab.gauge as gauge
 from polelab.gauge import (
     MAX_NODES,
     OVERLAP_BAND,
-    LoopPath,
     cap_flux,
     check_quantization,
     circle_flux,
-    circle_loop,
-    line_integral,
-    loop_holonomy,
     patch_mismatch,
     string_invisibility,
     transition_function,
@@ -34,34 +32,8 @@ from polelab.gauge import (
 
 RNG = np.random.default_rng(7)
 
-
-def polar_circle(r, theta, n=64):
-    """Circle of constant polar angle theta on the sphere of radius r."""
-    if not 0 < theta < np.pi:
-        raise DomainError("polar circle needs 0 < theta < pi")
-    return circle_loop(r * np.sin(theta), z=r * np.cos(theta), n=n)
-
-
-def rectangle_loop(x0, x1, y0, y1, z=0.0):
-    verts = np.array([
-        [x0, y0, z], [x1, y0, z], [x1, y1, z], [x0, y1, z], [x0, y0, z]
-    ], dtype=float)
-    return LoopPath(verts)
-
-
-def dense_trapezoid_flux(potential, loop, refine=64):
-    """Trapezoid rule on a refined copy of the polyline; kept deliberately
-    different from the panel quadrature inside line_integral."""
-    verts = loop.vertices
-    total = 0.0
-    for a, b in zip(verts[:-1], verts[1:]):
-        ts = np.linspace(0.0, 1.0, refine + 1)[:, None]
-        pts = a + ts * (b - a)
-        vals = potential(pts)
-        dl = (b - a) / refine
-        seg = np.sum((0.5 * (vals[1:] + vals[:-1])) * dl)
-        total += seg
-    return total
+# the unit circle about the z axis, counterclockwise seen from +z
+ORIGIN, X_HAT, Y_HAT = (0.0, 0.0, 0.0), np.eye(3)[0], np.eye(3)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -195,65 +167,50 @@ def test_patch_mismatch_curl_free():
 
 
 # ---------------------------------------------------------------------------
-# loops and holonomy
+# flux and holonomy around circles
 # ---------------------------------------------------------------------------
-
-def test_loop_path_validation():
-    with pytest.raises(DomainError):
-        LoopPath(vertices=np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]]))
-    square = np.array([[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0],
-                       [1, 0, 0]], dtype=float)
-    loop = LoopPath(vertices=square)
-    rev = LoopPath(vertices=square[::-1])
-    spec = TubeSpec(g=0.5, R=10.0)
-    fwd = line_integral(lambda r: tube_potential(spec, r), loop)[0]
-    bwd = line_integral(lambda r: tube_potential(spec, r), rev)[0]
-    assert_allclose(bwd, -fwd, rtol=0, atol=1e-14)
-
-
-def test_line_integral_against_dense_trapezoid():
-    g = 0.5
-    loop = polar_circle(1.0, np.pi / 2, n=64)
-    val, err = line_integral(lambda r: wu_yang_potential("north", g, r), loop)
-    # trapezoid converges like 1/refine^2, so 1024 points per chord pins the
-    # reference to ~1e-7 relative; good enough to catch sign or factor slips
-    ref = dense_trapezoid_flux(lambda r: wu_yang_potential("north", g, r),
-                               loop, refine=1024)
-    assert err < 1e-10
-    assert_allclose(val, ref, rtol=1e-6)
-
 
 def test_equator_holonomy():
     g, q = 0.5, 1.0
-    loop = polar_circle(1.0, np.pi / 2, n=512)
-    phase, flux = loop_holonomy(
-        lambda r: wu_yang_potential("north", g, r), loop, q)
-    # polygon flux is slightly below the smooth-circle value 2 pi g (1-cos)
-    assert_allclose(flux, np.pi, rtol=1e-4)
-    assert_allclose(phase, np.exp(1j * flux), rtol=1e-12)
+    flux, err = circle_flux(lambda r: wu_yang_potential("north", g, r),
+                            ORIGIN, X_HAT, Y_HAT)
+    # the equator bounds the north hemisphere: 2 pi g (1 - cos(pi/2)) = pi,
+    # half the string flux, so a charge with 2qg = 1 picks up e^{i pi}
+    assert_allclose(flux, np.pi, rtol=1e-14)
+    assert err < 1e-14
+    assert_allclose(np.exp(1j * q * flux), -1.0, rtol=0, atol=1e-14)
 
 
 def test_tube_holonomy_quantized():
+    # a loop outside the tube holds its whole flux 4 pi g = 2 pi: the
+    # holonomy is trivial for an integer 2qg, -1 for a half-integer one,
+    # and exactly 1 for q = 0
     spec = TubeSpec(g=0.5, R=1.0)
-    loop = circle_loop(5.0, n=1024)
-    phase, flux = loop_holonomy(lambda r: tube_potential(spec, r), loop, 1.0)
-    assert_allclose(flux, 2 * np.pi, rtol=1e-5)
-    assert abs(phase - 1.0) < 1e-4
-    phase0, _ = loop_holonomy(lambda r: tube_potential(spec, r), loop, 0.0)
-    assert phase0 == 1.0
+    flux, _ = circle_flux(lambda r: tube_potential(spec, r), ORIGIN,
+                          5.0 * X_HAT, 5.0 * Y_HAT)
+    assert abs(np.exp(1j * 1.0 * flux) - 1.0) < 1e-14
+    assert abs(np.exp(1j * 0.5 * flux) + 1.0) < 1e-14
+    assert np.exp(1j * 0.0 * flux) == 1.0
 
 
-def test_holonomy_additive_on_shared_edge():
-    spec = TubeSpec(g=0.5, R=10.0)   # loops sit inside the uniform field
-    left = rectangle_loop(-2.0, 0.0, -1.0, 1.0)
-    right = rectangle_loop(0.0, 2.0, -1.0, 1.0)
-    both = rectangle_loop(-2.0, 2.0, -1.0, 1.0)
-    fl = line_integral(lambda r: tube_potential(spec, r), left)[0]
-    fr = line_integral(lambda r: tube_potential(spec, r), right)[0]
-    fb = line_integral(lambda r: tube_potential(spec, r), both)[0]
-    assert_allclose(fl + fr, fb, rtol=0, atol=1e-12)
-    # and the flux equals B * area exactly for the uniform interior
-    assert_allclose(fb, spec.interior_field * 8.0, rtol=1e-12)
+def test_swapping_u_and_v_reverses_the_flux():
+    spec = TubeSpec(g=0.5, R=10.0)
+    center = np.array([0.3, -0.2, 0.1])
+    u, v = np.array([1.0, 0.5, 0.0]), np.array([-0.5, 1.0, 0.2])
+    fwd, _ = circle_flux(lambda r: tube_potential(spec, r), center, u, v)
+    bwd, _ = circle_flux(lambda r: tube_potential(spec, r), center, v, u)
+    assert fwd != 0.0
+    assert_allclose(bwd, -fwd, rtol=0, atol=1e-14)
+
+
+def test_flux_inside_uniform_tube_is_b_times_area():
+    # inside the tube B is uniform, so any circle of radius 2 normal to it
+    # holds B * pi * 2^2, on the axis or off it, where A varies on the rim
+    spec = TubeSpec(g=0.5, R=10.0)
+    for center in (ORIGIN, (1.5, -2.0, 0.7)):
+        flux, _ = circle_flux(lambda r: tube_potential(spec, r), center,
+                              2.0 * X_HAT, 2.0 * Y_HAT)
+        assert_allclose(flux, spec.interior_field * np.pi * 4.0, rtol=1e-13)
 
 
 def test_circle_flux_hits_smooth_limit():
@@ -310,10 +267,20 @@ def test_finest_rule_is_bounded(monkeypatch):
     for n0, levels in [(2, 3), (64, 1), (-1, 3)]:
         with pytest.raises(DomainError, match="n0 >= 3 and levels >= 2"):
             cap_flux(0.5, 2.2, n0=n0, levels=levels)
+    for n0, levels in [(64.0, 3), (64, 3.0), (64.5, 3), (64, math.nan),
+                       ("64", 3), (None, 3)]:
+        with pytest.raises(DomainError, match="integer n0 and levels"):
+            cap_flux(0.5, 2.2, n0=n0, levels=levels)
     assert seen == []
     with pytest.raises(_Built):
         cap_flux(0.5, 2.2, n0=MAX_NODES // 4, levels=3)
     assert seen == [(MAX_NODES, 3)]
+    # numpy integers pass, and are checked as Python ints
+    with pytest.raises(DomainError, match="at most"):
+        cap_flux(0.5, 2.2, n0=np.int64(64), levels=np.int64(10**18))
+    monkeypatch.undo()
+    assert cap_flux(0.5, 2.2, n0=np.int32(64), levels=np.uint8(3)) \
+        == cap_flux(0.5, 2.2)
 
 
 def test_cap_flux_formula():
@@ -367,17 +334,23 @@ def test_holonomy_gauge_invariant():
         out[..., 2] = -2 * z * np.sin(x) * np.cos(y) * e
         return out
 
-    loop = circle_loop(3.0, n=256)
-    base = line_integral(lambda r: tube_potential(spec, r), loop)[0]
-    shifted = line_integral(
-        lambda r: tube_potential(spec, r) + grad_lambda(r), loop)[0]
-    assert abs(base - shifted) < 1e-10
+    tilt = 0.6   # out of the x-y plane
+    for center, u, v in [
+            (ORIGIN, 3.0 * X_HAT, 3.0 * Y_HAT),
+            ((0.4, -0.3, 0.5),
+             2.5 * np.array([math.cos(tilt), 0.0, -math.sin(tilt)]),
+             2.5 * Y_HAT)]:
+        base, _ = circle_flux(lambda r: tube_potential(spec, r), center, u, v)
+        shifted, _ = circle_flux(
+            lambda r: tube_potential(spec, r) + grad_lambda(r), center, u, v)
+        assert abs(base - shifted) < 1e-13
 
 
 def test_loop_through_singular_axis_is_loud():
-    loop = polar_circle(1.0, np.pi - 1e-12, n=8)
+    # a north-patch rim 1e-12 from the -z axis, where the patch is singular
     with pytest.raises(SingularPointError):
-        line_integral(lambda r: wu_yang_potential("north", 1.0, r), loop)
+        circle_flux(lambda r: wu_yang_potential("north", 1.0, r),
+                    (0.0, 0.0, -1.0), 1e-12 * X_HAT, 1e-12 * Y_HAT)
 
 
 # ---------------------------------------------------------------------------

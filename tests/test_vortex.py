@@ -19,7 +19,7 @@ from scipy.integrate import solve_ivp
 
 from polelab.errors import AccuracyError, ConvergenceError, DomainError
 from polelab.fields import _azimuthal
-from polelab.gauge import circle_loop, line_integral
+from polelab.gauge import circle_flux
 from polelab.vortex import (
     MAX_GRID,
     MIN_CORE_NODES,
@@ -193,8 +193,9 @@ def vector_potential_fn(model, profile):
 def test_flux_quantization_via_loop_integral(critical_solution):
     profile, _ = critical_solution
     pot = vector_potential_fn(CRITICAL, profile)
-    loop = circle_loop(0.9 * profile.rho_grid[-1], n=256)
-    flux, _ = line_integral(pot, loop)
+    rho = 0.9 * profile.rho_grid[-1]
+    flux, _ = circle_flux(pot, (0.0, 0.0, 0.0), (rho, 0.0, 0.0),
+                          (0.0, rho, 0.0))
     assert_allclose(flux, 2.0 * np.pi, rtol=1e-6)
     assert_allclose(vortex_flux(CRITICAL, profile), 2.0 * np.pi, rtol=1e-15)
 
