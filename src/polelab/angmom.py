@@ -21,7 +21,8 @@ balls demanded around both singular points are the half-planes r < eps and
 s < eps in these coordinates; J(eps) is evaluated on a halving schedule and
 Richardson-extrapolated to eps = 0 (the excluded contributions scale as
 eps^2). That model holds while the screening length 1/mu is at least the
-finest cut, and a cell past it does not count as converged. For mu = 0 the
+cut of the finest level, or of the third, and a cell past it does not
+count as converged (QuadratureSpec.resolved_mu_d). For mu = 0 the
 integrand beyond r > d is exactly (16/3) d^3 / r^2 (all higher
 multipoles integrate to zero against the 1 - u^2 weight), so
 the tail past r_max is added in closed form; for mu > 0 the tail is bounded
@@ -95,11 +96,6 @@ R_MAX0 = 50.0
 # this overflows; only a mu*d below about 1e-302 needs more pushes
 _R_MAX_LAST = math.sqrt(sys.float_info.max) / 1.5
 
-# gl_order 4 has no quadrature-error estimate (its half-order rule is
-# itself), and past this mu*d its own error outgrows the extrapolation error
-# that stands in for it: at 2 levels the two cross at mu*d = 17.2
-_UNESTIMATED_MU_D_MAX = 16.0
-
 # the inner quadrature evaluates gl_order^2 * M points per outer panel
 # (M ~ 7 + levels inner panels), and leggauss builds a gl_order^2 matrix
 MAX_GL_ORDER = 64
@@ -113,8 +109,12 @@ MAX_LEVELS = 47
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Target relative tolerance (finite, > 0), number of eps-halving
-    refinement levels (2 to MAX_LEVELS) and Gauss-Legendre order (4 to
-    MAX_GL_ORDER), checked on construction."""
+    refinement levels (2 to MAX_LEVELS) and Gauss-Legendre order (8 to
+    MAX_GL_ORDER), checked on construction. The quadrature error is
+    estimated against the rule of order gl_order // 2, never the rule
+    itself; below order 8 that misses the rule's own error (at 3 levels,
+    with no mu*d cut, from mu*d = 0.001 at order 4, 5.9, 147 and 188 at
+    orders 5, 6 and 7, all below resolved_mu_d)."""
 
     target_tol: float = 1e-5
     levels: int = 3
@@ -123,10 +123,19 @@ class QuadratureSpec:
     def __post_init__(self):
         if not 2 <= self.levels <= MAX_LEVELS:
             raise DomainError(f"levels must lie in [2, {MAX_LEVELS}]")
-        if not 4 <= self.gl_order <= MAX_GL_ORDER:
-            raise DomainError(f"gl_order must lie in [4, {MAX_GL_ORDER}]")
+        if not 8 <= self.gl_order <= MAX_GL_ORDER:
+            raise DomainError(f"gl_order must lie in [8, {MAX_GL_ORDER}]")
         if not 0 < self.target_tol < np.inf:
             raise DomainError("target_tol must be finite and > 0")
+
+    @property
+    def resolved_mu_d(self):
+        """The largest mu*d a cell may converge at: 1/(mu*d) reaches the cut
+        of the finest level, or of the third. Past it the coarse levels'
+        eps^2 model fails and the error estimate misses the true error (with
+        no cut, at orders 8-16, 24, 32 and 64, from mu*d = 177 at 2 levels
+        and 259 at 3 or more: gl_order 8 from 16 levels on)."""
+        return 2.0 ** (min(self.levels, 3) - 1) / EPS0
 
 
 class QuadratureStats(NamedTuple):
@@ -291,20 +300,6 @@ def _neville_at_zero(x, vals):
     return cur, abs(cur - prev)
 
 
-def _resolved_mu_d(quad):
-    """The largest mu*d at which a cell of this spec may count as converged:
-    the screening length 1/(mu*d) must be at least the finest exclusion cut
-    EPS0 / 2^(levels - 1). Past it almost all of the integrand lies inside
-    the excluded balls, where the eps^2 model of the Richardson step fails,
-    and the error estimate falls below the true error: on the default spec
-    from mu*d = 733 up, where the cut is 256. At gl_order 4 it is
-    _UNESTIMATED_MU_D_MAX."""
-    limit = 2.0 ** (quad.levels - 1) / EPS0
-    if max(4, quad.gl_order // 2) == quad.gl_order:
-        limit = min(limit, _UNESTIMATED_MU_D_MAX)
-    return limit
-
-
 def _unit_pair(pair):
     """The pair J is evaluated on: J(d, mu) = J(1, mu*d), and a mu*d past
     the largest float screens J to 0 as the largest float does."""
@@ -319,8 +314,8 @@ def field_angular_momentum(pair, quad=None):
     ConvergenceError (carrying the best estimate and the stats) unless the
     combined quadrature, extrapolation, and tail errors are within
     target_tol relative to |q*g|, and also past the mu*d the spec resolves
-    (_resolved_mu_d), unless J's bound 2*|q*g|/(mu*d)^2 rounds to 0 there.
-    The stats' error terms, like value, are absolute.
+    (QuadratureSpec.resolved_mu_d), unless J's bound 2*|q*g|/(mu*d)^2
+    rounds to 0 there. The stats' error terms, like value, are absolute.
     """
     quad = quad if quad is not None else QuadratureSpec()
     pair = _unit_pair(pair)
@@ -347,8 +342,7 @@ def field_angular_momentum(pair, quad=None):
     extrapolated, err_extrap = _neville_at_zero(np.array(eps_list) ** 2, vals)
 
     # quadrature error: repeat the finest-eps evaluation at half the GL order
-    runs.append(_j_at_eps(pair, eps_list[-1], r_max,
-                          max(4, quad.gl_order // 2)))
+    runs.append(_j_at_eps(pair, eps_list[-1], r_max, quad.gl_order // 2))
     err_quad = abs(vals[-1] - runs[-1][0])
 
     stats = QuadratureStats(sum(run[1] for run in runs),
@@ -356,7 +350,7 @@ def field_angular_momentum(pair, quad=None):
                             float(err_extrap), float(err_quad), tail_bound)
     value = extrapolated + tail_value
     error = err_extrap + err_quad + tail_bound
-    limit = _resolved_mu_d(quad)
+    limit = quad.resolved_mu_d
     if pair.mu > limit and 2.0 * scale / pair.mu / pair.mu > 0.0:
         reason = (f"mu*d = {pair.mu:g} is past {limit:g}, the largest this "
                   "quadrature resolves")

@@ -38,7 +38,7 @@ from .errors import (AccuracyError, ConvergenceError, DomainError,
 from .fields import (PhysicalConfig, local_charge, monopole_field,
                      yukawa_electric_field)
 from .gauge import DEFAULT_TOL, cap_flux, check_quantization
-from .interference import (FluxLine, InterferenceConfig,
+from .interference import (FluxLine, FringeRow, InterferenceConfig,
                            check_fringe_window, intensity_slice,
                            measure_fringe, measure_invisibility,
                            run_experiment, save_snapshot)
@@ -364,18 +364,14 @@ def cmd_angmom(run):
     return EXIT_OK
 
 
-# a FringeReading's table row: its absim_fringe.csv header and its keys in
-# absim_metrics.json
-_FRINGE_COLS = ("flux", "shift_predicted", "shift_measured", "circular_error")
-
-
 def cmd_absim(run):
-    """Check, then run, then write. Every line and the fringe window are
-    built, and so checked, before the first stage, which is the fringe
-    experiment's. Its reading is judged by check_fringe_window, and its
-    grids are released once read, before the invisibility experiment
-    allocates its own. Every data file is written in the one write stage
-    that follows, so a refused run writes only its manifest."""
+    """Check, then run, then write. The config, and so the lattice, every
+    line and the fringe window are built, and so checked, before the first
+    stage, which is the fringe experiment's. Its reading is judged by
+    check_fringe_window, and its grids are released once read, before the
+    invisibility experiment allocates its own. Every data file is written
+    in the one write stage that follows, so a refused run writes only its
+    manifest."""
     cfg = run.config
     if cfg["mode"] not in ("invisibility", "fringe", "both"):
         raise DomainError("mode must be invisibility, fringe, or both")
@@ -399,10 +395,9 @@ def cmd_absim(run):
             run.diagnostics["fringe_propagation"] = stats._asdict()
             reading = measure_fringe(sim_cfg, fringe_lines, free, grids)
             del free, grids
-        payload["fringe_table"] = [dict(zip(_FRINGE_COLS, row))
-                                   for row in reading.table]
+        payload["fringe_table"] = [row._asdict() for row in reading.table]
         run.diagnostics["fringe_worst_error"] = max(
-            e for *_, e in reading.table)
+            row.circular_error for row in reading.table)
         run.diagnostics["fringe_sensitivity"] = reading.sensitivity
         run.diagnostics["fringe_bin"] = {
             "k": reading.k, "window_points": reading.window_points,
@@ -434,7 +429,7 @@ def cmd_absim(run):
                 save_snapshot(free, run.path("absim_free.f64"))
                 save_snapshot(flux_grid, run.path("absim_flux.f64"))
         if fringe:
-            write_csv(run.path("absim_fringe.csv"), _FRINGE_COLS,
+            write_csv(run.path("absim_fringe.csv"), FringeRow._fields,
                       zip(*reading.table), run.sha)
         write_json(run.path("absim_metrics.json"), payload, run.sha)
     return EXIT_OK

@@ -100,6 +100,12 @@ def _screening_argument(mu, r):
         return np.minimum(mu * r, _SCREENING_CLAMP)
 
 
+def _screened_charge(q, mu, R):
+    """q*(1 + mu*R)*exp(-mu*R); the weight, at most 1, is formed first."""
+    x = _screening_argument(mu, R)
+    return q * ((1.0 + x) * np.exp(-x))
+
+
 def _radial(arr, rmag, numerator, field):
     """The radial field numerator/|r|^2 at the points arr. A magnitude that
     overflows is refused with its cause instead of returned as inf."""
@@ -129,9 +135,7 @@ def yukawa_electric_field(cfg, r):
     """
     arr = as_vec3(r)
     rmag = _radii(arr)
-    x = _screening_argument(cfg.mu, rmag)
-    # the weight (1 + x) exp(-x) is at most 1, so q times it cannot overflow
-    return _radial(arr, rmag, cfg.q * ((1.0 + x) * np.exp(-x)),
+    return _radial(arr, rmag, _screened_charge(cfg.q, cfg.mu, rmag),
                    "q*(1 + mu*r)*exp(-mu*r)/r^2")
 
 
@@ -144,8 +148,7 @@ def local_charge(cfg, R):
     R = np.asarray(R, dtype=float)
     if np.any(R <= 0) or not np.all(np.isfinite(R)):
         raise DomainError("Gauss sphere radius must be finite and > 0")
-    x = _screening_argument(cfg.mu, R)
-    out = cfg.q * ((1.0 + x) * np.exp(-x))
+    out = _screened_charge(cfg.q, cfg.mu, R)
     return float(out) if out.ndim == 0 else out
 
 

@@ -64,11 +64,11 @@ four edge slabs.
 
 A WaveGrid is a value: the packet builders and the propagations return a
 new grid and never write the one they are given. Each input is checked
-once, where it enters: WaveGrid its sides, h, m, dt and the accuracy bound
-dt <= m h^2/2; FluxLine its position, cut and q*flux; InterferenceConfig
-its step count, and its fringe_window the slit gap; gaussian_packet the
-width, the carrier phase and the packet centre; _cut_link the line's
-place.
+where it enters: _check_lattice the sides, h, m, dt and the bound dt <=
+m h^2/2, for a WaveGrid and for the InterferenceConfig it is made from;
+FluxLine its position, cut and q*flux; InterferenceConfig its step count,
+and its fringe_window the slit gap; gaussian_packet the width, the carrier
+phase and the packet centre; _cut_link the line's place.
 Both experiments go through run_experiment alone: it propagates the
 packet free once and once per line, so the free reference is shared by
 all lines, and returns an ExperimentStats. These runs are independent, so
@@ -174,17 +174,7 @@ class WaveGrid:
         psi = np.asarray(self.psi, dtype=np.complex128, order="C")
         if psi.ndim != 2:
             raise DomainError("psi must be a 2-D array")
-        _check_sides(*psi.shape)
-        if not all(np.isfinite(v) and v > 0
-                   for v in (self.h, self.m, self.dt)):
-            raise DomainError("h, m, dt must be finite and > 0")
-        # Cayley factors are unitary for any dt, but the per-step phase error
-        # at the band edge (E_max = 4/(m h^2) in 2-D) is O(1) once dt exceeds
-        # m h^2 / 2; past that the step no longer resolves the dynamics at all
-        limit = 0.5 * self.m * self.h * self.h      # inf, not an overflow
-        if self.dt > limit:
-            raise StabilityError(f"dt = {self.dt} exceeds the accuracy bound "
-                                 f"0.5*m*h^2 = {limit}")
+        _check_lattice(*psi.shape, self.h, self.m, self.dt)
         object.__setattr__(self, "psi", psi)
 
     @property
@@ -232,14 +222,25 @@ class FluxLine:
                                               float(self.position[1])))
 
 
-def _check_sides(nx, ny):
+def _check_lattice(nx, ny, h, m, dt):
+    """The lattice rule of a WaveGrid and of its config: sides in [MIN_GRID,
+    MAX_GRID], h, m and dt finite and > 0, and dt <= m h^2 / 2."""
     if not (MIN_GRID <= nx <= MAX_GRID and MIN_GRID <= ny <= MAX_GRID):
         raise DomainError(f"grid sides must lie in [{MIN_GRID}, {MAX_GRID}]"
                           f", not {nx} x {ny}")
+    if not all(np.isfinite(v) and v > 0 for v in (h, m, dt)):
+        raise DomainError("h, m, dt must be finite and > 0")
+    # Cayley factors are unitary for any dt, but the per-step phase error at
+    # the band edge (E_max = 4/(m h^2) in 2-D) is O(1) once dt exceeds
+    # m h^2 / 2; past that the step no longer resolves the dynamics at all
+    limit = 0.5 * m * h * h      # inf, not an overflow
+    if dt > limit:
+        raise StabilityError(f"dt = {dt} exceeds the accuracy bound "
+                             f"0.5*m*h^2 = {limit}")
 
 
 def make_wave_grid(nx, ny, h=1.0, m=1.0, dt=0.4):
-    _check_sides(nx, ny)
+    _check_lattice(nx, ny, h, m, dt)
     return WaveGrid(psi=np.zeros((nx, ny), dtype=np.complex128), h=h, m=m, dt=dt)
 
 
@@ -608,8 +609,8 @@ def load_snapshot(bin_path):
 class InterferenceConfig:
     """Size, packet and step count of the canonical runs; lengths in units
     of h. The source, flux line and probe sit at fixed fractions of the grid
-    width (SOURCE_X_FRACTION, FLUX_X_FRACTION, PROBE_X_FRACTION). The step
-    count, given or derived, is checked on construction."""
+    width (SOURCE_X_FRACTION, FLUX_X_FRACTION, PROBE_X_FRACTION). The
+    lattice, then the step count, given or derived, are checked on creation."""
 
     nx: int = 512
     ny: int = 512
@@ -622,6 +623,7 @@ class InterferenceConfig:
     steps: int = 0                  # 0: derive from the group velocity
 
     def __post_init__(self):
+        _check_lattice(self.nx, self.ny, self.h, self.m, self.dt)
         _check_steps(self.steps)
         count = self.steps or self._steps_to_probe()
         if not 0 < count <= MAX_STEPS:
@@ -640,10 +642,9 @@ class InterferenceConfig:
     def _steps_to_probe(self):
         """The steps at the group velocity sin(k h)/(m h) from the source
         to the probe, unrounded; nan where it does not advance the packet."""
-        kh, mh = self.k * self.h, self.m * self.h
-        if not (math.isfinite(kh) and mh):
-            return math.nan
-        advance = math.sin(kh) / mh * self.dt
+        kh = self.k * self.h            # sin(inf) would raise
+        advance = (math.sin(kh) / (self.m * self.h) * self.dt
+                   if math.isfinite(kh) else 0.0)
         src, _, probe_x = self.geometry()
         return (probe_x - src[0]) / advance if advance > 0 else math.nan
 
@@ -671,7 +672,7 @@ class InterferenceConfig:
     def fringe_window(self):
         """The fringe window on the probe column: (probe column ix, the
         window's row indices, window_periods). DomainError if it holds
-        fewer than 16 rows or h is not > 0.
+        fewer than 16 rows.
 
         The two-path loop encloses the puncture only for screen points
         within about half the slit gap s of the axis, so the window keeps
@@ -681,8 +682,6 @@ class InterferenceConfig:
         distance L past the source: FRINGE_WINDOW_FRACTION k s^2 / (pi L),
         with k the carrier momentum.
         """
-        if not self.h > 0:
-            raise DomainError("h must be > 0: the window is measured in h")
         src, _, probe_x = self.geometry()
         gap = self.slit_separation
         y = self.h * np.arange(self.ny)
@@ -793,10 +792,18 @@ def measure_invisibility(config, grid_with_flux, grid_free):
                         np.abs(grid_free.psi[window]) ** 2)
 
 
+class FringeRow(NamedTuple):
+    """One line's row of a FringeReading's table, shifts in periods; the
+    names are absim_fringe.csv's header and fringe_table's keys."""
+    flux: float
+    shift_predicted: float
+    shift_measured: float
+    circular_error: float
+
+
 class FringeReading(NamedTuple):
     """What measure_fringe read off one two-slit experiment. Per line, in
-    line order: the table row (flux, predicted, measured, circular error),
-    shifts as fractions of a period, and the sensitivity ||I_line -
+    line order: the table's FringeRow and the sensitivity ||I_line -
     I_free|| / ||I_free|| of the window to the line. Then the bin k every
     phase is read at, chosen from the free pattern alone, the window's
     points, and window_periods, the fringe periods the window spans."""
@@ -828,7 +835,8 @@ def measure_fringe(config, lines, grid_free, grids):
         measured = _fringe_phase(pattern, spectrum, k_star)
         predicted = two_path_fringe_shift(line.charge, line.flux)
         err = abs(measured - predicted)
-        table.append((line.flux, predicted, measured, min(err, 1.0 - err)))
+        table.append(FringeRow(line.flux, predicted, measured,
+                               min(err, 1.0 - err)))
         sensitivity.append(_relative_l2(pattern, free))
     return FringeReading(table, sensitivity, k_star, len(free), periods)
 
@@ -847,9 +855,10 @@ def check_fringe_window(reading):
     window that fails reads its phases at the free pattern's envelope
     (k* = 1 where about 2 or 3 periods fit), and its shifts are off by up
     to half a period."""
-    seen = [sensitivity for (_, shift, _, _), sensitivity
+    seen = [sensitivity for row, sensitivity
             in zip(reading.table, reading.sensitivity)
-            if min(shift, 1.0 - shift) >= FRINGE_EXEMPT_SHIFT]
+            if min(row.shift_predicted, 1.0 - row.shift_predicted)
+            >= FRINGE_EXEMPT_SHIFT]
     if seen and max(seen) < FRINGE_MIN_SENSITIVITY:
         raise AccuracyError(
             f"fringe window does not see the flux: sensitivity {max(seen):.3g}"

@@ -49,7 +49,8 @@ MIN_CORE_NODES = 5
 
 @dataclass(frozen=True)
 class HiggsModel:
-    """Charge q of the condensate, vacuum value v, quartic coupling lam."""
+    """Charge q (nonzero: beta, the energy, B_z and the flux divide by it)
+    of the condensate, vacuum value v, quartic coupling lam."""
 
     q: float
     v: float
@@ -59,6 +60,9 @@ class HiggsModel:
         for name in ("q", "v", "lam"):
             if not np.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
+        if self.q == 0:
+            raise DomainError("charge q must be nonzero: at q = 0 the photon "
+                              "decouples from the condensate")
         if self.v <= 0:
             raise DomainError("vacuum expectation value v must be > 0")
         if self.lam <= 0:
@@ -74,8 +78,6 @@ class HiggsModel:
 
     @property
     def beta(self):
-        if self.q == 0:
-            raise DomainError("beta undefined for q = 0 (photon decoupled)")
         return self.lam / (2.0 * self.q**2)
 
 
@@ -139,8 +141,6 @@ def _density_terms(model, profile):
     """(rho, 2*pi*rho*energy_density) with the axis limit handled."""
     rho, f, a = profile.rho_grid, profile.f, profile.a
     n, q, v, lam = profile.n, model.q, model.v, model.lam
-    if q == 0:
-        raise DomainError("vortex energy requires q != 0")
     fp = np.gradient(f, rho, edge_order=2)
     ap = np.gradient(a, rho, edge_order=2)
     safe = np.where(rho > 0, rho, 1.0)
@@ -267,8 +267,6 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
         raise DomainError("winding number n must be an integer")
     if n <= 0:
         raise DomainError("winding number n must be >= 1")
-    if model.q == 0:
-        raise DomainError("vortex solve requires q != 0")
     if not 512 <= grid <= MAX_GRID:
         raise DomainError(f"grid must have 512 to {MAX_GRID} points")
     if not 0 < tol < np.inf:

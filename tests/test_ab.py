@@ -28,6 +28,7 @@ from polelab.interference import (
     ExperimentStats,
     FluxLine,
     FringeReading,
+    FringeRow,
     InterferenceConfig,
     WaveGrid,
     check_fringe_window,
@@ -102,6 +103,10 @@ def test_stability_bound_rejects_coarse_dt(packet128):
     # so no propagation sees one
     with pytest.raises(StabilityError, match="0.5\\*m\\*h\\^2"):
         replace(packet128, dt=0.6)
+    # the config a grid is made from keeps the same bound, so no experiment
+    # sees a config past it
+    with pytest.raises(StabilityError, match="0.5\\*m\\*h\\^2"):
+        replace(CFG128, dt=0.6)
     with pytest.raises(StabilityError):
         make_wave_grid(128, 128, m=0.5, dt=0.26)
     assert make_wave_grid(128, 128, dt=0.5).dt == 0.5
@@ -487,8 +492,9 @@ def test_fringe_window_must_see_the_flux(separation, blind):
 def _reading(lines, sensitivity, k=1, window_periods=1.0):
     """A FringeReading that only check_fringe_window's inputs are set in:
     each line's table row carries its predicted shift."""
-    table = [(line.flux, two_path_fringe_shift(line.charge, line.flux),
-              0.0, 0.0) for line in lines]
+    table = [FringeRow(line.flux,
+                       two_path_fringe_shift(line.charge, line.flux), 0.0,
+                       0.0) for line in lines]
     return FringeReading(table, sensitivity, k, 29, window_periods)
 
 
@@ -555,13 +561,12 @@ def test_experiment_matches_separate_runs():
     (CFG128, "single", FluxLine(position=(64.0, 500.0), flux=1.0, charge=1.0),
      DomainError),
     (CFG128, "wide", None, DomainError),
-    (replace(CFG128, dt=0.6), "single", None, StabilityError),
-], ids=["single-bad0", "single-bad1", "wide-None", "unstable-dt"])
+], ids=["single-bad0", "single-bad1", "wide-None"])
 def test_experiment_checks_everything_before_propagating(monkeypatch, cfg,
                                                          packet, bad, error):
-    # a line in the sponge, a line off the grid, an unknown packet or a
-    # time step past 0.5 m h^2 fails before the worker pool starts, even
-    # after a good line
+    # a line in the sponge, a line off the grid or an unknown packet fails
+    # before the worker pool starts, even after a good line; a time step
+    # past 0.5 m h^2 makes no config (test_stability_bound_rejects_coarse_dt)
     calls = []
     monkeypatch.setattr(interference, "ProcessPoolExecutor",
                         lambda *args, **kw: calls.append(args))
@@ -631,11 +636,35 @@ def test_config_step_resolution():
     # not move toward the probe has none, and a count that is not a
     # nonnegative int or resolves above MAX_STEPS is refused
     bad = [{"k": k} for k in (0.0, -0.9, float("nan"), float("inf"), 1e-10)]
-    bad += [{"dt": 1e-320}, {"m": 5e-324, "h": 5e-324}, {"steps": 2.5},
-            {"steps": -1}, {"steps": MAX_STEPS + 1}, {"steps": 10**12}]
+    bad += [{"dt": 1e-320}, {"steps": 2.5}, {"steps": -1},
+            {"steps": MAX_STEPS + 1}, {"steps": 10**12}]
     for kwargs in bad:
         with pytest.raises(DomainError):
             InterferenceConfig(**kwargs)
+    # 0.5 m h^2 underflows to 0 here: the lattice's accuracy bound refuses
+    # it before any step count is derived
+    with pytest.raises(StabilityError):
+        InterferenceConfig(m=5e-324, h=5e-324)
+
+
+@pytest.mark.parametrize("kwargs, error, match", [
+    ({"nx": 10, "ny": 10}, DomainError, "grid sides"),
+    ({"nx": MAX_GRID + 1}, DomainError, "grid sides"),
+    ({"h": 0.0}, DomainError, "h, m, dt"),
+    ({"h": -1.0}, DomainError, "h, m, dt"),
+    ({"m": 0.0}, DomainError, "h, m, dt"),
+    ({"dt": float("nan")}, DomainError, "h, m, dt"),
+    ({"dt": 10.0}, StabilityError, "0.5\\*m\\*h\\^2"),
+])
+def test_config_refuses_the_lattice_its_grids_would_refuse(kwargs, error,
+                                                           match):
+    # the config and every grid made from it share one lattice rule, and
+    # the config applies it first, naming the lattice as the cause
+    with pytest.raises(error, match=match):
+        InterferenceConfig(**kwargs)
+    cfg = {**dict(nx=128, ny=128, h=1.0, m=1.0, dt=0.4), **kwargs}
+    with pytest.raises(error, match=match):
+        make_wave_grid(cfg["nx"], cfg["ny"], cfg["h"], cfg["m"], cfg["dt"])
 
 
 # ---------------------------------------------------------------------------

@@ -260,16 +260,27 @@ def test_closed_form_cross_check():
         0.05677636283478931, rtol=1e-9)
 
 
-@pytest.mark.parametrize("spec", [
-    QuadratureSpec(),
-    QuadratureSpec(levels=2, gl_order=8),
-    QuadratureSpec(levels=2, gl_order=4, target_tol=1e-3),
-], ids=["default", "levels-2-gl-8", "levels-2-gl-4-tol-1e-3"])
-def test_converged_cells_hold_the_closed_form(spec):
+@pytest.mark.parametrize("spec, converged", [
+    (QuadratureSpec(), 65),
+    (QuadratureSpec(levels=2, gl_order=8, target_tol=1e-3), 62),
+    (QuadratureSpec(levels=4, gl_order=8, target_tol=1e-3), 65),
+    (QuadratureSpec(levels=5, gl_order=8), 50),
+    (QuadratureSpec(levels=6, gl_order=12, target_tol=1e-4), 65),
+], ids=["default", "levels-2-gl-8", "levels-4-gl-8-tol-1e-3", "levels-5-gl-8",
+        "levels-6-gl-12-tol-1e-4"])
+def test_converged_cells_hold_the_closed_form(spec, converged):
     # a cell reported converged is within its error of the closed form, and
-    # that error within the tolerance, on 109 log-spaced mu*d in [1e-3, 1e6]
+    # that error within the tolerance, on 109 log-spaced mu*d in [1e-3, 1e6];
+    # the cells that converge, all those up to mu*d = 215 but the levels-5
+    # spec's (up to 12), are counted, so no spec passes by converging
+    # nowhere. Levels 4 to 6 resolved mu*d up to 512, 1024 and 2048 before,
+    # and converged cells from mu*d = 316 on missed the closed form. Specs
+    # of 6 or more levels at gl_order 24 or more stay out: there err can
+    # fall below the rounding of the value (at 8 levels and gl_order 24, an
+    # err of 1.3e-16 against a miss of 2.2e-16 at mu*d = 0.65)
     mu_d = np.geomspace(1e-3, 1e6, 109)
     cells = angular_momentum_sweep(1.0, 0.5, mu_d, [1.0], quad=spec)
+    assert sum(c.converged for c in cells) >= converged
     for c in cells:
         if c.converged:
             exact = 0.5 * closed_form_ratio(c.mu)
@@ -310,7 +321,7 @@ def test_pair_is_evaluated_as_its_unit_pair():
     # J(d, mu) = J(1, mu*d) exactly: value, error and stats, or under a
     # spec that fails, the ConvergenceError's contents; d need not be a
     # power of two
-    failing = QuadratureSpec(levels=2, gl_order=4, target_tol=1e-12)
+    failing = QuadratureSpec(levels=2, gl_order=8, target_tol=1e-12)
     failures = 0
     for d in (3.0, 4.0 / 3.0, 1e-3, 123.0):
         for mu in (0.0, 0.7, 40.0):
@@ -320,8 +331,7 @@ def test_pair_is_evaluated_as_its_unit_pair():
             failed = _outcome(pair, failing)
             assert failed == _outcome(unit, failing), (d, mu)
             failures += isinstance(failed[0], str)
-    # all 12, mu*d = 4920 too: it lies past the 16 this spec resolves, and
-    # its J of 3e-22 is 4.1e-8 off the closed form
+    # all 12, mu*d = 4920 too: it lies past the 128 this spec resolves
     assert failures == 12
 
 
@@ -425,7 +435,7 @@ def test_massless_limit_continuous():
 
 def test_unreachable_tolerance_raises_with_best():
     pair = PairConfig(q=1.0, g=0.5, d=1.0, mu=1.0)
-    spec = QuadratureSpec(levels=2, gl_order=4, target_tol=1e-12)
+    spec = QuadratureSpec(levels=2, gl_order=8, target_tol=1e-12)
     with pytest.raises(ConvergenceError) as exc_info:
         field_angular_momentum(pair, spec)
     err = exc_info.value
@@ -435,7 +445,7 @@ def test_unreachable_tolerance_raises_with_best():
 
 
 def test_sweep_records_failures_instead_of_raising():
-    spec = QuadratureSpec(levels=2, gl_order=4, target_tol=1e-12)
+    spec = QuadratureSpec(levels=2, gl_order=8, target_tol=1e-12)
     cells = angular_momentum_sweep(1.0, 0.5, [1.0], [1.0, 2.0], quad=spec)
     assert len(cells) == 2
     assert all(not c.converged for c in cells)
@@ -469,7 +479,7 @@ def test_sweep_computes_each_unit_pair_once(monkeypatch):
 def test_sweep_reuses_failures():
     # the failing spec of test_sweep_records_failures_instead_of_raising;
     # mu*d = 1 twice, so the second cell copies the first cell's failure
-    spec = QuadratureSpec(levels=2, gl_order=4, target_tol=1e-12)
+    spec = QuadratureSpec(levels=2, gl_order=8, target_tol=1e-12)
     cells = angular_momentum_sweep(1.0, 0.5, [1.0, 2.0], [1.0, 0.5],
                                    quad=spec)
     assert [c.reused for c in cells] == [False, False, False, True]
@@ -486,7 +496,7 @@ def test_sweep_reuses_failures():
     (0.0, QuadratureSpec()),
     (1.0, QuadratureSpec()),
     (0.005, QuadratureSpec(levels=4, gl_order=10, target_tol=1e-7)),
-    (1.0, QuadratureSpec(levels=2, gl_order=4, target_tol=1e-12)),
+    (1.0, QuadratureSpec(levels=2, gl_order=8, target_tol=1e-12)),
 ])
 def test_stats_count_what_the_quadrature_did(monkeypatch, mu, spec):
     # count every inner call as the padded block evaluates it: each node
@@ -535,8 +545,11 @@ def test_r_max_push_stops_before_its_square_overflows():
 
 
 def test_gl_order_is_bounded():
+    # from order 8 on the half-order rule of the error estimate, order // 2,
+    # has at least 4 points and is never the rule itself
     assert QuadratureSpec(gl_order=MAX_GL_ORDER).gl_order == MAX_GL_ORDER
-    for order in (MAX_GL_ORDER + 1, 100000):
+    assert QuadratureSpec(gl_order=8).gl_order == 8
+    for order in (4, 5, 6, 7, MAX_GL_ORDER + 1, 100000):
         with pytest.raises(DomainError, match="gl_order"):
             QuadratureSpec(gl_order=order)
 

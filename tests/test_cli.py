@@ -197,6 +197,29 @@ def test_unresolved_screening_is_not_converged(tmp_path):
     assert 0.0 < float(row["J_z"]) < 1e-6 and float(row["err"]) > 0.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["--mu-list", "1", "--d-list", "2300", "--levels", "8"],
+    ["--d-list", "300", "--levels", "5", "--gl-order", "8"],
+])
+def test_more_levels_do_not_resolve_more_screening(tmp_path, argv):
+    # more levels refine the finest cut but not the coarse ones, and past
+    # mu*d = 256 the error estimate misses the true error at any level
+    # count: these cells used to be reported converged and off the closed
+    # form by more than their err; now they fail, and every converged row
+    # holds the closed form
+    assert main(["angmom", *argv, "--out", str(tmp_path)]) == EXIT_CONVERGENCE
+    lines = _read(tmp_path / "angmom.csv").decode().strip().split("\n")[1:]
+    rows = [dict(zip(lines[0].split(","), map(float, line.split(","))))
+            for line in lines[1:]]
+    assert any(row["converged"] == 0.0 for row in rows)
+    for row in rows:
+        if row["converged"]:
+            x = row["mu"] * row["d"]
+            exact = 0.5 if x == 0.0 else \
+                (-np.expm1(-x) - x * np.exp(-x)) / (x * x)
+            assert abs(row["J_z"] - exact) <= row["err"], row
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("d", ["1e-100", "1e100", "1e200"])
 def test_massless_pair_at_extreme_separations(tmp_path, d):
@@ -299,7 +322,7 @@ def test_any_flag_values_give_a_documented_exit_code(cmd):
 def test_convergence_exit_code(tmp_path):
     # quadrature budget far too small for the requested tolerance
     code = main(["angmom", "--mu-list", "1", "--d-list", "1",
-                 "--tol", "1e-12", "--levels", "2", "--gl-order", "4",
+                 "--tol", "1e-12", "--levels", "2", "--gl-order", "8",
                  "--out", str(tmp_path)])
     assert code == EXIT_CONVERGENCE
     man = _manifest(tmp_path, "angmom")
@@ -370,6 +393,8 @@ def test_stability_exit_code(tmp_path):
     assert code == EXIT_STABILITY
     man = _manifest(tmp_path, "absim")
     assert man["status"] == "error" and "0.5*m*h^2" in man["error"]
+    # the config refuses the lattice before the first stage
+    assert man["stages_seconds"] == {}
 
 
 def test_version_flag():
@@ -779,10 +804,37 @@ def test_confine_output(tmp_path):
     ["holonomy", "--g", "1e308"],
     # 2*q*g is finite, but the string's phase q*4*pi*g is not
     ["holonomy", "--g", "8e307"],
+    ["angmom", "--gl-order", "4"],
+    # the lattice is refused by the config, before the fringe window
+    ["absim", "--nx", "10", "--ny", "10"],
+    ["absim", "--m", "0"],
+    # the model is refused before the solve stage starts
+    ["vortex", "--q", "0"],
+    ["confine", "--q", "0"],
 ])
 def test_bad_inputs_are_refused_before_the_solve(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
     assert _manifest(tmp_path, argv[0])["stages_seconds"] == {}
+
+
+@pytest.mark.parametrize("argv, code, cause", [
+    (["angmom", "--gl-order", "4"], EXIT_USAGE, "gl_order must lie in [8, "),
+    (["absim", "--nx", "10", "--ny", "10"], EXIT_USAGE,
+     "grid sides must lie in [64, 4096], not 10 x 10"),
+    (["absim", "--h", "0"], EXIT_USAGE, "h, m, dt must be finite and > 0"),
+    (["absim", "--h", "-1"], EXIT_USAGE, "h, m, dt must be finite and > 0"),
+    (["absim", "--m", "0"], EXIT_USAGE, "h, m, dt must be finite and > 0"),
+    (["absim", "--dt", "10"], EXIT_STABILITY,
+     "dt = 10.0 exceeds the accuracy bound 0.5*m*h^2"),
+    (["vortex", "--q", "0"], EXIT_USAGE, "charge q must be nonzero"),
+    (["confine", "--q", "0"], EXIT_USAGE, "charge q must be nonzero"),
+])
+def test_refusals_name_their_cause(tmp_path, argv, code, cause):
+    # each domain is decided by the config that owns it, which names the
+    # input at fault, before any stage runs
+    assert main(argv + ["--out", str(tmp_path)]) == code
+    man = _manifest(tmp_path, argv[0])
+    assert cause in man["error"] and man["stages_seconds"] == {}
 
 
 @pytest.mark.parametrize("argv", [
