@@ -555,24 +555,25 @@ def test_experiment_matches_separate_runs():
             assert np.array_equal(grid.psi, alone.psi)
 
 
-@pytest.mark.parametrize("cfg, packet, bad, error", [
-    (CFG128, "single", FluxLine(position=(5.0, 64.0), flux=1.0, charge=1.0),
+@pytest.mark.parametrize("changes, packet, bad, error", [
+    ({}, "single", FluxLine(position=(5.0, 64.0), flux=1.0, charge=1.0),
      DomainError),
-    (CFG128, "single", FluxLine(position=(64.0, 500.0), flux=1.0, charge=1.0),
+    ({}, "single", FluxLine(position=(64.0, 500.0), flux=1.0, charge=1.0),
      DomainError),
-    (CFG128, "wide", None, DomainError),
-], ids=["single-bad0", "single-bad1", "wide-None"])
-def test_experiment_checks_everything_before_propagating(monkeypatch, cfg,
+    ({}, "wide", None, DomainError),
+    ({"dt": 0.6}, "single", None, StabilityError),
+], ids=["single-bad0", "single-bad1", "wide-None", "unstable-dt"])
+def test_experiment_checks_everything_before_propagating(monkeypatch, changes,
                                                          packet, bad, error):
-    # a line in the sponge, a line off the grid or an unknown packet fails
-    # before the worker pool starts, even after a good line; a time step
-    # past 0.5 m h^2 makes no config (test_stability_bound_rejects_coarse_dt)
+    # a line in the sponge, a line off the grid, an unknown packet or a
+    # time step past 0.5 m h^2 fails before the worker pool starts, even
+    # after a good line; the time step is refused as the config is made
     calls = []
     monkeypatch.setattr(interference, "ProcessPoolExecutor",
                         lambda *args, **kw: calls.append(args))
-    lines = [cfg.flux_line(2.0 * np.pi, 1.0)] + ([bad] if bad else [])
+    lines = [CFG128.flux_line(2.0 * np.pi, 1.0)] + ([bad] if bad else [])
     with pytest.raises(error):
-        run_experiment(cfg, packet, lines)
+        run_experiment(replace(CFG128, **changes), packet, lines)
     assert calls == []
 
 
