@@ -52,9 +52,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import (ConvergenceError, DomainError, check_count,
+                     check_finite, check_positive)
 from .fields import (_SCREENING_CLAMP, PhysicalConfig, _screening_argument,
                      as_vec3, monopole_field, yukawa_electric_field)
+from .gauge import _winding
 
 
 @dataclass(frozen=True)
@@ -67,14 +69,10 @@ class PairConfig:
     mu: float = 0.0
 
     def __post_init__(self):
-        for name in ("q", "g", "d", "mu"):
-            if not np.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+        check_finite("q, g, d, mu", self.q, self.g, self.d, self.mu)
         # the massless tail 2*(q*g)/(3*r_max) is the largest product the
         # quadrature forms with q*g; past the float range J would be inf
-        two_qg = 2.0 * (self.q * self.g)
-        if not math.isfinite(two_qg):
-            raise DomainError(f"2*q*g = {two_qg} is not finite")
+        _winding(self.q, self.g)
         # d > 0, and d/64 and 8*d^2 do not underflow to 0: a separation
         # too small to hold an exclusion ball or to square is refused here,
         # though J itself is evaluated on the unit pair
@@ -121,12 +119,9 @@ class QuadratureSpec:
     gl_order: int = 24
 
     def __post_init__(self):
-        if not 2 <= self.levels <= MAX_LEVELS:
-            raise DomainError(f"levels must lie in [2, {MAX_LEVELS}]")
-        if not 8 <= self.gl_order <= MAX_GL_ORDER:
-            raise DomainError(f"gl_order must lie in [8, {MAX_GL_ORDER}]")
-        if not 0 < self.target_tol < np.inf:
-            raise DomainError("target_tol must be finite and > 0")
+        check_count("levels", self.levels, 2, MAX_LEVELS)
+        check_count("gl_order", self.gl_order, 8, MAX_GL_ORDER)
+        check_positive("target_tol", self.target_tol)
 
     @property
     def resolved_mu_d(self):

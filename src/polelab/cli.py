@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .angmom import QuadratureSpec, angular_momentum_sweep
 from .errors import (AccuracyError, ConvergenceError, DomainError,
-                     StabilityError)
+                     StabilityError, check_count, check_finite)
 from .fields import (PhysicalConfig, local_charge, monopole_field,
                      yukawa_electric_field)
 from .gauge import DEFAULT_TOL, cap_flux, check_quantization
@@ -133,8 +133,9 @@ def _coerce(cmd, key, value):
             return value in (1, "1")
         if isinstance(default, int):
             out = int(value)
-            if isinstance(value, float) and value != out:
-                raise ValueError("not an integer")
+            if (isinstance(value, bool)
+                    or isinstance(value, float) and value != out):
+                raise ValueError(f"expected an integer, got {value!r}")
             return out
         if isinstance(default, list):
             if isinstance(value, str):
@@ -280,8 +281,7 @@ def cmd_fields(run):
     # on its way to an r_max near the float limit
     if not math.isfinite(cfg["r_max"] * cfg["r_max"]):
         raise DomainError("r_max^2 overflows: coordinates too large")
-    if not 2 <= cfg["samples"] <= MAX_SAMPLES:
-        raise DomainError(f"samples must lie in [2, {MAX_SAMPLES}]")
+    check_count("samples", cfg["samples"], 2, MAX_SAMPLES)
     if cfg["g"] == 0:
         raise DomainError("g must be nonzero: b_over_coulomb divides by it")
     with run.stage("solve"):
@@ -309,8 +309,7 @@ def cmd_holonomy(run):
     # before the solve
     report = check_quantization(cfg["q"], cfg["g"], tol=cfg["tol"])
     # |q * cap flux| is at most the string's phase, q * 4 pi g
-    if not math.isfinite(4.0 * math.pi * (cfg["q"] * cfg["g"])):
-        raise DomainError("the string's phase q*4*pi*g is not finite")
+    check_finite("q*4*pi*g", 4.0 * math.pi * (cfg["q"] * cfg["g"]))
     with run.stage("solve"):
         flux, flux_err = cap_flux(cfg["g"], cfg["theta"], cfg["radius"],
                                   n0=cfg["base_segments"],

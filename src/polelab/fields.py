@@ -20,7 +20,8 @@ importing polelab (and so every CLI command) does not load it.
 import numpy as np
 from dataclasses import dataclass
 
-from .errors import DomainError, SingularPointError
+from .errors import (DomainError, SingularPointError, check_finite,
+                     check_positive)
 
 # Angular distance to a patch's excluded axis below which evaluation is refused.
 AXIS_TOL = 1e-9
@@ -41,9 +42,7 @@ class PhysicalConfig:
     mu: float = 0.0
 
     def __post_init__(self):
-        for name in ("q", "g", "mu"):
-            if not np.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+        check_finite("q, g, mu", self.q, self.g, self.mu)
         if self.mu < 0:
             raise DomainError("photon mass mu must be >= 0")
 
@@ -60,10 +59,8 @@ class TubeSpec:
     R: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.g) and np.isfinite(self.R)):
-            raise DomainError("tube parameters must be finite")
-        if self.R <= 0:
-            raise DomainError("tube radius R must be > 0")
+        check_finite("g", self.g)
+        check_positive("R", self.R)
 
     @property
     def interior_field(self):
@@ -75,8 +72,7 @@ def as_vec3(r):
     arr = np.asarray(r, dtype=float)
     if arr.ndim == 0 or arr.shape[-1] != 3:
         raise DomainError("expected a 3-vector or an array of shape (..., 3)")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("coordinates must be finite")
+    check_finite("coordinates", arr)
     return arr
 
 
@@ -85,8 +81,7 @@ def _radii(arr):
     its field would come out as an exact 0 instead of the true value."""
     with np.errstate(over="ignore"):
         r = np.sqrt(np.sum(arr * arr, axis=-1))
-    if not np.all(np.isfinite(r)):
-        raise DomainError("|r|^2 overflows: coordinates too large")
+    check_finite("|r|^2 of the coordinates", r)
     if np.any(r == 0.0):
         raise SingularPointError("field evaluated at a source point")
     return r
@@ -146,8 +141,7 @@ def local_charge(cfg, R):
     from distant flux measurements even though the charge itself is intact.
     """
     R = np.asarray(R, dtype=float)
-    if np.any(R <= 0) or not np.all(np.isfinite(R)):
-        raise DomainError("Gauss sphere radius must be finite and > 0")
+    check_positive("Gauss sphere radius", R)
     out = _screened_charge(cfg.q, cfg.mu, R)
     return float(out) if out.ndim == 0 else out
 
@@ -227,11 +221,9 @@ def proca_tube_profile(g, mu, rho):
     # imported here, not at module level: no CLI command needs scipy.special
     from scipy.special import k0
 
-    if not np.isfinite(mu) or mu <= 0:
-        raise DomainError("proca tube profile requires mu > 0")
+    check_positive("mu", mu)
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0) or not np.all(np.isfinite(rho)):
-        raise DomainError("rho must be finite and > 0")
+    check_positive("rho", rho)
     out = 2.0 * g * mu**2 * k0(mu * rho)
     return float(out) if out.ndim == 0 else out
 
@@ -246,8 +238,7 @@ def proca_tube_potential(g, mu, r):
     # imported here, not at module level: no CLI command needs scipy.special
     from scipy.special import k1
 
-    if not np.isfinite(mu) or mu <= 0:
-        raise DomainError("proca tube potential requires mu > 0")
+    check_positive("mu", mu)
     arr = as_vec3(r)
     rho2 = arr[..., 0] ** 2 + arr[..., 1] ** 2
     rho = np.sqrt(rho2)

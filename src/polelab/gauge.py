@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_count, check_finite, check_positive
 from .fields import as_vec3, wu_yang_potential
 
 # Polar-angle band on which both patches are regular and may be compared.
@@ -54,9 +54,8 @@ def transition_function(q, g, phi):
     phi = np.asarray(phi, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         turns = n_real * (phi / (2.0 * np.pi))
-    if not np.all(np.isfinite(turns)):
-        raise DomainError(f"the transition phase 2*q*g*phi/(2*pi) is not "
-                          f"finite for 2*q*g = {n_real}")
+    check_finite(f"the transition phase 2*q*g*phi/(2*pi), 2*q*g = {n_real},",
+                 turns)
     out = np.exp(2j * np.pi * np.fmod(turns, 1.0))
     return complex(out) if out.ndim == 0 else out
 
@@ -66,16 +65,14 @@ def _winding(q, g):
     product is formed as 2*(q*g): 2*q alone overflows for a huge q and a
     tiny g, while doubling a finite q*g is exact unless it overflows."""
     n_real = 2.0 * (q * g)
-    if not np.isfinite(n_real):
-        raise DomainError(f"2*q*g = {n_real} is not finite")
+    check_finite(f"2*q*g = {n_real}", n_real)
     n_nearest = int(np.rint(n_real))
     return n_real, abs(n_real - n_nearest), n_nearest
 
 
 def check_quantization(q, g, tol=DEFAULT_TOL):
     """Report whether 2*q*g is an integer to within tol."""
-    if not 0 < tol < np.inf:
-        raise DomainError("tol must be finite and > 0")
+    check_positive("tol", tol)
     n_real, residual, n_nearest = _winding(q, g)
     return QuantizationReport(
         n_real=n_real,
@@ -93,8 +90,7 @@ def string_invisibility(q, g, tol=DEFAULT_TOL):
     amplitude-level statement of check_quantization's arithmetic one. tol is
     in winding units (fraction of a full turn), identical to that one's.
     """
-    if not 0 < tol < np.inf:
-        raise DomainError("tol must be finite and > 0")
+    check_positive("tol", tol)
     holonomy = np.exp(2j * np.pi * _winding(q, g)[1])
     residual = abs(np.angle(holonomy)) / (2.0 * np.pi)
     return bool(residual <= tol)
@@ -125,11 +121,7 @@ def circle_flux(potential, center, u, v, n0=64, levels=3):
     most MAX_NODES); every other node gives the rule I(N/2). Returns
     (I(N), |I(N) - I(N/2)|). The potential takes points of shape (N, 3).
     """
-    if not all(isinstance(k, (int, np.integer)) for k in (n0, levels)):
-        raise DomainError("the circle rule needs integer n0 and levels")
-    n0, levels = int(n0), int(levels)
-    if n0 < 3 or levels < 2:
-        raise DomainError("the circle rule needs n0 >= 3 and levels >= 2")
+    n0, levels = check_count("n0", n0, 3), check_count("levels", levels, 2)
     # in Python ints, and by a shift, so no size of n0 or levels overflows
     if n0 > MAX_NODES >> (levels - 1):
         raise DomainError(f"the finest rule, n0 * 2^(levels - 1), may have "
@@ -155,9 +147,7 @@ def cap_flux(g, theta, r=1.0, n0=64, levels=3):
     if not (r > 0 and 0 < theta < math.pi):
         raise DomainError("a cap needs r > 0 and 0 < theta < pi")
     string_flux = 4.0 * math.pi * float(g)
-    if not math.isfinite(string_flux):
-        raise DomainError(f"the string flux 4*pi*g = {string_flux} is not "
-                          "finite")
+    check_finite(f"the string flux 4*pi*g = {string_flux}", string_flux)
     pot = partial(wu_yang_potential, "north", g)
     rho = r * math.sin(theta)
     return circle_flux(pot, (0.0, 0.0, r * math.cos(theta)), (rho, 0.0, 0.0),

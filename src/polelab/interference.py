@@ -66,9 +66,10 @@ A WaveGrid is a value: the packet builders and the propagations return a
 new grid and never write the one they are given. Each input is checked
 where it enters: _check_lattice the sides, h, m, dt and the bound dt <=
 m h^2/2, for a WaveGrid and for the InterferenceConfig it is made from;
-FluxLine its position, cut and q*flux; InterferenceConfig its step count,
-and its fringe_window the slit gap; gaussian_packet the width, the carrier
-phase and the packet centre; _cut_link the line's place.
+FluxLine its position, cut and q*flux; InterferenceConfig its step
+count; _check_packet a packet's width, carrier phase and centre, for
+gaussian_packet, the config and, in fringe_window, its two slits;
+_cut_link the line's place.
 Both experiments go through run_experiment alone: it propagates the
 packet free once and once per line, so the free reference is shared by
 all lines, and returns an ExperimentStats. These runs are independent, so
@@ -113,7 +114,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, StabilityError
+from .errors import (AccuracyError, DomainError, StabilityError, check_count,
+                     check_finite, check_positive)
 
 MIN_GRID = 64
 # one 4096^2 grid is 256 MiB and a propagation holds four such arrays;
@@ -155,8 +157,7 @@ def two_path_fringe_shift(q, flux):
     """Fringe displacement, as a fraction of one period, for a two-path
     interferometer enclosing the given flux: ((q*flux / 2*pi) mod 1)."""
     phase = float(q) * float(flux)
-    if not np.isfinite(phase):
-        raise DomainError("q * flux must be finite")
+    check_finite("q * flux", phase)
     return (phase / (2.0 * np.pi)) % 1.0
 
 
@@ -212,10 +213,8 @@ class FluxLine:
     def __post_init__(self):
         if len(self.position) != 2:
             raise DomainError("position must be a 2-D point")
-        if not all(np.isfinite(p) for p in self.position):
-            raise DomainError("position must be finite")
-        if not np.isfinite(self.charge * self.flux):
-            raise DomainError("charge * flux must be finite")
+        check_finite("position", *self.position)
+        check_finite("charge * flux", self.charge * self.flux)
         if self.cut not in ("+x", "-x"):
             raise DomainError("cut must be '+x' or '-x'")
         object.__setattr__(self, "position", (float(self.position[0]),
@@ -225,11 +224,8 @@ class FluxLine:
 def _check_lattice(nx, ny, h, m, dt):
     """The lattice rule of a WaveGrid and of its config: sides in [MIN_GRID,
     MAX_GRID], h, m and dt finite and > 0, and dt <= m h^2 / 2."""
-    if not (MIN_GRID <= nx <= MAX_GRID and MIN_GRID <= ny <= MAX_GRID):
-        raise DomainError(f"grid sides must lie in [{MIN_GRID}, {MAX_GRID}]"
-                          f", not {nx} x {ny}")
-    if not all(np.isfinite(v) and v > 0 for v in (h, m, dt)):
-        raise DomainError("h, m, dt must be finite and > 0")
+    check_count("grid sides", (nx, ny), MIN_GRID, MAX_GRID)
+    check_positive("h, m, dt", h, m, dt)
     # Cayley factors are unitary for any dt, but the per-step phase error at
     # the band edge (E_max = 4/(m h^2) in 2-D) is O(1) once dt exceeds
     # m h^2 / 2; past that the step no longer resolves the dynamics at all
@@ -244,24 +240,31 @@ def make_wave_grid(nx, ny, h=1.0, m=1.0, dt=0.4):
     return WaveGrid(psi=np.zeros((nx, ny), dtype=np.complex128), h=h, m=m, dt=dt)
 
 
-def gaussian_packet(grid, center, width, momentum):
-    """The normalized Gaussian exp(-|r-c|^2/(2 w^2) + i k.r) on a grid like
-    `grid`."""
-    if not (width >= 8.0 * grid.h and math.isfinite(width * width)):
+def _check_packet(lattice, width, momentum, *centers):
+    """The packet rule on the lattice (nx, ny, h) of a WaveGrid or a config:
+    width >= 8 h with a finite square, k.r and each |r - c|^2 finite on it."""
+    if not (width >= 8.0 * lattice.h and math.isfinite(width * width)):
         raise DomainError("packet width must be at least 8 lattice spacings "
                           "and have a finite square")
-    cx, cy = center
     kx, ky = momentum
     # k.r and |r - c|^2 are largest in size at a corner of the grid
-    corners = [(x, y) for x in (0.0, grid.h * (grid.nx - 1))
-               for y in (0.0, grid.h * (grid.ny - 1))]
+    corners = [(x, y) for x in (0.0, lattice.h * (lattice.nx - 1))
+               for y in (0.0, lattice.h * (lattice.ny - 1))]
     if not all(math.isfinite(kx * x + ky * y) for x, y in corners):
         raise DomainError("carrier phase k.r is not finite on the grid: the "
                           "momentum is too large")
     if not all(math.isfinite((x - cx) * (x - cx) + (y - cy) * (y - cy))
-               for x, y in corners):
+               for cx, cy in centers for x, y in corners):
         raise DomainError("|r - c|^2 from the packet centre is not finite on "
                           "the grid: the centre lies too far from the grid")
+
+
+def gaussian_packet(grid, center, width, momentum):
+    """The normalized Gaussian exp(-|r-c|^2/(2 w^2) + i k.r) on a grid like
+    `grid`."""
+    _check_packet(grid, width, momentum, center)
+    cx, cy = center
+    kx, ky = momentum
     x = grid.h * np.arange(grid.nx)[:, None]
     y = grid.h * np.arange(grid.ny)[None, :]
     # psi and one float scratch are the only grid-sized arrays: the scratch
@@ -392,11 +395,6 @@ class _Thomas:
         return step
 
 
-def _check_steps(steps):
-    if not isinstance(steps, (int, np.integer)) or steps < 0:
-        raise DomainError("steps must be a nonnegative integer")
-
-
 def _cut_link(grid, line, sponge):
     """Check that the line sits on the grid, clear of the sponge, and return
     its cut as the y factor's link (rows, j0, e^{i q flux}): the puncture
@@ -466,7 +464,7 @@ def _propagate(grid, link, steps, sponge, out=None):
     the copy into the stepping buffer multiplies by 2^s and the copy out by
     2^-s. That copy goes into out, a C-ordered array of psi's shape, when
     one is given, and into a new array otherwise; zero steps write nothing."""
-    _check_steps(steps)
+    steps = check_count("steps", steps, 0)
     if steps == 0:
         return grid
 
@@ -592,7 +590,10 @@ def load_snapshot(bin_path):
         meta = json.load(fh)
     if meta.get("dtype") != "float64" or meta.get("order") != "C":
         raise DomainError("unsupported snapshot encoding")
-    shape = tuple(meta["shape"])
+    shape = meta.get("shape")
+    if not (isinstance(shape, list) and len(shape) == 2):
+        raise DomainError(f"snapshot shape {shape} is not two positive ints")
+    shape = check_count("snapshot shape", tuple(shape), 1)
     expected = shape[0] * shape[1] * 8
     size = os.path.getsize(bin_path)
     if size != expected:
@@ -610,7 +611,7 @@ class InterferenceConfig:
     """Size, packet and step count of the canonical runs; lengths in units
     of h. The source, flux line and probe sit at fixed fractions of the grid
     width (SOURCE_X_FRACTION, FLUX_X_FRACTION, PROBE_X_FRACTION). The
-    lattice, then the step count, given or derived, are checked on creation."""
+    lattice, the packet and the step count, given or derived, are checked."""
 
     nx: int = 512
     ny: int = 512
@@ -624,8 +625,10 @@ class InterferenceConfig:
 
     def __post_init__(self):
         _check_lattice(self.nx, self.ny, self.h, self.m, self.dt)
-        _check_steps(self.steps)
-        count = self.steps or self._steps_to_probe()
+        # k.r finite on the lattice makes k h finite for _steps_to_probe
+        _check_packet(self, self.packet_width, (self.k, 0.0),
+                      self.geometry()[0])
+        count = check_count("steps", self.steps, 0) or self._steps_to_probe()
         if not 0 < count <= MAX_STEPS:
             raise DomainError(
                 f"{count} steps; the step count, given or derived from the "
@@ -642,9 +645,7 @@ class InterferenceConfig:
     def _steps_to_probe(self):
         """The steps at the group velocity sin(k h)/(m h) from the source
         to the probe, unrounded; nan where it does not advance the packet."""
-        kh = self.k * self.h            # sin(inf) would raise
-        advance = (math.sin(kh) / (self.m * self.h) * self.dt
-                   if math.isfinite(kh) else 0.0)
+        advance = math.sin(self.k * self.h) / (self.m * self.h) * self.dt
         src, _, probe_x = self.geometry()
         return (probe_x - src[0]) / advance if advance > 0 else math.nan
 
@@ -671,8 +672,8 @@ class InterferenceConfig:
 
     def fringe_window(self):
         """The fringe window on the probe column: (probe column ix, the
-        window's row indices, window_periods). DomainError if it holds
-        fewer than 16 rows.
+        window's row indices, window_periods). DomainError if _check_packet
+        refuses a slit's packet or the window holds fewer than 16 rows.
 
         The two-path loop encloses the puncture only for screen points
         within about half the slit gap s of the axis, so the window keeps
@@ -684,6 +685,9 @@ class InterferenceConfig:
         """
         src, _, probe_x = self.geometry()
         gap = self.slit_separation
+        _check_packet(self, self.packet_width, (self.k, 0.0),
+                      (src[0], src[1] + 0.5 * gap),
+                      (src[0], src[1] - 0.5 * gap))
         y = self.h * np.arange(self.ny)
         rows = np.flatnonzero(np.abs(y - 0.5 * self.h * self.ny)
                               <= FRINGE_WINDOW_FRACTION * gap)

@@ -31,7 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AccuracyError, ConvergenceError, DomainError
+from .errors import (AccuracyError, ConvergenceError, DomainError, check_count,
+                     check_finite, check_positive)
 
 # most radial grid points of solve_vortex; a larger grid is refused before
 # anything is allocated
@@ -49,24 +50,27 @@ MIN_CORE_NODES = 5
 
 @dataclass(frozen=True)
 class HiggsModel:
-    """Charge q (nonzero: beta, the energy, B_z and the flux divide by it)
-    of the condensate, vacuum value v, quartic coupling lam."""
+    """Charge q (finite and nonzero: beta, the energy, B_z and the flux
+    divide by it) of the condensate, vacuum value v and quartic coupling
+    lam; v, lam, beta, 1/m_V, 1/m_H and lam*v^4 finite and > 0."""
 
     q: float
     v: float
     lam: float
 
     def __post_init__(self):
-        for name in ("q", "v", "lam"):
-            if not np.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+        check_finite("q", self.q)
         if self.q == 0:
             raise DomainError("charge q must be nonzero: at q = 0 the photon "
                               "decouples from the condensate")
-        if self.v <= 0:
-            raise DomainError("vacuum expectation value v must be > 0")
-        if self.lam <= 0:
-            raise DomainError("quartic coupling lam must be > 0")
+        check_positive("v, lam", self.v, self.lam)
+        # the scales the solve divides by or raises to a power, in float64:
+        # an overflow, underflow or zero divisor gives one not finite and > 0
+        q, v = np.float64(self.q), np.float64(self.v)
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            check_positive("beta, 1/m_V, 1/m_H, lam*v^4",
+                           self.lam / (2.0 * q**2), *self.lengths,
+                           self.lam * v**4)
 
     @property
     def photon_mass(self):
@@ -75,6 +79,11 @@ class HiggsModel:
     @property
     def higgs_mass(self):
         return math.sqrt(self.lam) * self.v
+
+    @property
+    def lengths(self):
+        """(1/m_V, 1/m_H) in float64."""
+        return np.divide(1.0, (self.photon_mass, self.higgs_mass))
 
     @property
     def beta(self):
@@ -94,18 +103,17 @@ class VortexProfile:
         rho = np.asarray(self.rho_grid, dtype=float)
         f = np.asarray(self.f, dtype=float)
         a = np.asarray(self.a, dtype=float)
-        if int(self.n) < 1:
-            raise DomainError("winding number n must be >= 1")
+        n = check_count("winding number n", self.n, 1)
         if rho.ndim != 1 or rho.shape != f.shape or rho.shape != a.shape:
             raise DomainError("rho_grid, f, a must be 1-D arrays of equal length")
+        check_count("profile points", len(rho), 3)  # edge_order=2 needs 3
         if rho[0] < 0 or np.any(np.diff(rho) <= 0):
             raise DomainError("rho_grid must be strictly increasing and start at >= 0")
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(a))):
-            raise DomainError("profiles must be finite")
+        check_finite("profiles", f, a)
         object.__setattr__(self, "rho_grid", rho)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
 
 
 class RelaxationStats(NamedTuple):
@@ -188,7 +196,7 @@ def energy_density_profile(model, profile):
     rho, integrand = _density_terms(model, profile)
     safe = np.where(rho > 0, rho, 1.0)
     dens = integrand / (2.0 * np.pi * safe)
-    if rho[0] == 0.0 and len(rho) > 1:
+    if rho[0] == 0.0:
         dens[0] = dens[1]
     return dens
 
@@ -251,8 +259,8 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
     r_max defaults to 20 * max(1/m_H, 1/m_V) and must be at least 10
     correlation lengths. grid, 512 to MAX_GRID, is the fewest points: it is
     doubled, up to MAX_GRID, until MIN_CORE_NODES of them lie within
-    min(1/m_V, 1/m_H) of the axis. max_iter must be >= 1, beta, 1/m_V,
-    1/m_H, m_V*r_max*sinh(4) and lam*v^4 finite and > 0, and the grid's
+    min(1/m_V, 1/m_H) of the axis. n and max_iter must be counts >= 1,
+    tol and m_V*r_max*sinh(4) finite and > 0, and the grid's
     finite-difference weights finite; DomainError otherwise.
 
     The relaxation converges once the largest Euler-Lagrange residual falls
@@ -263,37 +271,21 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
     RelaxationStats of the solve. Raises ConvergenceError (with the residual
     history and the stats) if the relaxation stalls.
     """
-    if not isinstance(n, (int, np.integer)):
-        raise DomainError("winding number n must be an integer")
-    if n <= 0:
-        raise DomainError("winding number n must be >= 1")
-    if not 512 <= grid <= MAX_GRID:
-        raise DomainError(f"grid must have 512 to {MAX_GRID} points")
-    if not 0 < tol < np.inf:
-        raise DomainError("tol must be finite and > 0")
-    if max_iter < 1:
-        raise DomainError("max_iter must be >= 1")
+    n = check_count("winding number n", n, 1)
+    grid = check_count("grid", grid, 512, MAX_GRID)
+    check_positive("tol", tol)
+    max_iter = check_count("max_iter", max_iter, 1)
 
     m_v = model.photon_mass
-    m_h = model.higgs_mass
-    # the scales the solve divides by or raises to a power, in float64: an
-    # overflow, an underflow to 0, a zero divisor or inf * 0 gives a value
-    # that is not finite and > 0 instead of raising. The grid below is
-    # m_V*r_max*sinh(4t)/sinh(4), so its last product is finite if this one is
-    q, v = np.float64(model.q), np.float64(model.v)
-    with np.errstate(over="ignore", under="ignore", divide="ignore",
-                     invalid="ignore"):
-        inv_v, inv_h = np.divide(1.0, m_v), np.divide(1.0, m_h)
-        corr = max(inv_h, inv_v)
-        if r_max is None:
-            r_max = 20.0 * corr
-        scales = {"beta": model.lam / (2.0 * q**2), "1/m_V": inv_v,
-                  "1/m_H": inv_h,
-                  "m_V*r_max*sinh(4)": m_v * np.float64(r_max) * np.sinh(4.0),
-                  "lam*v^4": model.lam * v**4}
-    bad = [name for name, value in scales.items() if not 0 < value < np.inf]
-    if bad:
-        raise DomainError(f"{', '.join(bad)} must be finite and > 0")
+    inv_v, inv_h = model.lengths
+    corr = max(inv_h, inv_v)
+    if r_max is None:
+        r_max = 20.0 * corr
+    # the grid below is m_V*r_max*sinh(4t)/sinh(4), so its last product is
+    # finite if this one is
+    with np.errstate(over="ignore"):
+        check_positive("m_V*r_max*sinh(4)",
+                       m_v * np.float64(r_max) * np.sinh(4.0))
     if r_max < 10.0 * corr:
         raise DomainError("r_max must cover at least 10 correlation lengths")
 
@@ -312,9 +304,7 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
         grid *= 2
     with np.errstate(over="ignore", invalid="ignore"):
         d1, d2 = _fd_coeffs(x)
-    if not all(np.isfinite(c).all() for c in d1 + d2):
-        raise DomainError("m_V*r_max too large: the grid's difference "
-                          "weights overflow")
+    check_finite("m_V*r_max too large: the grid's difference weights", *d1, *d2)
     xi = x[1:-1]
     (c1m, c1c, c1p), (c2m, c2c, c2p) = d1, d2
 

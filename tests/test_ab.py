@@ -946,3 +946,21 @@ def test_snapshot_validation(tmp_path, packet128):
         json.dump(meta, fh)
     with pytest.raises(DomainError):
         load_snapshot(bin2)
+
+
+@pytest.mark.parametrize("shape", [[4], ["2", "2"], [2, 2, 1], [True, 4],
+                                   [4, 1.0], 4, None])
+def test_snapshot_shape_is_two_positive_ints(tmp_path, shape):
+    # a 4-entry file: [4] used to raise IndexError, ["2", "2"] TypeError,
+    # and [2, 2, 1] loaded as a 3-D array
+    bin_path = str(tmp_path / "s.f64")
+    np.arange(4.0).tofile(bin_path)
+    meta = {"dtype": "float64", "order": "C", "shape": shape}
+    with open(bin_path + ".json", "w") as fh:
+        json.dump(meta, fh)
+    with pytest.raises(DomainError, match="snapshot shape"):
+        load_snapshot(bin_path)
+    meta["shape"] = [2, 2]
+    with open(bin_path + ".json", "w") as fh:
+        json.dump(meta, fh)
+    assert load_snapshot(bin_path)[0].tolist() == [[0.0, 1.0], [2.0, 3.0]]

@@ -811,6 +811,11 @@ def test_confine_output(tmp_path):
     # the model is refused before the solve stage starts
     ["vortex", "--q", "0"],
     ["confine", "--q", "0"],
+    # and so are its scales: beta = 1/(2 q^2) overflows, 1/m_V is 0
+    ["vortex", "--q", "1e-200"],
+    ["vortex", "--v", "1.7976931348623157e308"],
+    # the config checks its packet, as gaussian_packet does
+    _ABSIM64 + ["--steps", "2", "--packet-width", "1"],
 ])
 def test_bad_inputs_are_refused_before_the_solve(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
@@ -870,6 +875,18 @@ def test_config_booleans_take_true_false_or_0_1(tmp_path, value, code):
                  "--dt", "0.9", "--config", str(cfg), "--out", str(out)]) \
         == code
     assert out.exists() == (code != EXIT_USAGE)
+
+
+@pytest.mark.parametrize("cmd, key", [("vortex", "n"), ("vortex", "grid"),
+                                      ("absim", "steps"), ("angmom", "levels")])
+def test_config_counts_refuse_booleans(tmp_path, cmd, key, capsys):
+    # JSON true used to be read as the count 1 (a winding-1 tube for n)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"{key}": true}}')
+    out = tmp_path / "out"
+    assert main([cmd, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: config key {key!r}: ")
+    assert not out.exists()
 
 
 def test_list_flags_drop_empty_tokens(tmp_path):

@@ -265,11 +265,11 @@ def test_finest_rule_is_bounded(monkeypatch):
         with pytest.raises(DomainError, match="at most"):
             cap_flux(0.5, 2.2, n0=n0, levels=levels)
     for n0, levels in [(2, 3), (64, 1), (-1, 3)]:
-        with pytest.raises(DomainError, match="n0 >= 3 and levels >= 2"):
+        with pytest.raises(DomainError, match="must lie in \\[[23], inf\\]"):
             cap_flux(0.5, 2.2, n0=n0, levels=levels)
     for n0, levels in [(64.0, 3), (64, 3.0), (64.5, 3), (64, math.nan),
                        ("64", 3), (None, 3)]:
-        with pytest.raises(DomainError, match="integer n0 and levels"):
+        with pytest.raises(DomainError, match="expected an integer, got"):
             cap_flux(0.5, 2.2, n0=n0, levels=levels)
     assert seen == []
     with pytest.raises(_Built):

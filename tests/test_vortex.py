@@ -283,6 +283,12 @@ def test_model_validation():
     # flux or solve of the model ever divides by it
     with pytest.raises(DomainError, match="q must be nonzero"):
         HiggsModel(q=0.0, v=1.0, lam=1.0)
+    # the scales the solve uses, in float64: beta = lam/(2 q^2) underflows
+    # to 0 (its Python-float q**2 used to raise OverflowError) or overflows,
+    # and m_V = sqrt(2) q v overflows, so 1/m_V is 0
+    for q, v in [(1e200, 1.0), (1e-200, 1.0), (1.0, 1.7976931348623157e308)]:
+        with pytest.raises(DomainError, match="beta, 1/m_V, 1/m_H, lam"):
+            HiggsModel(q=q, v=v, lam=1.0)
 
 
 def test_solver_input_validation():
@@ -368,6 +374,13 @@ def test_profile_validation():
     bad[5] = np.nan
     with pytest.raises(DomainError):
         VortexProfile(n=1, rho_grid=rho, f=bad, a=good)
+    # np.gradient's second-order edges need 3 points: fewer used to build,
+    # and then the energy and the field raised IndexError or ValueError
+    for k in (1, 2):
+        with pytest.raises(DomainError, match="profile points"):
+            VortexProfile(n=1, rho_grid=rho[:k], f=good[:k], a=good[:k])
+    three = VortexProfile(n=1, rho_grid=rho[:3], f=good[:3], a=good[:3])
+    assert magnetic_profile(CRITICAL, three).shape == (3,)
 
 
 def test_stalled_relaxation_reports_history():
