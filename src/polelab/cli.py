@@ -264,8 +264,7 @@ class Run:
 
 def cmd_check(run):
     cfg = run.config
-    with run.stage("solve"):
-        report = check_quantization(cfg["q"], cfg["g"], tol=cfg["tol"])
+    report = check_quantization(cfg["q"], cfg["g"], tol=cfg["tol"])
     run.diagnostics["residual"] = report.residual
     with run.stage("write"):
         write_json(run.path("check.json"), report.to_dict(), run.sha)
@@ -284,8 +283,8 @@ def cmd_fields(run):
     check_count("samples", cfg["samples"], 2, MAX_SAMPLES)
     if cfg["g"] == 0:
         raise DomainError("g must be nonzero: b_over_coulomb divides by it")
+    phys = PhysicalConfig(q=cfg["q"], g=cfg["g"], mu=cfg["mu"])
     with run.stage("solve"):
-        phys = PhysicalConfig(q=cfg["q"], g=cfg["g"], mu=cfg["mu"])
         r = np.geomspace(cfg["r_min"], cfg["r_max"], cfg["samples"])
         pts = np.outer(r, (0.0, 0.0, 1.0))
         # hypot, unlike norm, does not overflow by squaring a huge field

@@ -62,14 +62,14 @@ cosine-ramp absorbing sponge, disabled for norm accounting; its mask is
 exactly 1 inside a band along the walls, so M multiplies only the band's
 four edge slabs.
 
-A WaveGrid is a value: the packet builders and the propagations return a
-new grid and never write the one they are given. Each input is checked
-where it enters: _check_lattice the sides, h, m, dt and the bound dt <=
-m h^2/2, for a WaveGrid and for the InterferenceConfig it is made from;
-FluxLine its position, cut and q*flux; InterferenceConfig its step
-count; _check_packet a packet's width, carrier phase and centre, for
-gaussian_packet, the config and, in fringe_window, its two slits;
-_cut_link the line's place.
+A WaveGrid is a value: gaussian_packet, the one packet builder, and the
+propagations return a new grid and never write the one they are given.
+Each input is checked where it enters: _check_lattice the sides, h, m, dt
+and the bound dt <= m h^2/2, for a WaveGrid and for the InterferenceConfig
+it is made from; FluxLine its position, cut and q*flux; InterferenceConfig
+its step count; _check_packet a packet's width, carrier phase and centres
+for gaussian_packet and the config, at packet_centers' single packet and,
+in fringe_window, its two slits; _cut_link the line's place.
 Both experiments go through run_experiment alone: it propagates the
 packet free once and once per line, so the free reference is shared by
 all lines, and returns an ExperimentStats. These runs are independent, so
@@ -243,6 +243,8 @@ def make_wave_grid(nx, ny, h=1.0, m=1.0, dt=0.4):
 def _check_packet(lattice, width, momentum, *centers):
     """The packet rule on the lattice (nx, ny, h) of a WaveGrid or a config:
     width >= 8 h with a finite square, k.r and each |r - c|^2 finite on it."""
+    if not centers:
+        raise DomainError("a packet needs at least one centre")
     if not (width >= 8.0 * lattice.h and math.isfinite(width * width)):
         raise DomainError("packet width must be at least 8 lattice spacings "
                           "and have a finite square")
@@ -259,24 +261,30 @@ def _check_packet(lattice, width, momentum, *centers):
                           "the grid: the centre lies too far from the grid")
 
 
-def gaussian_packet(grid, center, width, momentum):
-    """The normalized Gaussian exp(-|r-c|^2/(2 w^2) + i k.r) on a grid like
-    `grid`."""
-    _check_packet(grid, width, momentum, center)
-    cx, cy = center
+def gaussian_packet(grid, width, momentum, *centers):
+    """The normalized coherent sum of the Gaussians exp(-|r-c|^2/(2 w^2)
+    + i k.r), one per centre c, on a grid like `grid`."""
+    _check_packet(grid, width, momentum, *centers)
     kx, ky = momentum
     x = grid.h * np.arange(grid.nx)[:, None]
     y = grid.h * np.arange(grid.ny)[None, :]
-    # psi and one float scratch are the only grid-sized arrays: the scratch
-    # holds k.r, then the envelope, and each exp is taken in place; it is
-    # dropped before the norm allocates its own
+    # one carrier e^{i k.r} multiplies the summed envelopes. One centre
+    # needs psi and one float scratch alone: the scratch holds k.r, then the
+    # envelope, each exp taken in place; later centres go through a second
+    # one. Both are dropped before the norm allocates its own
     scratch = np.add(kx * x, ky * y)
     psi = np.multiply(1j, scratch)
     np.exp(psi, out=psi)
-    np.add((x - cx) ** 2, (y - cy) ** 2, out=scratch)
-    np.divide(scratch, -2.0 * width**2, out=scratch)
-    psi *= np.exp(scratch, out=scratch)
-    del scratch
+    envelope = term = scratch
+    for i, (cx, cy) in enumerate(centers):
+        term = np.empty_like(envelope) if i == 1 else term
+        np.add((x - cx) ** 2, (y - cy) ** 2, out=term)
+        np.divide(term, -2.0 * width**2, out=term)
+        np.exp(term, out=term)
+        if i:
+            envelope += term
+    psi *= envelope
+    del scratch, envelope, term
     packet = replace(grid, psi=psi)
     norm = packet.norm()
     if not norm > 0:
@@ -284,19 +292,6 @@ def gaussian_packet(grid, center, width, momentum):
                           "overlap the grid")
     psi /= norm
     return packet
-
-
-def two_gaussian_packet(grid, center, separation, width, momentum):
-    """Coherent pair of Gaussians split by `separation` along y: a two-slit
-    source aimed along the momentum direction."""
-    cx, cy = center
-    psi = gaussian_packet(grid, (cx, cy + 0.5 * separation), width,
-                          momentum).psi
-    psi += gaussian_packet(grid, (cx, cy - 0.5 * separation), width,
-                           momentum).psi
-    pair = replace(grid, psi=psi)
-    psi /= pair.norm()
-    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +622,7 @@ class InterferenceConfig:
         _check_lattice(self.nx, self.ny, self.h, self.m, self.dt)
         # k.r finite on the lattice makes k h finite for _steps_to_probe
         _check_packet(self, self.packet_width, (self.k, 0.0),
-                      self.geometry()[0])
+                      *self.packet_centers("single"))
         count = check_count("steps", self.steps, 0) or self._steps_to_probe()
         if not 0 < count <= MAX_STEPS:
             raise DomainError(
@@ -641,6 +636,17 @@ class InterferenceConfig:
         flux_pos = (FLUX_X_FRACTION * lx, 0.5 * ly)
         probe_x = PROBE_X_FRACTION * lx
         return src, flux_pos, probe_x
+
+    def packet_centers(self, packet):
+        """A packet kind's centres: "single" at the source, "two_slit" at
+        two slits slit_separation apart along y, one each side of it."""
+        (sx, sy), _, _ = self.geometry()
+        if packet == "single":
+            return [(sx, sy)]
+        if packet == "two_slit":
+            half = 0.5 * self.slit_separation
+            return [(sx, sy + half), (sx, sy - half)]
+        raise DomainError("packet must be 'single' or 'two_slit'")
 
     def _steps_to_probe(self):
         """The steps at the group velocity sin(k h)/(m h) from the source
@@ -686,8 +692,7 @@ class InterferenceConfig:
         src, _, probe_x = self.geometry()
         gap = self.slit_separation
         _check_packet(self, self.packet_width, (self.k, 0.0),
-                      (src[0], src[1] + 0.5 * gap),
-                      (src[0], src[1] - 0.5 * gap))
+                      *self.packet_centers("two_slit"))
         y = self.h * np.arange(self.ny)
         rows = np.flatnonzero(np.abs(y - 0.5 * self.h * self.ny)
                               <= FRINGE_WINDOW_FRACTION * gap)
@@ -699,7 +704,7 @@ class InterferenceConfig:
                    / (math.pi * (probe_x - src[0])))
         return self.probe_column(), rows, periods
 
-    def flux_line(self, flux, charge, cut="+x"):
+    def flux_line(self, flux, charge, cut=FluxLine.cut):
         """A flux line at the canonical puncture, mid-grid."""
         return FluxLine(position=self.geometry()[1], flux=flux, charge=charge,
                         cut=cut)
@@ -740,9 +745,10 @@ def _run_into_slot(i):
 def run_experiment(config, packet, lines):
     """Propagate one packet free and once along each flux line.
 
-    packet is "single", one Gaussian aimed head-on at the lines, or
-    "two_slit", a coherent pair straddling them. The grid, every line's
-    cut and the packet are made, and so checked, before any worker starts.
+    packet is a kind of config.packet_centers: "single", one Gaussian aimed
+    head-on at the lines, or "two_slit", a coherent pair straddling them.
+    The grid, every line's cut and the packet, in that order, are made, and
+    so checked, before any worker starts.
     All runs start from the same packet and are independent, so they run in
     parallel, one worker per run and at most one per CPU this process may
     run on, in a pool forked for this call alone. The workers inherit the
@@ -759,15 +765,8 @@ def run_experiment(config, packet, lines):
     grid = make_wave_grid(config.nx, config.ny, config.h, config.m,
                           config.dt)
     links = [None] + [_cut_link(grid, line, sponge=True) for line in lines]
-    src, _, _ = config.geometry()
-    if packet == "single":
-        grid = gaussian_packet(grid, src, config.packet_width,
-                               (config.k, 0.0))
-    elif packet == "two_slit":
-        grid = two_gaussian_packet(grid, src, config.slit_separation,
-                                   config.packet_width, (config.k, 0.0))
-    else:
-        raise DomainError("packet must be 'single' or 'two_slit'")
+    grid = gaussian_packet(grid, config.packet_width, (config.k, 0.0),
+                           *config.packet_centers(packet))
     # fork, not spawn: the workers inherit the packet, the anonymous map and
     # scipy.linalg, which a spawned worker could only get pickled, by name
     # or by importing it again

@@ -42,7 +42,6 @@ from polelab.interference import (
     propagate_with_flux,
     run_experiment,
     save_snapshot,
-    two_gaussian_packet,
     two_path_fringe_shift,
 )
 
@@ -53,7 +52,7 @@ CFG128 = InterferenceConfig(nx=128, ny=128)
 def packet128():
     src, _, _ = CFG128.geometry()
     grid = make_wave_grid(128, 128)
-    return gaussian_packet(grid, src, CFG128.packet_width, (CFG128.k, 0.0))
+    return gaussian_packet(grid, CFG128.packet_width, (CFG128.k, 0.0), src)
 
 
 def _flux_run(packet, flux, cut="+x", steps=None):
@@ -135,8 +134,8 @@ def test_flux_step_matches_dense_phased_link_reference(cut):
     # into the y Hamiltonian instead of applied as a gauge shift around the
     # free factor; a conjugated phase flips the sign of theta and fails this
     n, dt, steps, theta = 64, 0.4, 12, np.pi / 2.0
-    grid = gaussian_packet(make_wave_grid(n, n, dt=dt), (24.0, 32.0), 8.0,
-                           (0.9, 0.0))
+    grid = gaussian_packet(make_wave_grid(n, n, dt=dt), 8.0, (0.9, 0.0),
+                           (24.0, 32.0))
     line = FluxLine(position=(30.5, 33.5), flux=theta, charge=1.0, cut=cut)
     split, j0 = 31, 33          # puncture at the plaquette (30..31, 33..34)
 
@@ -312,8 +311,8 @@ def test_bound_step_replays_the_update_loop(axis, cut, padded):
 
 @pytest.mark.parametrize("cut", [None, "+x", "-x"])
 def test_sponge_run_replays_the_update_loop(cut):
-    grid = gaussian_packet(make_wave_grid(64, 70), (20.0, 35.0), 8.0,
-                           (0.9, 0.0))
+    grid = gaussian_packet(make_wave_grid(64, 70), 8.0, (0.9, 0.0),
+                           (20.0, 35.0))
     if cut is None:
         line, run = None, propagate_free(grid, 20)
     else:
@@ -359,8 +358,8 @@ def test_fused_split_is_second_order():
     line = FluxLine(position=(30.5, 33.5), flux=np.pi / 2.0, charge=1.0)
 
     def run(dt, t_end=8.0):
-        grid = gaussian_packet(make_wave_grid(64, 64, dt=dt), (24.0, 32.0),
-                               8.0, (0.9, 0.0))
+        grid = gaussian_packet(make_wave_grid(64, 64, dt=dt), 8.0,
+                               (0.9, 0.0), (24.0, 32.0))
         return propagate_with_flux(grid, line, int(round(t_end / dt)),
                                    sponge=False).psi
 
@@ -381,8 +380,8 @@ def test_zero_steps_apply_nothing(packet128):
 def packet512():
     cfg = InterferenceConfig()
     src, _, _ = cfg.geometry()
-    return gaussian_packet(make_wave_grid(512, 512), src, cfg.packet_width,
-                           (cfg.k, 0.0))
+    return gaussian_packet(make_wave_grid(512, 512), cfg.packet_width,
+                           (cfg.k, 0.0), src)
 
 
 @pytest.mark.parametrize("k", [16, 200, 600])
@@ -540,14 +539,8 @@ def test_experiment_matches_separate_runs():
         # three propagations of 40 steps, 81 solves each
         assert stats[:4] == (3, 40, 243, min(3, len(os.sched_getaffinity(0))))
         assert stats.ms_per_step > 0.0
-        src, _, _ = cfg.geometry()
-        grid0 = make_wave_grid(128, 128)
-        if packet == "single":
-            grid0 = gaussian_packet(grid0, src, cfg.packet_width,
-                                    (cfg.k, 0.0))
-        else:
-            grid0 = two_gaussian_packet(grid0, src, cfg.slit_separation,
-                                        cfg.packet_width, (cfg.k, 0.0))
+        grid0 = gaussian_packet(make_wave_grid(128, 128), cfg.packet_width,
+                                (cfg.k, 0.0), *cfg.packet_centers(packet))
         assert np.array_equal(free.psi, propagate_free(grid0, 40).psi)
         assert len(grids) == len(lines)
         for line, grid in zip(lines, grids):
@@ -750,13 +743,24 @@ def test_config_places_the_probe_column_and_both_windows():
         assert 0 <= ys.start < ys.stop <= n
 
 
+def test_packet_centers_place_the_source_and_the_slits():
+    # a single packet sits at the source; the two slits sit slit_separation
+    # apart along y, one on each side of it
+    cfg = InterferenceConfig(nx=256, ny=256, slit_separation=40.0)
+    (sx, sy), _, _ = cfg.geometry()
+    assert cfg.packet_centers("single") == [(sx, sy)]
+    assert cfg.packet_centers("two_slit") == [(sx, sy + 20.0), (sx, sy - 20.0)]
+    with pytest.raises(DomainError, match="packet must be 'single' or "):
+        cfg.packet_centers("wide")
+
+
 # ---------------------------------------------------------------------------
 # state preparation and validation
 # ---------------------------------------------------------------------------
 
 def test_packet_normalization_and_symmetry():
-    grid = two_gaussian_packet(make_wave_grid(128, 128), (28.0, 64.0), 40.0,
-                               10.0, (0.9, 0.0))
+    grid = gaussian_packet(make_wave_grid(128, 128), 10.0, (0.9, 0.0),
+                           (28.0, 84.0), (28.0, 44.0))
     assert abs(grid.norm() - 1.0) < 1e-12
     intensity = grid.intensity()
     # mirror symmetry about the source row y = 64
@@ -766,25 +770,28 @@ def test_packet_normalization_and_symmetry():
 @pytest.mark.parametrize("shape", [(128, 96), (512, 512)])
 def test_packets_match_reference_formula(shape):
     # the packets are, bit for bit, the normalized sum of the Gaussians
-    # exp(-|r-c|^2/(2 w^2) + i k.r), each normalized on its own
+    # exp(-|r-c|^2/(2 w^2) + i k.r): the envelopes summed, times the one
+    # carrier, normalized once
     nx, ny = shape
     x = np.arange(nx)[:, None] * 1.0
     y = np.arange(ny)[None, :] * 1.0
     width, (kx, ky) = 10.0, (0.9, -0.3)
 
-    def gaussian(cx, cy):
-        env = np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * width**2))
+    def envelope(cx, cy):
+        return np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * width**2))
+
+    def normalized(env):
         psi = (env * np.exp(1j * (kx * x + ky * y))).astype(np.complex128)
         return psi / np.sqrt(np.sum(np.abs(psi) ** 2))
 
     cx, cy, gap = 0.22 * nx, 0.5 * ny, 40.0
-    single = gaussian_packet(make_wave_grid(nx, ny), (cx, cy), width,
-                             (kx, ky))
-    assert np.array_equal(single.psi, gaussian(cx, cy))
-    pair = gaussian(cx, cy + 0.5 * gap) + gaussian(cx, cy - 0.5 * gap)
-    pair /= np.sqrt(np.sum(np.abs(pair) ** 2))
-    grid = two_gaussian_packet(make_wave_grid(nx, ny), (cx, cy), gap, width,
-                               (kx, ky))
+    single = gaussian_packet(make_wave_grid(nx, ny), width, (kx, ky),
+                             (cx, cy))
+    assert np.array_equal(single.psi, normalized(envelope(cx, cy)))
+    pair = normalized(envelope(cx, cy + 0.5 * gap)
+                      + envelope(cx, cy - 0.5 * gap))
+    grid = gaussian_packet(make_wave_grid(nx, ny), width, (kx, ky),
+                           (cx, cy + 0.5 * gap), (cx, cy - 0.5 * gap))
     assert np.array_equal(grid.psi, pair)
 
 
@@ -793,7 +800,9 @@ def test_packet_width_validation():
     # too narrow for the lattice, not a number, or with no finite square
     for width in (7.9, float("nan"), 1e308, float("inf")):
         with pytest.raises(DomainError):
-            gaussian_packet(grid, (28.0, 64.0), width, (0.9, 0.0))
+            gaussian_packet(grid, width, (0.9, 0.0), (28.0, 64.0))
+    with pytest.raises(DomainError, match="at least one centre"):
+        gaussian_packet(grid, 10.0, (0.9, 0.0))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -804,14 +813,15 @@ def test_packet_overflow_is_refused_with_its_cause():
     for momentum in ((1e308, 0.0), (0.0, 1e308), (1e307, 1e307),
                      (float("nan"), 0.0)):
         with pytest.raises(DomainError, match="carrier phase"):
-            gaussian_packet(grid, (14.0, 32.0), 10.0, momentum)
+            gaussian_packet(grid, 10.0, momentum, (14.0, 32.0))
     for center in ((14.0, 1e308), (-1e155, -1e155), (float("inf"), 32.0)):
         with pytest.raises(DomainError, match="packet centre"):
-            gaussian_packet(grid, center, 10.0, (0.9, 0.0))
+            gaussian_packet(grid, 10.0, (0.9, 0.0), center)
     with pytest.raises(DomainError, match="packet centre"):
-        two_gaussian_packet(grid, (14.0, 32.0), 1e308, 10.0, (0.9, 0.0))
+        gaussian_packet(grid, 10.0, (0.9, 0.0), (14.0, 32.0 + 0.5e308),
+                        (14.0, 32.0 - 0.5e308))
     # a large but finite phase still makes a packet
-    gaussian_packet(grid, (14.0, 32.0), 10.0, (1e300, 0.0))
+    gaussian_packet(grid, 10.0, (1e300, 0.0), (14.0, 32.0))
 
 
 def test_grid_validation():
@@ -833,9 +843,9 @@ def test_grid_is_a_value(monkeypatch, packet128):
     # byte of it, as it was
     line = CFG128.flux_line(np.pi, 1.0)
     zeros = make_wave_grid(128, 128)
-    calls = [(gaussian_packet, zeros, (28.0, 64.0), 10.0, (0.9, 0.0)),
-             (two_gaussian_packet, zeros, (28.0, 64.0), 40.0, 10.0,
-              (0.9, 0.0)),
+    calls = [(gaussian_packet, zeros, 10.0, (0.9, 0.0), (28.0, 64.0)),
+             (gaussian_packet, zeros, 10.0, (0.9, 0.0), (28.0, 84.0),
+              (28.0, 44.0)),
              (propagate_free, packet128, 5),
              (propagate_with_flux, packet128, line, 5)]
     for run, grid, *args in calls:
@@ -843,12 +853,12 @@ def test_grid_is_a_value(monkeypatch, packet128):
         assert run(grid, *args) is not grid
         assert grid.psi is psi and psi.tobytes() == before
     made = []
-    for name in ("gaussian_packet", "two_gaussian_packet"):
-        def spy(*args, _make=getattr(interference, name)):
-            grid = _make(*args)
-            made.append((grid, grid.psi.tobytes()))
-            return grid
-        monkeypatch.setattr(interference, name, spy)
+
+    def spy(*args, _make=interference.gaussian_packet):
+        grid = _make(*args)
+        made.append((grid, grid.psi.tobytes()))
+        return grid
+    monkeypatch.setattr(interference, "gaussian_packet", spy)
     packets, grids = [], []
     for packet in ("single", "two_slit"):
         free, lines, _ = run_experiment(replace(CFG128, steps=5), packet,

@@ -816,6 +816,10 @@ def test_confine_output(tmp_path):
     ["vortex", "--v", "1.7976931348623157e308"],
     # the config checks its packet, as gaussian_packet does
     _ABSIM64 + ["--steps", "2", "--packet-width", "1"],
+    # fields builds its PhysicalConfig, and check its report, before any stage
+    ["fields", "--mu", "-1"],
+    ["fields", "--q", "nan"],
+    ["check", "--tol", "0"],
 ])
 def test_bad_inputs_are_refused_before_the_solve(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
