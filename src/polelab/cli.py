@@ -313,7 +313,8 @@ def cmd_holonomy(run):
         flux, flux_err = cap_flux(cfg["g"], cfg["theta"], cfg["radius"],
                                   n0=cfg["base_segments"],
                                   levels=cfg["levels"])
-        expected = 2.0 * math.pi * cfg["g"] * (1.0 - math.cos(cfg["theta"]))
+        # 2 pi g (1 - cos theta) cancels at small theta; this form does not
+        expected = 4.0 * math.pi * cfg["g"] * math.sin(0.5 * cfg["theta"]) ** 2
         phase = cfg["q"] * flux
     run.diagnostics["flux_rule_error"] = flux_err
     with run.stage("write"):
@@ -447,6 +448,7 @@ def _solve_vortex_for(run):
     run.diagnostics["grid"] = len(profile.rho_grid) - 1
     run.diagnostics["residual"] = tension.residual
     run.diagnostics["relaxation"] = tension.stats._asdict()
+    run.diagnostics["energy_error"] = tension.energy_error
     return model, profile, tension
 
 

@@ -167,8 +167,10 @@ def wu_yang_potential(patch, g, r):
         north:  g*(1 - cos(theta)) / (r*sin(theta))
         south: -g*(1 + cos(theta)) / (r*sin(theta))
 
-    Both are evaluated here in the equivalent cancellation-free forms
-    +-g/(r*(r +- z)) * (-y, x, 0), which stay finite on the allowed axis.
+    Both are evaluated here in the equivalent forms +-g/(r*(r +- z)) *
+    (-y, x, 0), which stay finite on the allowed axis. On the far half of
+    each patch r +- z would cancel as its excluded axis nears, so there it
+    is formed as rho^2/(r -+ z), since (r + z)*(r - z) = rho^2.
     Evaluation within angular distance AXIS_TOL of the excluded axis raises
     SingularPointError, and an amplitude g/(r*(r +- z)) that is not finite
     (at a tiny or a huge |r|) DomainError.
@@ -184,12 +186,16 @@ def wu_yang_potential(patch, g, r):
         # excluded axis theta = pi
         if np.any(np.pi - theta < AXIS_TOL):
             raise SingularPointError("north patch evaluated on its excluded (-z) axis")
-        num, side = g, rmag + z
+        num, sign = g, 1.0
     else:
         if np.any(theta < AXIS_TOL):
             raise SingularPointError("south patch evaluated on its excluded (+z) axis")
-        num, side = -g, rmag - z
+        num, sign = -g, -1.0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # rho * (rho/(r -+ z)): the ratio is at most 1, so neither factor
+        # overflows or underflows where rho^2 would
+        side = np.where(sign * z < 0, rho * (rho / (rmag - sign * z)),
+                        rmag + sign * z)
         den = rmag * side
         amp = num / den
     if not (np.all(np.isfinite(den)) and np.all(np.isfinite(amp))):

@@ -21,8 +21,10 @@ critical coupling beta = 1 the tension saturates the lower bound
 2*pi*v^2*|n|.
 
 The solver relaxes the Euler-Lagrange system by implicit gradient flow whose
-pseudo-timestep grows each sweep, turning smoothly into damped Newton; the
-grid is sinh-stretched to cluster points near the axis.
+pseudo-timestep grows each sweep as fast as the residual falls, and at least
+doubles (switched evolution relaxation: Mulder & van Leer, J. Comput. Phys.
+59 (1985) 232), turning smoothly into Newton's method; the grid is
+sinh-stretched to cluster points near the axis.
 """
 
 import math
@@ -119,7 +121,9 @@ class VortexProfile:
 class RelaxationStats(NamedTuple):
     """What one solve_vortex call did: its sweeps (one banded solve each),
     the residual before each sweep and, once converged, the final one, and
-    the pseudo-timestep dtau of the last sweep (0 if none was taken)."""
+    the pseudo-timestep dtau of the last sweep (0 if none was taken). Sweep
+    k runs at dtau_k = min(dtau_{k-1} * max(2, r_{k-1}/r_k), 1e12), r_k the
+    residual before it, from dtau_0 = 2."""
 
     iterations: int
     residual_history: tuple
@@ -133,10 +137,12 @@ class TensionResult:
     converged: bool
     residual: float
     stats: RelaxationStats = None
+    # |T - T on every other grid point|, a bound on T's quadrature error
+    energy_error: float = None
 
     def to_dict(self):
-        """The four result values; the stats record of the solve is not
-        one of them."""
+        """The four result values; the stats record of the solve and the
+        energy's error bound are not among them."""
         return {"T": self.T, "bogomolny_ratio": self.bogomolny_ratio,
                 "converged": self.converged, "residual": self.residual}
 
@@ -163,7 +169,11 @@ def _density_terms(model, profile):
 
 
 def vortex_energy(model, profile):
-    """Tube energy per unit length by trapezoidal quadrature of the profile.
+    """Tube energy per unit length by trapezoidal quadrature of the profile,
+    and |fine - coarse|, its change when every other grid point is dropped.
+    On converged tubes that change bounds the energy's error: the true
+    error is smaller, and (fine - coarse)/3, Richardson's estimate, has the
+    wrong sign, so the bound is not extrapolated.
 
     Raises AccuracyError when coarsening the grid by 2 moves the result by
     more than 1%: the profile is then too coarse to quote an energy.
@@ -174,9 +184,10 @@ def vortex_energy(model, profile):
     # a profile sitting in vacuum integrates to gradient-weight rounding
     # noise; judge the 1% agreement against a physical floor, not the noise
     floor = 1e-14 * model.lam * model.v**4 * max(rho[-1], 1.0) ** 2
-    if abs(fine - coarse) > 0.01 * max(abs(fine), floor):
+    error = abs(fine - coarse)
+    if error > 0.01 * max(abs(fine), floor):
         raise AccuracyError("profile grid too coarse for a 1% energy estimate")
-    return float(fine)
+    return float(fine), float(error)
 
 
 def magnetic_profile(model, profile):
@@ -239,7 +250,8 @@ def _fd_coeffs(x):
 
 
 def _residual(x, f, a, n, beta, d1, d2):
-    """Euler-Lagrange defects at interior nodes (dimensionless units)."""
+    """Euler-Lagrange defects at interior nodes (dimensionless units),
+    interleaved [rf_1, ra_1, rf_2, ra_2, ...] as the unknowns are."""
     xi = x[1:-1]
     (c1m, c1c, c1p), (c2m, c2c, c2p) = d1, d2
     fp = c1m * f[:-2] + c1c * f[1:-1] + c1p * f[2:]
@@ -250,7 +262,7 @@ def _residual(x, f, a, n, beta, d1, d2):
     rf = fpp + fp / xi - n**2 * (1.0 - ai) ** 2 * fi / xi**2 \
         + 0.5 * beta * fi * (1.0 - fi**2)
     ra = app - ap / xi + fi**2 * (1.0 - ai)
-    return rf, ra
+    return np.ravel([rf, ra], order="F")
 
 
 def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
@@ -268,8 +280,10 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
     weights: the residual cannot go below that rounding floor, which grows
     as 1/h_min^2 and can exceed tol on grids finer than the default, so
     the returned residual may exceed tol there. The tension carries the
-    RelaxationStats of the solve. Raises ConvergenceError (with the residual
-    history and the stats) if the relaxation stalls.
+    RelaxationStats of the solve and the energy's error bound. Raises
+    ConvergenceError (with the residual history and the stats) if the
+    relaxation stalls, or if a sweep's Newton system is not finite or is
+    singular.
     """
     n = check_count("winding number n", n, 1)
     grid = check_count("grid", grid, 512, MAX_GRID)
@@ -331,51 +345,64 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
 
     # imported here, not at module level: check, fields, holonomy and angmom
     # never load scipy.linalg
-    from scipy.linalg import solve_banded
+    from scipy.linalg import get_lapack_funcs
 
-    history = []
-    dtau = 0.25     # doubled before each sweep: 0.5, 1, 2, ... up to 1e12
-    converged = False
+    # one LU buffer for every sweep: gbsv factors in place, in the band
+    # and two rows of fill-in above it
+    gbsv, = get_lapack_funcs(("gbsv",), (ab,))
+    lu = np.zeros((7, ab.shape[1]), order="F")
+
+    history, failure, sweeps = [], None, 0
+    dtau = 1.0      # the first sweep runs at 2
     for _ in range(max_iter):
-        rf, ra = _residual(x, f, a, n, beta, d1, d2)
-        res = max(np.max(np.abs(rf)), np.max(np.abs(ra)))
-        history.append(float(res))
+        rhs = _residual(x, f, a, n, beta, d1, d2)
+        res = float(np.max(np.abs(rhs)))
+        history.append(res)
         if res < goal:
-            converged = True
             break
-        dtau = min(dtau * 2.0, 1e12)
+        # switched evolution relaxation: dtau grows as fast as the residual
+        # falls, and at least doubles, up to 1e12
+        growth = history[-2] / res if len(history) > 1 else 2.0
+        step = min(dtau * max(2.0, growth), 1e12)
 
         fi, ai = f[1:-1], a[1:-1]
-        ab[2, 0::2] = (1.0 / dtau) - (
+        ab[2, 0::2] = (1.0 / step) - (
             lin_f - n**2 * (1.0 - ai) ** 2 / xi**2
             + 0.5 * beta * (1.0 - 3.0 * fi**2))
-        ab[2, 1::2] = (1.0 / dtau) - (lin_a - fi**2)
+        ab[2, 1::2] = (1.0 / step) - (lin_a - fi**2)
         # f_k <- a_k: super-diagonal 1; a_k <- f_k: sub-diagonal 1
         ab[1, 1::2] = -(2.0 * n**2 * (1.0 - ai) * fi / xi**2)
         ab[3, 0:-1:2] = -(2.0 * fi * (1.0 - ai))
-
-        delta = solve_banded((2, 2), ab, np.ravel([rf, ra], order="F"))
+        if not (math.isfinite(res) and np.all(np.isfinite(ab))):
+            failure = "the relaxation's Newton system is not finite"
+            break
+        lu[2:] = ab
+        _, _, delta, info = gbsv(2, 2, lu, rhs, overwrite_ab=True,
+                                 overwrite_b=True)
+        if info != 0 or not np.all(np.isfinite(delta)):
+            failure = ("the relaxation's Newton system is singular or too "
+                       f"ill-conditioned to solve (gbsv info {info})")
+            break
+        dtau, sweeps = step, sweeps + 1
         f[1:-1] += delta[0::2]
         a[1:-1] += delta[1::2]
         np.clip(f, -0.2, 1.2, out=f)
         np.clip(a, -0.2, 1.2, out=a)
         f[0] = a[0] = 0.0
         f[-1] = a[-1] = 1.0
+    else:
+        failure = "vortex relaxation did not converge"
 
-    sweeps = len(history) - converged
     stats = RelaxationStats(sweeps, tuple(history), dtau if sweeps else 0.0)
-    rho = x / m_v
-    profile = VortexProfile(n=n, rho_grid=rho, f=f, a=a)
-    if not converged:
-        # the last sweep moved f and a past history's last residual
-        rf, ra = _residual(x, f, a, n, beta, d1, d2)
-        res = float(max(np.max(np.abs(rf)), np.max(np.abs(ra))))
-        raise ConvergenceError("vortex relaxation did not converge",
-                               best=profile, error=res, history=history,
-                               stats=stats)
-    T = vortex_energy(model, profile)
+    profile = VortexProfile(n=n, rho_grid=x / m_v, f=f, a=a)
+    if failure:
+        # a stall's last sweep moved f and a past history's last residual
+        res = float(np.max(np.abs(_residual(x, f, a, n, beta, d1, d2))))
+        raise ConvergenceError(failure, best=profile, error=res,
+                               history=history, stats=stats)
+    T, energy_error = vortex_energy(model, profile)
     bound = 2.0 * np.pi * model.v**2 * abs(n)
     return profile, TensionResult(
         T=T, bogomolny_ratio=float(T / bound), converged=True,
-        residual=history[-1], stats=stats,
+        residual=history[-1], stats=stats, energy_error=energy_error,
     )

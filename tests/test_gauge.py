@@ -297,6 +297,24 @@ def test_cap_flux_formula():
     assert abs(near_full - 4 * np.pi * g) < 4 * np.pi * g * 1e-3
 
 
+@pytest.mark.parametrize("g, r", [(0.5, 1.0), (0.5, 2.0), (-1.5, 1e-3),
+                                  (7.0, 1e4)])
+def test_cap_flux_holds_to_its_estimate_near_both_poles(g, r):
+    # the north form g/(r*(r + z)) used to form r + z by cancellation as
+    # z -> -r, and the integrand is constant on the rim, so every rule
+    # rounded alike and the estimate read 0: at pi - 1e-7 the flux was
+    # 8e-4 off. The closed form is 4 pi g sin^2(theta/2), which does not
+    # cancel at small theta as 2 pi g (1 - cos theta) does. The rule's
+    # rounding reached 5 ulp of 4 pi |g| over 400 angles per side at six
+    # (g, r), from r = 1e-100 to 1e100
+    ulp = np.spacing(4.0 * np.pi * abs(g))
+    for d in np.geomspace(1e-8, 1.0, 60):
+        for theta in (d, np.pi - d):
+            flux, err = cap_flux(g, theta, r=r)
+            expected = 4.0 * np.pi * g * np.sin(0.5 * theta) ** 2
+            assert abs(flux - expected) <= err + 8.0 * ulp, (theta, flux)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cap_flux_of_a_huge_pole(monkeypatch):
     # 4 pi g = 1.26e308 is finite: each term of the rule takes its weight
