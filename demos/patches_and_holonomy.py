@@ -10,8 +10,9 @@ a few (q, g) pairs.
 
 import numpy as np
 
-from polelab.gauge import (cap_flux, check_quantization, patch_mismatch,
-                           string_invisibility, transition_function)
+from polelab.gauge import (HolonomyConfig, cap_flux, check_quantization,
+                           patch_mismatch, string_invisibility,
+                           transition_function)
 
 g = 0.5
 
@@ -31,7 +32,7 @@ print(f"max |(A_N - A_S) - grad(2 g phi)| over 400 band points: {dev:.3e}")
 # flux through spherical caps, from the loop integral around each rim only
 print(f"\n{'theta':>8} {'cap flux':>14} {'2 pi g (1-cos)':>16}")
 for theta_cap in (0.3, 1.0, np.pi / 2, 2.5):
-    flux, _ = cap_flux(g, theta_cap)
+    flux, _ = cap_flux(HolonomyConfig(g=g, theta=theta_cap, radius=1.0))
     print(f"{theta_cap:8.3f} {flux:14.10f} "
           f"{2.0 * np.pi * g * (1.0 - np.cos(theta_cap)):16.10f}")
 

@@ -12,11 +12,11 @@ pole is confined.
 
 import numpy as np
 
-from polelab.vortex import (HiggsModel, confinement_energy, magnetic_profile,
-                            solve_vortex, vortex_flux)
+from polelab.vortex import (VortexConfig, confinement_energy,
+                            magnetic_profile, solve_vortex, vortex_flux)
 
-critical = HiggsModel(q=1.0, v=1.0, lam=2.0)
-profile, tension = solve_vortex(critical, 1)
+critical = VortexConfig(q=1.0, v=1.0, lam=2.0, n=1)
+profile, tension = solve_vortex(critical)
 
 print(f"critical coupling (beta = {critical.beta}):")
 print(f"  tension T = {tension.T:.10f}, bound 2 pi v^2 = {2 * np.pi:.10f}")
@@ -33,7 +33,7 @@ print(f"  B_z on axis = {b[0]:.6f} "
 
 print("\ntension across the critical point:")
 for lam, kind in ((1.0, "type I "), (2.0, "critical"), (4.0, "type II")):
-    _, t = solve_vortex(HiggsModel(q=1.0, v=1.0, lam=lam), 1)
+    _, t = solve_vortex(VortexConfig(q=1.0, v=1.0, lam=lam, n=1))
     print(f"  beta = {lam / 2:.1f} ({kind}): T = {t.T:.6f}, "
           f"T / 2 pi v^2 = {t.bogomolny_ratio:.6f}")
 

@@ -46,7 +46,7 @@ of the integrand neither underflow nor overflow at any separation.
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -357,28 +357,49 @@ def field_angular_momentum(pair, quad=None):
                            history=list(vals), stats=stats)
 
 
-def angular_momentum_sweep(q, g, mu_list, d_list, quad=None):
-    """J over the (mu, d) grid; per-cell convergence failures are recorded,
-    not raised. Returns a list of SweepCell in row-major (mu outer) order.
-    Each distinct unit pair, i.e. each distinct mu*d, is computed once; a
-    later cell with the same unit pair copies its result, failure included,
-    and is marked reused."""
-    mu_list = list(mu_list)
-    d_list = list(d_list)
-    if not mu_list or not d_list:
-        raise DomainError("sweep needs at least one mu and one d")
+@dataclass(frozen=True)
+class SweepConfig:
+    """A pair's (mu, d) grid, each list nonempty, and its QuadratureSpec:
+    keeps the spec and every cell's PairConfig, mu outer, built and so
+    checked on construction."""
+
+    q: float = 1.0
+    g: float = 0.5
+    mu_list: list = field(default_factory=lambda: [0.0, 1.0])
+    d_list: list = field(default_factory=lambda: [0.5, 1.0, 2.0, 4.0])
+    tol: float = QuadratureSpec.target_tol
+    gl_order: int = QuadratureSpec.gl_order
+    levels: int = QuadratureSpec.levels
+
+    def __post_init__(self):
+        if not (len(self.mu_list) and len(self.d_list)):
+            raise DomainError("mu_list and d_list must each hold a value")
+        try:
+            pairs = [PairConfig(self.q, self.g, d, mu)
+                     for mu in self.mu_list for d in self.d_list]
+        except DomainError as exc:
+            raise DomainError(f"a cell of mu_list x d_list: {exc}") from None
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "quad", QuadratureSpec(
+            self.tol, self.levels, self.gl_order))
+
+
+def angular_momentum_sweep(config):
+    """J over the (mu, d) grid of a SweepConfig; per-cell convergence
+    failures are recorded, not raised. Returns a list of SweepCell in
+    row-major (mu outer) order. Each distinct unit pair, i.e. each distinct
+    mu*d, is computed once; a later cell with the same unit pair copies its
+    result, failure included, and is marked reused."""
     done = {}
     cells = []
-    for mu in mu_list:
-        for d in d_list:
-            pair = PairConfig(q=q, g=g, d=d, mu=mu)
-            key = _unit_pair(pair)
-            reused = key in done
-            if not reused:
-                try:
-                    res = field_angular_momentum(pair, quad)
-                    done[key] = (res.value, res.error, True, res.stats)
-                except ConvergenceError as exc:
-                    done[key] = (exc.best, exc.error, False, exc.stats)
-            cells.append(SweepCell(mu, d, *done[key], reused))
+    for pair in config.pairs:
+        key = _unit_pair(pair)
+        reused = key in done
+        if not reused:
+            try:
+                res = field_angular_momentum(pair, config.quad)
+                done[key] = (res.value, res.error, True, res.stats)
+            except ConvergenceError as exc:
+                done[key] = (exc.best, exc.error, False, exc.stats)
+        cells.append(SweepCell(pair.mu, pair.d, *done[key], reused))
     return cells

@@ -2,12 +2,14 @@
 
 Subcommands: check, fields, holonomy, angmom, absim, vortex, confine.
 Each reads flag values, optionally overridden by a JSON --config file,
-resolves them against a per-command schema of key -> default, whose
-defaults come from the library wherever it sets them (unknown keys are
-rejected), and writes results into --out. Every data file carries the
-sha256 of the resolved configuration in a provenance header, so identical
-configurations produce byte-identical files, and holds only finite numbers.
-Wall-clock data goes only into the run manifest, written for every run.
+resolves them against a per-command schema of key -> default (unknown keys
+are rejected), and writes results into --out. A schema is the fields of
+the command's config, a frozen dataclass of the library whose construction
+checks every input; each command builds it before its first stage, so a
+refused run records no stage. Every data file carries the sha256 of the
+resolved configuration in a provenance header, so identical configurations
+produce byte-identical files, and holds only finite numbers. Wall-clock
+data goes only into the run manifest, written for every run.
 
 Exit codes: 0 success, 1 quantization condition not satisfied (check);
 EXIT_CODES maps each error class to 2 usage or configuration error,
@@ -21,7 +23,6 @@ import dataclasses
 import datetime
 import functools
 import hashlib
-import inspect
 import json
 import math
 import os
@@ -32,18 +33,19 @@ import traceback
 import numpy as np
 
 from . import __version__
-from .angmom import QuadratureSpec, angular_momentum_sweep
+from .angmom import SweepConfig, angular_momentum_sweep
 from .errors import (AccuracyError, ConvergenceError, DomainError,
-                     StabilityError, check_count, check_finite)
-from .fields import (PhysicalConfig, local_charge, monopole_field,
+                     StabilityError)
+from .fields import (FieldsConfig, local_charge, monopole_field,
                      yukawa_electric_field)
-from .gauge import DEFAULT_TOL, cap_flux, check_quantization
+from .gauge import DEFAULT_TOL, HolonomyConfig, cap_flux, check_quantization
 from .interference import (FluxLine, FringeRow, InterferenceConfig,
                            check_fringe_window, intensity_slice,
                            measure_fringe, measure_invisibility,
                            run_experiment, save_snapshot)
-from .vortex import (HiggsModel, confinement_energy, energy_density_profile,
-                     magnetic_profile, solve_vortex, vortex_flux)
+from .vortex import (ConfineConfig, VortexConfig, confinement_energy,
+                     energy_density_profile, magnetic_profile, solve_vortex,
+                     vortex_flux)
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
@@ -59,47 +61,18 @@ EXIT_CODES = {
     StabilityError: EXIT_STABILITY,
 }
 
-# fields --samples above this is refused before anything is allocated
-MAX_SAMPLES = 2**20
-
-
 # ---------------------------------------------------------------------------
 # config plumbing
 # ---------------------------------------------------------------------------
 
-_CAP_FLUX = inspect.signature(cap_flux).parameters
-_SOLVE_VORTEX = inspect.signature(solve_vortex).parameters
-_VORTEX_KEYS = ("r_max", "grid", "tol", "max_iter")
-
-_PAIR = {"q": 1.0, "g": 0.5}
-
-# key -> default. The default's type is the key's type: bool, int, float,
-# str, a list of floats, or None for an optional float.
+# key -> default, the fields of each command's config. The default's type
+# is the key's type: bool, int, float, str, a list of floats, or None for an
+# optional float.
 SCHEMAS = {
-    "check": {**_PAIR, "tol": DEFAULT_TOL},
-    "fields": {
-        **_PAIR,
-        "mu": 1.0,
-        "r_min": 0.1,
-        "r_max": 10.0,
-        "samples": 64,
-    },
-    "holonomy": {
-        **_PAIR,
-        "radius": 2.0,
-        "theta": 2.2,
-        "base_segments": _CAP_FLUX["n0"].default,
-        "levels": _CAP_FLUX["levels"].default,
-        "tol": DEFAULT_TOL,
-    },
-    "angmom": {
-        **_PAIR,
-        "mu_list": [0.0, 1.0],
-        "d_list": [0.5, 1.0, 2.0, 4.0],
-        "tol": QuadratureSpec.target_tol,
-        "gl_order": QuadratureSpec.gl_order,
-        "levels": QuadratureSpec.levels,
-    },
+    "check": {"q": 1.0, "g": 0.5, "tol": DEFAULT_TOL},
+    "fields": dataclasses.asdict(FieldsConfig()),
+    "holonomy": dataclasses.asdict(HolonomyConfig()),
+    "angmom": dataclasses.asdict(SweepConfig()),
     "absim": {
         "q": 1.0,
         "flux": 2.0 * math.pi,
@@ -109,16 +82,9 @@ SCHEMAS = {
         "cut": FluxLine.cut,
         "snapshots": True,
     },
-    "vortex": {
-        "q": 1.0,
-        "v": 1.0,
-        "lam": 2.0,
-        "n": 1,
-        **{key: _SOLVE_VORTEX[key].default for key in _VORTEX_KEYS},
-    },
+    "vortex": dataclasses.asdict(VortexConfig()),
+    "confine": dataclasses.asdict(ConfineConfig()),
 }
-SCHEMAS["confine"] = {**SCHEMAS["vortex"],
-                      "lengths": [0.0, 1.0, 2.0, 4.0, 8.0]}
 
 
 def _coerce(cmd, key, value):
@@ -273,26 +239,16 @@ def cmd_check(run):
 
 
 def cmd_fields(run):
-    cfg = run.config
-    if cfg["r_min"] <= 0 or cfg["r_max"] <= cfg["r_min"]:
-        raise DomainError("need 0 < r_min < r_max")
-    # every field squares |r|: refused here, before np.geomspace overflows
-    # on its way to an r_max near the float limit
-    if not math.isfinite(cfg["r_max"] * cfg["r_max"]):
-        raise DomainError("r_max^2 overflows: coordinates too large")
-    check_count("samples", cfg["samples"], 2, MAX_SAMPLES)
-    if cfg["g"] == 0:
-        raise DomainError("g must be nonzero: b_over_coulomb divides by it")
-    phys = PhysicalConfig(q=cfg["q"], g=cfg["g"], mu=cfg["mu"])
+    cfg = FieldsConfig(**run.config)
     with run.stage("solve"):
-        r = np.geomspace(cfg["r_min"], cfg["r_max"], cfg["samples"])
+        r = np.geomspace(cfg.r_min, cfg.r_max, cfg.samples)
         pts = np.outer(r, (0.0, 0.0, 1.0))
         # hypot, unlike norm, does not overflow by squaring a huge field
-        e_mag = np.hypot.reduce(yukawa_electric_field(phys, pts), axis=1)
-        b_mag = np.hypot.reduce(monopole_field(phys, pts), axis=1)
-        q_loc = local_charge(phys, r)
+        e_mag = np.hypot.reduce(yukawa_electric_field(cfg, pts), axis=1)
+        b_mag = np.hypot.reduce(monopole_field(cfg, pts), axis=1)
+        q_loc = local_charge(cfg, r)
         # per element: a vectorised r**2 can differ from ri**2 in the last bit
-        ratio = [bi * ri**2 / cfg["g"] for ri, bi in zip(r, b_mag)]
+        ratio = [bi * ri**2 / cfg.g for ri, bi in zip(r, b_mag)]
     with run.stage("write"):
         write_csv(run.path("fields.csv"),
                   ["r", "e_screened", "q_local", "b_pole", "b_over_coulomb"],
@@ -301,21 +257,12 @@ def cmd_fields(run):
 
 
 def cmd_holonomy(run):
-    cfg = run.config
-    if not 0 < cfg["theta"] < math.pi:
-        raise DomainError("theta must lie strictly between 0 and pi")
-    # the report does not depend on the flux: a 2*q*g it refuses is refused
-    # before the solve
-    report = check_quantization(cfg["q"], cfg["g"], tol=cfg["tol"])
-    # |q * cap flux| is at most the string's phase, q * 4 pi g
-    check_finite("q*4*pi*g", 4.0 * math.pi * (cfg["q"] * cfg["g"]))
+    cfg = HolonomyConfig(**run.config)
     with run.stage("solve"):
-        flux, flux_err = cap_flux(cfg["g"], cfg["theta"], cfg["radius"],
-                                  n0=cfg["base_segments"],
-                                  levels=cfg["levels"])
+        flux, flux_err = cap_flux(cfg)
         # 2 pi g (1 - cos theta) cancels at small theta; this form does not
-        expected = 4.0 * math.pi * cfg["g"] * math.sin(0.5 * cfg["theta"]) ** 2
-        phase = cfg["q"] * flux
+        expected = 4.0 * math.pi * cfg.g * math.sin(0.5 * cfg.theta) ** 2
+        phase = cfg.q * flux
     run.diagnostics["flux_rule_error"] = flux_err
     with run.stage("write"):
         write_json(run.path("holonomy.json"), {
@@ -325,18 +272,15 @@ def cmd_holonomy(run):
             "holonomy_phase": phase,
             "holonomy_factor_re": math.cos(phase),
             "holonomy_factor_im": math.sin(phase),
-            "quantization": report.to_dict(),
+            "quantization": cfg.report.to_dict(),
         }, run.sha)
     return EXIT_OK
 
 
 def cmd_angmom(run):
-    cfg = run.config
-    quad = QuadratureSpec(target_tol=cfg["tol"], levels=cfg["levels"],
-                          gl_order=cfg["gl_order"])
+    cfg = SweepConfig(**run.config)
     with run.stage("solve"):
-        cells = angular_momentum_sweep(cfg["q"], cfg["g"], cfg["mu_list"],
-                                       cfg["d_list"], quad)
+        cells = angular_momentum_sweep(cfg)
     n_failed = sum(0 if c.converged else 1 for c in cells)
     run.diagnostics["cells"] = len(cells)
     run.diagnostics["failed_cells"] = n_failed
@@ -434,57 +378,50 @@ def cmd_absim(run):
     return EXIT_OK
 
 
-def _solve_vortex_for(run):
-    cfg = run.config
-    model = HiggsModel(q=cfg["q"], v=cfg["v"], lam=cfg["lam"])
+def _solve_vortex_for(run, config_class):
+    cfg = config_class(**run.config)
+    run.diagnostics["grid"] = len(cfg.x) - 1
     with run.stage("solve"):
         try:
-            profile, tension = solve_vortex(
-                model, cfg["n"], **{key: cfg[key] for key in _VORTEX_KEYS})
+            profile, tension = solve_vortex(cfg)
         except ConvergenceError as exc:
-            run.diagnostics["grid"] = len(exc.best.rho_grid) - 1
             run.diagnostics["relaxation"] = exc.stats._asdict()
             raise
-    run.diagnostics["grid"] = len(profile.rho_grid) - 1
     run.diagnostics["residual"] = tension.residual
     run.diagnostics["relaxation"] = tension.stats._asdict()
     run.diagnostics["energy_error"] = tension.energy_error
-    return model, profile, tension
+    return cfg, profile, tension
 
 
 def cmd_vortex(run):
-    model, profile, tension = _solve_vortex_for(run)
+    cfg, profile, tension = _solve_vortex_for(run, VortexConfig)
     with run.stage("write"):
-        b_z = magnetic_profile(model, profile)
-        dens = energy_density_profile(model, profile)
+        b_z = magnetic_profile(cfg, profile)
+        dens = energy_density_profile(cfg, profile)
         write_csv(run.path("vortex_profile.csv"),
                   ["rho", "f", "a", "B_z", "energy_density"],
                   [profile.rho_grid, profile.f, profile.a, b_z, dens],
                   run.sha)
         payload = tension.to_dict()
-        payload["flux"] = vortex_flux(model, profile)
-        payload["flux_expected"] = 2.0 * math.pi * profile.n / model.q
-        payload["beta"] = model.beta
+        payload["flux"] = vortex_flux(cfg, profile)
+        payload["flux_expected"] = 2.0 * math.pi * profile.n / cfg.q
+        payload["beta"] = cfg.beta
         payload["n"] = profile.n
         write_json(run.path("vortex_tension.json"), payload, run.sha)
     return EXIT_OK
 
 
 def cmd_confine(run):
-    cfg = run.config
-    if not cfg["lengths"] or not all(0 <= length < math.inf
-                                     for length in cfg["lengths"]):
-        raise DomainError("lengths must be nonempty, finite and >= 0")
-    model, profile, tension = _solve_vortex_for(run)
+    cfg, profile, tension = _solve_vortex_for(run, ConfineConfig)
     with run.stage("write"):
         energy = [confinement_energy(tension, length)
-                  for length in cfg["lengths"]]
+                  for length in cfg.lengths]
         write_csv(run.path("confine.csv"), ["L", "energy"],
-                  [cfg["lengths"], energy], run.sha)
+                  [cfg.lengths, energy], run.sha)
         write_json(run.path("confine.json"), {
             "tension": tension.T,
             "bogomolny_ratio": tension.bogomolny_ratio,
-            "beta": model.beta,
+            "beta": cfg.beta,
             "n": profile.n,
         }, run.sha)
     return EXIT_OK

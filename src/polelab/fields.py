@@ -20,8 +20,8 @@ importing polelab (and so every CLI command) does not load it.
 import numpy as np
 from dataclasses import dataclass
 
-from .errors import (DomainError, SingularPointError, check_finite,
-                     check_positive)
+from .errors import (DomainError, SingularPointError, check_count,
+                     check_finite, check_positive)
 
 # Angular distance to a patch's excluded axis below which evaluation is refused.
 AXIS_TOL = 1e-9
@@ -31,6 +31,9 @@ FLUX_PER_POLE = 4.0 * np.pi
 
 # mu*r past which exp(-mu*r), and so the screening weight, is exactly 0.
 _SCREENING_CLAMP = 800.0
+
+# FieldsConfig refuses more samples than this before anything is allocated
+MAX_SAMPLES = 2**20
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,31 @@ class PhysicalConfig:
         check_finite("q, g, mu", self.q, self.g, self.mu)
         if self.mu < 0:
             raise DomainError("photon mass mu must be >= 0")
+
+
+@dataclass(frozen=True)
+class FieldsConfig(PhysicalConfig):
+    """A PhysicalConfig with g nonzero and its fields' samples (2 to
+    MAX_SAMPLES) radii from r_min to r_max: 0 < r_min < r_max, with r_max^2
+    finite, since every field squares |r|; checked on construction."""
+
+    q: float = 1.0
+    g: float = 0.5
+    mu: float = 1.0
+    r_min: float = 0.1
+    r_max: float = 10.0
+    samples: int = 64
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0 < self.r_min < self.r_max:
+            raise DomainError("need 0 < r_min < r_max")
+        if not np.isfinite(self.r_max * self.r_max):
+            raise DomainError("r_max^2 overflows: coordinates too large")
+        check_count("samples", self.samples, 2, MAX_SAMPLES)
+        if self.g == 0:
+            raise DomainError("g must be nonzero: b_over_coulomb divides "
+                              "by it")
 
 
 @dataclass(frozen=True)

@@ -112,21 +112,37 @@ def patch_mismatch(g, point):
     return wu_yang_potential("north", g, arr) - wu_yang_potential("south", g, arr)
 
 
-def circle_flux(potential, center, u, v, n0=64, levels=3):
+@dataclass(frozen=True)
+class CircleRule:
+    """circle_flux's rules: base_segments nodes (>= 3), doubled over levels
+    (>= 2) rules to the finest, of N <= MAX_NODES nodes, checked by a shift
+    in Python ints, so no size overflows and no node is built first."""
+
+    base_segments: int = 64
+    levels: int = 3
+
+    def __post_init__(self):
+        n0 = check_count("base_segments", self.base_segments, 3)
+        levels = check_count("levels", self.levels, 2)
+        if n0 > MAX_NODES >> (levels - 1):
+            raise DomainError(f"the finest rule, base_segments * 2^(levels "
+                              f"- 1), may have at most {MAX_NODES} nodes")
+
+    @property
+    def nodes(self):
+        return int(self.base_segments) << (int(self.levels) - 1)
+
+
+def circle_flux(potential, center, u, v, rule=CircleRule()):
     """Integral of A . dl around the circle center + u cos(t) + v sin(t).
 
     A(gamma(t)) . gamma'(t) is smooth and 2 pi-periodic, so the trapezoid
     rule in t converges geometrically (Trefethen & Weideman, SIAM Review 56
-    (2014) 385). A is evaluated once, at N = n0 * 2^(levels - 1) nodes (at
-    most MAX_NODES); every other node gives the rule I(N/2). Returns
-    (I(N), |I(N) - I(N/2)|). The potential takes points of shape (N, 3).
+    (2014) 385). A is evaluated once, at the N nodes of the rule's finest
+    rule; every other node gives the rule I(N/2). Returns (I(N), |I(N) -
+    I(N/2)|). The potential takes points of shape (N, 3).
     """
-    n0, levels = check_count("n0", n0, 3), check_count("levels", levels, 2)
-    # in Python ints, and by a shift, so no size of n0 or levels overflows
-    if n0 > MAX_NODES >> (levels - 1):
-        raise DomainError(f"the finest rule, n0 * 2^(levels - 1), may have "
-                          f"at most {MAX_NODES} nodes")
-    n = n0 << (levels - 1)
+    n = rule.nodes
     t = 2.0 * np.pi * np.arange(n) / n
     cos, sin = np.cos(t)[:, None], np.sin(t)[:, None]
     a = potential(center + cos * u + sin * v)
@@ -138,17 +154,39 @@ def circle_flux(potential, center, u, v, n0=64, levels=3):
     return fine, abs(fine - 2.0 * float(np.sum(terms[::2])))
 
 
-def cap_flux(g, theta, r=1.0, n0=64, levels=3):
-    """Flux of a pole g through the cap of opening angle theta on the sphere
-    of radius r: the north patch's circle_flux around the rim. Each of the
-    levels rules doubles the n0 nodes of the one before, and the error
-    estimate is the distance between the two finest. g must carry a finite
-    string flux 4 pi g, the bound of every cap's flux."""
-    if not (r > 0 and 0 < theta < math.pi):
-        raise DomainError("a cap needs r > 0 and 0 < theta < pi")
-    string_flux = 4.0 * math.pi * float(g)
-    check_finite(f"the string flux 4*pi*g = {string_flux}", string_flux)
-    pot = partial(wu_yang_potential, "north", g)
+@dataclass(frozen=True)
+class HolonomyConfig:
+    """A charge q on the rim of the cap 0 < theta < pi of the sphere of
+    radius > 0 about a pole g, with finite string flux 4 pi g and phase
+    q 4 pi g; keeps the CircleRule of its flux and its quantization report
+    at tol, built and so checked on construction."""
+
+    q: float = 1.0
+    g: float = 0.5
+    radius: float = 2.0
+    theta: float = 2.2
+    base_segments: int = 64
+    levels: int = 3
+    tol: float = DEFAULT_TOL
+
+    def __post_init__(self):
+        if not (0 < self.radius < math.inf and 0 < self.theta < math.pi):
+            raise DomainError("a cap needs 0 < radius < inf, 0 < theta < pi")
+        string_flux = 4.0 * math.pi * float(self.g)
+        check_finite(f"the string flux 4*pi*g = {string_flux}", string_flux)
+        check_finite("q*4*pi*g", 4.0 * math.pi * (self.q * self.g))
+        object.__setattr__(self, "report",
+                           check_quantization(self.q, self.g, self.tol))
+        object.__setattr__(self, "rule",
+                           CircleRule(self.base_segments, self.levels))
+
+
+def cap_flux(config):
+    """Flux of the pole g through the cap of a HolonomyConfig: the north
+    patch's circle_flux around the rim, by the config's rule, whose error
+    estimate is the distance between its two finest rules."""
+    r, theta = config.radius, config.theta
+    pot = partial(wu_yang_potential, "north", config.g)
     rho = r * math.sin(theta)
     return circle_flux(pot, (0.0, 0.0, r * math.cos(theta)), (rho, 0.0, 0.0),
-                       (0.0, rho, 0.0), n0=n0, levels=levels)
+                       (0.0, rho, 0.0), config.rule)

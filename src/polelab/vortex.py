@@ -28,7 +28,7 @@ sinh-stretched to cluster points near the axis.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -71,7 +71,7 @@ class HiggsModel:
         q, v = np.float64(self.q), np.float64(self.v)
         with np.errstate(over="ignore", under="ignore", divide="ignore"):
             check_positive("beta, 1/m_V, 1/m_H, lam*v^4",
-                           self.lam / (2.0 * q**2), *self.lengths,
+                           self.lam / (2.0 * q**2), *self.correlation_lengths,
                            self.lam * v**4)
 
     @property
@@ -83,13 +83,84 @@ class HiggsModel:
         return math.sqrt(self.lam) * self.v
 
     @property
-    def lengths(self):
+    def correlation_lengths(self):
         """(1/m_V, 1/m_H) in float64."""
         return np.divide(1.0, (self.photon_mass, self.higgs_mass))
 
     @property
     def beta(self):
         return self.lam / (2.0 * self.q**2)
+
+
+@dataclass(frozen=True)
+class VortexConfig(HiggsModel):
+    """The model and what solve_vortex relaxes in it, checked on
+    construction: the winding n and max_iter, counts >= 1; tol, finite and
+    > 0; r_max, default 20 * max(1/m_H, 1/m_V), at least 10 of those
+    correlation lengths, with m_V*r_max*sinh(4) finite and > 0; and grid,
+    512 to MAX_GRID, the fewest points: it is doubled, up to MAX_GRID,
+    until MIN_CORE_NODES of them lie within min(1/m_V, 1/m_H) of the axis.
+    Keeps that grid as x = m_V*rho, whose finite-difference weights must
+    be finite."""
+
+    q: float = 1.0
+    v: float = 1.0
+    lam: float = 2.0
+    n: int = 1
+    r_max: float = None
+    grid: int = 1024
+    tol: float = 1e-10
+    max_iter: int = 200
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_count("winding number n", self.n, 1)
+        grid = check_count("grid", self.grid, 512, MAX_GRID)
+        check_positive("tol", self.tol)
+        check_count("max_iter", self.max_iter, 1)
+        m_v = self.photon_mass
+        inv_v, inv_h = self.correlation_lengths
+        corr = max(inv_h, inv_v)
+        r_max = 20.0 * corr if self.r_max is None else self.r_max
+        # the grid below is m_V*r_max*sinh(4t)/sinh(4), so its last product
+        # is finite if this one is
+        with np.errstate(over="ignore"):
+            check_positive("m_V*r_max*sinh(4)",
+                           m_v * np.float64(r_max) * np.sinh(4.0))
+        if r_max < 10.0 * corr:
+            raise DomainError("r_max must cover at least 10 correlation "
+                              "lengths")
+        while True:
+            t = np.linspace(0.0, 1.0, grid + 1)
+            x = m_v * r_max * np.sinh(4.0 * t) / math.sinh(4.0)
+            core = np.count_nonzero(x < m_v * min(inv_v, inv_h))
+            if core >= MIN_CORE_NODES:
+                break
+            if 2 * grid > MAX_GRID:
+                raise DomainError(
+                    f"a grid of {grid} points puts {core} within the core "
+                    f"radius min(1/m_V, 1/m_H), fewer than {MIN_CORE_NODES}:"
+                    " lower r_max")
+            grid *= 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            d1, d2 = _fd_coeffs(x)
+        check_finite("m_V*r_max too large: the grid's difference weights",
+                     *d1, *d2)
+        x.setflags(write=False)
+        object.__setattr__(self, "x", x)
+
+
+@dataclass(frozen=True)
+class ConfineConfig(VortexConfig):
+    """A VortexConfig and its tubes' lengths, nonempty, finite and >= 0."""
+
+    lengths: list = field(default_factory=lambda: [0.0, 1.0, 2.0, 4.0, 8.0])
+
+    def __post_init__(self):
+        if not len(self.lengths):
+            raise DomainError("lengths must be nonempty")
+        _tube_lengths(self.lengths)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -217,12 +288,18 @@ def vortex_flux(model, profile):
     return 2.0 * np.pi * profile.n * profile.a[-1] / model.q
 
 
+def _tube_lengths(L):
+    """L as a float array; DomainError unless every length is finite, >= 0."""
+    L = np.asarray(L, dtype=float)
+    if not np.all((L >= 0) & (L < np.inf)):
+        raise DomainError("tube lengths must be finite and >= 0")
+    return L
+
+
 def confinement_energy(tension, L):
     """Energy of a tube of length L: exactly linear, E = T*L. A length that
     is negative or not finite, or whose T*L overflows, is a DomainError."""
-    L = np.asarray(L, dtype=float)
-    if not np.all((L >= 0) & (L < np.inf)):
-        raise DomainError("tube length must be finite and >= 0")
+    L = _tube_lengths(L)
     with np.errstate(over="ignore"):
         out = tension.T * L
     if not np.all(np.isfinite(out)):
@@ -265,15 +342,9 @@ def _residual(x, f, a, n, beta, d1, d2):
     return np.ravel([rf, ra], order="F")
 
 
-def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
-    """Relax the winding-n tube profiles; returns (VortexProfile, TensionResult).
-
-    r_max defaults to 20 * max(1/m_H, 1/m_V) and must be at least 10
-    correlation lengths. grid, 512 to MAX_GRID, is the fewest points: it is
-    doubled, up to MAX_GRID, until MIN_CORE_NODES of them lie within
-    min(1/m_V, 1/m_H) of the axis. n and max_iter must be counts >= 1,
-    tol and m_V*r_max*sinh(4) finite and > 0, and the grid's
-    finite-difference weights finite; DomainError otherwise.
+def solve_vortex(config):
+    """Relax the winding-n tube profiles of a VortexConfig on its grid;
+    returns (VortexProfile, TensionResult).
 
     The relaxation converges once the largest Euler-Lagrange residual falls
     below max(tol, eps * max|c2|), c2 the grid's central second-difference
@@ -285,40 +356,8 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
     relaxation stalls, or if a sweep's Newton system is not finite or is
     singular.
     """
-    n = check_count("winding number n", n, 1)
-    grid = check_count("grid", grid, 512, MAX_GRID)
-    check_positive("tol", tol)
-    max_iter = check_count("max_iter", max_iter, 1)
-
-    m_v = model.photon_mass
-    inv_v, inv_h = model.lengths
-    corr = max(inv_h, inv_v)
-    if r_max is None:
-        r_max = 20.0 * corr
-    # the grid below is m_V*r_max*sinh(4t)/sinh(4), so its last product is
-    # finite if this one is
-    with np.errstate(over="ignore"):
-        check_positive("m_V*r_max*sinh(4)",
-                       m_v * np.float64(r_max) * np.sinh(4.0))
-    if r_max < 10.0 * corr:
-        raise DomainError("r_max must cover at least 10 correlation lengths")
-
-    beta = model.beta
-    while True:
-        t = np.linspace(0.0, 1.0, grid + 1)
-        x = m_v * r_max * np.sinh(4.0 * t) / math.sinh(4.0)
-        core = np.count_nonzero(x < m_v * min(inv_v, inv_h))
-        if core >= MIN_CORE_NODES:
-            break
-        if 2 * grid > MAX_GRID:
-            raise DomainError(
-                f"a grid of {grid} points puts {core} within the core radius"
-                f" min(1/m_V, 1/m_H), fewer than {MIN_CORE_NODES}: lower "
-                "r_max")
-        grid *= 2
-    with np.errstate(over="ignore", invalid="ignore"):
-        d1, d2 = _fd_coeffs(x)
-    check_finite("m_V*r_max too large: the grid's difference weights", *d1, *d2)
+    n, x, beta = int(config.n), config.x, config.beta
+    d1, d2 = _fd_coeffs(x)
     xi = x[1:-1]
     (c1m, c1c, c1p), (c2m, c2c, c2p) = d1, d2
 
@@ -327,7 +366,7 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
     # f_k <- f_{k+-1} and a_k <- a_{k+-1} stencils, and the stencil part of
     # the diagonal depend on the grid alone; each sweep rewrites only the
     # diagonal and the f-a couplings
-    ab = np.zeros((5, 2 * (grid - 1)))
+    ab = np.zeros((5, 2 * (len(x) - 2)))
     ab[0, 2::2] = -(c2p + c1p / xi)[:-1]
     ab[0, 3::2] = -(c2p - c1p / xi)[:-1]
     ab[4, 0:-2:2] = -(c2m + c1m / xi)[1:]
@@ -335,7 +374,7 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
     lin_f = c2c + c1c / xi
     lin_a = c2c - c1c / xi
     # the second differences' rounding floor, above tol on fine grids
-    goal = max(tol, np.finfo(float).eps * np.max(np.abs(c2c)))
+    goal = max(config.tol, np.finfo(float).eps * np.max(np.abs(c2c)))
 
     # initial guess with the right boundary behavior
     f = np.tanh(0.5 * x * max(math.sqrt(beta), 0.7)) ** min(n, 2)
@@ -354,7 +393,7 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
 
     history, failure, sweeps = [], None, 0
     dtau = 1.0      # the first sweep runs at 2
-    for _ in range(max_iter):
+    for _ in range(config.max_iter):
         rhs = _residual(x, f, a, n, beta, d1, d2)
         res = float(np.max(np.abs(rhs)))
         history.append(res)
@@ -394,14 +433,14 @@ def solve_vortex(model, n, r_max=None, grid=1024, tol=1e-10, max_iter=200):
         failure = "vortex relaxation did not converge"
 
     stats = RelaxationStats(sweeps, tuple(history), dtau if sweeps else 0.0)
-    profile = VortexProfile(n=n, rho_grid=x / m_v, f=f, a=a)
+    profile = VortexProfile(n=n, rho_grid=x / config.photon_mass, f=f, a=a)
     if failure:
         # a stall's last sweep moved f and a past history's last residual
         res = float(np.max(np.abs(_residual(x, f, a, n, beta, d1, d2))))
         raise ConvergenceError(failure, best=profile, error=res,
                                history=history, stats=stats)
-    T, energy_error = vortex_energy(model, profile)
-    bound = 2.0 * np.pi * model.v**2 * abs(n)
+    T, energy_error = vortex_energy(config, profile)
+    bound = 2.0 * np.pi * config.v**2 * abs(n)
     return profile, TensionResult(
         T=T, bogomolny_ratio=float(T / bound), converged=True,
         residual=history[-1], stats=stats, energy_error=energy_error,

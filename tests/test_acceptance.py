@@ -19,12 +19,12 @@ from polelab.angmom import PairConfig, field_angular_momentum
 from polelab.fields import (PhysicalConfig, TubeSpec, local_charge,
                             proca_tube_potential, proca_tube_profile,
                             tube_potential)
-from polelab.gauge import (cap_flux, check_quantization, circle_flux,
-                           patch_mismatch, string_invisibility,
+from polelab.gauge import (HolonomyConfig, cap_flux, check_quantization,
+                           circle_flux, patch_mismatch, string_invisibility,
                            transition_function)
 from polelab.interference import (InterferenceConfig, measure_fringe,
                                   measure_invisibility, run_experiment)
-from polelab.vortex import HiggsModel, confinement_energy, solve_vortex, \
+from polelab.vortex import VortexConfig, confinement_energy, solve_vortex, \
     vortex_flux
 
 
@@ -158,7 +158,8 @@ def test_criterion_5_patch_consistency():
 
     worst_cap = 0.0
     for theta_cap in (0.4, 1.0, np.pi / 2.0, 2.2, 2.9):
-        flux, _ = cap_flux(g, theta_cap)
+        flux, _ = cap_flux(HolonomyConfig(g=g, theta=theta_cap,
+                                          radius=1.0))
         closed = 2.0 * np.pi * g * (1.0 - np.cos(theta_cap))
         worst_cap = max(worst_cap, abs(flux - closed))
     passed = worst_pt < 1e-10 and worst_cap < 1e-8
@@ -198,8 +199,8 @@ def test_criterion_7_fringe_shift_law(two_slit_runs):
 
 
 def test_criterion_8_vortex_suite():
-    model = HiggsModel(q=1.0, v=1.0, lam=2.0)   # critical coupling
-    profile, tension = solve_vortex(model, 1)
+    model = VortexConfig(q=1.0, v=1.0, lam=2.0)   # critical coupling, n = 1
+    profile, tension = solve_vortex(model)
     ratio_dev = abs(tension.bogomolny_ratio - 1.0)
     flux_dev = abs(vortex_flux(model, profile)
                    - 2.0 * np.pi / model.q) / (2.0 * np.pi)

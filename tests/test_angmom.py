@@ -24,6 +24,7 @@ from polelab.angmom import (
     AngularMomentum,
     PairConfig,
     QuadratureSpec,
+    SweepConfig,
     _gl_nodes,
     _inner_integral,
     _outer_breakpoints,
@@ -33,6 +34,13 @@ from polelab.angmom import (
 )
 from polelab.errors import ConvergenceError, DomainError, SingularPointError
 from polelab.fields import _SCREENING_CLAMP
+
+
+def _sweep(mu_list, d_list, spec=QuadratureSpec()):
+    """angular_momentum_sweep of the pair q = 1, g = 1/2 under spec."""
+    return angular_momentum_sweep(SweepConfig(
+        mu_list=mu_list, d_list=d_list, tol=spec.target_tol,
+        gl_order=spec.gl_order, levels=spec.levels))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +287,7 @@ def test_converged_cells_hold_the_closed_form(spec, converged):
     # fall below the rounding of the value (at 8 levels and gl_order 24, an
     # err of 1.3e-16 against a miss of 2.2e-16 at mu*d = 0.65)
     mu_d = np.geomspace(1e-3, 1e6, 109)
-    cells = angular_momentum_sweep(1.0, 0.5, mu_d, [1.0], quad=spec)
+    cells = _sweep(mu_d, [1.0], spec)
     assert sum(c.converged for c in cells) >= converged
     for c in cells:
         if c.converged:
@@ -446,7 +454,7 @@ def test_unreachable_tolerance_raises_with_best():
 
 def test_sweep_records_failures_instead_of_raising():
     spec = QuadratureSpec(levels=2, gl_order=8, target_tol=1e-12)
-    cells = angular_momentum_sweep(1.0, 0.5, [1.0], [1.0, 2.0], quad=spec)
+    cells = _sweep([1.0], [1.0, 2.0], spec)
     assert len(cells) == 2
     assert all(not c.converged for c in cells)
     assert all(np.isfinite(c.value) and c.error > 0 for c in cells)
@@ -463,7 +471,7 @@ def test_sweep_computes_each_unit_pair_once(monkeypatch):
         return direct(pair, quad)
 
     monkeypatch.setattr(angmom, "field_angular_momentum", counting)
-    cells = angular_momentum_sweep(1.0, 0.5, [0.0, 0.5, 1.0], [1.0, 2.0])
+    cells = _sweep([0.0, 0.5, 1.0], [1.0, 2.0])
     assert len(calls) == 4
     assert [(c.mu, c.d) for c in cells] == [
         (0.0, 1.0), (0.0, 2.0), (0.5, 1.0), (0.5, 2.0), (1.0, 1.0),
@@ -480,8 +488,7 @@ def test_sweep_reuses_failures():
     # the failing spec of test_sweep_records_failures_instead_of_raising;
     # mu*d = 1 twice, so the second cell copies the first cell's failure
     spec = QuadratureSpec(levels=2, gl_order=8, target_tol=1e-12)
-    cells = angular_momentum_sweep(1.0, 0.5, [1.0, 2.0], [1.0, 0.5],
-                                   quad=spec)
+    cells = _sweep([1.0, 2.0], [1.0, 0.5], spec)
     assert [c.reused for c in cells] == [False, False, False, True]
     with pytest.raises(ConvergenceError) as exc_info:
         field_angular_momentum(PairConfig(q=1.0, g=0.5, d=0.5, mu=2.0), spec)
@@ -555,7 +562,7 @@ def test_gl_order_is_bounded():
 
 
 def test_sweep_structure_and_order():
-    cells = angular_momentum_sweep(1.0, 0.5, [0.0, 1.0], [1.0, 2.0])
+    cells = _sweep([0.0, 1.0], [1.0, 2.0])
     assert [(c.mu, c.d) for c in cells] == [(0.0, 1.0), (0.0, 2.0),
                                             (1.0, 1.0), (1.0, 2.0)]
     assert all(c.converged for c in cells)
@@ -565,6 +572,6 @@ def test_sweep_structure_and_order():
 
 def test_sweep_rejects_empty_axes():
     with pytest.raises(DomainError):
-        angular_momentum_sweep(1.0, 0.5, [], [1.0])
+        _sweep([], [1.0])
     with pytest.raises(DomainError):
-        angular_momentum_sweep(1.0, 0.5, [0.0], [])
+        _sweep([0.0], [])

@@ -7,6 +7,7 @@ it; one subprocess test confirms the module entry point is wired up.
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,11 +17,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polelab.cli import COMMANDS, EXIT_CONVERGENCE, EXIT_CRASH, EXIT_OK, \
-    EXIT_STABILITY, EXIT_UNSATISFIED, EXIT_USAGE, MAX_SAMPLES, SCHEMAS, \
-    build_parser, config_hash, main, resolve_config, write_csv, write_json
-from polelab.angmom import angular_momentum_sweep
+    EXIT_STABILITY, EXIT_UNSATISFIED, EXIT_USAGE, SCHEMAS, build_parser, \
+    config_hash, main, resolve_config, write_csv, write_json
+from polelab.angmom import SweepConfig, angular_momentum_sweep
 from polelab.errors import DomainError
-from polelab.fields import proca_tube_profile
+from polelab.fields import MAX_SAMPLES, proca_tube_profile
 from polelab.interference import FRINGE_MAX_BIN_OFFSET
 
 
@@ -608,7 +609,8 @@ def test_angmom_reports_quadrature_diagnostics(tmp_path):
     # mu*d = 0 at both d: the second mu = 0 cell reuses the first, and its
     # evaluations are not counted again
     assert quad["reused_cells"] == 1
-    cells = angular_momentum_sweep(1.0, 0.5, [0.0, 0.01, 1.0], [1.0, 2.0])
+    cells = angular_momentum_sweep(SweepConfig(mu_list=[0.0, 0.01, 1.0],
+                                               d_list=[1.0, 2.0]))
     assert quad["evaluations"] == sum(c.stats.evaluations for c in cells
                                       if not c.reused)
     # mu*d = 0.01 and 0.02 push r_max out; the others do not
@@ -864,6 +866,30 @@ def test_refusals_name_their_cause(tmp_path, argv, code, cause):
     assert main(argv + ["--out", str(tmp_path)]) == code
     man = _manifest(tmp_path, argv[0])
     assert cause in man["error"] and man["stages_seconds"] == {}
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["angmom", "--mu-list=-1"], "mu_list"),
+    (["angmom", "--d-list", "0"], "d_list"),
+    (["angmom", "--q", "1e200", "--g", "1e200"], "q"),
+    (["holonomy", "--levels", "1"], "levels"),
+    (["holonomy", "--radius", "0"], "radius"),
+    (["holonomy", "--base-segments", "2"], "base_segments"),
+    (["vortex", "--n", "0"], "n"),
+    (["vortex", "--grid", "100"], "grid"),
+    (["vortex", "--r-max", "1"], "r_max"),
+    (["vortex", "--max-iter", "0"], "max_iter"),
+    (["vortex", "--tol", "0"], "tol"),
+    (["confine", "--tol", "0"], "tol"),
+])
+def test_solver_inputs_are_refused_before_the_first_stage(tmp_path, argv,
+                                                          key):
+    # each of these used to be refused by the solver inside the solve
+    # stage; the command's config now refuses it, by its schema key
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
+    man = _manifest(tmp_path, argv[0])
+    assert man["stages_seconds"] == {}
+    assert key in re.findall(r"\w+", man["error"]), man["error"]
 
 
 @pytest.mark.parametrize("argv", [

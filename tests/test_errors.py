@@ -7,12 +7,11 @@ import pytest
 from polelab.angmom import QuadratureSpec
 from polelab.errors import (DomainError, check_count, check_finite,
                             check_positive)
-from polelab.gauge import cap_flux
+from polelab.gauge import CircleRule
 from polelab.interference import (InterferenceConfig, make_wave_grid,
                                   propagate_free)
-from polelab.vortex import HiggsModel, VortexProfile, solve_vortex
+from polelab.vortex import VortexConfig, VortexProfile
 
-CRITICAL = HiggsModel(q=1.0, v=1.0, lam=2.0)
 RHO = np.linspace(0.0, 10.0, 600)
 
 # (name in the refusal, a call that takes the count, an accepted value)
@@ -30,15 +29,13 @@ COUNT_INPUTS = {
         "levels", lambda k: QuadratureSpec(levels=k), 3),
     "QuadratureSpec.gl_order": (
         "gl_order", lambda k: QuadratureSpec(gl_order=k), 8),
-    "circle_flux.n0": ("n0", lambda k: cap_flux(0.5, 2.2, n0=k), 64),
-    "circle_flux.levels": ("levels", lambda k: cap_flux(0.5, 2.2, levels=k),
-                           3),
-    "solve_vortex.n": (
-        "winding number n", lambda k: solve_vortex(CRITICAL, k), 1),
-    "solve_vortex.grid": (
-        "grid", lambda k: solve_vortex(CRITICAL, 1, grid=k), 512),
+    "circle_flux.base_segments": (
+        "base_segments", lambda k: CircleRule(base_segments=k), 64),
+    "circle_flux.levels": ("levels", lambda k: CircleRule(levels=k), 3),
+    "solve_vortex.n": ("winding number n", lambda k: VortexConfig(n=k), 1),
+    "solve_vortex.grid": ("grid", lambda k: VortexConfig(grid=k), 512),
     "solve_vortex.max_iter": (
-        "max_iter", lambda k: solve_vortex(CRITICAL, 1, max_iter=k), 200),
+        "max_iter", lambda k: VortexConfig(max_iter=k), 200),
     "VortexProfile.n": (
         "winding number n",
         lambda k: VortexProfile(k, RHO, np.tanh(RHO), np.tanh(RHO)), 1),

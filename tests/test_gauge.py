@@ -22,6 +22,8 @@ import polelab.gauge as gauge
 from polelab.gauge import (
     MAX_NODES,
     OVERLAP_BAND,
+    CircleRule,
+    HolonomyConfig,
     cap_flux,
     check_quantization,
     circle_flux,
@@ -237,7 +239,8 @@ def test_tilted_and_pierced_caps(theta, tilt):
         expected -= 4 * np.pi * g
     for n0 in (32, 64, 128):
         flux, err = circle_flux(lambda r: wu_yang_potential("north", g, r),
-                                math.cos(theta) * axis, u, v, n0=n0, levels=2)
+                                math.cos(theta) * axis, u, v,
+                                CircleRule(n0, 2))
         # geometric convergence: 2 n0 = 64 nodes or more reach rounding, and
         # the estimate bounds the error it reports on
         assert abs(flux - expected) < 1e-12
@@ -263,37 +266,45 @@ def test_finest_rule_is_bounded(monkeypatch):
     for n0, levels in [(MAX_NODES // 2 + 1, 2), (64, 100000), (64, 10**18),
                        (10**30, 2), (10**30, 10**18)]:
         with pytest.raises(DomainError, match="at most"):
-            cap_flux(0.5, 2.2, n0=n0, levels=levels)
+            cap_flux(HolonomyConfig(g=0.5, theta=2.2, base_segments=n0,
+                                    levels=levels))
     for n0, levels in [(2, 3), (64, 1), (-1, 3)]:
         with pytest.raises(DomainError, match="must lie in \\[[23], inf\\]"):
-            cap_flux(0.5, 2.2, n0=n0, levels=levels)
+            cap_flux(HolonomyConfig(g=0.5, theta=2.2, base_segments=n0,
+                                    levels=levels))
     for n0, levels in [(64.0, 3), (64, 3.0), (64.5, 3), (64, math.nan),
                        ("64", 3), (None, 3)]:
         with pytest.raises(DomainError, match="expected an integer, got"):
-            cap_flux(0.5, 2.2, n0=n0, levels=levels)
+            cap_flux(HolonomyConfig(g=0.5, theta=2.2, base_segments=n0,
+                                    levels=levels))
     assert seen == []
     with pytest.raises(_Built):
-        cap_flux(0.5, 2.2, n0=MAX_NODES // 4, levels=3)
+        cap_flux(HolonomyConfig(g=0.5, theta=2.2,
+                                base_segments=MAX_NODES // 4, levels=3))
     assert seen == [(MAX_NODES, 3)]
     # numpy integers pass, and are checked as Python ints
     with pytest.raises(DomainError, match="at most"):
-        cap_flux(0.5, 2.2, n0=np.int64(64), levels=np.int64(10**18))
+        cap_flux(HolonomyConfig(g=0.5, theta=2.2, base_segments=np.int64(64),
+                                levels=np.int64(10**18)))
     monkeypatch.undo()
-    assert cap_flux(0.5, 2.2, n0=np.int32(64), levels=np.uint8(3)) \
-        == cap_flux(0.5, 2.2)
+    assert cap_flux(HolonomyConfig(g=0.5, theta=2.2,
+                                   base_segments=np.int32(64),
+                                   levels=np.uint8(3))) \
+        == cap_flux(HolonomyConfig(g=0.5, theta=2.2))
 
 
 def test_cap_flux_formula():
     g = 0.5
     for theta in (0.4, 1.0, np.pi / 2, 2.2, 2.9):
-        flux, _ = cap_flux(g, theta, r=2.0)
+        flux, _ = cap_flux(HolonomyConfig(g=g, theta=theta, radius=2.0))
         assert abs(flux - 2 * np.pi * g * (1 - math.cos(theta))) < 1e-13
     for r, theta in [(0.0, 1.0), (-2.0, 1.0), (math.nan, 1.0), (1.0, 0.0),
                      (1.0, math.pi), (1.0, 3.5)]:
         with pytest.raises(DomainError, match="a cap needs"):
-            cap_flux(g, theta, r=r)
+            cap_flux(HolonomyConfig(g=g, theta=theta, radius=r))
     # the full-sphere limit approaches the total string flux 4 pi g
-    near_full, _ = cap_flux(g, np.pi - 1e-3, r=1.0)
+    near_full, _ = cap_flux(HolonomyConfig(g=g, theta=np.pi - 1e-3,
+                                           radius=1.0))
     assert abs(near_full - 4 * np.pi * g) < 4 * np.pi * g * 1e-3
 
 
@@ -310,7 +321,7 @@ def test_cap_flux_holds_to_its_estimate_near_both_poles(g, r):
     ulp = np.spacing(4.0 * np.pi * abs(g))
     for d in np.geomspace(1e-8, 1.0, 60):
         for theta in (d, np.pi - d):
-            flux, err = cap_flux(g, theta, r=r)
+            flux, err = cap_flux(HolonomyConfig(g=g, theta=theta, radius=r))
             expected = 4.0 * np.pi * g * np.sin(0.5 * theta) ** 2
             assert abs(flux - expected) <= err + 8.0 * ulp, (theta, flux)
 
@@ -320,7 +331,7 @@ def test_cap_flux_of_a_huge_pole(monkeypatch):
     # 4 pi g = 1.26e308 is finite: each term of the rule takes its weight
     # before the sum, so the sum is the integral and does not overflow
     g, theta = 1e307, 2.2
-    flux, err = cap_flux(g, theta)
+    flux, err = cap_flux(HolonomyConfig(g=g, theta=theta, radius=1.0))
     expected = 2 * np.pi * g * (1 - math.cos(theta))
     assert math.isfinite(flux) and abs(flux - expected) < 1e-8 * expected
     assert math.isfinite(err)
@@ -334,7 +345,7 @@ def test_cap_flux_of_a_huge_pole(monkeypatch):
     monkeypatch.setattr(gauge, "circle_flux", record)
     for g in (8e307, math.inf, math.nan):
         with pytest.raises(DomainError, match="4\\*pi\\*g"):
-            cap_flux(g, theta)
+            cap_flux(HolonomyConfig(g=g, theta=theta, radius=1.0))
     assert ran == []
 
 

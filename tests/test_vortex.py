@@ -11,6 +11,7 @@ matches published profiles for the same couplings.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from polelab.vortex import (
     MIN_CORE_NODES,
     HiggsModel,
     TensionResult,
+    VortexConfig,
     VortexProfile,
     confinement_energy,
     energy_density_profile,
@@ -38,12 +40,12 @@ from polelab.vortex import (
     vortex_flux,
 )
 
-CRITICAL = HiggsModel(q=1.0, v=1.0, lam=2.0)   # beta = 1
+CRITICAL = VortexConfig(q=1.0, v=1.0, lam=2.0)   # beta = 1, n = 1
 
 
 @pytest.fixture(scope="module")
 def critical_solution():
-    return solve_vortex(CRITICAL, 1)
+    return solve_vortex(CRITICAL)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +101,7 @@ def test_critical_profile_matches_first_order_reduction(critical_solution):
 
 
 def test_critical_higher_winding():
-    profile, tension = solve_vortex(HiggsModel(q=1.0, v=1.0, lam=2.0), 2)
+    profile, tension = solve_vortex(VortexConfig(q=1.0, v=1.0, lam=2.0, n=2))
     # the bound scales with |n| and is still saturated at beta = 1
     assert abs(tension.bogomolny_ratio - 1.0) < 1e-4
     assert_allclose(tension.T, 4.0 * np.pi * tension.bogomolny_ratio,
@@ -112,9 +114,9 @@ def test_critical_higher_winding():
 # ---------------------------------------------------------------------------
 
 def test_tension_type_one_and_type_two():
-    _, t_low = solve_vortex(HiggsModel(q=1.0, v=1.0, lam=1.0), 1)   # beta 0.5
-    _, t_mid = solve_vortex(CRITICAL, 1)
-    _, t_high = solve_vortex(HiggsModel(q=1.0, v=1.0, lam=4.0), 1)  # beta 2
+    _, t_low = solve_vortex(VortexConfig(q=1.0, v=1.0, lam=1.0))   # beta 0.5
+    _, t_mid = solve_vortex(CRITICAL)
+    _, t_high = solve_vortex(VortexConfig(q=1.0, v=1.0, lam=4.0))  # beta 2
     assert_allclose(t_low.T, 5.453251651133551, rtol=1e-6)
     assert_allclose(t_high.T, 7.268153800273176, rtol=1e-6)
     # tension grows with the Higgs-to-photon mass ratio
@@ -131,9 +133,9 @@ def test_tension_type_one_and_type_two():
 def test_scale_invariance_of_ratio():
     # beta = lam/(2 q^2) = 1 again, but v rescaled: dimensionless profiles
     # identical, T scales as v^2
-    scaled = HiggsModel(q=0.5, v=2.0, lam=0.5)
-    _, t_scaled = solve_vortex(scaled, 1)
-    _, t_base = solve_vortex(CRITICAL, 1)
+    scaled = VortexConfig(q=0.5, v=2.0, lam=0.5)
+    _, t_scaled = solve_vortex(scaled)
+    _, t_base = solve_vortex(CRITICAL)
     assert_allclose(t_scaled.bogomolny_ratio, t_base.bogomolny_ratio,
                     rtol=1e-12)
     assert_allclose(t_scaled.T, 4.0 * t_base.T, rtol=1e-12)
@@ -141,8 +143,9 @@ def test_scale_invariance_of_ratio():
 
 def test_r_max_insensitivity(critical_solution):
     _, base = critical_solution
-    _, wide = solve_vortex(CRITICAL, 1, r_max=2.0 * 20.0 / CRITICAL.photon_mass
-                           * CRITICAL.photon_mass / CRITICAL.higgs_mass)
+    _, wide = solve_vortex(replace(
+        CRITICAL, r_max=2.0 * 20.0 / CRITICAL.photon_mass
+        * CRITICAL.photon_mass / CRITICAL.higgs_mass))
     assert abs(wide.T - base.T) < 1e-3 * base.T
 
 
@@ -203,8 +206,8 @@ def test_flux_quantization_via_loop_integral(critical_solution):
     assert_allclose(flux, 2.0 * np.pi, rtol=1e-6)
     assert_allclose(vortex_flux(CRITICAL, profile), 2.0 * np.pi, rtol=1e-15)
 
-    model2 = HiggsModel(q=0.5, v=1.0, lam=0.5)   # beta = 1 at q = 1/2
-    profile2, _ = solve_vortex(model2, 2)
+    model2 = VortexConfig(q=0.5, v=1.0, lam=0.5, n=2)  # beta = 1 at q = 1/2
+    profile2, _ = solve_vortex(model2)
     assert_allclose(vortex_flux(model2, profile2), 8.0 * np.pi, rtol=1e-12)
 
 
@@ -297,18 +300,18 @@ def test_model_validation():
 
 def test_solver_input_validation():
     with pytest.raises(DomainError):
-        solve_vortex(CRITICAL, 0)
+        replace(CRITICAL, n=0)
     with pytest.raises(DomainError):
-        solve_vortex(CRITICAL, 1.5)
+        replace(CRITICAL, n=1.5)
     with pytest.raises(DomainError):
-        solve_vortex(CRITICAL, 1, grid=256)
+        replace(CRITICAL, grid=256)
     with pytest.raises(DomainError):
-        solve_vortex(CRITICAL, 1, grid=MAX_GRID + 1)
+        replace(CRITICAL, grid=MAX_GRID + 1)
     with pytest.raises(DomainError):
-        solve_vortex(CRITICAL, 1, r_max=5.0)   # < 10 correlation lengths
+        replace(CRITICAL, r_max=5.0)   # < 10 correlation lengths
     for max_iter in (0, -5):
         with pytest.raises(DomainError, match="max_iter"):
-            solve_vortex(CRITICAL, 1, max_iter=max_iter)
+            replace(CRITICAL, max_iter=max_iter)
 
 
 @pytest.mark.parametrize("lam, correlations, core, grid, reference_grid", [
@@ -322,17 +325,17 @@ def test_grid_doubles_until_it_resolves_the_core(lam, correlations, core,
     # tension is then within 0.6% of one at the default r_max (0.56% was
     # the worst of 47 solves at 7 couplings, r_max from 20 to 1e5
     # correlation lengths)
-    model = HiggsModel(q=1.0, v=1.0, lam=lam)
+    model = VortexConfig(q=1.0, v=1.0, lam=lam)
     r_max = correlations * max(1.0 / model.photon_mass,
                                1.0 / model.higgs_mass)
     t = np.linspace(0.0, 1.0, 1025)
     rho = r_max * np.sinh(4.0 * t) / math.sinh(4.0)
     assert np.count_nonzero(
         rho < min(1.0 / model.photon_mass, 1.0 / model.higgs_mass)) == core
-    profile, tension = solve_vortex(model, 1, r_max=r_max)
+    profile, tension = solve_vortex(replace(model, r_max=r_max))
     assert len(profile.rho_grid) == grid + 1
     assert (core >= MIN_CORE_NODES) == (grid == 1024)
-    reference = solve_vortex(model, 1, grid=reference_grid)[1]
+    reference = solve_vortex(replace(model, grid=reference_grid))[1]
     assert abs(tension.T / reference.T - 1.0) < 6e-3
 
 
@@ -343,8 +346,8 @@ def test_fine_grids_converge_at_their_rounding_floor(lam, grid, solved_grid):
     # the second differences round to about eps * max|c2c|, 2e-10 to 3.5e-9
     # on these grids, so the residual cannot reach tol = 1e-10; the solve
     # stops at that floor instead of stalling for all max_iter sweeps
-    profile, tension = solve_vortex(HiggsModel(q=1.0, v=1.0, lam=lam), 1,
-                                    grid=grid)
+    profile, tension = solve_vortex(VortexConfig(q=1.0, v=1.0, lam=lam,
+                                                 grid=grid))
     assert len(profile.rho_grid) == solved_grid + 1
     assert 1e-10 < tension.residual < 1e-8
     assert tension.stats.iterations < 20
@@ -362,7 +365,7 @@ def test_grid_that_cannot_resolve_the_core_is_refused(grid):
     # alone in the core: refused before any sweep (a fixed 1024-point grid
     # used to report a Bogomolny ratio of 0.25 at critical coupling)
     with pytest.raises(DomainError, match=f"grid of {MAX_GRID} points puts 1"):
-        solve_vortex(CRITICAL, 1, r_max=1e100, grid=grid)
+        replace(CRITICAL, r_max=1e100, grid=grid)
 
 
 def test_profile_validation():
@@ -389,7 +392,7 @@ def test_profile_validation():
 
 def test_stalled_relaxation_reports_history(replayed_dtau):
     with pytest.raises(ConvergenceError) as exc_info:
-        solve_vortex(CRITICAL, 1, max_iter=3)
+        solve_vortex(replace(CRITICAL, max_iter=3))
     err = exc_info.value
     assert isinstance(err.best, VortexProfile)
     assert err.error > 0 and len(err.history) == 3
@@ -425,8 +428,9 @@ def test_relaxation_converges_across_couplings(q, lam, n, correlations):
     # n in {1, 2, 3, 4, 6} and r_max at 12, 20 and 40 correlation lengths
     # the relaxation took at most 19 sweeps (25 when dtau only doubled)
     model = HiggsModel(q=q, v=1.3, lam=lam)
-    _, tension = solve_vortex(model, n, r_max=correlations * max(
-        model.lengths))
+    _, tension = solve_vortex(VortexConfig(q=q, v=1.3, lam=lam, n=n,
+                                           r_max=correlations * max(
+                                               model.correlation_lengths)))
     assert tension.converged and tension.stats.iterations <= 20
 
 
@@ -458,7 +462,7 @@ def test_direct_band_solve_matches_solve_banded(monkeypatch):
     # each sweep copies its five bands into one LU buffer and calls gbsv;
     # solve_banded builds a fresh buffer per call around the same routine
     systems = _newton_systems(monkeypatch)
-    solve_vortex(CRITICAL, 1)
+    solve_vortex(CRITICAL)
     assert len(systems) >= 2
     for band, rhs, delta in systems:
         assert np.array_equal(delta, solve_banded((2, 2), band, rhs))
@@ -482,7 +486,7 @@ def test_failed_newton_system_is_a_convergence_error(monkeypatch, tmp_path,
 
         monkeypatch.setattr(vortex, "_residual", nan_after_one)
     with pytest.raises(ConvergenceError, match="Newton system") as exc_info:
-        solve_vortex(CRITICAL, 1)
+        solve_vortex(CRITICAL)
     err = exc_info.value
     assert isinstance(err.best, VortexProfile)
     # one sweep done, and the residual before the failed one recorded
@@ -501,7 +505,7 @@ def test_energy_error_bounds_the_critical_tension(n):
     # at beta = 1 the tension is exactly 2 pi v^2 n, and the change of the
     # trapezoid rule on every other point bounds the miss: measured 3.2e-5,
     # 8.9e-5 and 1.4e-4 against misses of 1.4e-5, 1.0e-5 and 8.5e-6
-    _, tension = solve_vortex(CRITICAL, n)
+    _, tension = solve_vortex(replace(CRITICAL, n=n))
     miss = abs(tension.T - 2.0 * np.pi * n)
     assert miss < tension.energy_error < 2e-4
 
