@@ -9,7 +9,8 @@ checks every input; each command builds it before its first stage, so a
 refused run records no stage. Every data file carries the sha256 of the
 resolved configuration in a provenance header, so identical configurations
 produce byte-identical files, and holds only finite numbers. Wall-clock
-data goes only into the run manifest, written for every run.
+data goes only into the run manifest, written for every run as strict
+JSON, a number that is not finite written as its name.
 
 Exit codes: 0 success, 1 quantization condition not satisfied (check);
 EXIT_CODES maps each error class to 2 usage or configuration error,
@@ -65,25 +66,33 @@ EXIT_CODES = {
 # config plumbing
 # ---------------------------------------------------------------------------
 
+def _defaults(config):
+    """key -> default of each field of a config class, in field order, read
+    from the class: building a default config would run its checks (the
+    vortex grid's doubling among them) at import."""
+    return {f.name: f.default_factory() if f.default is dataclasses.MISSING
+            else f.default for f in dataclasses.fields(config)}
+
+
 # key -> default, the fields of each command's config. The default's type
 # is the key's type: bool, int, float, str, a list of floats, or None for an
 # optional float.
 SCHEMAS = {
     "check": {"q": 1.0, "g": 0.5, "tol": DEFAULT_TOL},
-    "fields": dataclasses.asdict(FieldsConfig()),
-    "holonomy": dataclasses.asdict(HolonomyConfig()),
-    "angmom": dataclasses.asdict(SweepConfig()),
+    "fields": _defaults(FieldsConfig),
+    "holonomy": _defaults(HolonomyConfig),
+    "angmom": _defaults(SweepConfig),
     "absim": {
         "q": 1.0,
         "flux": 2.0 * math.pi,
         "fringe_fluxes": [0.5 * math.pi, math.pi, 1.5 * math.pi],
         "mode": "both",
-        **dataclasses.asdict(InterferenceConfig()),
+        **_defaults(InterferenceConfig),
         "cut": FluxLine.cut,
         "snapshots": True,
     },
-    "vortex": dataclasses.asdict(VortexConfig()),
-    "confine": dataclasses.asdict(ConfineConfig()),
+    "vortex": _defaults(VortexConfig),
+    "confine": _defaults(ConfineConfig),
 }
 
 
@@ -221,7 +230,21 @@ class Run:
                 datetime.timezone.utc).isoformat(),
         }
         _atomic_write(self.path(f"{self.cmd}_manifest.json"),
-                      json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+                      json.dumps(_named_non_finite(manifest), sort_keys=True,
+                                 indent=1, allow_nan=False) + "\n")
+
+
+def _named_non_finite(value):
+    """value with each float that is not finite, in any dict, list or tuple,
+    replaced by its name, "nan", "inf" or "-inf": strict JSON has no token
+    for it, and a string cannot be taken for a number."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(float(value))
+    if isinstance(value, dict):
+        return {key: _named_non_finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_named_non_finite(item) for item in value]
+    return value
 
 
 # ---------------------------------------------------------------------------

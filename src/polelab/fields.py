@@ -17,8 +17,10 @@ proca_tube_* functions, the only callers of scipy.special in the package, so
 importing polelab (and so every CLI command) does not load it.
 """
 
-import numpy as np
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (DomainError, SingularPointError, check_count,
                      check_finite, check_positive)
@@ -34,6 +36,17 @@ _SCREENING_CLAMP = 800.0
 
 # FieldsConfig refuses more samples than this before anything is allocated
 MAX_SAMPLES = 2**20
+
+# 1 - x K1(x) cancels as x -> 0: formed directly it is 4.5e-13 off at
+# x = 0.01 and 6.7% at 1e-8. Below this x the series of Abramowitz &
+# Stegun 9.6.11, summed to 7 terms, is within 9e-16 of mpmath at 40
+# digits; above it the direct form is within 1.4e-15 (up to x = 3)
+_K1_SERIES_BELOW = 0.5
+# [psi(k+1) + psi(k+2)] / (k! (k+1)!), psi(k+1) = H_k - euler_gamma
+_K1_SERIES = [(2.0 * sum(1.0 / j for j in range(1, k + 1)) + 1.0 / (k + 1)
+               - 2.0 * np.euler_gamma) / (math.factorial(k)
+                                          * math.factorial(k + 1))
+              for k in range(7)]
 
 
 @dataclass(frozen=True)
@@ -267,17 +280,27 @@ def proca_tube_potential(g, mu, r):
 
     Azimuthal magnitude (2*g/rho)*(1 - mu*rho*K1(mu*rho)); the enclosed flux
     2*pi*rho*A_phi = 4*pi*g*(1 - mu*rho*K1(mu*rho)) climbs to the full 4*pi*g
-    once mu*rho >> 1. Regular on the axis (A -> 0 like rho*log(rho)).
+    once mu*rho >> 1. Regular on the axis (A -> 0 like rho*log(rho)), where
+    1 - x K1(x) is summed from its series, since formed directly it cancels.
     """
     # imported here, not at module level: no CLI command needs scipy.special
-    from scipy.special import k1
+    from scipy.special import i1, k1
 
     check_positive("mu", mu)
     arr = as_vec3(r)
     rho2 = arr[..., 0] ** 2 + arr[..., 1] ** 2
     rho = np.sqrt(rho2)
     safe = np.where(rho > 0, rho, 1.0)
-    amp = np.where(rho > 0,
-                   2.0 * g * (1.0 - mu * safe * k1(mu * safe)) / safe**2,
-                   0.0)
+    x = mu * safe
+    # A&S 9.6.11: 1 - x K1(x) = (x^2/4) sum_k c_k (x^2/4)^k - x ln(x/2) I1(x),
+    # summed at x clamped below the switch, where its terms stay small
+    xs = np.minimum(x, _K1_SERIES_BELOW)
+    u = 0.25 * xs * xs
+    series = 0.0
+    for c in reversed(_K1_SERIES):
+        series = series * u + c
+    deficit = np.where(x < _K1_SERIES_BELOW,
+                       u * series - xs * np.log(0.5 * xs) * i1(xs),
+                       1.0 - x * k1(x))
+    amp = np.where(rho > 0, 2.0 * g * deficit / safe**2, 0.0)
     return _azimuthal(arr, amp)

@@ -157,9 +157,9 @@ def circle_flux(potential, center, u, v, rule=CircleRule()):
 @dataclass(frozen=True)
 class HolonomyConfig:
     """A charge q on the rim of the cap 0 < theta < pi of the sphere of
-    radius > 0 about a pole g, with finite string flux 4 pi g and phase
-    q 4 pi g; keeps the CircleRule of its flux and its quantization report
-    at tol, built and so checked on construction."""
+    radius > 0, radius^2 finite, about a pole g, with finite string flux
+    4 pi g and phase q 4 pi g; keeps the CircleRule of its flux and its
+    quantization report at tol, built and so checked on construction."""
 
     q: float = 1.0
     g: float = 0.5
@@ -170,8 +170,12 @@ class HolonomyConfig:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if not (0 < self.radius < math.inf and 0 < self.theta < math.pi):
-            raise DomainError("a cap needs 0 < radius < inf, 0 < theta < pi")
+        # every point of the rim has |r|^2 = radius^2, which the potential
+        # forms
+        if not (0 < self.radius and math.isfinite(self.radius * self.radius)
+                and 0 < self.theta < math.pi):
+            raise DomainError("a cap needs radius > 0 with radius^2 finite, "
+                              "and 0 < theta < pi")
         string_flux = 4.0 * math.pi * float(self.g)
         check_finite(f"the string flux 4*pi*g = {string_flux}", string_flux)
         check_finite("q*4*pi*g", 4.0 * math.pi * (self.q * self.g))
@@ -183,10 +187,15 @@ class HolonomyConfig:
 
 def cap_flux(config):
     """Flux of the pole g through the cap of a HolonomyConfig: the north
-    patch's circle_flux around the rim, by the config's rule, whose error
-    estimate is the distance between its two finest rules."""
-    r, theta = config.radius, config.theta
+    patch's circle_flux around the rim, by the config's rule. The error
+    estimate is the distance between its two finest rules, and at least
+    ceil(log2 N) eps |flux|, the bound of numpy's pairwise sum of the N
+    terms: the integrand is constant on the rim, so the rules round alike
+    and their distance misses that rounding."""
+    r, theta, rule = config.radius, config.theta, config.rule
     pot = partial(wu_yang_potential, "north", config.g)
     rho = r * math.sin(theta)
-    return circle_flux(pot, (0.0, 0.0, r * math.cos(theta)), (rho, 0.0, 0.0),
-                       (0.0, rho, 0.0), config.rule)
+    flux, err = circle_flux(pot, (0.0, 0.0, r * math.cos(theta)),
+                            (rho, 0.0, 0.0), (0.0, rho, 0.0), rule)
+    rounding = math.ceil(math.log2(rule.nodes)) * np.finfo(float).eps
+    return flux, max(err, rounding * abs(flux))

@@ -670,9 +670,8 @@ def test_holonomy_near_a_pole_holds_to_its_estimate(tmp_path, theta):
     assert main(["holonomy", "--theta", theta, "--out", str(tmp_path)]) \
         == EXIT_OK
     out = json.loads(_read(tmp_path / "holonomy.json"))
-    ulp = np.spacing(4.0 * np.pi * 0.5)
     assert abs(out["cap_flux"] - out["cap_flux_expected"]) \
-        <= out["cap_flux_error_estimate"] + 8.0 * ulp
+        <= out["cap_flux_error_estimate"]
     assert out["cap_flux"] == pytest.approx(out["cap_flux_expected"],
                                             rel=1e-14, abs=0.0)
 
@@ -875,6 +874,7 @@ def test_refusals_name_their_cause(tmp_path, argv, code, cause):
     (["holonomy", "--levels", "1"], "levels"),
     (["holonomy", "--radius", "0"], "radius"),
     (["holonomy", "--base-segments", "2"], "base_segments"),
+    (["holonomy", "--radius", "1e160"], "radius"),
     (["vortex", "--n", "0"], "n"),
     (["vortex", "--grid", "100"], "grid"),
     (["vortex", "--r-max", "1"], "r_max"),
@@ -890,6 +890,52 @@ def test_solver_inputs_are_refused_before_the_first_stage(tmp_path, argv,
     man = _manifest(tmp_path, argv[0])
     assert man["stages_seconds"] == {}
     assert key in re.findall(r"\w+", man["error"]), man["error"]
+
+
+_HELP = ("help", "show this help message and exit")
+_IO = [("config", "JSON file; entries override flags"),
+       ("out", "output directory")]
+_QG = [("q", "default 1.0"), ("g", "default 0.5")]
+_VORTEX = [("q", "default 1.0"), ("v", "default 1.0"), ("lam", "default 2.0"),
+           ("n", "default 1"), ("r_max", "default None"),
+           ("grid", "default 1024"), ("tol", "default 1e-10"),
+           ("max_iter", "default 200")]
+CLI_SURFACE = {
+    "check": [*_QG, ("tol", "default 1e-09")],
+    "fields": [*_QG, ("mu", "default 1.0"), ("r_min", "default 0.1"),
+               ("r_max", "default 10.0"), ("samples", "default 64")],
+    "holonomy": [*_QG, ("radius", "default 2.0"), ("theta", "default 2.2"),
+                 ("base_segments", "default 64"), ("levels", "default 3"),
+                 ("tol", "default 1e-09")],
+    "angmom": [*_QG, ("mu_list", "default [0.0, 1.0]"),
+               ("d_list", "default [0.5, 1.0, 2.0, 4.0]"),
+               ("tol", "default 1e-05"), ("gl_order", "default 24"),
+               ("levels", "default 3")],
+    "absim": [("q", "default 1.0"), ("flux", "default 6.283185307179586"),
+              ("fringe_fluxes", "default [1.5707963267948966, "
+               "3.141592653589793, 4.71238898038469]"),
+              ("mode", "default both"), ("nx", "default 512"),
+              ("ny", "default 512"), ("h", "default 1.0"),
+              ("m", "default 1.0"), ("dt", "default 0.4"),
+              ("k", "default 0.9"), ("packet_width", "default 10.0"),
+              ("slit_separation", "default 100.0"), ("steps", "default 0"),
+              ("cut", "default +x"), ("snapshots", "default 1")],
+    "vortex": _VORTEX,
+    "confine": [*_VORTEX, ("lengths", "default [0.0, 1.0, 2.0, 4.0, 8.0]")],
+}
+
+
+def test_cli_surface_is_pinned():
+    # every command's flags, in order, with the default each shows: the
+    # schemas derive from the library's configs, and moving a default there
+    # must leave this table as it is
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    table = {cmd: [(a.dest, a.help) for a in parser._actions]
+             for cmd, parser in sub.choices.items()}
+    assert table == {cmd: [_HELP, *_IO, *rows]
+                     for cmd, rows in CLI_SURFACE.items()}
+    assert list(table) == list(SCHEMAS)
+    assert sum(map(len, CLI_SURFACE.values())) == 55
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,6 +9,7 @@ values are frozen as literals next to the oracle that reproduced them.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,6 +17,7 @@ from scipy.integrate import quad
 
 from polelab.errors import DomainError, SingularPointError
 from polelab.fields import (
+    _K1_SERIES_BELOW,
     FLUX_PER_POLE,
     PhysicalConfig,
     TubeSpec,
@@ -323,6 +325,28 @@ def test_proca_potential_reproduces_profile_flux():
     # near the axis the potential must vanish linearly, not diverge
     a_small = proca_tube_potential(g, mu, (1e-8, 0.0, 0.0))
     assert np.linalg.norm(a_small) < 1e-6
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mu", [1.0, 3.0])
+def test_proca_potential_near_the_axis_matches_mpmath(mu):
+    # 1 - x K1(x), x = mu rho, cancels as x -> 0: formed directly it read
+    # |A| = 8.88e-8 at g = 0.5, mu = 1, rho = 1e-8, where mpmath reads
+    # 9.518e-8; below the switch it is summed from its series
+    g = 0.5
+    rho = np.geomspace(1e-12, 1.0, 200)
+    a = proca_tube_potential(g, mu, np.outer(rho, (1.0, 0.0, 0.0)))[:, 1]
+    with mpmath.workdps(40):
+        exact = [float(2 * g * (1 - mpmath.mpf(mu * r)
+                                * mpmath.besselk(1, mpmath.mpf(mu * r)))
+                       / mpmath.mpf(r)) for r in rho]
+    assert_allclose(a, exact, rtol=1e-13, atol=0.0)
+    # the series and the direct form meet at the switch
+    below = np.nextafter(_K1_SERIES_BELOW, 0.0) / mu
+    at = _K1_SERIES_BELOW / mu
+    a_below = proca_tube_potential(g, mu, (below, 0.0, 0.0))[1] * below
+    a_at = proca_tube_potential(g, mu, (at, 0.0, 0.0))[1] * at
+    assert a_below == pytest.approx(a_at, rel=4e-15, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -494,10 +494,19 @@ def test_failed_newton_system_is_a_convergence_error(monkeypatch, tmp_path,
     assert err.stats == (1, tuple(err.history), replayed_dtau(err.history, 1))
     calls.clear()     # the CLI's solve fails at its second sweep too
     assert main(["vortex", "--out", str(tmp_path)]) == EXIT_CONVERGENCE
+    # strict JSON: a NaN residual is written as the string "nan", which a
+    # parser that refuses NaN, Infinity and -Infinity reads
     with open(tmp_path / "vortex_manifest.json") as fh:
-        man = json.load(fh)
+        man = json.load(fh, parse_constant=_refuse_non_standard)
     assert man["status"] == "error" and "Newton system" in man["error"]
-    assert man["diagnostics"]["relaxation"]["iterations"] == 1
+    relax = man["diagnostics"]["relaxation"]
+    assert relax["iterations"] == 1
+    assert (relax["residual_history"][-1] == "nan") == (failure
+                                                        == "nan-residual")
+
+
+def _refuse_non_standard(token):
+    raise ValueError(f"{token} is not JSON")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
