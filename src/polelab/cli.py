@@ -437,10 +437,9 @@ def cmd_vortex(run):
 def cmd_confine(run):
     cfg, profile, tension = _solve_vortex_for(run, ConfineConfig)
     with run.stage("write"):
-        energy = [confinement_energy(tension, length)
-                  for length in cfg.lengths]
         write_csv(run.path("confine.csv"), ["L", "energy"],
-                  [cfg.lengths, energy], run.sha)
+                  [cfg.lengths, confinement_energy(tension, cfg.lengths)],
+                  run.sha)
         write_json(run.path("confine.json"), {
             "tension": tension.T,
             "bogomolny_ratio": tension.bogomolny_ratio,

@@ -37,6 +37,9 @@ _SCREENING_CLAMP = 800.0
 # FieldsConfig refuses more samples than this before anything is allocated
 MAX_SAMPLES = 2**20
 
+# the least normal float: an |r|^2 below it has lost digits
+_TINY = np.finfo(float).tiny
+
 # 1 - x K1(x) cancels as x -> 0: formed directly it is 4.5e-13 off at
 # x = 0.01 and 6.7% at 1e-8. Below this x the series of Abramowitz &
 # Stegun 9.6.11, summed to 7 terms, is within 9e-16 of mpmath at 40
@@ -66,8 +69,10 @@ class PhysicalConfig:
 @dataclass(frozen=True)
 class FieldsConfig(PhysicalConfig):
     """A PhysicalConfig with g nonzero and its fields' samples (2 to
-    MAX_SAMPLES) radii from r_min to r_max: 0 < r_min < r_max, with r_max^2
-    finite, since every field squares |r|; checked on construction."""
+    MAX_SAMPLES) radii from r_min to r_max: 0 < r_min < r_max, with r_min^2
+    normal and r_max^2 finite, since every field squares |r|, and both
+    fields finite at r_min, where they are largest; checked on
+    construction."""
 
     q: float = 1.0
     g: float = 0.5
@@ -82,10 +87,17 @@ class FieldsConfig(PhysicalConfig):
             raise DomainError("need 0 < r_min < r_max")
         if not np.isfinite(self.r_max * self.r_max):
             raise DomainError("r_max^2 overflows: coordinates too large")
+        if self.r_min * self.r_min < _TINY:
+            raise DomainError(f"r_min^2 is below {_TINY}, the least normal "
+                              "float: the fields would lose digits")
         check_count("samples", self.samples, 2, MAX_SAMPLES)
         if self.g == 0:
             raise DomainError("g must be nonzero: b_over_coulomb divides "
                               "by it")
+        # both fields are largest at r_min, the first sample's |r|
+        r_min = np.float64(self.r_min)
+        _electric_magnitude(self, r_min)
+        _magnetic_magnitude(self, r_min)
 
 
 @dataclass(frozen=True)
@@ -118,14 +130,18 @@ def as_vec3(r):
 
 
 def _radii(arr):
-    """|r| of finite points; a point whose |r|^2 overflows is refused, since
-    its field would come out as an exact 0 instead of the true value."""
+    """|r| of finite points. The origin is a SingularPointError. A point
+    whose |r|^2 overflows, or is below the least normal float, is a
+    DomainError: its field would come out as an exact 0, or lose digits."""
     with np.errstate(over="ignore"):
-        r = np.sqrt(np.sum(arr * arr, axis=-1))
-    check_finite("|r|^2 of the coordinates", r)
-    if np.any(r == 0.0):
+        r2 = np.sum(arr * arr, axis=-1)
+    check_finite("|r|^2 of the coordinates", r2)
+    if np.any(np.all(arr == 0.0, axis=-1)):
         raise SingularPointError("field evaluated at a source point")
-    return r
+    if np.any(r2 < _TINY):
+        raise DomainError(f"|r|^2 of the coordinates is below {_TINY}, the "
+                          "least normal float")
+    return np.sqrt(r2)
 
 
 def _screening_argument(mu, r):
@@ -142,14 +158,30 @@ def _screened_charge(q, mu, R):
     return q * ((1.0 + x) * np.exp(-x))
 
 
-def _radial(arr, rmag, numerator, field):
-    """The radial field numerator/|r|^2 at the points arr. A magnitude that
-    overflows is refused with its cause instead of returned as inf."""
+def _inverse_square(numerator, rmag, field):
+    """numerator/|r|^2, the magnitude of a radial field. One that overflows
+    is refused with its cause instead of returned as inf."""
     with np.errstate(over="ignore"):
         amp = numerator / rmag**2
     if not np.all(np.isfinite(amp)):
         raise DomainError(f"the field {field} overflows at |r| = "
                           f"{np.min(rmag)}")
+    return amp
+
+
+def _electric_magnitude(cfg, rmag):
+    """|E| of yukawa_electric_field at the radii rmag."""
+    return _inverse_square(_screened_charge(cfg.q, cfg.mu, rmag), rmag,
+                           "q*(1 + mu*r)*exp(-mu*r)/r^2")
+
+
+def _magnetic_magnitude(cfg, rmag):
+    """|B| of monopole_field at the radii rmag."""
+    return _inverse_square(cfg.g, rmag, "g/r^2")
+
+
+def _radial(arr, rmag, amp):
+    """The radial vector amp * r/|r| at the points arr."""
     return amp[..., None] * (arr / rmag[..., None])
 
 
@@ -171,8 +203,7 @@ def yukawa_electric_field(cfg, r):
     """
     arr = as_vec3(r)
     rmag = _radii(arr)
-    return _radial(arr, rmag, _screened_charge(cfg.q, cfg.mu, rmag),
-                   "q*(1 + mu*r)*exp(-mu*r)/r^2")
+    return _radial(arr, rmag, _electric_magnitude(cfg, rmag))
 
 
 def local_charge(cfg, R):
@@ -196,7 +227,7 @@ def monopole_field(cfg, r):
     """
     arr = as_vec3(r)
     rmag = _radii(arr)
-    return _radial(arr, rmag, cfg.g, "g/r^2")
+    return _radial(arr, rmag, _magnetic_magnitude(cfg, rmag))
 
 
 def wu_yang_potential(patch, g, r):
@@ -214,8 +245,16 @@ def wu_yang_potential(patch, g, r):
     is formed as rho^2/(r -+ z), since (r + z)*(r - z) = rho^2.
     Evaluation within angular distance AXIS_TOL of the excluded axis raises
     SingularPointError, and an amplitude g/(r*(r +- z)) that is not finite
-    (at a tiny or a huge |r|) DomainError.
+    (at a tiny or a huge |r|), or whose r*(r +- z) is below the least
+    normal float and so has lost digits, DomainError.
     """
+    arr, amp = _patch_amplitude(patch, g, r)
+    return _azimuthal(arr, amp)
+
+
+def _patch_amplitude(patch, g, r):
+    """The points r as an array, and the azimuthal amplitude of
+    wu_yang_potential at them, refused as that function states."""
     if patch not in ("north", "south"):
         raise DomainError("patch must be 'north' or 'south'")
     arr = as_vec3(r)
@@ -239,10 +278,12 @@ def wu_yang_potential(patch, g, r):
                         rmag + sign * z)
         den = rmag * side
         amp = num / den
-    if not (np.all(np.isfinite(den)) and np.all(np.isfinite(amp))):
+    if not (np.all((_TINY <= den) & (den < np.inf))
+            and np.all(np.isfinite(amp))):
         raise DomainError(f"the {patch} patch's g/(r*(r +- z)) is not finite "
-                          f"for |r| in [{np.min(rmag)}, {np.max(rmag)}]")
-    return _azimuthal(arr, amp)
+                          f"or r*(r +- z) is below {_TINY} for |r| in "
+                          f"[{np.min(rmag)}, {np.max(rmag)}]")
+    return arr, amp
 
 
 def tube_potential(spec, r):

@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError, check_count, check_finite, check_positive
-from .fields import as_vec3, wu_yang_potential
+from .fields import _patch_amplitude, as_vec3, wu_yang_potential
 
 # Polar-angle band on which both patches are regular and may be compared.
 OVERLAP_BAND = (np.pi / 2 - 0.3, np.pi / 2 + 0.3)
@@ -32,6 +32,9 @@ DEFAULT_TOL = 1e-9
 # any: at 2^14 `polelab holonomy` takes 6 ms and peaks at 38 MiB RSS (36 MiB
 # at the default 256) on a 2-core Xeon, and a few hundred reach rounding
 MAX_NODES = 2**14
+
+# 2^-1074, the spacing of the floats below the least normal one
+_LEAST_SUBNORMAL = math.ldexp(1.0, -1074)
 
 
 @dataclass(frozen=True)
@@ -158,8 +161,10 @@ def circle_flux(potential, center, u, v, rule=CircleRule()):
 class HolonomyConfig:
     """A charge q on the rim of the cap 0 < theta < pi of the sphere of
     radius > 0, radius^2 finite, about a pole g, with finite string flux
-    4 pi g and phase q 4 pi g; keeps the CircleRule of its flux and its
-    quantization report at tol, built and so checked on construction."""
+    4 pi g and phase q 4 pi g; keeps the CircleRule of its flux, its
+    quantization report at tol and its rim, the (center, u, v) of
+    circle_flux, at whose first node the north potential's rule must hold,
+    all built and so checked on construction."""
 
     q: float = 1.0
     g: float = 0.5
@@ -183,19 +188,37 @@ class HolonomyConfig:
                            check_quantization(self.q, self.g, self.tol))
         object.__setattr__(self, "rule",
                            CircleRule(self.base_segments, self.levels))
+        rho = self.radius * math.sin(self.theta)
+        rim = ((0.0, 0.0, self.radius * math.cos(self.theta)),
+               (rho, 0.0, 0.0), (0.0, rho, 0.0))
+        # the rim's first node, center + u: the potential is refused there,
+        # by the rule that refuses it at every node, before the flux's solve
+        try:
+            _patch_amplitude("north", self.g, np.add(*rim[:2]))
+        except DomainError as exc:
+            raise type(exc)(f"the rim of the cap (g, radius, theta): {exc}")\
+                from None
+        object.__setattr__(self, "rim", rim)
 
 
 def cap_flux(config):
     """Flux of the pole g through the cap of a HolonomyConfig: the north
-    patch's circle_flux around the rim, by the config's rule. The error
-    estimate is the distance between its two finest rules, and at least
-    ceil(log2 N) eps |flux|, the bound of numpy's pairwise sum of the N
-    terms: the integrand is constant on the rim, so the rules round alike
-    and their distance misses that rounding."""
-    r, theta, rule = config.radius, config.theta, config.rule
+    patch's circle_flux around its rim, of radius rho, by its rule. The
+    error estimate is the distance between the two finest rules, and at
+    least the two rounding bounds that distance misses, since the integrand
+    is constant on the rim and the rules round alike: ceil(log2 N) eps
+    |flux|, that of numpy's pairwise sum of the N terms, and (N + 2 pi (1 +
+    rho)^2) 2^-1074, twice that of the roundings below the least normal
+    float, each by up to 2^-1075: one per term, two per node in A and two
+    in A . dl, and one in the amplitude g/(r*(r +- z)), which the flux
+    weighs by 2 pi rho^2."""
+    rule = config.rule
     pot = partial(wu_yang_potential, "north", config.g)
-    rho = r * math.sin(theta)
-    flux, err = circle_flux(pot, (0.0, 0.0, r * math.cos(theta)),
-                            (rho, 0.0, 0.0), (0.0, rho, 0.0), rule)
+    flux, err = circle_flux(pot, *config.rim, rule)
     rounding = math.ceil(math.log2(rule.nodes)) * np.finfo(float).eps
-    return flux, max(err, rounding * abs(flux))
+    rho = config.rim[1][0]
+    # 2^-1074 multiplies (1 + rho) before (1 + rho) does: no product
+    # overflows where radius^2 does not
+    subnormal = rule.nodes * _LEAST_SUBNORMAL + 2.0 * math.pi * (1.0 + rho) \
+        * ((1.0 + rho) * _LEAST_SUBNORMAL)
+    return flux, max(err, rounding * abs(flux), subnormal)

@@ -100,8 +100,9 @@ class VortexConfig(HiggsModel):
     correlation lengths, with m_V*r_max*sinh(4) finite and > 0; and grid,
     512 to MAX_GRID, the fewest points: it is doubled, up to MAX_GRID,
     until MIN_CORE_NODES of them lie within min(1/m_V, 1/m_H) of the axis.
-    Keeps that grid as x = m_V*rho, whose finite-difference weights must
-    be finite."""
+    Keeps that grid as x = m_V*rho and its finite-difference weights, the
+    (first, second) derivative triples of _fd_coeffs, as weights; every
+    weight must be finite."""
 
     q: float = 1.0
     v: float = 1.0
@@ -146,8 +147,10 @@ class VortexConfig(HiggsModel):
             d1, d2 = _fd_coeffs(x)
         check_finite("m_V*r_max too large: the grid's difference weights",
                      *d1, *d2)
-        x.setflags(write=False)
+        for arr in (x, *d1, *d2):
+            arr.setflags(write=False)
         object.__setattr__(self, "x", x)
+        object.__setattr__(self, "weights", (d1, d2))
 
 
 @dataclass(frozen=True)
@@ -165,7 +168,8 @@ class ConfineConfig(VortexConfig):
 
 @dataclass(frozen=True)
 class VortexProfile:
-    """Radial profiles of a winding-n tube on rho_grid (rho_grid[0] = 0)."""
+    """Radial profiles of a winding-n tube on rho_grid, at least 3 points,
+    strictly increasing from the axis: rho_grid[0] = 0, or DomainError."""
 
     n: int
     rho_grid: np.ndarray
@@ -180,8 +184,8 @@ class VortexProfile:
         if rho.ndim != 1 or rho.shape != f.shape or rho.shape != a.shape:
             raise DomainError("rho_grid, f, a must be 1-D arrays of equal length")
         check_count("profile points", len(rho), 3)  # edge_order=2 needs 3
-        if rho[0] < 0 or np.any(np.diff(rho) <= 0):
-            raise DomainError("rho_grid must be strictly increasing and start at >= 0")
+        if rho[0] != 0 or np.any(np.diff(rho) <= 0):
+            raise DomainError("rho_grid must be strictly increasing and start at 0")
         check_finite("profiles", f, a)
         object.__setattr__(self, "rho_grid", rho)
         object.__setattr__(self, "f", f)
@@ -222,34 +226,36 @@ class TensionResult:
 # energy functional
 # ---------------------------------------------------------------------------
 
-def _density_terms(model, profile):
-    """(rho, 2*pi*rho*energy_density) with the axis limit handled."""
+def energy_density_profile(model, profile):
+    """The tube's energy density, the four terms of T's integrand, at each
+    point of rho_grid. On the axis the two terms over rho^2 are 0/0, so
+    it takes the value of the next point."""
     rho, f, a = profile.rho_grid, profile.f, profile.a
     n, q, v, lam = profile.n, model.q, model.v, model.lam
     fp = np.gradient(f, rho, edge_order=2)
     ap = np.gradient(a, rho, edge_order=2)
-    safe = np.where(rho > 0, rho, 1.0)
-    dens = (v**2 * fp**2
-            + v**2 * n**2 * f**2 * (1.0 - a) ** 2 / safe**2
-            + n**2 * ap**2 / (2.0 * q**2 * safe**2)
-            + 0.25 * lam * v**4 * (f**2 - 1.0) ** 2)
-    integrand = 2.0 * np.pi * rho * dens
-    # rho -> 0: every term of rho*dens vanishes for admissible profiles
-    integrand = np.where(rho > 0, integrand, 0.0)
-    return rho, integrand
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dens = (v**2 * fp**2
+                + v**2 * n**2 * f**2 * (1.0 - a) ** 2 / rho**2
+                + n**2 * ap**2 / (2.0 * q**2 * rho**2)
+                + 0.25 * lam * v**4 * (f**2 - 1.0) ** 2)
+    dens[0] = dens[1]
+    return dens
 
 
 def vortex_energy(model, profile):
-    """Tube energy per unit length by trapezoidal quadrature of the profile,
-    and |fine - coarse|, its change when every other grid point is dropped.
-    On converged tubes that change bounds the energy's error: the true
-    error is smaller, and (fine - coarse)/3, Richardson's estimate, has the
-    wrong sign, so the bound is not extrapolated.
+    """Tube energy per unit length, the trapezoidal quadrature of 2*pi*rho
+    times energy_density_profile, and |fine - coarse|, its change when
+    every other grid point is dropped. On converged tubes that change
+    bounds the energy's error: the true error is smaller, and (fine -
+    coarse)/3, Richardson's estimate, has the wrong sign, so the bound is
+    not extrapolated.
 
     Raises AccuracyError when coarsening the grid by 2 moves the result by
     more than 1%: the profile is then too coarse to quote an energy.
     """
-    rho, integrand = _density_terms(model, profile)
+    rho = profile.rho_grid
+    integrand = 2.0 * np.pi * rho * energy_density_profile(model, profile)
     fine = np.trapezoid(integrand, rho)
     coarse = np.trapezoid(integrand[::2], rho[::2])
     # a profile sitting in vacuum integrates to gradient-weight rounding
@@ -266,21 +272,10 @@ def magnetic_profile(model, profile):
     rho, a = profile.rho_grid, profile.a
     ap = np.gradient(a, rho, edge_order=2)
     out = np.empty_like(rho)
-    pos = rho > 0
-    out[pos] = profile.n * ap[pos] / (model.q * rho[pos])
-    if np.any(~pos):
-        # a ~ c*rho^2 near the axis, so a'/rho -> 2c: use the first interior point
-        out[~pos] = 2.0 * profile.n * a[1] / (model.q * rho[1] ** 2)
+    out[1:] = profile.n * ap[1:] / (model.q * rho[1:])
+    # a ~ c*rho^2 near the axis, so a'/rho -> 2c: use the first interior point
+    out[0] = 2.0 * profile.n * a[1] / (model.q * rho[1] ** 2)
     return out
-
-
-def energy_density_profile(model, profile):
-    rho, integrand = _density_terms(model, profile)
-    safe = np.where(rho > 0, rho, 1.0)
-    dens = integrand / (2.0 * np.pi * safe)
-    if rho[0] == 0.0:
-        dens[0] = dens[1]
-    return dens
 
 
 def vortex_flux(model, profile):
@@ -357,7 +352,7 @@ def solve_vortex(config):
     singular.
     """
     n, x, beta = int(config.n), config.x, config.beta
-    d1, d2 = _fd_coeffs(x)
+    d1, d2 = config.weights
     xi = x[1:-1]
     (c1m, c1c, c1p), (c2m, c2c, c2p) = d1, d2
 
@@ -427,8 +422,6 @@ def solve_vortex(config):
         a[1:-1] += delta[1::2]
         np.clip(f, -0.2, 1.2, out=f)
         np.clip(a, -0.2, 1.2, out=a)
-        f[0] = a[0] = 0.0
-        f[-1] = a[-1] = 1.0
     else:
         failure = "vortex relaxation did not converge"
 

@@ -881,11 +881,20 @@ def test_refusals_name_their_cause(tmp_path, argv, code, cause):
     (["vortex", "--max-iter", "0"], "max_iter"),
     (["vortex", "--tol", "0"], "tol"),
     (["confine", "--tol", "0"], "tol"),
+    (["holonomy", "--g", "1645261.0", "--radius", "1e-151"], "radius"),
+    (["holonomy", "--g", "1e-308", "--radius", "1e-150", "--theta",
+      "3.1415925"], "radius"),
+    (["fields", "--q", "1e308", "--mu", "0"], "q"),
+    (["fields", "--q", "1e308", "--r-min", "1e-10"], "q"),
+    (["fields", "--r-min", "1e-170", "--r-max", "1"], "r_min"),
+    (["fields", "--q", "1e-300", "--g", "1e-300", "--r-min", "1e-160",
+      "--r-max", "1e-150", "--samples", "4"], "r_min"),
 ])
 def test_solver_inputs_are_refused_before_the_first_stage(tmp_path, argv,
                                                           key):
     # each of these used to be refused by the solver inside the solve
-    # stage; the command's config now refuses it, by its schema key
+    # stage, or, for the last, written with a wrong b_over_coulomb; the
+    # command's config now refuses it, by its schema key
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
     man = _manifest(tmp_path, argv[0])
     assert man["stages_seconds"] == {}
@@ -1032,10 +1041,14 @@ def test_list_flags_drop_empty_tokens(tmp_path):
 def test_overflowing_products_are_refused_with_their_cause(tmp_path, argv,
                                                            cause):
     # each used to warn, and to end in "result ... is not finite" at the
-    # writer or in a later refusal
+    # writer or in a later refusal. Each is refused by its config, before
+    # any stage, but for T*L: the tension T is known only after the solve
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
     assert [p.name for p in tmp_path.iterdir()] == [f"{argv[0]}_manifest.json"]
-    assert cause in _manifest(tmp_path, argv[0])["error"]
+    man = _manifest(tmp_path, argv[0])
+    assert cause in man["error"]
+    if cause != "T*L overflows":
+        assert man["stages_seconds"] == {}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

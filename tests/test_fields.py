@@ -135,6 +135,26 @@ def test_field_singular_at_origin():
         monopole_field(cfg, np.zeros(3))
 
 
+def test_a_subnormal_radius_squared_is_refused_by_its_cause():
+    # |r|^2 = 1e-320 is below the least normal float and has lost digits:
+    # b_over_coulomb read 1.0000055664551364 at r = 1e-160, and at 1e-170,
+    # where |r|^2 underflows to 0, the point was taken for a source point
+    cfg = PhysicalConfig(q=1e-300, g=1e-300)
+    for r in (1e-160, 1e-170, 1e-155):
+        for field in (yukawa_electric_field, monopole_field):
+            with pytest.raises(DomainError, match="least normal") as exc:
+                field(cfg, (r, 0.0, 0.0))
+            assert not isinstance(exc.value, SingularPointError)
+    # r*(r + z) = 1e-314 is below it at a normal |r|^2 = 1e-300, next to
+    # the north patch's excluded axis
+    point = 1e-150 * np.array([math.sin(1e-7), 0.0, -math.cos(1e-7)])
+    with pytest.raises(DomainError, match="r\\*\\(r \\+- z\\) is below"):
+        wu_yang_potential("north", 1e-308, point)
+    # from 1.5e-154 up |r|^2 is normal and the field exact to rounding
+    b = monopole_field(cfg, (1.5e-154, 0.0, 0.0))
+    assert_allclose(b[0] * 1.5e-154**2, 1e-300, rtol=1e-15)
+
+
 def test_local_charge_against_surface_quadrature():
     cfg = PhysicalConfig(q=1.0, g=0.0, mu=2.0)
     flux = sphere_flux(lambda r: yukawa_electric_field(cfg, r), 10.0)

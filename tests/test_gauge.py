@@ -10,6 +10,7 @@ of a gradient) and the excluded Dirac-string axis.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -324,6 +325,25 @@ def test_cap_flux_holds_to_its_estimate_near_both_poles(g, r):
             flux, err = cap_flux(HolonomyConfig(g=g, theta=theta, radius=r))
             expected = 4.0 * np.pi * g * np.sin(0.5 * theta) ** 2
             assert abs(flux - expected) <= err, (theta, flux)
+
+
+@pytest.mark.parametrize("g", [1e-308, 1e-310, 1e-315, 1e-320, 1.5e-323])
+def test_cap_flux_holds_to_its_estimate_below_the_least_normal(g):
+    # the terms of the rule, the amplitude g/(r*(r + z)), or both lie below
+    # the least normal float, where each rounding is absolute: at N = 256
+    # the flux missed by 110 * 2^-1074 with an estimate of 45 * 2^-1074
+    # (g = 1e-308, theta = 3), and at N = 6 by 14 * 2^-1074, so the floor
+    # is not N * 2^-1074 alone. The exact flux is 4 pi g sin^2(theta/2)
+    for theta in (1e-160, 1e-20, 1e-5, 0.3, 1.0, 2.2, 3.0, 3.1415925,
+                  math.pi - 1e-9):
+        with mpmath.workdps(50):
+            exact = 4 * mpmath.pi * mpmath.mpf(g) \
+                * mpmath.sin(mpmath.mpf(theta) / 2) ** 2
+        for base, levels in [(3, 2), (64, 3), (MAX_NODES // 2, 2)]:
+            flux, err = cap_flux(HolonomyConfig(
+                g=g, theta=theta, base_segments=base, levels=levels))
+            with mpmath.workdps(50):
+                assert abs(mpmath.mpf(flux) - exact) <= err, (theta, base)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -219,6 +219,16 @@ def test_energy_density_profile_shape(critical_solution):
     assert dens[-1] < 1e-12 * dens.max()       # vacuum reached at the edge
 
 
+def test_energy_is_the_integral_of_the_density(critical_solution):
+    # one energy density: the tension is its 2 pi rho-weighted trapezoid,
+    # bit for bit
+    profile, _ = critical_solution
+    rho = profile.rho_grid
+    density = energy_density_profile(CRITICAL, profile)
+    assert vortex_energy(CRITICAL, profile)[0] \
+        == np.trapezoid(2.0 * np.pi * rho * density, rho)
+
+
 def test_vacuum_and_false_vacuum_energies():
     rho = np.linspace(0.0, 10.0, 1025)
     ones = VortexProfile(n=1, rho_grid=rho, f=np.ones_like(rho),
@@ -388,6 +398,31 @@ def test_profile_validation():
             VortexProfile(n=1, rho_grid=rho[:k], f=good[:k], a=good[:k])
     three = VortexProfile(n=1, rho_grid=rho[:3], f=good[:3], a=good[:3])
     assert magnetic_profile(CRITICAL, three).shape == (3,)
+
+
+def test_profile_starts_on_the_axis():
+    # the field and the energy density take their axis limits at
+    # rho_grid[0]; a grid off the axis used to be accepted
+    rho = np.linspace(0.5, 10.0, 600)
+    good = np.linspace(0.0, 1.0, 600)
+    with pytest.raises(DomainError, match="start at 0"):
+        VortexProfile(n=1, rho_grid=rho, f=good, a=good)
+
+
+def test_grid_weights_are_computed_once(monkeypatch):
+    # the config keeps the difference weights it checks, and the solve
+    # reads them: it used to compute them again
+    fd_coeffs, calls = vortex._fd_coeffs, []
+
+    def counted(x):
+        calls.append(len(x))
+        return fd_coeffs(x)
+
+    monkeypatch.setattr(vortex, "_fd_coeffs", counted)
+    config = VortexConfig()
+    assert calls == [len(config.x)]
+    solve_vortex(config)
+    assert calls == [len(config.x)]
 
 
 def test_stalled_relaxation_reports_history(replayed_dtau):
