@@ -392,8 +392,8 @@ def cmd_absim(run):
                       ["y", "intensity_free", "intensity_with_flux"],
                       [y, i_free, i_flux], run.sha)
             if cfg["snapshots"]:
-                save_snapshot(free, run.path("absim_free.f64"))
-                save_snapshot(flux_grid, run.path("absim_flux.f64"))
+                save_snapshot(free, run.path("absim_free.f64"), run.sha)
+                save_snapshot(flux_grid, run.path("absim_flux.f64"), run.sha)
         if fringe:
             write_csv(run.path("absim_fringe.csv"), FringeRow._fields,
                       zip(*reading.table), run.sha)

@@ -105,7 +105,9 @@ class TubeSpec:
     """Uniform flux tube: pole strength g squeezed into a cylinder of radius R.
 
     The interior field B = 4*g/R**2 along +z reproduces the pole's total flux
-    4*pi*g; outside the tube the potential is pure gauge.
+    4*pi*g; outside the tube the potential is pure gauge. R^2 must be normal
+    and finite, and B finite: tube_potential divides 2*g by rho^2 >= R^2
+    outside, so its amplitude is then finite everywhere.
     """
 
     g: float
@@ -114,6 +116,12 @@ class TubeSpec:
     def __post_init__(self):
         check_finite("g", self.g)
         check_positive("R", self.R)
+        with np.errstate(over="ignore"):
+            R2 = np.float64(self.R) ** 2
+            if not _TINY <= R2 < np.inf:
+                raise DomainError(f"R^2 = {R2} must be finite and at least "
+                                  f"{_TINY}, the least normal float")
+            check_finite("the interior field 4*g/R^2", 4.0 * self.g / R2)
 
     @property
     def interior_field(self):
@@ -142,6 +150,22 @@ def _radii(arr):
         raise DomainError(f"|r|^2 of the coordinates is below {_TINY}, the "
                           "least normal float")
     return np.sqrt(r2)
+
+
+def _axial_squares(arr):
+    """rho^2 = x^2 + y^2 of finite points. An off-axis point whose rho^2 is
+    below the least normal float or overflows is a DomainError naming its
+    rho, as _radii refuses such an |r|^2: 1/rho^2 would lose digits, or
+    come out as inf or 0. A point on the z axis has rho^2 = 0."""
+    with np.errstate(over="ignore"):
+        rho2 = arr[..., 0] ** 2 + arr[..., 1] ** 2
+    off_axis = (arr[..., 0] != 0.0) | (arr[..., 1] != 0.0)
+    bad = off_axis & ~((_TINY <= rho2) & (rho2 < np.inf))
+    if np.any(bad):
+        rho = np.hypot(arr[..., 0], arr[..., 1])[bad].flat[0]
+        raise DomainError(f"rho = {rho}: rho^2 must be finite and at least "
+                          f"{_TINY}, the least normal float")
+    return rho2
 
 
 def _screening_argument(mu, r):
@@ -289,12 +313,12 @@ def _patch_amplitude(patch, g, r):
 def tube_potential(spec, r):
     """Potential of the uniform flux tube: A = B*(z_hat x r)/2 inside rho <= R,
     pure gauge with azimuthal magnitude 2*g/rho outside. Continuous at rho = R
-    and regular everywhere (zero on the axis)."""
+    and regular everywhere (zero on the axis). An off-axis point whose rho^2
+    is not normal and finite is a DomainError (_axial_squares)."""
     arr = as_vec3(r)
-    rho2 = arr[..., 0] ** 2 + arr[..., 1] ** 2
-    inside = rho2 <= spec.R**2
-    amp = np.where(inside, 2.0 * spec.g / spec.R**2,
-                   2.0 * spec.g / np.where(rho2 > 0, rho2, 1.0))
+    # 2g/R^2 inside (the axis included), 2g/rho^2 outside: at most half
+    # the interior field, which TubeSpec checks, so finite
+    amp = 2.0 * spec.g / np.maximum(_axial_squares(arr), spec.R**2)
     return _azimuthal(arr, amp)
 
 
@@ -323,25 +347,33 @@ def proca_tube_potential(g, mu, r):
     2*pi*rho*A_phi = 4*pi*g*(1 - mu*rho*K1(mu*rho)) climbs to the full 4*pi*g
     once mu*rho >> 1. Regular on the axis (A -> 0 like rho*log(rho)), where
     1 - x K1(x) is summed from its series, since formed directly it cancels.
+    An off-axis point whose rho^2 is not normal and finite
+    (_axial_squares), or where the amplitude is not finite, is a
+    DomainError naming its rho.
     """
     # imported here, not at module level: no CLI command needs scipy.special
     from scipy.special import i1, k1
 
     check_positive("mu", mu)
     arr = as_vec3(r)
-    rho2 = arr[..., 0] ** 2 + arr[..., 1] ** 2
+    rho2 = _axial_squares(arr)
     rho = np.sqrt(rho2)
     safe = np.where(rho > 0, rho, 1.0)
-    x = mu * safe
-    # A&S 9.6.11: 1 - x K1(x) = (x^2/4) sum_k c_k (x^2/4)^k - x ln(x/2) I1(x),
-    # summed at x clamped below the switch, where its terms stay small
-    xs = np.minimum(x, _K1_SERIES_BELOW)
-    u = 0.25 * xs * xs
-    series = 0.0
-    for c in reversed(_K1_SERIES):
-        series = series * u + c
-    deficit = np.where(x < _K1_SERIES_BELOW,
-                       u * series - xs * np.log(0.5 * xs) * i1(xs),
-                       1.0 - x * k1(x))
-    amp = np.where(rho > 0, 2.0 * g * deficit / safe**2, 0.0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = mu * safe
+        # A&S 9.6.11: 1 - x K1(x) = (x^2/4) sum_k c_k (x^2/4)^k
+        # - x ln(x/2) I1(x), summed at x clamped below the switch, where its
+        # terms stay small
+        xs = np.minimum(x, _K1_SERIES_BELOW)
+        u = 0.25 * xs * xs
+        series = 0.0
+        for c in reversed(_K1_SERIES):
+            series = series * u + c
+        deficit = np.where(x < _K1_SERIES_BELOW,
+                           u * series - xs * np.log(0.5 * xs) * i1(xs),
+                           1.0 - x * k1(x))
+        amp = np.where(rho > 0, 2.0 * g * deficit / safe**2, 0.0)
+    if not np.all(np.isfinite(amp)):
+        raise DomainError(f"the screened tube's amplitude is not finite at "
+                          f"rho = {rho[~np.isfinite(amp)].flat[0]}")
     return _azimuthal(arr, amp)

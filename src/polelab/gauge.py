@@ -170,8 +170,8 @@ class HolonomyConfig:
     g: float = 0.5
     radius: float = 2.0
     theta: float = 2.2
-    base_segments: int = 64
-    levels: int = 3
+    base_segments: int = CircleRule.base_segments
+    levels: int = CircleRule.levels
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):

@@ -559,13 +559,15 @@ def _fringe_phase(pattern, free, k_star):
 # snapshots
 # ---------------------------------------------------------------------------
 
-def save_snapshot(grid, bin_path):
+def save_snapshot(grid, bin_path, sha):
     """Write |psi|^2 as flat row-major float64 plus a JSON sidecar giving
-    shape and spacing, meta_path = bin_path + ".json". Returns both paths."""
+    shape and spacing and, as every data file does, the config's sha256,
+    meta_path = bin_path + ".json". Returns both paths."""
     meta_path = bin_path + ".json"
     with open(bin_path, "wb") as fh:
         fh.write(memoryview(grid.intensity()))
     meta = {
+        "config_sha256": sha,
         "shape": [int(grid.nx), int(grid.ny)],
         "order": "C",
         "dtype": "float64",

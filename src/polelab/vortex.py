@@ -51,52 +51,13 @@ MIN_CORE_NODES = 5
 
 
 @dataclass(frozen=True)
-class HiggsModel:
-    """Charge q (finite and nonzero: beta, the energy, B_z and the flux
-    divide by it) of the condensate, vacuum value v and quartic coupling
-    lam; v, lam, beta, 1/m_V, 1/m_H and lam*v^4 finite and > 0."""
-
-    q: float
-    v: float
-    lam: float
-
-    def __post_init__(self):
-        check_finite("q", self.q)
-        if self.q == 0:
-            raise DomainError("charge q must be nonzero: at q = 0 the photon "
-                              "decouples from the condensate")
-        check_positive("v, lam", self.v, self.lam)
-        # the scales the solve divides by or raises to a power, in float64:
-        # an overflow, underflow or zero divisor gives one not finite and > 0
-        q, v = np.float64(self.q), np.float64(self.v)
-        with np.errstate(over="ignore", under="ignore", divide="ignore"):
-            check_positive("beta, 1/m_V, 1/m_H, lam*v^4",
-                           self.lam / (2.0 * q**2), *self.correlation_lengths,
-                           self.lam * v**4)
-
-    @property
-    def photon_mass(self):
-        return math.sqrt(2.0) * abs(self.q) * self.v
-
-    @property
-    def higgs_mass(self):
-        return math.sqrt(self.lam) * self.v
-
-    @property
-    def correlation_lengths(self):
-        """(1/m_V, 1/m_H) in float64."""
-        return np.divide(1.0, (self.photon_mass, self.higgs_mass))
-
-    @property
-    def beta(self):
-        return self.lam / (2.0 * self.q**2)
-
-
-@dataclass(frozen=True)
-class VortexConfig(HiggsModel):
+class VortexConfig:
     """The model and what solve_vortex relaxes in it, checked on
-    construction: the winding n and max_iter, counts >= 1; tol, finite and
-    > 0; r_max, default 20 * max(1/m_H, 1/m_V), at least 10 of those
+    construction: the condensate's charge q, finite and nonzero (beta, the
+    energy, B_z and the flux divide by it), its vacuum value v and quartic
+    coupling lam, with v, lam, beta, 1/m_V, 1/m_H and lam*v^4 finite and
+    > 0; the winding n and max_iter, counts >= 1; tol, finite and > 0;
+    r_max, default 20 * max(1/m_H, 1/m_V), at least 10 of those
     correlation lengths, with m_V*r_max*sinh(4) finite and > 0; and grid,
     512 to MAX_GRID, the fewest points: it is doubled, up to MAX_GRID,
     until MIN_CORE_NODES of them lie within min(1/m_V, 1/m_H) of the axis.
@@ -114,7 +75,18 @@ class VortexConfig(HiggsModel):
     max_iter: int = 200
 
     def __post_init__(self):
-        super().__post_init__()
+        check_finite("q", self.q)
+        if self.q == 0:
+            raise DomainError("charge q must be nonzero: at q = 0 the photon "
+                              "decouples from the condensate")
+        check_positive("v, lam", self.v, self.lam)
+        # the scales the solve divides by or raises to a power, in float64:
+        # an overflow, underflow or zero divisor gives one not finite and > 0
+        q, v = np.float64(self.q), np.float64(self.v)
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            check_positive("beta, 1/m_V, 1/m_H, lam*v^4",
+                           self.lam / (2.0 * q**2), *self.correlation_lengths,
+                           self.lam * v**4)
         check_count("winding number n", self.n, 1)
         grid = check_count("grid", self.grid, 512, MAX_GRID)
         check_positive("tol", self.tol)
@@ -151,6 +123,23 @@ class VortexConfig(HiggsModel):
             arr.setflags(write=False)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "weights", (d1, d2))
+
+    @property
+    def photon_mass(self):
+        return math.sqrt(2.0) * abs(self.q) * self.v
+
+    @property
+    def higgs_mass(self):
+        return math.sqrt(self.lam) * self.v
+
+    @property
+    def correlation_lengths(self):
+        """(1/m_V, 1/m_H) in float64."""
+        return np.divide(1.0, (self.photon_mass, self.higgs_mass))
+
+    @property
+    def beta(self):
+        return self.lam / (2.0 * self.q**2)
 
 
 @dataclass(frozen=True)

@@ -927,7 +927,7 @@ def test_steps_validation(packet128):
 
 def test_snapshot_roundtrip(tmp_path, packet128):
     bin_path = str(tmp_path / "field.f64")
-    out_bin, out_meta = save_snapshot(packet128, bin_path)
+    out_bin, out_meta = save_snapshot(packet128, bin_path, "0" * 64)
     assert out_meta == bin_path + ".json"
     data, meta = load_snapshot(bin_path)
     assert np.array_equal(data, packet128.intensity())
@@ -940,14 +940,14 @@ def test_snapshot_roundtrip(tmp_path, packet128):
 
 def test_snapshot_validation(tmp_path, packet128):
     bin_path = str(tmp_path / "field.f64")
-    save_snapshot(packet128, bin_path)
+    save_snapshot(packet128, bin_path, "0" * 64)
     with open(bin_path, "r+b") as fh:
         fh.truncate(1000)
     with pytest.raises(DomainError):
         load_snapshot(bin_path)
 
     bin2 = str(tmp_path / "other.f64")
-    save_snapshot(packet128, bin2)
+    save_snapshot(packet128, bin2, "0" * 64)
     meta2 = bin2 + ".json"
     with open(meta2) as fh:
         meta = json.load(fh)

@@ -11,6 +11,7 @@ which the reduced radial integral evaluates to.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -274,26 +275,33 @@ def test_closed_form_cross_check():
     (QuadratureSpec(levels=4, gl_order=8, target_tol=1e-3), 65),
     (QuadratureSpec(levels=5, gl_order=8), 50),
     (QuadratureSpec(levels=6, gl_order=12, target_tol=1e-4), 65),
+    (QuadratureSpec(levels=8, gl_order=24), 66),
+    (QuadratureSpec(levels=8, gl_order=64), 66),
 ], ids=["default", "levels-2-gl-8", "levels-4-gl-8-tol-1e-3", "levels-5-gl-8",
-        "levels-6-gl-12-tol-1e-4"])
+        "levels-6-gl-12-tol-1e-4", "levels-8-gl-24", "levels-8-gl-64"])
 def test_converged_cells_hold_the_closed_form(spec, converged):
-    # a cell reported converged is within its error of the closed form, and
-    # that error within the tolerance, on 109 log-spaced mu*d in [1e-3, 1e6];
-    # the cells that converge, all those up to mu*d = 215 but the levels-5
-    # spec's (up to 12), are counted, so no spec passes by converging
-    # nowhere. Levels 4 to 6 resolved mu*d up to 512, 1024 and 2048 before,
-    # and converged cells from mu*d = 316 on missed the closed form. Specs
-    # of 6 or more levels at gl_order 24 or more stay out: there err can
-    # fall below the rounding of the value (at 8 levels and gl_order 24, an
-    # err of 1.3e-16 against a miss of 2.2e-16 at mu*d = 0.65)
-    mu_d = np.geomspace(1e-3, 1e6, 109)
+    # a cell reported converged is within its error of the closed form
+    # (mpmath, 40 digits), and that error within the tolerance, at mu = 0
+    # and on 109 log-spaced mu*d in [1e-3, 1e6]; the cells that converge,
+    # all those up to mu*d = 215 but the levels-5 spec's (up to 12), are
+    # counted, so no spec passes by converging nowhere. Levels 4 to 6
+    # resolved mu*d up to 512, 1024 and 2048 before, and converged cells
+    # from mu*d = 316 on missed the closed form. Without the rounding floor
+    # the default spec's mu = 0 cell missed q*g by 1.67e-16 with an err of
+    # 5.6e-17, and at 8 levels the err fell below the value's rounding: at
+    # gl_order 24 1.3e-16 against a miss of 2.2e-16 at mu*d = 0.65, and at
+    # gl_order 64 2.2e-29 against 2.8e-17 at mu*d = 1.25
+    mu_d = [0.0, *np.geomspace(1e-3, 1e6, 109)]
     cells = _sweep(mu_d, [1.0], spec)
     assert sum(c.converged for c in cells) >= converged
-    for c in cells:
-        if c.converged:
-            exact = 0.5 * closed_form_ratio(c.mu)
-            assert abs(c.value - exact) <= c.error <= spec.target_tol * 0.5, \
-                c.mu
+    with mpmath.workdps(40):
+        for c in cells:
+            if c.converged:
+                x = mpmath.mpf(c.mu)
+                exact = 1 / mpmath.mpf(2) if x == 0 else \
+                    (1 - (1 + x) * mpmath.exp(-x)) / (x * x)
+                assert abs(c.value - exact) <= c.error, c.mu
+                assert c.error <= spec.target_tol * 0.5, c.mu
 
 
 def test_massless_value_independent_of_separation():
@@ -521,14 +529,18 @@ def test_stats_count_what_the_quadrature_did(monkeypatch, mu, spec):
     pair = PairConfig(q=1.0, g=0.5, d=2.0, mu=mu)
     try:
         res = field_angular_momentum(pair, spec)
-        stats, error = res.stats, res.error
+        stats, value, error = res.stats, res.value, res.error
     except ConvergenceError as exc:
-        stats, error = exc.stats, exc.error
+        stats, value, error = exc.stats, exc.best, exc.error
     assert stats.evaluations == seen["total"]
     assert stats.padded == seen["total"] - seen["real"]
     assert 0 < stats.padded < stats.evaluations
+    # the error is the budget, or the value's rounding where that is larger,
+    # as at mu = 0
     budget = stats.err_extrapolation + stats.err_quadrature + stats.err_tail
-    assert budget == error
+    rounding = angmom.ROUNDING_FLOOR * np.finfo(float).eps * abs(value)
+    assert error == max(budget, rounding)
+    assert (rounding > budget) == (mu == 0.0)
     # mu = 0 has its tail in closed form; mu > 0 pushes r_max out until the
     # envelope bound is below a tenth of the target, which a mu*d of 0.01
     # needs at r_max = 50 d and a mu*d of 2 does not

@@ -764,6 +764,26 @@ def test_absim_snapshots_written(tmp_path):
     assert (tmp_path / "absim_flux.f64").exists()
 
 
+def test_absim_data_files_carry_the_config_hash(tmp_path):
+    # every CSV header and every JSON file, the snapshots' sidecars among
+    # them, names the sha256 of the manifest's config
+    assert main(["absim", "--nx", "128", "--ny", "128", "--slit-separation",
+                 "24", "--out", str(tmp_path)]) == EXIT_OK
+    sha = _manifest(tmp_path, "absim")["config_sha256"]
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == [
+        "absim_flux.f64", "absim_flux.f64.json", "absim_free.f64",
+        "absim_free.f64.json", "absim_fringe.csv", "absim_manifest.json",
+        "absim_metrics.json", "absim_slice.csv"]
+    for name in names:
+        if name.endswith(".csv"):
+            assert _read(tmp_path / name).split(b"\n", 1)[0].decode() \
+                == f"# config_sha256={sha}", name
+        elif name.endswith(".json"):
+            assert json.loads(_read(tmp_path / name))["config_sha256"] \
+                == sha, name
+
+
 @pytest.mark.parametrize("cmd", ["vortex", "confine"])
 def test_vortex_reports_relaxation_diagnostics(tmp_path, cmd, replayed_dtau):
     assert main([cmd, "--out", str(tmp_path)]) == EXIT_OK

@@ -8,6 +8,8 @@ values are frozen as literals next to the oracle that reproduced them.
 """
 
 import math
+import re
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -307,6 +309,39 @@ def test_tube_spec_validation():
         TubeSpec(g=1.0, R=0.0)
     with pytest.raises(DomainError):
         TubeSpec(g=1.0, R=-2.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tube_potentials_refuse_what_their_squares_lose():
+    # R^2 = 1e-320 is subnormal: a point outside such a tube divided 2g by
+    # a subnormal rho^2 and read A_y = inf; R^2 and 4g/R^2 that overflow
+    # are refused with it
+    for g, R in [(0.5, 1e-160), (0.5, 1e200), (1e308, 0.1)]:
+        with pytest.raises(DomainError, match="R\\^2"):
+            TubeSpec(g=g, R=R)
+    # an off-axis point whose rho^2 is subnormal (9e-316 keeps about 27 of
+    # float64's 53 bits), underflows to 0 or overflows is refused by its rho,
+    # inside the tube too; one on the axis still gives 0
+    spec = TubeSpec(g=0.5, R=1e-150)
+    for potential in (partial(tube_potential, spec),
+                      partial(proca_tube_potential, 0.5, 1.0)):
+        for x in (2e-160, 3e-158, 1e-170, 1e200):
+            with pytest.raises(DomainError, match=re.escape(f"rho = {x}: rho^2")):
+                potential((x, 0.0, 0.0))
+            with pytest.raises(DomainError, match=re.escape(f"rho = {x}: rho^2")):
+                potential([(0.0, 0.0, 1.0), (0.0, x, 0.0)])
+        assert np.all(potential((0.0, 0.0, 5.0)) == 0.0)
+    # the screened tube's amplitude 2g(1 - x K1(x))/rho^2 overflows here,
+    # and at mu*rho = inf or 0 reads nan
+    for g, mu, rho in [(1e308, 1.0, 0.1), (0.5, 1e300, 1e10),
+                       (0.5, 1e-300, 1e-150)]:
+        with pytest.raises(DomainError, match=re.escape(f"not finite at rho = {rho}")):
+            proca_tube_potential(g, mu, (rho, 0.0, 0.0))
+    # inside and outside, the uniform tube's amplitude is at most 2g/R^2,
+    # half the interior field TubeSpec checks
+    wide = TubeSpec(g=4e307, R=1.0)
+    assert np.all(np.isfinite(tube_potential(wide, [(0.5, 0.0, 0.0),
+                                                    (1e150, 0.0, 0.0)])))
 
 
 def test_proca_tube_flux_conserved():

@@ -28,7 +28,6 @@ from polelab.gauge import circle_flux
 from polelab.vortex import (
     MAX_GRID,
     MIN_CORE_NODES,
-    HiggsModel,
     TensionResult,
     VortexConfig,
     VortexProfile,
@@ -279,33 +278,33 @@ def test_confinement_linear_growth(critical_solution):
 # ---------------------------------------------------------------------------
 
 def test_photon_mass_values():
-    assert_allclose(HiggsModel(q=1.0, v=1.0, lam=2.0).photon_mass,
+    assert_allclose(VortexConfig(q=1.0, v=1.0, lam=2.0).photon_mass,
                     math.sqrt(2.0), rtol=1e-15)
-    assert_allclose(HiggsModel(q=2.0, v=0.5, lam=2.0).photon_mass,
+    assert_allclose(VortexConfig(q=2.0, v=0.5, lam=2.0).photon_mass,
                     math.sqrt(2.0), rtol=1e-15)
-    m = HiggsModel(q=1.0, v=3.0, lam=2.25)
+    m = VortexConfig(q=1.0, v=3.0, lam=2.25)
     assert_allclose(m.higgs_mass, 4.5, rtol=1e-15)
 
 
 def test_model_validation():
     with pytest.raises(DomainError):
-        HiggsModel(q=1.0, v=0.0, lam=1.0)
+        VortexConfig(q=1.0, v=0.0, lam=1.0)
     with pytest.raises(DomainError):
-        HiggsModel(q=1.0, v=-1.0, lam=1.0)
+        VortexConfig(q=1.0, v=-1.0, lam=1.0)
     with pytest.raises(DomainError):
-        HiggsModel(q=1.0, v=1.0, lam=0.0)
+        VortexConfig(q=1.0, v=1.0, lam=0.0)
     with pytest.raises(DomainError):
-        HiggsModel(q=float("inf"), v=1.0, lam=1.0)
+        VortexConfig(q=float("inf"), v=1.0, lam=1.0)
     # q = 0 decouples the photon: refused here, so no beta, energy, field,
     # flux or solve of the model ever divides by it
     with pytest.raises(DomainError, match="q must be nonzero"):
-        HiggsModel(q=0.0, v=1.0, lam=1.0)
+        VortexConfig(q=0.0, v=1.0, lam=1.0)
     # the scales the solve uses, in float64: beta = lam/(2 q^2) underflows
     # to 0 (its Python-float q**2 used to raise OverflowError) or overflows,
     # and m_V = sqrt(2) q v overflows, so 1/m_V is 0
     for q, v in [(1e200, 1.0), (1e-200, 1.0), (1.0, 1.7976931348623157e308)]:
         with pytest.raises(DomainError, match="beta, 1/m_V, 1/m_H, lam"):
-            HiggsModel(q=q, v=v, lam=1.0)
+            VortexConfig(q=q, v=v, lam=1.0)
 
 
 def test_solver_input_validation():
@@ -462,10 +461,9 @@ def test_relaxation_converges_across_couplings(q, lam, n, correlations):
     # 405 tubes of q in {1, 0.5, -2}, v = 1.3, nine lam from 1e-4 to 1e4,
     # n in {1, 2, 3, 4, 6} and r_max at 12, 20 and 40 correlation lengths
     # the relaxation took at most 19 sweeps (25 when dtau only doubled)
-    model = HiggsModel(q=q, v=1.3, lam=lam)
-    _, tension = solve_vortex(VortexConfig(q=q, v=1.3, lam=lam, n=n,
-                                           r_max=correlations * max(
-                                               model.correlation_lengths)))
+    model = VortexConfig(q=q, v=1.3, lam=lam)
+    _, tension = solve_vortex(replace(model, n=n, r_max=correlations * max(
+        model.correlation_lengths)))
     assert tension.converged and tension.stats.iterations <= 20
 
 
