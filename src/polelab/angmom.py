@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ConvergenceError, DomainError, check_count,
+from .errors import (TINY, ConvergenceError, DomainError, check_count,
                      check_finite, check_positive)
 from .fields import (_SCREENING_CLAMP, PhysicalConfig, _screening_argument,
                      as_vec3, monopole_field, yukawa_electric_field)
@@ -61,7 +61,8 @@ from .gauge import _winding
 
 @dataclass(frozen=True)
 class PairConfig:
-    """Charge q at (0, 0, d), pole g at the origin, photon mass mu."""
+    """Charge q at (0, 0, d), d > 0, pole g at the origin, photon mass
+    mu >= 0."""
 
     q: float
     g: float
@@ -73,12 +74,8 @@ class PairConfig:
         # the massless tail 2*(q*g)/(3*r_max) is the largest product the
         # quadrature forms with q*g; past the float range J would be inf
         _winding(self.q, self.g)
-        # d > 0, and d/64 and 8*d^2 do not underflow to 0: a separation
-        # too small to hold an exclusion ball or to square is refused here,
-        # though J itself is evaluated on the unit pair
-        if not (self.d / 64.0 > 0 and 8.0 * self.d * self.d > 0):
-            raise DomainError(f"separation d = {self.d} must be > 0, with "
-                              "d/64 and 8*d^2 > 0")
+        # J is evaluated on the unit pair, so any d > 0 is one
+        check_positive("separation d", self.d)
         if self.mu < 0:
             raise DomainError("photon mass mu must be >= 0")
 
@@ -306,9 +303,11 @@ def _neville_at_zero(x, vals):
 
 
 def _unit_pair(pair):
-    """The pair J is evaluated on: J(d, mu) = J(1, mu*d), and a mu*d past
-    the largest float screens J to 0 as the largest float does."""
-    return replace(pair, d=1.0, mu=min(pair.mu * pair.d, sys.float_info.max))
+    """The pair J is evaluated on: J(d, mu) = J(1, mu*d). A mu*d past the
+    largest float screens J to 0 as the largest float does, and one below
+    TINY is 0, where J/qg = 1 - 2 mu d/3 + ... is 1 to rounding."""
+    mu_d = min(pair.mu * pair.d, sys.float_info.max)
+    return replace(pair, d=1.0, mu=mu_d if mu_d >= TINY else 0.0)
 
 
 def field_angular_momentum(pair, quad=None):

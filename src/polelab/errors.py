@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the three input rules.
+"""Exception types shared across the package, and the four input rules.
 
 Everything numerical that can fail does so through one of these, so callers
 (and the command-line front end) can map failures to exit codes without
@@ -6,10 +6,17 @@ string-matching messages.
 
 Each kind of input has one rule, which every check of that kind calls:
 check_count (an int or numpy integer, never a bool, within [lo, hi]),
-check_finite and check_positive (finite and > 0), each naming the input.
+check_finite, check_positive (finite and > 0) and check_normal (finite
+and at least TINY, the least normal float), each naming the input.
 """
 
+import sys
+
 import numpy as np
+
+# the least normal float: below it every rounding is absolute, so a square
+# or a product that lands there has lost digits
+TINY = sys.float_info.min
 
 
 class DomainError(ValueError):
@@ -67,3 +74,11 @@ def check_positive(name, *values):
     """DomainError unless every value, real or array, is finite and > 0."""
     if not all(np.all((0 < v) & (v < np.inf)) for v in values):
         raise DomainError(f"{name} must be finite and > 0")
+
+
+def check_normal(name, *values):
+    """DomainError unless every value, real or array, is finite and at
+    least TINY."""
+    if not all(np.all((TINY <= v) & (v < np.inf)) for v in values):
+        raise DomainError(f"{name} must be finite and at least {TINY}, the "
+                          "least normal float")

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, SingularPointError, check_count,
-                     check_finite, check_positive)
+from .errors import (TINY, DomainError, SingularPointError, check_count,
+                     check_finite, check_normal, check_positive)
 
 # Angular distance to a patch's excluded axis below which evaluation is refused.
 AXIS_TOL = 1e-9
@@ -36,9 +36,6 @@ _SCREENING_CLAMP = 800.0
 
 # FieldsConfig refuses more samples than this before anything is allocated
 MAX_SAMPLES = 2**20
-
-# the least normal float: an |r|^2 below it has lost digits
-_TINY = np.finfo(float).tiny
 
 # 1 - x K1(x) cancels as x -> 0: formed directly it is 4.5e-13 off at
 # x = 0.01 and 6.7% at 1e-8. Below this x the series of Abramowitz &
@@ -70,9 +67,8 @@ class PhysicalConfig:
 class FieldsConfig(PhysicalConfig):
     """A PhysicalConfig with g nonzero and its fields' samples (2 to
     MAX_SAMPLES) radii from r_min to r_max: 0 < r_min < r_max, with r_min^2
-    normal and r_max^2 finite, since every field squares |r|, and both
-    fields finite at r_min, where they are largest; checked on
-    construction."""
+    and r_max^2 normal, since every field squares |r|, and both fields
+    finite at r_min, where they are largest; checked on construction."""
 
     q: float = 1.0
     g: float = 0.5
@@ -85,11 +81,8 @@ class FieldsConfig(PhysicalConfig):
         super().__post_init__()
         if not 0 < self.r_min < self.r_max:
             raise DomainError("need 0 < r_min < r_max")
-        if not np.isfinite(self.r_max * self.r_max):
-            raise DomainError("r_max^2 overflows: coordinates too large")
-        if self.r_min * self.r_min < _TINY:
-            raise DomainError(f"r_min^2 is below {_TINY}, the least normal "
-                              "float: the fields would lose digits")
+        check_normal("r_min^2, r_max^2", self.r_min * self.r_min,
+                     self.r_max * self.r_max)
         check_count("samples", self.samples, 2, MAX_SAMPLES)
         if self.g == 0:
             raise DomainError("g must be nonzero: b_over_coulomb divides "
@@ -118,9 +111,7 @@ class TubeSpec:
         check_positive("R", self.R)
         with np.errstate(over="ignore"):
             R2 = np.float64(self.R) ** 2
-            if not _TINY <= R2 < np.inf:
-                raise DomainError(f"R^2 = {R2} must be finite and at least "
-                                  f"{_TINY}, the least normal float")
+            check_normal(f"R^2 = {R2}", R2)
             check_finite("the interior field 4*g/R^2", 4.0 * self.g / R2)
 
     @property
@@ -141,14 +132,11 @@ def _radii(arr):
     """|r| of finite points. The origin is a SingularPointError. A point
     whose |r|^2 overflows, or is below the least normal float, is a
     DomainError: its field would come out as an exact 0, or lose digits."""
-    with np.errstate(over="ignore"):
-        r2 = np.sum(arr * arr, axis=-1)
-    check_finite("|r|^2 of the coordinates", r2)
     if np.any(np.all(arr == 0.0, axis=-1)):
         raise SingularPointError("field evaluated at a source point")
-    if np.any(r2 < _TINY):
-        raise DomainError(f"|r|^2 of the coordinates is below {_TINY}, the "
-                          "least normal float")
+    with np.errstate(over="ignore"):
+        r2 = np.sum(arr * arr, axis=-1)
+    check_normal("|r|^2 of the coordinates", r2)
     return np.sqrt(r2)
 
 
@@ -160,11 +148,11 @@ def _axial_squares(arr):
     with np.errstate(over="ignore"):
         rho2 = arr[..., 0] ** 2 + arr[..., 1] ** 2
     off_axis = (arr[..., 0] != 0.0) | (arr[..., 1] != 0.0)
-    bad = off_axis & ~((_TINY <= rho2) & (rho2 < np.inf))
+    bad = off_axis & ~((TINY <= rho2) & (rho2 < np.inf))
     if np.any(bad):
         rho = np.hypot(arr[..., 0], arr[..., 1])[bad].flat[0]
         raise DomainError(f"rho = {rho}: rho^2 must be finite and at least "
-                          f"{_TINY}, the least normal float")
+                          f"{TINY}, the least normal float")
     return rho2
 
 
@@ -302,11 +290,9 @@ def _patch_amplitude(patch, g, r):
                         rmag + sign * z)
         den = rmag * side
         amp = num / den
-    if not (np.all((_TINY <= den) & (den < np.inf))
-            and np.all(np.isfinite(amp))):
-        raise DomainError(f"the {patch} patch's g/(r*(r +- z)) is not finite "
-                          f"or r*(r +- z) is below {_TINY} for |r| in "
-                          f"[{np.min(rmag)}, {np.max(rmag)}]")
+    where = f"for |r| in [{np.min(rmag)}, {np.max(rmag)}]"
+    check_normal(f"the {patch} patch's r*(r +- z) {where}", den)
+    check_finite(f"the {patch} patch's g/(r*(r +- z)) {where}", amp)
     return arr, amp
 
 

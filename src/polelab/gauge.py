@@ -20,7 +20,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, check_count, check_finite, check_positive
+from .errors import (DomainError, check_count, check_finite, check_normal,
+                     check_positive)
 from .fields import _patch_amplitude, as_vec3, wu_yang_potential
 
 # Polar-angle band on which both patches are regular and may be compared.
@@ -160,7 +161,7 @@ def circle_flux(potential, center, u, v, rule=CircleRule()):
 @dataclass(frozen=True)
 class HolonomyConfig:
     """A charge q on the rim of the cap 0 < theta < pi of the sphere of
-    radius > 0, radius^2 finite, about a pole g, with finite string flux
+    radius > 0, radius^2 normal, about a pole g, with finite string flux
     4 pi g and phase q 4 pi g; keeps the CircleRule of its flux, its
     quantization report at tol and its rim, the (center, u, v) of
     circle_flux, at whose first node the north potential's rule must hold,
@@ -175,12 +176,11 @@ class HolonomyConfig:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
+        if not (0 < self.radius and 0 < self.theta < math.pi):
+            raise DomainError("a cap needs radius > 0 and 0 < theta < pi")
         # every point of the rim has |r|^2 = radius^2, which the potential
         # forms
-        if not (0 < self.radius and math.isfinite(self.radius * self.radius)
-                and 0 < self.theta < math.pi):
-            raise DomainError("a cap needs radius > 0 with radius^2 finite, "
-                              "and 0 < theta < pi")
+        check_normal("radius^2", self.radius * self.radius)
         string_flux = 4.0 * math.pi * float(self.g)
         check_finite(f"the string flux 4*pi*g = {string_flux}", string_flux)
         check_finite("q*4*pi*g", 4.0 * math.pi * (self.q * self.g))

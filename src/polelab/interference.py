@@ -252,13 +252,11 @@ def _check_packet(lattice, width, momentum, *centers):
     # k.r and |r - c|^2 are largest in size at a corner of the grid
     corners = [(x, y) for x in (0.0, lattice.h * (lattice.nx - 1))
                for y in (0.0, lattice.h * (lattice.ny - 1))]
-    if not all(math.isfinite(kx * x + ky * y) for x, y in corners):
-        raise DomainError("carrier phase k.r is not finite on the grid: the "
-                          "momentum is too large")
-    if not all(math.isfinite((x - cx) * (x - cx) + (y - cy) * (y - cy))
-               for cx, cy in centers for x, y in corners):
-        raise DomainError("|r - c|^2 from the packet centre is not finite on "
-                          "the grid: the centre lies too far from the grid")
+    check_finite("the carrier phase k.r on the grid",
+                 *(kx * x + ky * y for x, y in corners))
+    check_finite("|r - c|^2 from each packet centre on the grid",
+                 *((x - cx) * (x - cx) + (y - cy) * (y - cy)
+                   for cx, cy in centers for x, y in corners))
 
 
 def gaussian_packet(grid, width, momentum, *centers):
@@ -287,9 +285,8 @@ def gaussian_packet(grid, width, momentum, *centers):
     del scratch, envelope, term
     packet = replace(grid, psi=psi)
     norm = packet.norm()
-    if not norm > 0:
-        raise DomainError(f"packet norm {norm} on the grid; the packet must "
-                          "overlap the grid")
+    check_positive(f"the packet's norm {norm} on the grid, which it must "
+                   "overlap,", norm)
     psi /= norm
     return packet
 

@@ -20,7 +20,7 @@ from polelab.cli import COMMANDS, EXIT_CONVERGENCE, EXIT_CRASH, EXIT_OK, \
     EXIT_STABILITY, EXIT_UNSATISFIED, EXIT_USAGE, SCHEMAS, build_parser, \
     config_hash, main, resolve_config, write_csv, write_json
 from polelab.angmom import SweepConfig, angular_momentum_sweep
-from polelab.errors import DomainError
+from polelab.errors import TINY, DomainError
 from polelab.fields import MAX_SAMPLES, proca_tube_profile
 from polelab.interference import FRINGE_MAX_BIN_OFFSET
 
@@ -110,8 +110,8 @@ _ABSIM64 = ["absim", "--nx", "64", "--ny", "64", "--snapshots", "0"]
     (["fields", "--mu", "nan"], False),
     (["absim", "--mode", "fringe", "--nx", "64", "--ny", "64", "--steps",
       "2", "--slit-separation", "1e6", "--snapshots", "0"], False),
-    (["angmom", "--mu-list", "1", "--d-list", "1e-300"], False),
-    (["angmom", "--mu-list", "1", "--d-list", "5e-324"], False),
+    (["angmom", "--mu-list", "1", "--d-list", "0"], False),
+    (["angmom", "--mu-list", "1", "--d-list=-1e-300"], False),
     (["angmom", "--gl-order", "65"], False),
     (["angmom", "--gl-order", "100000"], False),
     (["absim", "--mode", "invisibility", "--nx", "1000000000000", "--ny",
@@ -139,7 +139,8 @@ _ABSIM64 = ["absim", "--nx", "64", "--ny", "64", "--snapshots", "0"]
     (["confine", "--lengths", "nan"], False),
     (["confine", "--lengths", "1,inf"], False),
     (["vortex", "--max-iter", "-5"], False),
-    (["angmom", "--mu-list", "5e-324"], False),
+    # radius^2 = 1e-320 is below the least normal float
+    (["holonomy", "--radius", "1e-160"], False),
     (_ABSIM64 + ["--k", "1e-10"], False),
     (_ABSIM64 + ["--k", "1e-300"], False),
     (_ABSIM64 + ["--steps", "1000000000000"], False),
@@ -164,6 +165,38 @@ def test_bad_inputs_are_usage_errors(tmp_path, argv, out_is_file):
         assert _manifest(out, argv[0])["status"] == "error"
         # a failed run leaves only its manifest: no data file, so no NaN
         assert [p.name for p in out.iterdir()] == [f"{argv[0]}_manifest.json"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["angmom", "--mu-list", "1", "--d-list", "1e-300"],
+    ["angmom", "--mu-list", "1", "--d-list", "1e-170"],
+    ["angmom", "--mu-list", "1", "--d-list", "5e-324"],
+    ["angmom", "--mu-list", "5e-324"],
+    ["angmom", "--mu-list", "1e-320", "--d-list", "1"],
+])
+def test_tiny_separations_and_masses_are_their_unit_pair(tmp_path, argv):
+    # J(d, mu) = J(1, mu*d) at any d > 0, and a mu*d below the least normal
+    # float is 0: these used to be refused as separations too small for an
+    # exclusion ball (d/64 or 8*d^2 underflowing), or to fail at the writer
+    # with an overflowed tail bound
+    def cells(argv, out):
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        lines = _read(out / "angmom.csv").decode().strip().split("\n")[1:]
+        rows = [dict(zip(lines[0].split(","), line.split(",")))
+                for line in lines[1:]]
+        return [(float(row["mu"]) * float(row["d"]),
+                 (row["J_z"], row["err"], row["converged"])) for row in rows]
+
+    def unit_cell(mu_d, name):
+        (_, cell), = cells(["angmom", "--mu-list", repr(mu_d),
+                            "--d-list", "1"], tmp_path / name)
+        return cell
+
+    for i, (mu_d, cell) in enumerate(cells(argv, tmp_path / "pair")):
+        assert cell[2] == "1" and cell == unit_cell(mu_d, str(i))
+        if mu_d < TINY:
+            assert cell == unit_cell(0.0, f"zero{i}")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -286,6 +319,12 @@ _FLAG_VALUES["confine"] = {**_FLAG_VALUES["vortex"],
 _FIXED_FLAGS = {"absim": {"nx": st.just(64), "ny": st.just(64),
                           "steps": st.integers(1, 3), "snapshots": st.just(0)}}
 
+# usage refusals that come after a stage: confine's T*L overflow, since the
+# tension T is known only after the solve, and a two-slit packet whose norm
+# underflows to 0 on the grid (absim --slit-separation 1e4 on a 64^2 grid),
+# known only once the fringe stage builds it
+_REFUSED_IN_A_STAGE = ("T*L overflows", "the packet's norm")
+
 
 def _flag(key, value):
     text = ",".join(map(repr, value)) if isinstance(value, list) \
@@ -307,10 +346,21 @@ def test_any_flag_values_give_a_documented_exit_code(cmd):
             assert code in (EXIT_OK, EXIT_UNSATISFIED, EXIT_USAGE,
                             EXIT_CONVERGENCE, EXIT_STABILITY)
             assert os.path.exists(os.path.join(out, f"{cmd}_manifest.json"))
-            # a refused run writes no data file
+            # a refused run writes no data file, and records no stage: its
+            # config refuses it before the first one, but for two causes
+            # known only inside a stage (_REFUSED_IN_A_STAGE)
             if code == EXIT_USAGE:
                 assert os.listdir(out) == [f"{cmd}_manifest.json"]
+                with open(os.path.join(out, f"{cmd}_manifest.json")) as fh:
+                    man = json.load(fh)
+                if not any(c in man["error"] for c in _REFUSED_IN_A_STAGE):
+                    assert man["stages_seconds"] == {}, man["error"]
 
+    if cmd == "angmom":
+        # a mu below the least normal float used to run its stages and be
+        # refused at the writer, its tail bound overflowed to inf
+        for mu in (5e-324, 1e-320):
+            run = example({"mu_list": [mu]})(run)
     if cmd == "absim":
         # slit gaps that only the fringe window (0) or the two-slit packet
         # (1e308) refuses, in the default mode, which runs both experiments
@@ -1048,11 +1098,12 @@ def test_list_flags_drop_empty_tokens(tmp_path):
     (["vortex", "--v", "1.7976931348623157e308"], "1/m_V"),
     (["confine", "--v", "1.7976931348623157e308"], "1/m_V"),
     # np.geomspace overflowed on its way to this r_max
-    (["fields", "--r-max", "1.7976931348623157e308"], "r_max^2 overflows"),
+    (["fields", "--r-max", "1.7976931348623157e308"],
+     "r_min^2, r_max^2 must be finite"),
     # the potential's amplitude g/(r*(r + z)) on the rim at r = 1e-151 is
     # 4.0e308
     (["holonomy", "--g", "1645261.0", "--radius", "1e-151"],
-     "g/(r*(r +- z)) is not finite"),
+     "g/(r*(r +- z)) for |r| in [1e-151, 1e-151] must be finite"),
 ], ids=["angmom-qg-1e400", "angmom-qg-1e308", "confine-length-1e308",
         "holonomy-g-8e307", "holonomy-phase-8e307", "fields-coulomb-1e310",
         "fields-r-min-1e-10", "vortex-r-max-1e308", "confine-r-max-1e308",

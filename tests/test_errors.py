@@ -1,12 +1,12 @@
-"""The three input rules of polelab.errors, and every count input that
+"""The four input rules of polelab.errors, and every count input that
 applies the count rule."""
 
 import numpy as np
 import pytest
 
 from polelab.angmom import QuadratureSpec
-from polelab.errors import (DomainError, check_count, check_finite,
-                            check_positive)
+from polelab.errors import (TINY, DomainError, check_count, check_finite,
+                            check_normal, check_positive)
 from polelab.gauge import CircleRule
 from polelab.interference import (InterferenceConfig, make_wave_grid,
                                   propagate_free)
@@ -75,3 +75,15 @@ def test_the_three_rules():
     for bad in (0.0, -1.0, np.nan, np.inf, np.array([1.0, 0.0])):
         with pytest.raises(DomainError, match="^x must be finite and > 0$"):
             check_positive("x", 1.0, bad)
+
+
+def test_the_normal_rule():
+    # TINY is the least normal float: below it every rounding is absolute
+    assert TINY == np.finfo(float).tiny and TINY / 2 > 0.0
+    check_normal("x", TINY, 1.0, 1.7976931348623157e308,
+                 np.array([TINY, 1e300]))
+    for bad in (TINY / 2, 5e-324, 0.0, -1.0, np.nan, np.inf, -np.inf,
+                np.array([1.0, TINY / 2]), np.array([[1.0], [np.nan]])):
+        with pytest.raises(DomainError, match=f"^x must be finite and at "
+                           f"least {TINY}, the least normal float$"):
+            check_normal("x", 1.0, bad)

@@ -150,7 +150,7 @@ def test_a_subnormal_radius_squared_is_refused_by_its_cause():
     # r*(r + z) = 1e-314 is below it at a normal |r|^2 = 1e-300, next to
     # the north patch's excluded axis
     point = 1e-150 * np.array([math.sin(1e-7), 0.0, -math.cos(1e-7)])
-    with pytest.raises(DomainError, match="r\\*\\(r \\+- z\\) is below"):
+    with pytest.raises(DomainError, match="r\\*\\(r \\+- z\\) for .* at least"):
         wu_yang_potential("north", 1e-308, point)
     # from 1.5e-154 up |r|^2 is normal and the field exact to rounding
     b = monopole_field(cfg, (1.5e-154, 0.0, 0.0))
