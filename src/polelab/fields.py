@@ -333,9 +333,10 @@ def proca_tube_potential(g, mu, r):
     2*pi*rho*A_phi = 4*pi*g*(1 - mu*rho*K1(mu*rho)) climbs to the full 4*pi*g
     once mu*rho >> 1. Regular on the axis (A -> 0 like rho*log(rho)), where
     1 - x K1(x) is summed from its series, since formed directly it cancels.
-    An off-axis point whose rho^2 is not normal and finite
-    (_axial_squares), or where the amplitude is not finite, is a
-    DomainError naming its rho.
+    x is clamped at _SCREENING_CLAMP, where 1 - x K1(x) is exactly 1, and
+    the series' x below at TINY, where it is exactly 0. An off-axis point
+    whose rho^2 is not normal and finite (_axial_squares), or where the
+    amplitude is not finite, is a DomainError naming its rho.
     """
     # imported here, not at module level: no CLI command needs scipy.special
     from scipy.special import i1, k1
@@ -346,11 +347,11 @@ def proca_tube_potential(g, mu, r):
     rho = np.sqrt(rho2)
     safe = np.where(rho > 0, rho, 1.0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        x = mu * safe
+        x = _screening_argument(mu, safe)
         # A&S 9.6.11: 1 - x K1(x) = (x^2/4) sum_k c_k (x^2/4)^k
         # - x ln(x/2) I1(x), summed at x clamped below the switch, where its
         # terms stay small
-        xs = np.minimum(x, _K1_SERIES_BELOW)
+        xs = np.clip(x, TINY, _K1_SERIES_BELOW)
         u = 0.25 * xs * xs
         series = 0.0
         for c in reversed(_K1_SERIES):

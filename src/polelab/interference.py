@@ -559,9 +559,10 @@ def _fringe_phase(pattern, free, k_star):
 def save_snapshot(grid, bin_path, sha):
     """Write |psi|^2 as flat row-major float64 plus a JSON sidecar giving
     shape and spacing and, as every data file does, the config's sha256,
-    meta_path = bin_path + ".json". Returns both paths."""
+    meta_path = bin_path + ".json", both renamed into place once both are
+    written, so a failed write leaves the previous pair. Returns both paths."""
     meta_path = bin_path + ".json"
-    with open(bin_path, "wb") as fh:
+    with open(bin_path + ".tmp", "wb") as fh:
         fh.write(memoryview(grid.intensity()))
     meta = {
         "config_sha256": sha,
@@ -572,9 +573,11 @@ def save_snapshot(grid, bin_path, sha):
         "m": grid.m,
         "dt": grid.dt,
     }
-    with open(meta_path, "w") as fh:
+    with open(meta_path + ".tmp", "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=1)
         fh.write("\n")
+    for path in (bin_path, meta_path):
+        os.replace(path + ".tmp", path)
     return bin_path, meta_path
 
 

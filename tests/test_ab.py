@@ -938,6 +938,25 @@ def test_snapshot_roundtrip(tmp_path, packet128):
     assert raw["dtype"] == "float64" and raw["order"] == "C"
 
 
+def test_a_failed_snapshot_write_leaves_the_previous_pair(tmp_path,
+                                                         packet128,
+                                                         monkeypatch):
+    # the array used to be written in place before its sidecar, so a
+    # failing sidecar paired a new array with the old config_sha256
+    pair = [tmp_path / "field.f64", tmp_path / "field.f64.json"]
+    save_snapshot(packet128, str(pair[0]), "0" * 64)
+    before = [path.read_bytes() for path in pair]
+
+    def boom(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", boom)
+    moved = replace(packet128, psi=np.roll(packet128.psi, 7, axis=0))
+    with pytest.raises(OSError, match="disk full"):
+        save_snapshot(moved, str(pair[0]), "1" * 64)
+    assert [path.read_bytes() for path in pair] == before
+
+
 def test_snapshot_validation(tmp_path, packet128):
     bin_path = str(tmp_path / "field.f64")
     save_snapshot(packet128, bin_path, "0" * 64)

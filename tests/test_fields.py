@@ -331,12 +331,15 @@ def test_tube_potentials_refuse_what_their_squares_lose():
             with pytest.raises(DomainError, match=re.escape(f"rho = {x}: rho^2")):
                 potential([(0.0, 0.0, 1.0), (0.0, x, 0.0)])
         assert np.all(potential((0.0, 0.0, 5.0)) == 0.0)
-    # the screened tube's amplitude 2g(1 - x K1(x))/rho^2 overflows here,
-    # and at mu*rho = inf or 0 reads nan
-    for g, mu, rho in [(1e308, 1.0, 0.1), (0.5, 1e300, 1e10),
-                       (0.5, 1e-300, 1e-150)]:
-        with pytest.raises(DomainError, match=re.escape(f"not finite at rho = {rho}")):
-            proca_tube_potential(g, mu, (rho, 0.0, 0.0))
+    # the screened tube's amplitude 2g(1 - x K1(x))/rho^2 overflows here
+    with pytest.raises(DomainError, match=re.escape("not finite at rho = 0.1")):
+        proca_tube_potential(1e308, 1.0, (0.1, 0.0, 0.0))
+    # at mu*rho = inf, 1 - x K1(x) is 1, and at mu*rho = 0 it is 0: both
+    # used to read nan and be refused
+    assert_allclose(proca_tube_potential(0.5, 1e300, (1e10, 0.0, 0.0)),
+                    [0.0, 2.0 * 0.5 / 1e10, 0.0], rtol=1e-15)
+    assert np.all(proca_tube_potential(0.5, 1e-300, (1e-150, 0.0, 0.0))
+                  == 0.0)
     # inside and outside, the uniform tube's amplitude is at most 2g/R^2,
     # half the interior field TubeSpec checks
     wide = TubeSpec(g=4e307, R=1.0)
